@@ -1,0 +1,138 @@
+"""Golden corpus: CLI output that must stay byte-identical.
+
+Each case is one `azenum` command line. Its exit code and stdout are
+stored gzip-compressed under `tests/golden/`; the `az run` cases read
+seeded tuple families from `tests/golden/inputs/`. The corpus pins the
+element order, the minimal representatives and every certificate
+independently of the code that computes them.
+
+Regenerate only when an output change is intended, and say which outputs
+changed and why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import gzip
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from azenum.cli import run_command
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+# (group, seed, arity, max_support, depth)
+AZ_FAMILIES = [
+    ("C4", 1, 1, 8, 100),
+    ("C4", 2, 2, 8, 100),
+    ("C4", 3, 3, 10, 100),
+    ("Q8", 1, 1, 8, 100),
+    ("Q8", 2, 2, 10, 100),
+    ("Q8", 3, 3, 10, 100),
+    ("Q8", 4, 4, 12, 100),
+]
+
+# every catalog group has a K; C2 has K = G, so its Γ has two elements
+ENUMERATE_COUNTS = {"C2": 2, "C4": 5000, "C2xC2": 5000, "Q8": 5000, "D4": 5000}
+
+# (name, group, word, level): exhaustive pair checks stay under the cap
+AUT_VERIFY = [
+    ("c4_beta6", "C4", [{"beta": [0, 1, 2, 3, 4, 5]}], 6),
+    ("c4_perm", "C4", [{"perm": [[0, 3], [1, 2]]}], 5),
+    ("c4_alpha", "C4", [{"beta": [4, 0, 1, 2, 3, 5]}, {"perm": [[4, 5]]}], 6),
+    ("c4_short_beta", "C4", [{"beta": [0, 1, 2]}], 4),
+    ("q8_perm", "Q8", [{"perm": [[0, 1, 2]]}], 3),
+    ("d4_perm", "D4", [{"perm": [[0, 2]]}], 3),
+]
+
+
+def family_path(group: str, seed: int) -> Path:
+    return INPUTS / f"az_{group}_{seed}.txt"
+
+
+def cases():
+    """Case name -> argv."""
+    out = {}
+    for group, seed, _, _, depth in AZ_FAMILIES:
+        out[f"az_run_{group}_{seed}"] = [
+            "--json", "--seed", str(seed), "az", "run", "--group", group,
+            "--tuples", str(family_path(group, seed)), "--depth", str(depth),
+        ]
+    for group, count in ENUMERATE_COUNTS.items():
+        out[f"cp_enumerate_{group}"] = [
+            "cp", "enumerate", "--group", group, "--count", str(count),
+        ]
+    for name, group, word, level in AUT_VERIFY:
+        out[f"aut_verify_{name}"] = [
+            "--json", "aut", "verify", "--group", group,
+            "--word", json.dumps(word), "--level", str(level),
+        ]
+    out["rado_triples_8"] = ["--json", "rado", "triples", "--max-n", "8"]
+    return out
+
+
+def run_case(argv) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(argv)
+    return f"exit {code}\n{buf.getvalue()}".encode()
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN / f"{name}.out.gz"
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_golden(name):
+    expected = gzip.decompress(golden_path(name).read_bytes())
+    got = run_case(cases()[name])
+    if got != expected:
+        got_lines = got.decode().splitlines()
+        exp_lines = expected.decode().splitlines()
+        first = next(
+            (i for i, (a, b) in enumerate(zip(got_lines, exp_lines)) if a != b),
+            min(len(got_lines), len(exp_lines)),
+        )
+        pytest.fail(
+            f"{name} differs from the golden output at line {first + 1}:\n"
+            f"  expected: {exp_lines[first:first + 1]}\n"
+            f"  got:      {got_lines[first:first + 1]}"
+        )
+
+
+def write_families() -> None:
+    from azenum.central_product import CPContext, format_support
+    from azenum.groups import catalog_group, make_standard_kgroup
+    from oracles import random_az_family
+
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for group, seed, arity, max_support, _ in AZ_FAMILIES:
+        table, analysis, k = catalog_group(group)
+        ctx = CPContext(make_standard_kgroup(table, analysis, k))
+        fam = random_az_family(
+            ctx, random.Random(seed), arity, max_support, extra_members=2
+        )
+        lines = [
+            ";".join(format_support(ctx, x) for x in member)
+            for member in fam.members
+        ]
+        family_path(group, seed).write_text("\n".join(lines) + "\n")
+
+
+def regenerate() -> None:
+    write_families()
+    for name, argv in cases().items():
+        golden_path(name).write_bytes(gzip.compress(run_case(argv), mtime=0))
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).parent))
+    regenerate()
