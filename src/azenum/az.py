@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .automorphisms import AutWord, Perm, alpha_word, apply_word, word_to_json
@@ -35,7 +36,7 @@ def letter_word(ctx: CPContext, member: MemberTuple) -> Word:
     i-th letter collects the i-th entries of the components' canonical
     minimal representatives, truncated at the last nontrivial index."""
     e = ctx.group.identity_index
-    reps = [ctx.minimal_representative(comp).as_dict() for comp in member]
+    reps = [dict(ctx.minimal_representative(comp)) for comp in member]
     top = max((c for rep in reps for c in rep), default=-1)
     return Word(
         tuple(tuple(rep.get(i, e) for rep in reps) for i in range(top + 1))
@@ -96,16 +97,19 @@ class BetaMap:
     I_s: Dict[tuple, Tuple[int, ...]]  # per letter: target positions off the image
     member_i: MemberTuple
     member_j: MemberTuple
+    # per source position l <= l_i: the target positions, f(l) and then
+    # I_s[letter] when f(l) is the letter's last occurrence in word_j
+    plan: Tuple[Tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def l_i(self) -> int:
         return len(self.word_i) - 1
 
-    @property
+    @cached_property
     def l_j(self) -> int:
         return len(self.word_j) - 1
 
-    @property
+    @cached_property
     def shift(self) -> int:
         return self.l_j - self.l_i
 
@@ -137,6 +141,10 @@ def build_beta(nf: NormalizedFamily) -> BetaMap:
                 f"exponent {m} does not divide |I_s| = {len(off)}"
             )
         I_s[letter] = off
+    plan = []
+    for t in emb.image:
+        letter = w_j.letters[t]
+        plan.append((t, *I_s[letter]) if i_s[letter] == t else (t,))
     return BetaMap(
         ctx=nf.ctx,
         i=nf.kept[pair_i],
@@ -148,6 +156,7 @@ def build_beta(nf: NormalizedFamily) -> BetaMap:
         I_s=I_s,
         member_i=nf.members[pair_i],
         member_j=nf.members[pair_j],
+        plan=tuple(plan),
     )
 
 
@@ -157,23 +166,18 @@ def apply_beta(bm: BetaMap, x: CPElement) -> CPElement:
     I_s when they land on a letter's last occurrence), higher positions
     shift by l_j - l_i."""
     ctx = bm.ctx
-    g = ctx.group
-    rep = ctx.minimal_representative(x).as_dict()
+    plan = bm.plan
+    l_i = len(plan) - 1
+    shift = bm.shift
+    # every target is hit once: f is injective, the I_s lie off its image
+    # and apart from each other, and shifted positions land past l_j
     out: Dict[int, int] = {}
-
-    def emit(coord, val):
-        out[coord] = g.mul[out.get(coord, g.identity_index)][val]
-
-    for l, val in rep.items():
-        if l <= bm.l_i:
-            t = bm.f.image[l]
-            emit(t, val)
-            letter = bm.word_j.letters[t]
-            if bm.i_s[letter] == t:
-                for p in bm.I_s[letter]:
-                    emit(p, val)
+    for l, val in ctx.minimal_representative(x):
+        if l <= l_i:
+            for t in plan[l]:
+                out[t] = val
         else:
-            emit(l + bm.shift, val)
+            out[l + shift] = val
     return ctx.make(out)
 
 
@@ -258,9 +262,10 @@ def _random_supported(ctx: CPContext, rng: random.Random, top: int) -> CPElement
 
 
 def _max_diff_index(ctx: CPContext, x: CPElement, y: CPElement) -> int:
-    rx = ctx.minimal_representative(x).as_dict()
-    ry = ctx.minimal_representative(y).as_dict()
-    return max(c for c in set(rx) | set(ry) if rx.get(c) != ry.get(c))
+    """The highest coordinate where the minimal representatives differ."""
+    rx = set(ctx.minimal_representative(x))
+    ry = set(ctx.minimal_representative(y))
+    return max(c for c, _ in rx ^ ry)
 
 
 def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
@@ -285,6 +290,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
         failures.append("tuple_mapping")
 
     l, l_prime = min_word_levels(bm)
+    l_i, shift = bm.l_i, bm.shift
 
     # (b) order preservation on the enumeration prefix and random pairs
     ordered = 0
@@ -310,9 +316,9 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
             ordered += 1
         # (c) index law when the top differing index clears l_i
         t0 = _max_diff_index(ctx, x, y)
-        if t0 > bm.l_i:
+        if t0 > l_i:
             law_checks += 1
-            if _max_diff_index(ctx, bx, by) == t0 + bm.shift:
+            if _max_diff_index(ctx, bx, by) == t0 + shift:
                 law_ok += 1
     expected_ordered = (depth - 1) + pair_checks
     reports["order_preservation"] = {

@@ -1,16 +1,18 @@
 """The central product of omega copies of G amalgamated over K.
 
 Elements are cosets of the subgroup of K-tuples with trivial coordinate
-product; we carry finite-support representatives and a canonical form
-(per-coordinate coset labels plus a single accumulated K factor).
+product. An element is stored as per-coordinate coset labels plus a single
+accumulated K factor, which the group law and hashing use. Its one
+canonical form for the order, the reverse-lex minimal representative, is
+built on first use and stored on the element together with the order key
+that `CPContext.compare` compares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm as _lcm
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import InputError
 from .groups import KGroupSpec
@@ -36,12 +38,13 @@ class CPContext:
             for k in self.k_list:
                 self.decompose[g.mul[t][k]] = (t_idx, k)
         # per coset: the representative minimizing the element ordering
+        # and the inverse of its K factor, which coordinate 0 absorbs
         self.coset_min: List[int] = []
-        self.coset_min_k: List[int] = []
+        self.coset_min_kinv: List[int] = []
         for t_idx, t in enumerate(kg.transversal):
             best = min((g.mul[t][k] for k in self.k_list), key=lambda x: self.rank_of[x])
             self.coset_min.append(best)
-            self.coset_min_k.append(self.decompose[best][1])
+            self.coset_min_kinv.append(g.inverse[self.decompose[best][1]])
         exponent = 1
         for a in range(g.order):
             exponent = _lcm(exponent, g.element_order(a))
@@ -102,42 +105,50 @@ class CPContext:
 
     # -- ordering ---------------------------------------------------------
 
-    def minimal_representative(self, x: "CPElement") -> "OrderWitness":
-        """Greedy reverse-lex minimum over the coset.
-
-        Coordinates above 0 take their cheapest K-multiple independently;
-        coordinate 0 absorbs the residual K factor.
-        """
+    def minimal_representative(self, x: "CPElement") -> Tuple[Tuple[int, int], ...]:
+        """The reverse-lex minimum over the coset, as coordinate-sorted
+        (coord, value) pairs without identity entries."""
         self._check(x)
-        g = self.group
-        rep: Dict[int, int] = {}
-        residual = x.kappa
-        t0 = 0
-        for coord, t_idx in x.t_support:
-            if coord == 0:
-                t0 = t_idx
-                continue
-            rep[coord] = self.coset_min[t_idx]
-            residual = g.mul[residual][g.inverse[self.coset_min_k[t_idx]]]
-        v0 = g.mul[self.kg.transversal[t0]][residual]
-        if v0 != g.identity_index:
-            rep[0] = v0
-        return OrderWitness(tuple(sorted(rep.items())))
+        return (x._form or self._canonical_form(x))[0]
 
     def compare(self, x: "CPElement", y: "CPElement") -> int:
         """Reverse lexicographic comparison (highest differing index wins)."""
         self._check(x, y)
         if x == y:
             return 0
-        rx = dict(self.minimal_representative(x).rep)
-        ry = dict(self.minimal_representative(y).rep)
-        e = self.group.identity_index
-        for coord in sorted(set(rx) | set(ry), reverse=True):
-            a = self.rank_of[rx.get(coord, e)]
-            b = self.rank_of[ry.get(coord, e)]
-            if a != b:
-                return -1 if a < b else 1
-        return 0
+        kx = (x._form or self._canonical_form(x))[1]
+        ky = (y._form or self._canonical_form(y))[1]
+        return -1 if kx < ky else 1
+
+    def _canonical_form(self, x: "CPElement") -> Tuple[tuple, tuple]:
+        """Build and store x's minimal representative and order key.
+
+        Coordinates above 0 take their cheapest K-multiple independently;
+        coordinate 0 absorbs the residual K factor. The key is (top, rank
+        at top, ..., rank at 0), where top is the highest nontrivial
+        coordinate (-1 for the identity): the identity ranks lowest, so a
+        plain tuple comparison of keys is the reverse-lex order.
+        """
+        g = self.group
+        mul = g.mul
+        residual = x.kappa
+        t0 = 0
+        higher = []
+        for coord, t_idx in x.t_support:
+            if coord == 0:
+                t0 = t_idx
+                continue
+            higher.append((coord, self.coset_min[t_idx]))
+            residual = mul[residual][self.coset_min_kinv[t_idx]]
+        v0 = mul[self.kg.transversal[t0]][residual]
+        rep = higher if v0 == g.identity_index else [(0, v0)] + higher
+        top = rep[-1][0] if rep else -1
+        rank_of = self.rank_of
+        ranks = [rank_of[g.identity_index]] * (top + 1)
+        for coord, val in rep:
+            ranks[top - coord] = rank_of[val]
+        form = x._form = (tuple(rep), (top, *ranks))
+        return form
 
     # -- enumeration ------------------------------------------------------
 
@@ -240,15 +251,23 @@ def _skip(it, n):
 
 
 class CPElement:
-    """A coset in canonical form; immutable and hashable."""
+    """A coset; immutable and hashable.
 
-    __slots__ = ("ctx", "t_support", "kappa", "_hash")
+    `(t_support, kappa)` (coset labels at the nontrivial coordinates and
+    the accumulated K factor) identifies the element. `_form` holds its
+    one canonical form for the order: the minimal representative and the
+    order key, filled by the context on first use, so work that never
+    orders elements never pays for it.
+    """
+
+    __slots__ = ("ctx", "t_support", "kappa", "_hash", "_form")
 
     def __init__(self, ctx: CPContext, t_support: Tuple[Tuple[int, int], ...], kappa: int):
         self.ctx = ctx
         self.t_support = t_support
         self.kappa = kappa
         self._hash = hash((t_support, kappa))
+        self._form = None
 
     def __eq__(self, other):
         return (
@@ -266,16 +285,6 @@ class CPElement:
 
     def support_coords(self) -> Tuple[int, ...]:
         return tuple(c for c, _ in self.t_support)
-
-
-@dataclass(frozen=True)
-class OrderWitness:
-    """The reverse-lex minimal representative of a coset."""
-
-    rep: Tuple[Tuple[int, int], ...]
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +310,7 @@ def parse_support(ctx: CPContext, text: str) -> CPElement:
 
 
 def format_support(ctx: CPContext, x: CPElement) -> str:
-    rep = ctx.minimal_representative(x).rep
+    rep = ctx.minimal_representative(x)
     if not rep:
         return "-"
     names = ctx.group.element_names

@@ -42,7 +42,6 @@ from .quadratic import (
     QSMorphism,
     free_amalgam,
     group_from_qs,
-    identity_morphism,
     is_nondegenerate,
     load_qs_file,
     qs_from_group,
@@ -50,7 +49,6 @@ from .quadratic import (
 )
 from .rado import build_triples, check_obstruction, triple_from_json
 from .wqo import (
-    Word,
     find_increasing_pair,
     format_word,
     is_star_embedded,
@@ -145,8 +143,9 @@ def cmd_group_check(args) -> int:
         "class_ok": is_class_csw(table, analysis),
     }
     if k is not None:
-        doc["k"] = [names[x] for x in sorted(k)]
+        # validate_k rejects out-of-range indices before they are named
         doc["k_valid"] = validate_k(table, analysis, k)
+        doc["k"] = [names[x] for x in sorted(k)]
     _emit(args, doc)
     ok = doc["class_ok"] and doc.get("k_valid", True)
     return EXIT_OK if ok else EXIT_FALSIFIED
@@ -218,11 +217,10 @@ def cmd_cp_enumerate(args) -> int:
     ctx = _context(args)
     lines = []
     for index, x in enumerate(ctx.enumerate(args.count)):
-        witness = ctx.minimal_representative(x)
         lines.append(
             {
                 "index": index,
-                "support": sorted(dict(witness.rep)),
+                "support": [c for c, _ in ctx.minimal_representative(x)],
                 "min_rep": format_support(ctx, x),
             }
         )
@@ -285,7 +283,10 @@ def cmd_aut_verify(args) -> int:
 
 def cmd_aut_alpha(args) -> int:
     ctx = _context(args)
-    coords = [int(c) for c in args.coords.split(",") if c.strip() != ""]
+    try:
+        coords = [int(c) for c in args.coords.split(",") if c.strip() != ""]
+    except ValueError:
+        raise InputError(f"--coords must be comma-separated integers: {args.coords!r}")
     word = alpha_word(ctx, coords, args.i0, args.j0)
     if args.verify:
         level = word.max_coord() + 1

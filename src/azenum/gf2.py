@@ -17,13 +17,6 @@ def bits_of(v: int) -> List[int]:
     return out
 
 
-def vec_from_bits(indices) -> int:
-    v = 0
-    for i in indices:
-        v |= 1 << i
-    return v
-
-
 def parse_bitstring(s: str) -> int:
     """Little-endian bitstring: character at index i is bit i."""
     v = 0
@@ -90,15 +83,6 @@ def gf2_rank(vectors) -> int:
     for v in vectors:
         span.add(v)
     return span.rank
-
-
-def solve_in_basis(basis: List[int], v: int) -> Optional[int]:
-    """Coordinates of v in the given (independent) basis, or None."""
-    span = Gf2Span()
-    for b in basis:
-        if not span.add(b):
-            raise ValueError("basis vectors are dependent")
-    return span.solve(v)
 
 
 def apply_linear(images: List[int], v: int) -> int:

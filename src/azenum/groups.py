@@ -25,12 +25,6 @@ class GroupTable:
     identity_index: int
     inverse: Tuple[int, ...]
 
-    def mul_of(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inv_of(self, a: int) -> int:
-        return self.inverse[a]
-
     def power(self, a: int, n: int) -> int:
         out = self.identity_index
         for _ in range(n):
@@ -453,6 +447,8 @@ def group_from_json(doc: dict):
         name = doc.get("name", "G")
     except (KeyError, TypeError):
         raise InputError("group document must contain 'mul'")
+    if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
+        raise InputError("group document 'mul' must be a list of rows")
     table, analysis = validate_and_analyze(mul, names, name=name)
     if "order" in doc and doc["order"] != table.order:
         raise InputError("declared order does not match table size")

@@ -14,7 +14,6 @@ from .errors import CapacityError, InputError
 from .groups import (
     GroupAnalysis,
     GroupTable,
-    catalog_group,  # noqa: F401  (re-exported convenience for callers)
     is_class_csw,
     subgroup_closure,
     validate_and_analyze,

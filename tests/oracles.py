@@ -22,6 +22,33 @@ def brute_star(w1, w2):
     return None
 
 
+def brute_minimum(ctx, x, width=None):
+    """The reverse-lex least representative of x, found by trying every
+    member of its coset supported below `width` (at most 8)."""
+
+    def key(rep):
+        e = ctx.group.identity_index
+        # pad to a common width so reverse-lex is a plain tuple compare
+        w = 8
+        return tuple(ctx.rank_of[rep.get(c, e)] for c in range(w - 1, -1, -1))
+
+    return min(ctx.coset_members(x, width), key=key)
+
+
+def brute_compare(ctx, x, y, width):
+    """The reverse-lex order on cosets supported below `width`: compare
+    the brute-force minimal representatives from the highest coordinate
+    down, by element rank. Returns -1, 0 or 1."""
+    rx = brute_minimum(ctx, x, width)
+    ry = brute_minimum(ctx, y, width)
+    e = ctx.group.identity_index
+    for c in reversed(range(width)):
+        a, b = ctx.rank_of[rx.get(c, e)], ctx.rank_of[ry.get(c, e)]
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
 def random_az_family(ctx, rng, arity, max_support, extra_members=0):
     """A tuple family guaranteed to contain a strongly embedded pair: a
     random base member plus partners whose letter words extend the base

@@ -184,7 +184,7 @@ def test_criterion_4_enumeration(capsys):
             )
             assert ctx.enumerate(count) == brute_sorted
         for x in ctx.all_cosets(3):
-            greedy = ctx.minimal_representative(x).as_dict()
+            greedy = dict(ctx.minimal_representative(x))
             assert greedy == _brute_key(ctx, x, 3)[1]
 
     _run(capsys, 4, "enumeration + greedy minimum vs brute force", 60, body)

@@ -6,6 +6,7 @@ import pytest
 from azenum.automorphisms import apply_word
 from azenum.az import (
     TupleFamily,
+    _max_diff_index,
     apply_beta,
     beta_as_word,
     build_beta,
@@ -17,7 +18,7 @@ from azenum.az import (
 from azenum.central_product import CPContext
 from azenum.errors import InputError, InsufficientFamilyError
 from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
-from oracles import random_az_family
+from oracles import brute_minimum, random_az_family
 
 
 def make_ctx(name):
@@ -259,3 +260,23 @@ def test_certificate_json_deterministic(c4k):
     doc2 = run_az(c4_example_family(c4k), depth=50).to_json()
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
     assert doc1["ok"] is True
+
+
+# -- index law helper ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["C4", "Q8"])
+def test_max_diff_index_matches_dict_definition(name):
+    ctx = make_ctx(name)
+    cosets = ctx.all_cosets(3)
+    minima = {x: brute_minimum(ctx, x, width=3) for x in cosets}
+    for x in cosets:
+        rx = minima[x]
+        for y in cosets:
+            if x == y:
+                continue
+            ry = minima[y]
+            expected = max(
+                c for c in set(rx) | set(ry) if rx.get(c) != ry.get(c)
+            )
+            assert _max_diff_index(ctx, x, y) == expected

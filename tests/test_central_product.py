@@ -5,6 +5,7 @@ import pytest
 from azenum.central_product import CPContext, format_support, parse_support
 from azenum.errors import InputError
 from azenum.groups import catalog_group, make_kgroup
+from oracles import brute_compare, brute_minimum
 
 
 def make_ctx(name, k=None):
@@ -33,17 +34,6 @@ def revlex_key(ctx, rep):
     top = max(rep, default=-1)
     e = ctx.group.identity_index
     return tuple(ctx.rank_of[rep.get(c, e)] for c in range(top, -1, -1)), top
-
-
-def brute_minimum(ctx, x, width=None):
-    def key(rep):
-        top = max(rep, default=-1)
-        e = ctx.group.identity_index
-        # pad to a common width so reverse-lex is a plain tuple compare
-        w = 8
-        return tuple(ctx.rank_of[rep.get(c, e)] for c in range(w - 1, -1, -1))
-
-    return min(ctx.coset_members(x, width), key=key)
 
 
 def test_k_square_tuple_is_identity(c4k):
@@ -112,21 +102,21 @@ def test_minimal_representative_example(c4k):
     g = c4k.group.index_of_name("g")
     x = c4k.make({0: g, 1: g})
     w = c4k.minimal_representative(x)
-    assert w.as_dict() == {0: g, 1: g}
+    assert dict(w) == {0: g, 1: g}
     members = list(c4k.coset_members(x))
     assert len(members) == 2  # (g,g) and (g3,g3)
-    assert w.as_dict() in members
+    assert dict(w) in members
 
 
 def test_minimal_representative_identity(c4k):
-    assert c4k.minimal_representative(c4k.identity).rep == ()
+    assert c4k.minimal_representative(c4k.identity) == ()
 
 
 def test_minimal_representative_in_coset(q8k):
     rng = random.Random(9)
     for _ in range(20):
         x = q8k.make({c: rng.randrange(8) for c in rng.sample(range(3), 2)})
-        w = q8k.minimal_representative(x).as_dict()
+        w = dict(q8k.minimal_representative(x))
         assert q8k.make(w) == x
 
 
@@ -138,7 +128,7 @@ def test_greedy_minimum_equals_brute_force(name):
     for _ in range(40):
         support = {c: rng.randrange(order) for c in rng.sample(range(3), rng.randint(0, 3))}
         x = ctx.make(support)
-        greedy = ctx.minimal_representative(x).as_dict()
+        greedy = dict(ctx.minimal_representative(x))
         assert greedy == brute_minimum(ctx, x, width=4)
 
 
@@ -148,6 +138,17 @@ def test_compare_examples(c4k):
     assert c4k.compare(c4k.embed(g, 0), c4k.embed(g, 1)) == -1
     x = c4k.embed(g, 1)
     assert c4k.compare(x, x) == 0
+
+
+@pytest.mark.parametrize("name", ["C4", "Q8"])
+def test_compare_matches_brute_force_order(name):
+    # every ordered pair of level 3, against the reverse-lex comparison
+    # of brute-force minimal representatives
+    ctx = make_ctx(name)
+    cosets = ctx.all_cosets(3)
+    for x in cosets:
+        for y in cosets:
+            assert ctx.compare(x, y) == brute_compare(ctx, x, y, width=3)
 
 
 def test_compare_total_order_on_random_triples(q8k):
@@ -178,7 +179,7 @@ def test_enumerate_c4_gamma2():
     ctx = make_ctx("C4")
     names = ctx.group.element_names
     got = [
-        tuple(names[v] for _, v in ctx.minimal_representative(x).rep)
+        tuple(names[v] for _, v in ctx.minimal_representative(x))
         for x in ctx.enumerate(8)
     ]
     # classes of (1,1),(g,1),(g2,1),(g3,1),(1,g),(g,g),(g2,g),(g3,g)

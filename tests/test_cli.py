@@ -48,6 +48,21 @@ def test_group_check_from_file(tmp_path, capsys):
     assert json.loads(out)["k"] == ["1", "a"]
 
 
+@pytest.mark.parametrize("mul", [3, [3], "ab"])
+def test_group_check_file_with_bad_mul(tmp_path, capsys, mul):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"mul": mul}))
+    assert run_command(["group", "check", "--group", str(path)]) == 2
+
+
+def test_group_check_k_index_out_of_range(tmp_path, capsys):
+    assert run_command(["group", "check", "--group", "Q8", "--k", "99"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"mul": [[0, 1], [1, 0]], "K": [7]}))
+    assert run_command(["group", "check", "--group", str(path)]) == 2
+
+
 def test_group_rank(capsys):
     code, out = run(capsys, "--json", "group", "rank", "--group", "Q8")
     assert code == 0
@@ -187,6 +202,13 @@ def test_aut_alpha_verified(capsys):
     doc = json.loads(out)
     # one full residue block: a single window followed by the i0/j0 swap
     assert doc == [{"beta": [4, 0, 1, 2, 3, 5]}, {"perm": [[4, 5]]}]
+
+
+def test_aut_alpha_bad_coords(capsys):
+    argv = ["aut", "alpha", "--group", "Q8", "--coords", "1,x", "--i0", "0",
+            "--j0", "9"]
+    assert run_command(argv) == 2
+    assert "--coords" in capsys.readouterr().err
 
 
 # -- wqo ---------------------------------------------------------------------
