@@ -10,7 +10,7 @@ that `CPContext.compare` compares.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from math import lcm as _lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -153,7 +153,8 @@ class CPContext:
     # -- enumeration ------------------------------------------------------
 
     def enumerate_elements(self) -> Iterator["CPElement"]:
-        """All cosets in increasing reverse-lex order of minimal reps.
+        """All cosets in increasing reverse-lex order of minimal reps;
+        the generator ends only when Γ is finite, that is when K = G.
 
         Minimal representatives are exactly the tuples whose coordinate 0
         is arbitrary and whose higher coordinates are coset-minimal
@@ -183,6 +184,8 @@ class CPContext:
         emitted = 0
         while True:
             total = self.gamma_n_order(n + 1)
+            if total == emitted:  # K = G: Γ is finite and exhausted
+                return
             for rep in _skip(level(n), emitted):
                 yield self.make(rep)
             emitted = total
@@ -191,8 +194,10 @@ class CPContext:
     def enumerate(self, count: int) -> List["CPElement"]:
         if count < 1:
             raise InputError("count must be >= 1")
-        gen = self.enumerate_elements()
-        return [next(gen) for _ in range(count)]
+        out = list(islice(self.enumerate_elements(), count))
+        if len(out) < count:
+            raise InputError(f"count {count} exceeds |Γ| = {len(out)}")
+        return out
 
     def gamma_n_order(self, n: int) -> int:
         """|G|^n / |K|^(n-1), the order of the level-n subgroup."""

@@ -402,7 +402,12 @@ def cmd_rado_triples(args) -> int:
 def cmd_rado_check(args) -> int:
     if args.file:
         with open(args.file) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{args.file} is not JSON: {exc}") from None
+        if not isinstance(loaded, dict) or not isinstance(loaded.get("triples"), list):
+            raise InputError(f"{args.file} has no 'triples' list")
         triples = [triple_from_json(d) for d in loaded["triples"]]
     else:
         triples = build_triples(args.max_n)

@@ -6,11 +6,18 @@ exactly that cycle, with the short-cycle obstruction checked exhaustively.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from itertools import chain, combinations, count
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import FalsificationError, InputError
+from .errors import CapacityError, FalsificationError, InputError
+
+# The largest max_n that build_triples accepts: build_triples(11) takes
+# about 23 s and build_triples(12) about 290 s (Python 3.11, one core of
+# a shared 2-core x86-64 host).
+MAX_TRIPLES_N = 11
 
 
 def adjacent(u: int, v: int) -> bool:
@@ -62,15 +69,6 @@ def is_induced_cycle(vertices: Sequence[int]) -> Optional[Tuple[int, ...]]:
     return tuple(order) if len(order) == n else None
 
 
-def _neighbors_below(v: int, top: int) -> int:
-    """Bitmask of the neighbors of v among the vertices 0..top-1."""
-    mask = v & ((1 << min(v, top)) - 1)
-    for u in range(v + 1, top):
-        if (u >> v) & 1:
-            mask |= 1 << u
-    return mask
-
-
 def _bits(mask: int) -> Iterable[int]:
     while mask:
         low = mask & -mask
@@ -78,48 +76,88 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _cycles_with_max(n: int, v_max: int) -> Iterable[Tuple[int, Tuple[int, ...]]]:
-    """(mask, cycle) for every induced n-cycle whose maximum vertex is
-    v_max, in ascending mask order.
+def _cycle_of(mask: int) -> Tuple[int, ...]:
+    cycle = is_induced_cycle(list(_bits(mask)))
+    assert cycle is not None
+    return cycle
 
-    Depth-first extension of induced paths rooted at v_max: each added
-    vertex is adjacent to the path's last vertex and to no other, and the
-    closing vertex is additionally adjacent to v_max.  Every cycle is
-    reached from both directions; the mask keyed dict removes the twin.
+
+def _levels(n: int, start: int) -> Iterator[Tuple[int, Sequence[int]]]:
+    """(v, masks) for v = start, start + 1, ...: the characteristic masks
+    of the induced n-cycles whose maximum vertex is v, ascending.
+
+    One neighbour-mask table grows by a vertex per level: adding v sets
+    bit v on each of v's bit-neighbours, and v's own neighbours below it
+    are the bits of v.
     """
-    nbrs = [_neighbors_below(w, v_max) for w in range(v_max)]
-    nbr_top = _neighbors_below(v_max, v_max)
-    masks: Set[int] = set()
+    nbrs: List[int] = []
+    for v in count():
+        if v >= start:
+            yield v, _level_masks(n, v, nbrs)
+        nbrs.append(v)
+        for w in _bits(v):
+            nbrs[w] |= 1 << v
 
-    def extend(last: int, length: int, used: int, forbidden: int) -> None:
-        if length == n - 1:
-            for u in _bits(nbrs[last] & nbr_top & ~forbidden):
-                masks.add(used | (1 << u) | (1 << v_max))
+
+def _level_masks(n: int, v: int, nbrs: List[int]) -> List[int]:
+    """The masks of the induced n-cycles with maximum vertex v, ascending;
+    nbrs[w] is the neighbour mask of w within {0..v-1}.
+
+    Such a cycle is v plus an induced path whose two endpoints are the
+    only path vertices in N(v), the bits of v.  Each path is walked once,
+    from its lower endpoint w: the interior avoids N(v) and every
+    neighbour of an earlier path vertex, and the path closes only at a
+    vertex of N(v) above w.
+    """
+    if v & (v - 1) == 0:  # fewer than two neighbours below v
+        return []
+    masks: List[int] = []
+    top_bit = 1 << v
+    last_interior = n - 3  # path vertices before the last interior one
+
+    def extend(last: int, length: int, used: int, forbidden: int, closing: int) -> None:
+        step = nbrs[last] & ~forbidden & ~v
+        forbidden |= nbrs[last]
+        closing &= ~forbidden
+        if not closing:  # every closing vertex already sees the path
             return
-        for u in _bits(nbrs[last] & ~forbidden & ~nbr_top):
-            extend(u, length + 1, used | (1 << u), forbidden | nbrs[last] | (1 << u))
+        if length == last_interior:
+            # look one step ahead: keep u only if a closing vertex sees it
+            while step:
+                low = step & -step
+                step ^= low
+                ends = nbrs[low.bit_length() - 1] & closing
+                while ends:
+                    end = ends & -ends
+                    ends ^= end
+                    masks.append(used | low | end | top_bit)
+            return
+        while step:
+            low = step & -step
+            step ^= low
+            extend(low.bit_length() - 1, length + 1, used | low, forbidden | low, closing)
 
-    for w in _bits(nbr_top):
-        extend(w, 2, 1 << w, 1 << w)
-    result = []
-    for mask in sorted(masks):
-        cycle = is_induced_cycle([v for v in _bits(mask)])
-        assert cycle is not None
-        result.append((mask, cycle))
-    return result
+    for w in _bits(v & ~(1 << (v.bit_length() - 1))):  # no start at the top bit
+        low = 1 << w
+        extend(w, 1, low, low, v & ~((low << 1) - 1))
+    masks.sort()
+    return masks
+
+
+@lru_cache(maxsize=None)
+def _first_level(n: int) -> Tuple[int, Tuple[int, ...]]:
+    """(L_n, masks at L_n): the least level holding an induced n-cycle,
+    with the masks of its cycles in ascending order."""
+    if n < 4:
+        raise InputError("the search covers cycles of at least 4 vertices")
+    return next((v, tuple(masks)) for v, masks in _levels(n, n - 1) if masks)
 
 
 def first_cycle_bound(n: int, start: int) -> Tuple[int, Tuple[int, ...]]:
     """The first b >= start whose prefix {0..b} contains an induced
-    n-cycle, with a witnessing cycle."""
-    # the minimal prefix containing any induced n-cycle
-    v_max = n - 1
-    while True:
-        cycles = list(_cycles_with_max(n, v_max))
-        if cycles:
-            b = max(start, v_max)
-            return b, cycles[0][1]
-        v_max += 1
+    n-cycle, with the witnessing cycle of least mask at the least level."""
+    level, masks = _first_level(n)
+    return max(start, level), _cycle_of(masks[0])
 
 
 def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
@@ -131,17 +169,25 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
     every mask is <= b the explicit witness mask + 2^(b+1) still qualifies
     (and beats nothing, since qualifying masks are < 2^(b+1)).
 
-    Masks are monotone in the maximum vertex, so the scan walks v_max
-    upward and can start at the first level whose masks can exceed b.
+    Masks at level v lie in [2^v, 2^(v+1)), so the scan walks v upward
+    from the first level that holds an n-cycle and whose masks can
+    exceed b.  InputError when {0..b} holds no induced n-cycle.
     """
-    for v_max in range(max(n - 1, (b + 1).bit_length() - 1), b + 1):
-        for mask, cycle in _cycles_with_max(n, v_max):
-            if mask > b:
-                return mask, cycle
-    for v_max in range(n - 1, b + 1):
-        for mask, cycle in _cycles_with_max(n, v_max):
-            return mask + (1 << (b + 1)), cycle
-    raise AssertionError("prefix contains no induced cycle")
+    first, first_masks = _first_level(n)
+    if first > b:
+        raise InputError(f"the prefix {{0..{b}}} holds no induced {n}-cycle")
+    start = max(first, (b + 1).bit_length() - 1)
+    if start == first:
+        levels = chain([(first, first_masks)], _levels(n, first + 1))
+    else:
+        levels = _levels(n, start)
+    for v, masks in levels:
+        if v > b:
+            break
+        at = bisect_right(masks, b)
+        if at < len(masks):
+            return masks[at], _cycle_of(masks[at])
+    return first_masks[0] + (1 << (b + 1)), _cycle_of(first_masks[0])
 
 
 @dataclass(frozen=True)
@@ -163,7 +209,14 @@ class Triple:
 
 
 def triple_from_json(doc: dict) -> Triple:
-    return Triple(doc["n"], doc["a"], doc["b"], doc["c"], tuple(doc["cycle"]))
+    """The triple of a `Triple.to_json` object; InputError unless n, a, b
+    and c are integers and cycle is a list of integers."""
+    keys = ("n", "a", "b", "c", "cycle")
+    if isinstance(doc, dict) and all(k in doc for k in keys):
+        n, a, b, c, cycle = (doc[k] for k in keys)
+        if isinstance(cycle, list) and all(type(x) is int for x in (n, a, b, c, *cycle)):
+            return Triple(n, a, b, c, tuple(cycle))
+    raise InputError(f"not a triple (integers n, a, b, c and a cycle list): {doc!r}")
 
 
 def build_triples(max_n: int) -> List[Triple]:
@@ -172,6 +225,8 @@ def build_triples(max_n: int) -> List[Triple]:
     minimal vertex adjacent to exactly that cycle within the prefix."""
     if max_n < 4:
         raise InputError("max_n must be at least 4")
+    if max_n > MAX_TRIPLES_N:
+        raise CapacityError(f"max_n {max_n} exceeds the cap of {MAX_TRIPLES_N}")
     triples = []
     c_prev = 0  # induction base: scanning starts at n = 4
     for n in range(4, max_n + 1):

@@ -105,6 +105,65 @@ def brute_subword(w1, w2):
     return None
 
 
+def rado_level_masks(n, v_max):
+    """Sorted masks of every induced n-cycle of the bit-predicate graph
+    whose maximum vertex is v_max, by a plain depth-first search that
+    rebuilds its neighbour masks and reaches each cycle from both
+    directions (a set drops the twin)."""
+
+    def below(v, top):
+        mask = v & ((1 << min(v, top)) - 1)
+        for u in range(v + 1, top):
+            if (u >> v) & 1:
+                mask |= 1 << u
+        return mask
+
+    def bits(mask):
+        return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+    nbrs = [below(w, v_max) for w in range(v_max)]
+    nbr_top = below(v_max, v_max)
+    masks = set()
+
+    def extend(last, length, used, forbidden):
+        if length == n - 1:
+            for u in bits(nbrs[last] & nbr_top & ~forbidden):
+                masks.add(used | (1 << u) | (1 << v_max))
+            return
+        for u in bits(nbrs[last] & ~forbidden & ~nbr_top):
+            extend(u, length + 1, used | (1 << u), forbidden | nbrs[last] | (1 << u))
+
+    for w in bits(nbr_top):
+        extend(w, 2, 1 << w, 1 << w)
+    return sorted(masks)
+
+
+def rado_triples(max_n):
+    """(n, b, c, sorted cycle) for n = 4..max_n by a level-by-level scan of
+    `rado_level_masks`: b is the first prefix after the previous c holding
+    an induced n-cycle, c the least mask above b (or the first level's
+    least mask plus 2^(b+1) when no mask exceeds b)."""
+    out = []
+    c_prev = 0
+    for n in range(4, max_n + 1):
+        first = n - 1
+        while not rado_level_masks(n, first):
+            first += 1
+        b = max(c_prev + 1, first)
+        c = None
+        for v in range(max(n - 1, (b + 1).bit_length() - 1), b + 1):
+            above = [m for m in rado_level_masks(n, v) if m > b]
+            if above:
+                c = above[0]
+                break
+        if c is None:
+            c = rado_level_masks(n, first)[0] + (1 << (b + 1))
+        cycle = [i for i in range(min(b + 1, c.bit_length())) if (c >> i) & 1]
+        out.append((n, b, c, cycle))
+        c_prev = c
+    return out
+
+
 def random_qs(rng: random.Random, dim_u: int, dim_v: int) -> QuadraticStructure:
     q = tuple(rng.randrange(1 << dim_v) for _ in range(dim_u))
     gamma = [[0] * dim_u for _ in range(dim_u)]

@@ -23,19 +23,6 @@ def q8k():
     return make_ctx("Q8")
 
 
-def rank_tuple(ctx, rep):
-    e = ctx.group.identity_index
-    top = max(rep, default=-1)
-    return tuple(ctx.rank_of[rep.get(c, e)] for c in range(top + 1))
-
-
-def revlex_key(ctx, rep):
-    # reverse-lex: compare from the highest index down
-    top = max(rep, default=-1)
-    e = ctx.group.identity_index
-    return tuple(ctx.rank_of[rep.get(c, e)] for c in range(top, -1, -1)), top
-
-
 def test_k_square_tuple_is_identity(c4k):
     g2 = c4k.group.index_of_name("g2")
     x = c4k.make({0: g2, 1: g2})
@@ -225,6 +212,10 @@ def test_enumerate_c2_full_group():
     v0, v1 = ctx.enumerate(2)
     assert v0 == ctx.identity
     assert v1 == ctx.embed(1, 0)
+    # Γ has two elements, so the enumeration ends after them
+    assert list(ctx.enumerate_elements()) == [v0, v1]
+    with pytest.raises(InputError, match="2"):
+        ctx.enumerate(3)
 
 
 def test_support_before_next_level(q8k):

@@ -123,6 +123,12 @@ def test_cp_enumerate_c4(capsys):
     assert all(set(line) == {"index", "support", "min_rep"} for line in lines)
 
 
+def test_cp_enumerate_beyond_finite_gamma(capsys):
+    # K = G in C2, so Γ has two elements
+    assert run_command(["cp", "enumerate", "--group", "C2", "--count", "3"]) == 2
+    assert "|Γ| = 2" in capsys.readouterr().err
+
+
 def test_cp_enumerate_deterministic(capsys):
     _, out1 = run(capsys, "cp", "enumerate", "--group", "Q8", "--count", "20")
     _, out2 = run(capsys, "cp", "enumerate", "--group", "Q8", "--count", "20")
@@ -322,6 +328,33 @@ def test_rado_triples_and_check(tmp_path, capsys):
     code, out = run(capsys, "--json", "rado", "check", "--file", str(emit))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": [0, 1, 2, 5]}]}',
+        '{"triples": [{"n": 4, "a": 0, "b": "5", "c": 39, "cycle": [0, 1, 2, 5]}]}',
+        '{"triples": [{"n": 4, "a": 0, "b": 5, "c": 39, "cycle": 5}]}',
+        '{"triples": [{"n": 4, "a": 0, "b": 5, "c": 39, "cycle": [0, 1.5]}]}',
+        '{"triples": [7]}',
+        '{"triples": 7}',
+        "[]",
+    ],
+    ids=["json", "missing-a", "str-b", "int-cycle", "float-vertex",
+         "not-object", "not-list", "no-triples"],
+)
+def test_rado_check_bad_file(tmp_path, capsys, content):
+    path = tmp_path / "triples.json"
+    path.write_text(content)
+    assert run_command(["rado", "check", "--file", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_rado_triples_above_cap(capsys):
+    assert run_command(["rado", "triples", "--max-n", "99"]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -3,12 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from azenum.errors import InputError
+from azenum.errors import CapacityError, InputError
 from azenum.rado import (
+    MAX_TRIPLES_N,
     FiniteGraph,
+    _first_level,
+    _levels,
     adjacent,
     build_triples,
     check_obstruction,
+    first_cycle_bound,
     free_amalgam_graphs,
     is_induced_cycle,
     minimal_exact_vertex,
@@ -16,6 +20,7 @@ from azenum.rado import (
     prefix_graph,
     triple_from_json,
 )
+from oracles import rado_level_masks, rado_triples
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -86,7 +91,45 @@ def _cycle_orders(vs):
         yield (first,) + rest
 
 
+@pytest.mark.parametrize("n", range(4, 8))
+def test_level_masks_match_oracle(n):
+    # every level up to the first one holding an n-cycle and on to 63, so
+    # that vertices with three or more bits (neighbours below) are covered
+    first, first_masks = _first_level(n)
+    assert list(first_masks) == rado_level_masks(n, first)
+    levels = _levels(n, n - 1)
+    for v in range(n - 1, max(first, 63) + 1):
+        assert next(levels) == (v, rado_level_masks(n, v))
+
+
+def test_first_level_n8_matches_oracle():
+    first, first_masks = _first_level(8)
+    assert all(not rado_level_masks(8, v) for v in range(7, first))
+    oracle = rado_level_masks(8, first)
+    assert first_masks[0] == oracle[0]
+    assert len(first_masks) == len(oracle)
+    b, cycle = first_cycle_bound(8, 0)
+    assert b == first
+    assert sum(1 << u for u in cycle) == oracle[0]
+    assert first_cycle_bound(8, first + 7)[0] == first + 7
+
+
+def test_cycle_search_needs_four_vertices():
+    with pytest.raises(InputError):
+        first_cycle_bound(3, 0)
+
+
 # -- triples -----------------------------------------------------------------
+
+
+def test_build_triples_8_matches_oracle():
+    got = [(t.n, t.b, t.c, sorted(t.cycle)) for t in build_triples(8)]
+    assert got == rado_triples(8)
+
+
+def test_build_triples_capped():
+    with pytest.raises(CapacityError):
+        build_triples(MAX_TRIPLES_N + 1)
 
 
 def test_build_triples_n4_oracle():
@@ -116,6 +159,13 @@ def test_minimal_exact_vertex_is_minimal_n4():
     for candidate in range(6, c):
         hood = neighborhood_in_prefix(candidate, 5)
         assert not (len(hood) == 4 and is_induced_cycle(sorted(hood)) is not None)
+
+
+def test_minimal_exact_vertex_rejects_cycle_free_prefix():
+    # {0..5} holds no induced 5-cycle: the first one has maximum vertex 12
+    with pytest.raises(InputError):
+        minimal_exact_vertex(5, 5)
+    assert minimal_exact_vertex(5, 12)[0] > 12
 
 
 def test_obstruction_report_clean_to_8():
