@@ -341,15 +341,24 @@ def word_to_json(word: AutWord) -> list:
     return out
 
 
+def _int_list(doc) -> bool:
+    return isinstance(doc, list) and all(type(x) is int for x in doc)
+
+
 def word_from_json(doc: list) -> AutWord:
+    """The word of a `word_to_json` list; InputError unless each entry is
+    {"perm": non-empty integer cycles} or {"beta": integer coordinates}."""
+    if not isinstance(doc, list):
+        raise InputError(f"word JSON must be a list of generators: {doc!r}")
     gens: List[AutGenerator] = []
     for item in doc:
-        if not isinstance(item, dict) or len(item) != 1:
-            raise InputError(f"bad generator entry {item!r}")
-        if "perm" in item:
-            gens.append(Perm.from_cycles(item["perm"]))
-        elif "beta" in item:
-            gens.append(BetaStar(tuple(item["beta"])))
+        perm = beta = None
+        if isinstance(item, dict) and len(item) == 1:
+            perm, beta = item.get("perm"), item.get("beta")
+        if isinstance(perm, list) and all(_int_list(c) and c for c in perm):
+            gens.append(Perm.from_cycles(perm))
+        elif _int_list(beta):
+            gens.append(BetaStar(tuple(beta)))
         else:
             raise InputError(f"bad generator entry {item!r}")
     return AutWord(tuple(gens))

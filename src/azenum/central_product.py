@@ -1,23 +1,29 @@
 """The central product of omega copies of G amalgamated over K.
 
 Elements are cosets of the subgroup of K-tuples with trivial coordinate
-product. An element is stored as per-coordinate coset labels plus a single
-accumulated K factor, which the group law and hashing use. Its one
-canonical form for the order, the reverse-lex minimal representative, is
-built on first use and stored on the element together with the order key
-that `CPContext.compare` compares.
+product. An element is stored only as its reverse-lex minimal
+representative, which the group law, hashing and formatting read. The
+order is a nice enumeration: each element's position in it is a
+mixed-radix number (`CPContext.index_of`, inverted by `element_at`),
+which `compare` and `enumerate_elements` use as the one order key.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import count, islice, product
 from math import lcm as _lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .groups import KGroupSpec
 
 Support = Mapping[int, int]
+
+# The largest domain all_cosets builds: Q8 level 8 (131 072 cosets) fits
+# and level 9 (524 288) does not. `aut verify --group Q8 --word [] --level 8`
+# takes about 3 s and 85 MB (Python 3.11, one core of a shared 2-core x86-64
+# host); a two-generator word about 6 s.
+MAX_COSETS = 1 << 18
 
 
 class CPContext:
@@ -32,42 +38,47 @@ class CPContext:
         self.rank_of = [0] * g.order
         for pos, elem in enumerate(kg.element_order):
             self.rank_of[elem] = pos
-        # decompose[g] = (transversal index, k) with g = t * k
-        self.decompose: List[Tuple[int, int]] = [None] * g.order
-        for t_idx, t in enumerate(kg.transversal):
-            for k in self.k_list:
-                self.decompose[g.mul[t][k]] = (t_idx, k)
-        # per coset: the representative minimizing the element ordering
-        # and the inverse of its K factor, which coordinate 0 absorbs
-        self.coset_min: List[int] = []
-        self.coset_min_kinv: List[int] = []
-        for t_idx, t in enumerate(kg.transversal):
-            best = min((g.mul[t][k] for k in self.k_list), key=lambda x: self.rank_of[x])
-            self.coset_min.append(best)
-            self.coset_min_kinv.append(g.inverse[self.decompose[best][1]])
-        exponent = 1
-        for a in range(g.order):
-            exponent = _lcm(exponent, g.element_order(a))
-        self.exponent = exponent
-        self.identity = CPElement(self, (), g.identity_index)
+        # per coset, in transversal order: the member least in the order
+        self.coset_min: List[int] = [
+            min((g.mul[t][k] for k in self.k_list), key=self.rank_of.__getitem__)
+            for t in kg.transversal
+        ]
+        # per element v: min_of[v], the least member of v's K-coset, and
+        # k_of[v] = min_of[v]^-1 v in K, which coordinate 0 absorbs
+        self.min_of = [0] * g.order
+        self.k_of = [0] * g.order
+        for m, k in product(self.coset_min, self.k_list):
+            v = g.mul[m][k]
+            self.min_of[v], self.k_of[v] = m, k
+        # the digits above coordinate 0: coset minima in increasing rank
+        self.minima = sorted(self.coset_min, key=self.rank_of.__getitem__)
+        self.digit_of = {m: d for d, m in enumerate(self.minima)}
+        self.exponent = _lcm(*(g.element_order(a) for a in range(g.order)))
+        self.identity = CPElement(self, ())
 
     # -- construction -----------------------------------------------------
 
     def make(self, support: Support) -> "CPElement":
+        """The element of a finite-support tuple: coordinates above 0 take
+        their coset minimum, and coordinate 0 absorbs the K factors."""
         g = self.group
-        t_items = []
-        kappa = g.identity_index
+        e = g.identity_index
+        v0 = residual = e
+        higher = []
         for coord in sorted(support):
             val = support[coord]
             if coord < 0:
                 raise InputError(f"negative coordinate {coord}")
             if not 0 <= val < g.order:
                 raise InputError(f"unknown element index {val}")
-            t_idx, k = self.decompose[val]
-            if t_idx != 0:
-                t_items.append((coord, t_idx))
-            kappa = g.mul[kappa][k]
-        return CPElement(self, tuple(t_items), kappa)
+            m = self.min_of[val]
+            if coord == 0:
+                v0 = m
+            elif m != e:
+                higher.append((coord, m))
+            residual = g.mul[residual][self.k_of[val]]
+        v0 = g.mul[v0][residual]
+        return CPElement(self, ((0, v0), *higher) if v0 != e else tuple(higher))
 
     def embed(self, elem: int, coord: int) -> "CPElement":
         return self.make({coord: elem})
@@ -80,116 +91,81 @@ class CPContext:
     # -- group operations -------------------------------------------------
 
     def representative(self, x: "CPElement") -> Dict[int, int]:
-        """A finite-support representative tuple (kappa folded into coord 0)."""
-        g = self.group
-        rep: Dict[int, int] = {}
-        for coord, t_idx in x.t_support:
-            rep[coord] = self.kg.transversal[t_idx]
-        rep[0] = g.mul[rep.get(0, g.identity_index)][x.kappa]
-        if rep[0] == g.identity_index:
-            del rep[0]
-        return rep
+        """The minimal representative as a coordinate -> value dict."""
+        return dict(x.rep)
 
     def multiply(self, x: "CPElement", y: "CPElement") -> "CPElement":
         self._check(x, y)
-        g = self.group
-        rep = self.representative(x)
-        for coord, val in self.representative(y).items():
-            rep[coord] = g.mul[rep.get(coord, g.identity_index)][val]
+        mul = self.group.mul
+        e = self.group.identity_index
+        rep = dict(x.rep)
+        for coord, val in y.rep:
+            rep[coord] = mul[rep.get(coord, e)][val]
         return self.make(rep)
 
     def inverse(self, x: "CPElement") -> "CPElement":
         self._check(x)
-        g = self.group
-        return self.make({c: g.inverse[v] for c, v in self.representative(x).items()})
+        inv = self.group.inverse
+        return self.make({c: inv[v] for c, v in x.rep})
 
-    # -- ordering ---------------------------------------------------------
+    # -- order: the enumeration index -------------------------------------
 
     def minimal_representative(self, x: "CPElement") -> Tuple[Tuple[int, int], ...]:
         """The reverse-lex minimum over the coset, as coordinate-sorted
         (coord, value) pairs without identity entries."""
         self._check(x)
-        return (x._form or self._canonical_form(x))[0]
+        return x.rep
+
+    def index_of(self, x: "CPElement") -> int:
+        """x's position in the enumeration, a mixed-radix number: the
+        coordinate-0 digit is the value's rank (radix |G|); the digit at
+        coordinate c >= 1 is the value's position among the coset minima
+        sorted by rank (radix |G/K|). The highest coordinate is the most
+        significant, so indices order elements reverse-lexicographically."""
+        self._check(x)
+        if x._index is None:
+            radix = len(self.minima)
+            high = d0 = 0
+            for coord, val in x.rep:
+                if coord == 0:
+                    d0 = self.rank_of[val]
+                else:
+                    high += self.digit_of[val] * radix ** (coord - 1)
+            x._index = high * self.group.order + d0
+        return x._index
+
+    def element_at(self, i: int) -> "CPElement":
+        """The element with enumeration index i (inverse of `index_of`)."""
+        order = self.group.order
+        if i < 0 or (i >= order and len(self.minima) == 1):
+            raise InputError(f"no element at index {i}")
+        high, d0 = divmod(i, order)
+        rep = [(0, self.kg.element_order[d0])] if d0 else []
+        radix = len(self.minima)
+        coord = 1
+        while high:
+            high, d = divmod(high, radix)
+            if d:
+                rep.append((coord, self.minima[d]))
+            coord += 1
+        x = CPElement(self, tuple(rep))
+        x._index = i
+        return x
 
     def compare(self, x: "CPElement", y: "CPElement") -> int:
-        """Reverse lexicographic comparison (highest differing index wins)."""
-        self._check(x, y)
-        if x == y:
-            return 0
-        kx = (x._form or self._canonical_form(x))[1]
-        ky = (y._form or self._canonical_form(y))[1]
-        return -1 if kx < ky else 1
-
-    def _canonical_form(self, x: "CPElement") -> Tuple[tuple, tuple]:
-        """Build and store x's minimal representative and order key.
-
-        Coordinates above 0 take their cheapest K-multiple independently;
-        coordinate 0 absorbs the residual K factor. The key is (top, rank
-        at top, ..., rank at 0), where top is the highest nontrivial
-        coordinate (-1 for the identity): the identity ranks lowest, so a
-        plain tuple comparison of keys is the reverse-lex order.
-        """
-        g = self.group
-        mul = g.mul
-        residual = x.kappa
-        t0 = 0
-        higher = []
-        for coord, t_idx in x.t_support:
-            if coord == 0:
-                t0 = t_idx
-                continue
-            higher.append((coord, self.coset_min[t_idx]))
-            residual = mul[residual][self.coset_min_kinv[t_idx]]
-        v0 = mul[self.kg.transversal[t0]][residual]
-        rep = higher if v0 == g.identity_index else [(0, v0)] + higher
-        top = rep[-1][0] if rep else -1
-        rank_of = self.rank_of
-        ranks = [rank_of[g.identity_index]] * (top + 1)
-        for coord, val in rep:
-            ranks[top - coord] = rank_of[val]
-        form = x._form = (tuple(rep), (top, *ranks))
-        return form
+        """Reverse lexicographic comparison of minimal representatives
+        (highest differing coordinate wins), read off the indices."""
+        ix, iy = self.index_of(x), self.index_of(y)
+        return (ix > iy) - (ix < iy)
 
     # -- enumeration ------------------------------------------------------
 
     def enumerate_elements(self) -> Iterator["CPElement"]:
-        """All cosets in increasing reverse-lex order of minimal reps;
-        the generator ends only when Γ is finite, that is when K = G.
-
-        Minimal representatives are exactly the tuples whose coordinate 0
-        is arbitrary and whose higher coordinates are coset-minimal
-        entries, so the order is a positional count: coordinate 0 is the
-        least significant digit.
-        """
-        g = self.group
-        coord0 = [g for g in self.kg.element_order]
-        higher = sorted(
-            (m for m in self.coset_min if m != g.identity_index),
-            key=lambda m: self.rank_of[m],
-        )
-
-        def level(n: int) -> Iterator[Dict[int, int]]:
-            if n == 0:
-                for v in coord0:
-                    yield {} if v == g.identity_index else {0: v}
-            else:
-                yield from level(n - 1)
-                for m in higher:
-                    for rep in level(n - 1):
-                        out = dict(rep)
-                        out[n] = m
-                        yield out
-
-        n = 0
-        emitted = 0
-        while True:
-            total = self.gamma_n_order(n + 1)
-            if total == emitted:  # K = G: Γ is finite and exhausted
-                return
-            for rep in _skip(level(n), emitted):
-                yield self.make(rep)
-            emitted = total
-            n += 1
+        """All cosets in increasing reverse-lex order of minimal reps: the
+        elements at index 0, 1, ...; the iterator ends only when Γ is
+        finite, that is when K = G and |Γ| = |G|."""
+        finite = len(self.minima) == 1
+        return map(self.element_at, range(self.group.order) if finite else count())
 
     def enumerate(self, count: int) -> List["CPElement"]:
         if count < 1:
@@ -206,39 +182,44 @@ class CPContext:
         return self.group.order ** n // len(self.k_list) ** (n - 1)
 
     def all_cosets(self, n: int) -> List["CPElement"]:
-        """Brute-force list of every coset with support below n (unsorted)."""
-        g = self.group
+        """Brute-force list of every coset with support below n (unsorted):
+        each tuple of transversal labels, then each K factor at 0."""
+        size = self.gamma_n_order(n)
+        if size > MAX_COSETS:
+            raise CapacityError(f"level {n} has {size} cosets, above the cap of {MAX_COSETS}")
+        mul = self.group.mul
+        e = self.group.identity_index
+        transversal = self.kg.transversal
+        k_of_label = [self.k_of[t] for t in transversal]
         out = []
-        labels = range(len(self.kg.transversal))
-        for t_vec in product(labels, repeat=n):
-            for kappa in self.k_list:
-                out.append(
-                    CPElement(
-                        self,
-                        tuple((c, t) for c, t in enumerate(t_vec) if t != 0),
-                        kappa,
-                    )
-                )
-        assert len(out) == self.gamma_n_order(n)
+        for t0, *t_high in product(range(len(transversal)), repeat=n):
+            v = transversal[t0]
+            higher = []
+            for c, t in enumerate(t_high, 1):
+                if t:
+                    higher.append((c, self.coset_min[t]))
+                    v = mul[v][k_of_label[t]]
+            higher = tuple(higher)
+            for k in self.k_list:
+                v0 = mul[v][k]
+                out.append(CPElement(self, ((0, v0), *higher) if v0 != e else higher))
         return out
 
     def coset_members(self, x: "CPElement", width: Optional[int] = None) -> Iterator[Dict[int, int]]:
         """All representatives of x supported below `width` (brute force)."""
         g = self.group
-        top = max([c for c, _ in x.t_support], default=0)
+        top = x.rep[-1][0] if x.rep else 0
         width = (top + 1) if width is None else width
         if width <= top:
             raise InputError("width must exceed the canonical support")
-        t_of = dict(x.t_support)
+        base = dict(x.rep)
         for ks in product(self.k_list, repeat=width - 1):
-            prod = g.identity_index
+            k0 = g.identity_index
             for k in ks:
-                prod = g.mul[prod][k]
-            k0 = g.mul[x.kappa][g.inverse[prod]]
-            ks_full = (k0,) + ks
+                k0 = g.mul[k0][g.inverse[k]]
             rep = {}
-            for c in range(width):
-                val = g.mul[self.kg.transversal[t_of.get(c, 0)]][ks_full[c]]
+            for c, k in enumerate((k0, *ks)):
+                val = g.mul[base.get(c, g.identity_index)][k]
                 if val != g.identity_index:
                     rep[c] = val
             yield rep
@@ -249,47 +230,34 @@ class CPContext:
                 raise InputError("element belongs to a different context")
 
 
-def _skip(it, n):
-    for _ in range(n):
-        next(it)
-    return it
-
-
 class CPElement:
     """A coset; immutable and hashable.
 
-    `(t_support, kappa)` (coset labels at the nontrivial coordinates and
-    the accumulated K factor) identifies the element. `_form` holds its
-    one canonical form for the order: the minimal representative and the
-    order key, filled by the context on first use, so work that never
-    orders elements never pays for it.
+    `rep`, the coordinate-sorted (coord, value) pairs of the minimal
+    representative without identity entries, identifies the element and is
+    its only stored form. `_index`, its enumeration index and order key,
+    is filled by the context on first use.
     """
 
-    __slots__ = ("ctx", "t_support", "kappa", "_hash", "_form")
+    __slots__ = ("ctx", "rep", "_hash", "_index")
 
-    def __init__(self, ctx: CPContext, t_support: Tuple[Tuple[int, int], ...], kappa: int):
+    def __init__(self, ctx: CPContext, rep: Tuple[Tuple[int, int], ...]):
         self.ctx = ctx
-        self.t_support = t_support
-        self.kappa = kappa
-        self._hash = hash((t_support, kappa))
-        self._form = None
+        self.rep = rep
+        self._hash = hash(rep)
+        self._index = None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CPElement)
-            and self.ctx is other.ctx
-            and self.t_support == other.t_support
-            and self.kappa == other.kappa
-        )
+        return isinstance(other, CPElement) and self.ctx is other.ctx and self.rep == other.rep
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"CPElement(t={self.t_support}, kappa={self.kappa})"
+        return f"CPElement({self.rep})"
 
     def support_coords(self) -> Tuple[int, ...]:
-        return tuple(c for c, _ in self.t_support)
+        return tuple(c for c, _ in self.rep)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     FalsificationError,
     InputError,
     InsufficientFamilyError,
+    parse_json,
 )
 from .groups import (
     catalog_group,
@@ -116,11 +117,13 @@ def _one_based(embedding) -> list:
     return [i + 1 for i in embedding.image]
 
 
-def _load_word_arg(text):
-    if os.path.exists(text):
-        with open(text) as fh:
-            return word_from_json(json.load(fh))
-    return word_from_json(json.loads(text))
+def _load_word_arg(arg):
+    """Word JSON given inline or as a file path."""
+    text = arg
+    if os.path.exists(arg):
+        with open(arg) as fh:
+            text = fh.read()
+    return word_from_json(parse_json(text, f"word {arg!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +405,7 @@ def cmd_rado_triples(args) -> int:
 def cmd_rado_check(args) -> int:
     if args.file:
         with open(args.file) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{args.file} is not JSON: {exc}") from None
+            loaded = parse_json(fh.read(), args.file)
         if not isinstance(loaded, dict) or not isinstance(loaded.get("triples"), list):
             raise InputError(f"{args.file} has no 'triples' list")
         triples = [triple_from_json(d) for d in loaded["triples"]]

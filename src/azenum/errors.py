@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON parse that
+turns malformed input into an `InputError`."""
+
+import json
 
 
 class AzenumError(Exception):
@@ -30,3 +33,11 @@ class FalsificationError(AzenumError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def parse_json(text: str, source: str):
+    """The JSON document in `text`; InputError naming `source` if malformed."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source} is not JSON: {exc}") from None

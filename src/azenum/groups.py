@@ -5,13 +5,12 @@ Elements are indices 0..order-1 into the table; names are cosmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import CapacityError, InputError, StructuralError
+from .errors import CapacityError, InputError, StructuralError, parse_json
 
 MAX_ORDER = 256
 
@@ -458,4 +457,4 @@ def group_from_json(doc: dict):
 
 def load_group_file(path):
     with open(path) as fh:
-        return group_from_json(json.load(fh))
+        return group_from_json(parse_json(fh.read(), path))

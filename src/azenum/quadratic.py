@@ -5,12 +5,11 @@ Vectors are int bitmasks; bit i is the coefficient of basis vector i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, parse_json
 from .groups import (
     GroupAnalysis,
     GroupTable,
@@ -547,4 +546,4 @@ def qs_from_json(doc: dict) -> QuadraticStructure:
 
 def load_qs_file(path) -> QuadraticStructure:
     with open(path) as fh:
-        return qs_from_json(json.load(fh))
+        return qs_from_json(parse_json(fh.read(), path))

@@ -245,6 +245,8 @@ def _validate_triple(t: Triple) -> None:
         raise FalsificationError("stored cycle is not an induced cycle", t)
     if max(t.cycle) > t.b:
         raise FalsificationError("cycle exceeds the prefix", t)
+    if t.c <= t.b:  # also keeps the scan above c inside the prefix empty
+        raise FalsificationError("c lies inside the prefix", t)
     if neighborhood_in_prefix(t.c, t.b) != frozenset(t.cycle):
         raise FalsificationError("c's prefix neighborhood is not the cycle", t)
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from azenum.central_product import CPContext, format_support, parse_support
-from azenum.errors import InputError
+from azenum.central_product import MAX_COSETS, CPContext, format_support, parse_support
+from azenum.errors import CapacityError, InputError
 from azenum.groups import catalog_group, make_kgroup
 from oracles import brute_compare, brute_minimum
 
@@ -216,6 +216,33 @@ def test_enumerate_c2_full_group():
     assert list(ctx.enumerate_elements()) == [v0, v1]
     with pytest.raises(InputError, match="2"):
         ctx.enumerate(3)
+
+
+@pytest.mark.parametrize("name", ["C4", "Q8", "D4", "C2xC2", "C2"])
+def test_index_round_trip(name):
+    # element_at fills the index it was given, so read it back from an
+    # element built afresh from the representative
+    ctx = make_ctx(name)
+    for i in range(ctx.gamma_n_order(3)):
+        x = ctx.element_at(i)
+        assert ctx.index_of(ctx.make(ctx.representative(x))) == i
+
+
+def test_element_at_rejects_out_of_range(c4k):
+    with pytest.raises(InputError):
+        c4k.element_at(-1)
+    far = c4k.element_at(10**6)
+    assert c4k.index_of(c4k.make(c4k.representative(far))) == 10**6
+    c2 = make_ctx("C2")
+    assert c2.element_at(1) == c2.embed(1, 0)
+    with pytest.raises(InputError):
+        c2.element_at(2)
+
+
+def test_all_cosets_cap(q8k):
+    assert q8k.gamma_n_order(8) <= MAX_COSETS < q8k.gamma_n_order(9)
+    with pytest.raises(CapacityError):
+        q8k.all_cosets(9)
 
 
 def test_support_before_next_level(q8k):

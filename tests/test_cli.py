@@ -210,6 +210,25 @@ def test_aut_alpha_verified(capsys):
     assert doc == [{"beta": [4, 0, 1, 2, 3, 5]}, {"perm": [[4, 5]]}]
 
 
+@pytest.mark.parametrize(
+    "word",
+    ['[{"perm": 3}]', '[{"perm": [["a", "b"]]}]', '[{"beta": ["a", 1, 2, 3, 4, 5]}]',
+     '[{"perm": [[]]}]', "3"],
+    ids=["perm-int", "perm-str-cycle", "beta-str", "perm-empty-cycle", "not-list"],
+)
+def test_aut_verify_bad_word(capsys, word):
+    argv = ["aut", "verify", "--group", "C4", "--word", word, "--level", "2"]
+    assert run_command(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_aut_verify_level_above_cap(capsys):
+    # Q8 level 12 would have about 33M cosets; refused before any is built
+    argv = ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", "12"]
+    assert run_command(argv) == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_aut_alpha_bad_coords(capsys):
     argv = ["aut", "alpha", "--group", "Q8", "--coords", "1,x", "--i0", "0",
             "--j0", "9"]
@@ -352,9 +371,43 @@ def test_rado_check_bad_file(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rado_check_c_inside_prefix(tmp_path, capsys):
+    # c <= b: falsified before the neighbourhood scan, which would walk
+    # every vertex from c + 1 to b
+    path = tmp_path / "triples.json"
+    triple = {"n": 4, "a": 0, "b": 10**12, "c": 3, "cycle": [0, 1, 2, 5]}
+    path.write_text(json.dumps({"triples": [triple]}))
+    assert run_command(["rado", "check", "--file", str(path)]) == 1
+    assert "prefix" in capsys.readouterr().err
+
+
 def test_rado_triples_above_cap(capsys):
     assert run_command(["rado", "triples", "--max-n", "99"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "check", "--group", "{bad}"],
+        ["qs", "to-group", "--file", "{bad}"],
+        ["qs", "amalgam", "--left", "{bad}", "--right", "{qs}"],
+        ["qs", "amalgam", "--left", "{qs}", "--right", "{bad}"],
+        ["aut", "verify", "--group", "C4", "--word", "notjson", "--level", "2"],
+        ["aut", "verify", "--group", "C4", "--word", "{bad}", "--level", "2"],
+    ],
+    ids=["group-file", "qs-to-group", "amalgam-left", "amalgam-right",
+         "word-inline", "word-file"],
+)
+def test_malformed_json_is_bad_input(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    _, out = run(capsys, "--json", "qs", "from-group", "--group", "C4")
+    qs = tmp_path / "qs.json"
+    qs.write_text(out)
+    argv = [a.format(bad=bad, qs=qs) for a in argv]
+    assert run_command(argv) == 2
+    assert "is not JSON" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
