@@ -2,13 +2,16 @@
 and the self-inverse ladder maps, plus words in them and verification.
 
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
-to coordinate perm[j].
+to coordinate perm[j]. Both generators move or rewrite the entries of an
+element's stored minimal representative and normalise the result;
+`verify_automorphism` checks the law on representatives by the merge law.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .central_product import CPContext, CPElement
@@ -38,24 +41,20 @@ class Perm:
                 mapping[a] = b
         return Perm.from_mapping(mapping)
 
+    @cached_property
     def mapping(self) -> Dict[int, int]:
+        """The moves as a source -> target dict, built once (do not mutate)."""
         return dict(self.moves)
 
     def cycles(self) -> List[List[int]]:
-        mapping = self.mapping()
-        seen = set()
-        out = []
+        mapping, seen, out = self.mapping, set(), []
         for start in sorted(mapping):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            cur = mapping[start]
-            while cur != start:
-                cyc.append(cur)
-                seen.add(cur)
-                cur = mapping[cur]
-            out.append(cyc)
+            if start not in seen:
+                cyc = [start]
+                while mapping[cyc[-1]] != start:
+                    cyc.append(mapping[cyc[-1]])
+                seen.update(cyc)
+                out.append(cyc)
         return out
 
     def inverse(self) -> "Perm":
@@ -105,14 +104,14 @@ class AutWord:
 
 
 def apply_perm(ctx: CPContext, perm: Perm, x: CPElement) -> CPElement:
-    rep = ctx.representative(x)
-    mapping = perm.mapping()
-    return ctx.make({mapping.get(c, c): v for c, v in rep.items()})
+    mapping = perm.mapping
+    return CPElement(ctx, ctx._normalise({mapping.get(c, c): v for c, v in x.rep}))
 
 
 def beta_star_raw(ctx: CPContext, coords: Sequence[int], rep: Dict[int, int]) -> Dict[int, int]:
     """Tuple-level ladder action: the image entry at relative position j is
-    the ordered product of all window entries except the j-th."""
+    the ordered product of all window entries except the j-th (identity
+    entries are kept)."""
     g = ctx.group
     e = g.identity_index
     vals = [rep.get(c, e) for c in coords]
@@ -125,11 +124,7 @@ def beta_star_raw(ctx: CPContext, coords: Sequence[int], rep: Dict[int, int]) ->
         suffix[i] = g.mul[vals[i]][suffix[i + 1]]
     out = dict(rep)
     for j, c in enumerate(coords):
-        v = g.mul[prefix[j]][suffix[j + 1]]
-        if v == e:
-            out.pop(c, None)
-        else:
-            out[c] = v
+        out[c] = g.mul[prefix[j]][suffix[j + 1]]
     return out
 
 
@@ -139,7 +134,7 @@ def apply_beta_star(ctx: CPContext, bs: BetaStar, x: CPElement) -> CPElement:
             f"ladder needs exponent+2 = {ctx.exponent + 2} coordinates, "
             f"got {len(bs.coords)}"
         )
-    return ctx.make(beta_star_raw(ctx, bs.coords, ctx.representative(x)))
+    return CPElement(ctx, ctx._normalise(beta_star_raw(ctx, bs.coords, dict(x.rep))))
 
 
 def apply_word(ctx: CPContext, word: AutWord, x: CPElement) -> CPElement:
@@ -217,9 +212,9 @@ def verify_automorphism(
     images = {}
     for x in domain:
         y = apply_word(ctx, word, x)
-        if max(y.support_coords(), default=0) >= n:
+        if y.rep and y.rep[-1][0] >= n:
             return VerifyReport(False, n, size, 0, False, "image escapes level", (x, y))
-        images[x] = y
+        images[x.rep] = y.rep
     if len(set(images.values())) != size:
         return VerifyReport(False, n, size, 0, False, "not injective", None)
 
@@ -227,15 +222,12 @@ def verify_automorphism(
     if exhaustive:
         pairs = ((x, y) for x in domain for y in domain)
     else:
-        rng = rng or random.Random(0)
-        pairs = (
-            (domain[rng.randrange(size)], domain[rng.randrange(size)])
-            for _ in range(sample_pairs)
-        )
+        choice = (rng or random.Random(0)).choice
+        pairs = ((choice(domain), choice(domain)) for _ in range(sample_pairs))
+    mul = ctx._multiply_reps
     checked = 0
     for x, y in pairs:
-        prod = ctx.multiply(x, y)
-        if images[prod] != ctx.multiply(images[x], images[y]):
+        if images[mul(x.rep, y.rep)] != mul(images[x.rep], images[y.rep]):
             return VerifyReport(
                 False, n, size, checked, exhaustive, "homomorphism law fails", (x, y)
             )
@@ -298,10 +290,6 @@ def finite_automorphism_from_word(ctx: CPContext, word: AutWord, n: int) -> Fini
     return FiniteAutomorphism(n, {x: apply_word(ctx, word, x) for x in ctx.all_cosets(n)})
 
 
-def fixes_k_pointwise(ctx: CPContext, phi: FiniteAutomorphism) -> bool:
-    return all(phi.mapping[ctx.embed_k(k)] == ctx.embed_k(k) for k in ctx.k_list)
-
-
 def extend_automorphism(
     ctx: CPContext, phi: FiniteAutomorphism, new_level: int
 ) -> FiniteAutomorphism:
@@ -315,13 +303,12 @@ def extend_automorphism(
     n = phi.level
     if new_level <= n:
         raise InputError("new level must exceed the automorphism level")
-    if not fixes_k_pointwise(ctx, phi):
+    if any(phi.mapping[ctx.embed_k(k)] != ctx.embed_k(k) for k in ctx.k_list):
         raise InputError("automorphism moves an embedded K element")
     mapping = {}
     for x in ctx.all_cosets(new_level):
-        rep = ctx.representative(x)
-        low = ctx.make({c: v for c, v in rep.items() if c < n})
-        high = ctx.make({c: v for c, v in rep.items() if c >= n})
+        low = ctx.make({c: v for c, v in x.rep if c < n})
+        high = ctx.make({c: v for c, v in x.rep if c >= n})
         mapping[x] = ctx.multiply(phi.mapping[low], high)
     return FiniteAutomorphism(new_level, mapping)
 

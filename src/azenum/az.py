@@ -178,7 +178,7 @@ def apply_beta(bm: BetaMap, x: CPElement) -> CPElement:
                 out[t] = val
         else:
             out[l + shift] = val
-    return ctx.make(out)
+    return CPElement(ctx, ctx._normalise(out))
 
 
 def min_word_levels(bm: BetaMap) -> Tuple[int, int]:
@@ -258,7 +258,7 @@ class Certificate:
 
 def _random_supported(ctx: CPContext, rng: random.Random, top: int) -> CPElement:
     coords = rng.sample(range(top + 1), rng.randint(0, min(3, top + 1)))
-    return ctx.make({c: rng.randrange(ctx.group.order) for c in coords})
+    return CPElement(ctx, ctx._normalise({c: rng.randrange(ctx.group.order) for c in coords}))
 
 
 def _max_diff_index(ctx: CPContext, x: CPElement, y: CPElement) -> int:

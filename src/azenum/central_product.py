@@ -3,16 +3,19 @@
 Elements are cosets of the subgroup of K-tuples with trivial coordinate
 product. An element is stored only as its reverse-lex minimal
 representative, which the group law, hashing and formatting read. The
-order is a nice enumeration: each element's position in it is a
-mixed-radix number (`CPContext.index_of`, inverted by `element_at`),
-which `compare` and `enumerate_elements` use as the one order key.
+group law is one merge of two representatives by coordinate: where both
+hold entries, their product v becomes min_of[v], the least member of its
+K-coset, and the K factor k_of[v] folds into coordinate 0. The order is a
+nice enumeration: each element's position in it is a mixed-radix number
+(`CPContext.index_of`, inverted by `element_at`), which `compare` and
+`enumerate_elements` use as the one order key.
 """
 
 from __future__ import annotations
 
 from itertools import count, islice, product
 from math import lcm as _lcm
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .errors import CapacityError, InputError
 from .groups import KGroupSpec
@@ -21,8 +24,9 @@ Support = Mapping[int, int]
 
 # The largest domain all_cosets builds: Q8 level 8 (131 072 cosets) fits
 # and level 9 (524 288) does not. `aut verify --group Q8 --word [] --level 8`
-# takes about 3 s and 85 MB (Python 3.11, one core of a shared 2-core x86-64
-# host); a two-generator word about 6 s.
+# takes about 2.1 s and 83 MB (Python 3.11, one core of a shared 2-core
+# x86-64 host); a two-generator word (a ladder and a transposition) about
+# 4.6 s and 144 MB.
 MAX_COSETS = 1 << 18
 
 
@@ -61,24 +65,30 @@ class CPContext:
     def make(self, support: Support) -> "CPElement":
         """The element of a finite-support tuple: coordinates above 0 take
         their coset minimum, and coordinate 0 absorbs the K factors."""
-        g = self.group
-        e = g.identity_index
+        for coord in sorted(support):
+            if coord < 0:
+                raise InputError(f"negative coordinate {coord}")
+            if not 0 <= support[coord] < self.group.order:
+                raise InputError(f"unknown element index {support[coord]}")
+        return CPElement(self, self._normalise(support))
+
+    def _normalise(self, support: Support) -> Tuple[Tuple[int, int], ...]:
+        """The minimal representative of a tuple whose coordinates and
+        values are already valid: the body of `make` without its checks."""
+        mul, min_of, k_of = self.group.mul, self.min_of, self.k_of
+        e = self.group.identity_index
         v0 = residual = e
         higher = []
         for coord in sorted(support):
             val = support[coord]
-            if coord < 0:
-                raise InputError(f"negative coordinate {coord}")
-            if not 0 <= val < g.order:
-                raise InputError(f"unknown element index {val}")
-            m = self.min_of[val]
+            m = min_of[val]
             if coord == 0:
                 v0 = m
             elif m != e:
                 higher.append((coord, m))
-            residual = g.mul[residual][self.k_of[val]]
-        v0 = g.mul[v0][residual]
-        return CPElement(self, ((0, v0), *higher) if v0 != e else tuple(higher))
+            residual = mul[residual][k_of[val]]
+        v0 = mul[v0][residual]
+        return ((0, v0), *higher) if v0 != e else tuple(higher)
 
     def embed(self, elem: int, coord: int) -> "CPElement":
         return self.make({coord: elem})
@@ -96,17 +106,42 @@ class CPContext:
 
     def multiply(self, x: "CPElement", y: "CPElement") -> "CPElement":
         self._check(x, y)
-        mul = self.group.mul
-        e = self.group.identity_index
-        rep = dict(x.rep)
-        for coord, val in y.rep:
-            rep[coord] = mul[rep.get(coord, e)][val]
-        return self.make(rep)
+        return CPElement(self, self._multiply_reps(x.rep, y.rep))
+
+    def _multiply_reps(self, xr, yr) -> Tuple[Tuple[int, int], ...]:
+        """The group law on minimal representatives, one merge by
+        coordinate: an entry on one side only is kept as it is; where both
+        sides hold a and b, v = ab becomes min_of[v] and k_of[v] folds into
+        the K residual, which coordinate 0 absorbs (K is central)."""
+        mul, min_of, k_of = self.group.mul, self.min_of, self.k_of
+        e = residual = self.group.identity_index
+        i = j = 0
+        nx, ny = len(xr), len(yr)
+        out = []
+        while i < nx and j < ny:
+            a, b = xr[i], yr[j]
+            if a[0] < b[0]:
+                out.append(a)
+                i += 1
+            elif b[0] < a[0]:
+                out.append(b)
+                j += 1
+            else:
+                v = mul[a[1]][b[1]]
+                if min_of[v] != e:
+                    out.append((a[0], min_of[v]))
+                residual = mul[residual][k_of[v]]
+                i += 1
+                j += 1
+        out += xr[i:] or yr[j:]
+        if out and out[0][0] == 0:
+            residual = mul[out.pop(0)[1]][residual]
+        return ((0, residual), *out) if residual != e else tuple(out)
 
     def inverse(self, x: "CPElement") -> "CPElement":
         self._check(x)
         inv = self.group.inverse
-        return self.make({c: inv[v] for c, v in x.rep})
+        return CPElement(self, self._normalise({c: inv[v] for c, v in x.rep}))
 
     # -- order: the enumeration index -------------------------------------
 
@@ -205,25 +240,6 @@ class CPContext:
                 out.append(CPElement(self, ((0, v0), *higher) if v0 != e else higher))
         return out
 
-    def coset_members(self, x: "CPElement", width: Optional[int] = None) -> Iterator[Dict[int, int]]:
-        """All representatives of x supported below `width` (brute force)."""
-        g = self.group
-        top = x.rep[-1][0] if x.rep else 0
-        width = (top + 1) if width is None else width
-        if width <= top:
-            raise InputError("width must exceed the canonical support")
-        base = dict(x.rep)
-        for ks in product(self.k_list, repeat=width - 1):
-            k0 = g.identity_index
-            for k in ks:
-                k0 = g.mul[k0][g.inverse[k]]
-            rep = {}
-            for c, k in enumerate((k0, *ks)):
-                val = g.mul[base.get(c, g.identity_index)][k]
-                if val != g.identity_index:
-                    rep[c] = val
-            yield rep
-
     def _check(self, *elems: "CPElement") -> None:
         for e in elems:
             if e.ctx is not self:
@@ -255,9 +271,6 @@ class CPElement:
 
     def __repr__(self):
         return f"CPElement({self.rep})"
-
-    def support_coords(self) -> Tuple[int, ...]:
-        return tuple(c for c, _ in self.rep)
 
 
 # ---------------------------------------------------------------------------

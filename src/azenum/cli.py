@@ -537,7 +537,7 @@ def run_command(argv) -> int:
     except AzenumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
 
@@ -22,9 +22,32 @@ def brute_star(w1, w2):
     return None
 
 
+def coset_members(ctx, x, width=None):
+    """Every representative supported below `width` of the coset of x, an
+    element or any representative of it as a coordinate -> value dict:
+    x times each K-tuple whose coordinate product is one."""
+    g = ctx.group
+    e = g.identity_index
+    base = dict(getattr(x, "rep", x))
+    top = max(base, default=0)
+    width = top + 1 if width is None else width
+    assert width > top, "width must exceed the support"
+    for ks in product(ctx.k_list, repeat=width - 1):
+        k0 = e
+        for k in ks:
+            k0 = g.mul[k0][g.inverse[k]]
+        member = {}
+        for c, k in enumerate((k0, *ks)):
+            val = g.mul[base.get(c, e)][k]
+            if val != e:
+                member[c] = val
+        yield member
+
+
 def brute_minimum(ctx, x, width=None):
-    """The reverse-lex least representative of x, found by trying every
-    member of its coset supported below `width` (at most 8)."""
+    """The reverse-lex least representative of x (an element, or any
+    representative of it as a dict), found by trying every member of its
+    coset supported below `width` (at most 8)."""
 
     def key(rep):
         e = ctx.group.identity_index
@@ -32,7 +55,39 @@ def brute_minimum(ctx, x, width=None):
         w = 8
         return tuple(ctx.rank_of[rep.get(c, e)] for c in range(w - 1, -1, -1))
 
-    return min(ctx.coset_members(x, width), key=key)
+    return min(coset_members(ctx, x, width), key=key)
+
+
+def brute_product(ctx, x, y, width):
+    """The minimal representative of x·y: the componentwise product of the
+    two stored representatives, then `brute_minimum`."""
+    mul, e = ctx.group.mul, ctx.group.identity_index
+    prod = dict(x.rep)
+    for c, v in y.rep:
+        prod[c] = mul[prod.get(c, e)][v]
+    return brute_minimum(ctx, prod, width)
+
+
+def raw_perm(perm, x):
+    """The tuple of x's stored representative with the entry at j moved to
+    perm[j], read from the permutation's (source, target) moves."""
+    moves = dict(perm.moves)
+    return {moves.get(c, c): v for c, v in x.rep}
+
+
+def raw_ladder(ctx, coords, x):
+    """The tuple of x's stored representative after the ladder on `coords`:
+    window slot j takes the ordered product of every other slot's entry."""
+    mul, e = ctx.group.mul, ctx.group.identity_index
+    out = dict(x.rep)
+    vals = [out.get(c, e) for c in coords]
+    for j, c in enumerate(coords):
+        v = e
+        for i, u in enumerate(vals):
+            if i != j:
+                v = mul[v][u]
+        out[c] = v
+    return out
 
 
 def brute_compare(ctx, x, y, width):

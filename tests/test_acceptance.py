@@ -40,7 +40,7 @@ from azenum.wqo import (
     is_star_embedded,
     is_subword,
 )
-from oracles import brute_star, random_az_family, random_qs_extension
+from oracles import brute_star, coset_members, random_az_family, random_qs_extension
 
 from itertools import combinations
 
@@ -163,7 +163,7 @@ def test_criterion_3_window_ladder(capsys):
 def _brute_key(ctx, x, width):
     e = ctx.group.identity_index
     best = None
-    for rep in ctx.coset_members(x, width):
+    for rep in coset_members(ctx, x, width):
         key = tuple(
             ctx.rank_of[rep.get(c, e)] for c in reversed(range(width))
         )

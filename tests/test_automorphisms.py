@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from azenum import automorphisms
 from azenum.automorphisms import (
     AutWord,
     BetaStar,
     Perm,
     alpha_word,
+    apply_beta_star,
+    apply_perm,
     apply_word,
     check_coset_welldefined,
     extend_automorphism,
@@ -18,6 +21,7 @@ from azenum.automorphisms import (
 from azenum.central_product import CPContext
 from azenum.errors import InputError
 from azenum.groups import catalog_group, make_kgroup
+from oracles import brute_minimum, raw_ladder, raw_perm
 
 
 def make_ctx(name):
@@ -68,8 +72,8 @@ def test_perm_cycles_round_trip():
 
 
 def apply_inv_is_identity(p):
-    m = p.mapping()
-    inv = p.inverse().mapping()
+    m = p.mapping
+    inv = p.inverse().mapping
     return all(inv[t] == s for s, t in m.items())
 
 
@@ -121,6 +125,28 @@ def test_beta_star_is_automorphism(c4k, q8k):
     assert r.ok and r.exhaustive and r.size == 128
     r = verify_automorphism(q8k, word(BetaStar((0, 2, 3, 1, 5, 4))), 6)
     assert r.ok
+
+
+@pytest.mark.parametrize(
+    "name, level, gens",
+    [
+        ("C4", 6, [Perm.from_cycles([[0, 5], [1, 3, 2]]), BetaStar(tuple(range(6))),
+                   BetaStar((5, 0, 3, 1, 4, 2))]),
+        ("Q8", 4, [Perm.from_cycles([[0, 3, 1]]), Perm.from_cycles([[0, 2]]),
+                   BetaStar(tuple(range(6))), BetaStar((3, 5, 0, 4, 1, 2))]),
+    ],
+)
+def test_generators_match_brute_force_action(name, level, gens):
+    # every element of the level: the image is the brute-force minimum of
+    # the raw componentwise action on the stored representative
+    ctx = make_ctx(name)
+    for gen in gens:
+        for x in ctx.all_cosets(level):
+            if isinstance(gen, Perm):
+                image, raw = apply_perm(ctx, gen, x), raw_perm(gen, x)
+            else:
+                image, raw = apply_beta_star(ctx, gen, x), raw_ladder(ctx, gen.coords, x)
+            assert image.rep == tuple(sorted(brute_minimum(ctx, raw, width=6).items()))
 
 
 def test_wrong_window_size_is_representative_dependent(c4k, c2k):
@@ -278,3 +304,61 @@ def test_extend_level_must_grow(c4k):
     phi = finite_automorphism_from_word(c4k, word(), 2)
     with pytest.raises(InputError):
         extend_automorphism(c4k, phi, 2)
+
+
+# -- verification failures ----------------------------------------------------
+
+
+def _fake_word(monkeypatch, table):
+    """Make verify_automorphism see the map x -> table.get(x, x)."""
+    monkeypatch.setattr(automorphisms, "apply_word", lambda ctx, w, x: table.get(x, x))
+
+
+def _two_non_identity(ctx, level):
+    domain = ctx.all_cosets(level)
+    a, b = [x for x in domain if x != ctx.identity][:2]
+    return domain, a, b
+
+
+@pytest.mark.parametrize("name, level, exhaustive", [("C4", 2, True), ("Q8", 4, False)])
+def test_verify_reports_non_homomorphism(monkeypatch, name, level, exhaustive):
+    # swapping two non-identity elements is a bijection but, in a group of
+    # more than four elements, never a homomorphism
+    ctx = make_ctx(name)
+    domain, a, b = _two_non_identity(ctx, level)
+    swap = {a: b, b: a}
+    _fake_word(monkeypatch, swap)
+    r = verify_automorphism(ctx, word(), level, sample_pairs=5000, rng=random.Random(12))
+    assert not r.ok and r.failure == "homomorphism law fails"
+    assert r.exhaustive is exhaustive and r.size == len(domain)
+    # the witness is the first failing pair in the order pairs are checked:
+    # x-major over the domain, or drawn as domain[rng.randrange(size)]
+    if exhaustive:
+        pairs = [(x, y) for x in domain for y in domain]
+    else:
+        rng, size = random.Random(12), len(domain)
+        pairs = [(domain[rng.randrange(size)], domain[rng.randrange(size)]) for _ in range(5000)]
+    first = next(
+        (i, (x, y)) for i, (x, y) in enumerate(pairs)
+        if swap.get(ctx.multiply(x, y), ctx.multiply(x, y))
+        != ctx.multiply(swap.get(x, x), swap.get(y, y))
+    )
+    assert (r.pairs_checked, r.witness) == first
+    assert first[0] > 0
+
+
+@pytest.mark.parametrize("name, level", [("C4", 2), ("Q8", 4)])
+def test_verify_reports_non_injective(monkeypatch, name, level):
+    ctx = make_ctx(name)
+    _, a, b = _two_non_identity(ctx, level)
+    _fake_word(monkeypatch, {a: b})
+    r = verify_automorphism(ctx, word(), level, rng=random.Random(12))
+    assert (r.ok, r.failure, r.pairs_checked, r.witness) == (False, "not injective", 0, None)
+
+
+def test_verify_reports_escaping_image(monkeypatch, c4k):
+    _, a, _ = _two_non_identity(c4k, 2)
+    far = c4k.embed(c4k.group.index_of_name("g"), 2)
+    _fake_word(monkeypatch, {a: far})
+    r = verify_automorphism(c4k, word(), 2)
+    assert (r.ok, r.failure, r.witness) == (False, "image escapes level", (a, far))

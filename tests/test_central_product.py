@@ -5,7 +5,7 @@ import pytest
 from azenum.central_product import MAX_COSETS, CPContext, format_support, parse_support
 from azenum.errors import CapacityError, InputError
 from azenum.groups import catalog_group, make_kgroup
-from oracles import brute_compare, brute_minimum
+from oracles import brute_compare, brute_minimum, brute_product, coset_members
 
 
 def make_ctx(name, k=None):
@@ -90,7 +90,7 @@ def test_minimal_representative_example(c4k):
     x = c4k.make({0: g, 1: g})
     w = c4k.minimal_representative(x)
     assert dict(w) == {0: g, 1: g}
-    members = list(c4k.coset_members(x))
+    members = list(coset_members(c4k, x))
     assert len(members) == 2  # (g,g) and (g3,g3)
     assert dict(w) in members
 
@@ -138,6 +138,18 @@ def test_compare_matches_brute_force_order(name):
             assert ctx.compare(x, y) == brute_compare(ctx, x, y, width=3)
 
 
+@pytest.mark.parametrize("name", ["C4", "Q8", "D4", "C2xC2", "C2"])
+def test_multiply_matches_brute_force_product(name):
+    # every ordered pair of level 3 (for C2, where K = G, all of Γ): the
+    # stored product is the brute-force minimum of the componentwise product
+    ctx = make_ctx(name)
+    cosets = ctx.all_cosets(3)
+    for x in cosets:
+        for y in cosets:
+            expected = brute_product(ctx, x, y, width=3)
+            assert ctx.multiply(x, y).rep == tuple(sorted(expected.items()))
+
+
 def test_compare_total_order_on_random_triples(q8k):
     rng = random.Random(11)
     elems = [
@@ -180,7 +192,7 @@ def test_enumerate_c4_gamma2():
         ("g2", "g"),
         ("g3", "g"),
     ]
-    assert [x.support_coords() for x in ctx.enumerate(8)][4] == (1,)
+    assert [tuple(c for c, _ in x.rep) for x in ctx.enumerate(8)][4] == (1,)
 
 
 def test_enumerate_matches_brute_force_sort():
@@ -248,7 +260,7 @@ def test_all_cosets_cap(q8k):
 def test_support_before_next_level(q8k):
     # every coset with support in {0..n-1} appears before any needing n
     elems = q8k.enumerate(q8k.gamma_n_order(2))
-    assert all(max(x.support_coords(), default=0) <= 1 for x in elems)
+    assert all(max((c for c, _ in x.rep), default=0) <= 1 for x in elems)
 
 
 def test_element_literals(c4k):

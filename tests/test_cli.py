@@ -410,6 +410,29 @@ def test_malformed_json_is_bad_input(tmp_path, capsys, argv):
     assert "is not JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "check", "--group", "{path}"],
+        ["qs", "to-group", "--file", "{path}"],
+        ["aut", "verify", "--group", "C4", "--word", "{path}", "--level", "2"],
+        ["az", "run", "--group", "C4", "--tuples", "{path}"],
+        ["rado", "check", "--file", "{path}"],
+        ["wqo", "pair", "--file", "{path}"],
+    ],
+    ids=["group", "qs", "word", "tuples", "triples", "wqo-pair"],
+)
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_input_is_bad_input(tmp_path, capsys, argv, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    assert run_command([a.format(path=path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run_command(["nope"])
