@@ -117,16 +117,12 @@ class BetaMap:
 def build_beta(nf: NormalizedFamily) -> BetaMap:
     """Find a strongly embedded pair among the normalized words and read
     off the per-letter copy data from the witness."""
-    if len(nf.words[0]) == 0:
-        # identity members: the trivial map
-        pair_i, pair_j, emb = 0, 1, Embedding(())
-    else:
-        result = find_increasing_pair(nf.words, "star")
-        if result is None:
-            raise InsufficientFamilyError(
-                "no strongly embedded pair in the bucket; supply more members"
-            )
-        pair_i, pair_j, emb = result.i, result.j, result.embedding
+    result = find_increasing_pair(nf.words, "star")
+    if result is None:
+        raise InsufficientFamilyError(
+            "no strongly embedded pair in the bucket; supply more members"
+        )
+    pair_i, pair_j, emb = result.i, result.j, result.embedding
     w_i, w_j = nf.words[pair_i], nf.words[pair_j]
     image = set(emb.image)
     i_s: Dict[tuple, int] = {}

@@ -43,6 +43,7 @@ from .quadratic import (
     QSMorphism,
     free_amalgam,
     group_from_qs,
+    identity_morphism,
     is_nondegenerate,
     load_qs_file,
     qs_from_group,
@@ -182,10 +183,7 @@ def cmd_qs_to_group(args) -> int:
 def _inclusion(common, factor) -> QSMorphism:
     if common.dim_u > factor.dim_u or common.dim_v > factor.dim_v:
         raise InputError("common structure does not fit inside a factor")
-    return QSMorphism(
-        tuple(1 << i for i in range(common.dim_u)),
-        tuple(1 << i for i in range(common.dim_v)),
-    )
+    return identity_morphism(common)
 
 
 def cmd_qs_amalgam(args) -> int:

@@ -24,12 +24,6 @@ class GroupTable:
     identity_index: int
     inverse: Tuple[int, ...]
 
-    def power(self, a: int, n: int) -> int:
-        out = self.identity_index
-        for _ in range(n):
-            out = self.mul[out][a]
-        return out
-
     def element_order(self, a: int) -> int:
         x = a
         n = 1

@@ -1,7 +1,11 @@
 """Subword orders on finite words: the classical deletion order, the
-strengthened order with the covering condition, pair-finders over word
-streams, and the column coding that reduces the strong order to the
-classical one.
+strengthened order with the covering condition, and pair-finders over word
+streams.
+
+The strong order is decided directly on the rightmost subword witness.
+The column coding, which reduces the strong order to the classical one
+on words sharing a last-appearance order, is kept as the paper's
+reduction; tests check it, and the pair-finder does not use it.
 
 Positions are 0-based throughout.
 """
@@ -57,10 +61,6 @@ class Embedding:
                     covered[i] = True
         return all(covered)
 
-    def compose(self, outer: "Embedding") -> "Embedding":
-        """self into the middle word, outer middle-into-target."""
-        return Embedding(tuple(outer.image[p] for p in self.image))
-
 
 def is_subword(w1: Word, w2: Word) -> Optional[Embedding]:
     """Greedy left-to-right deletion-order witness."""
@@ -94,10 +94,11 @@ def is_star_embedded(w1: Word, w2: Word) -> Optional[Embedding]:
     """Decide the strong order: a subword witness such that every target
     position is dominated by a same-letter image position.
 
-    The rightmost witness dominates every witness pointwise, so the
-    covering condition holds for some witness iff it holds for the
-    rightmost one; the search collapses to one greedy pass plus a
-    per-letter last-occurrence check.
+    The rightmost witness dominates every witness pointwise, and a larger
+    image covers at least as much, so the covering condition holds for
+    some witness iff it holds for the rightmost one: the decision is one
+    greedy pass from the right followed by the covering check of
+    `Embedding.is_star_witness`.
     """
     emb = rightmost_embedding(w1, w2)
     if emb is None:
@@ -193,19 +194,19 @@ class PairResult:
     embedding: Embedding
 
 
-def _signature(w: Word):
-    return (frozenset(w.letters), last_appearance_order(w))
-
-
 def find_increasing_pair(words: Iterable[Word], mode: str) -> Optional[PairResult]:
-    """First (i, j) with i < j and w_i below w_j in the requested order.
+    """First (i, j) with i < j and w_i below w_j in the requested order,
+    least in j and then in i.
 
     Deletion mode keeps the frontier of words seen so far (an antichain,
     since any domination would have ended the search) and tests each
-    newcomer against it. Strong mode first buckets words by (letter set,
-    last-appearance order) — the pigeonhole normalizations — and within a
-    bucket tries the column coding first, falling back to the direct
-    decision, which accepts pairs the coding alone misses.
+    newcomer against it. Strong mode decides each pair with
+    `is_star_embedded` alone, testing a newcomer only against earlier
+    words with the same last-appearance order. That loses no pair: only
+    its own position covers a letter's last occurrence in the target, so a
+    strong witness maps each letter's last occurrence in the source onto
+    it, and the two words have the same letters, last occurring in the
+    same order.
     """
     if mode == "higman":
         frontier: List[Tuple[int, Word]] = []
@@ -217,23 +218,14 @@ def find_increasing_pair(words: Iterable[Word], mode: str) -> Optional[PairResul
             frontier.append((j, w))
         return None
     if mode == "star":
-        buckets: Dict[object, List[Tuple[int, Word, Word]]] = {}
+        buckets: Dict[Tuple[Letter, ...], List[Tuple[int, Word]]] = {}
         for j, w in enumerate(words):
-            if len(w) == 0:
-                continue
-            col = column_word(w)
-            bucket = buckets.setdefault(_signature(w), [])
-            for i, earlier, earlier_col in bucket:
-                fprime = is_subword(earlier_col, col)
-                if fprime is not None:
-                    emb = decode_column_embedding(earlier, w, fprime)
-                    if not emb.is_star_witness(earlier, w):
-                        raise AssertionError("decoded witness failed validation")
-                    return PairResult(i, j, emb)
+            bucket = buckets.setdefault(last_appearance_order(w), [])
+            for i, earlier in bucket:
                 emb = is_star_embedded(earlier, w)
                 if emb is not None:
                     return PairResult(i, j, emb)
-            bucket.append((j, w, col))
+            bucket.append((j, w))
         return None
     raise InputError(f"unknown mode {mode!r}")
 

@@ -22,6 +22,14 @@ def brute_star(w1, w2):
     return None
 
 
+def power(table, a, n):
+    """a to the n-th power in a group table, by n multiplications."""
+    out = table.identity_index
+    for _ in range(n):
+        out = table.mul[out][a]
+    return out
+
+
 def coset_members(ctx, x, width=None):
     """Every representative supported below `width` of the coset of x, an
     element or any representative of it as a coordinate -> value dict:

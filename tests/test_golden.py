@@ -7,9 +7,11 @@ element order, the minimal representatives and every certificate
 independently of the code that computes them.
 
 Regenerate only when an output change is intended, and say which outputs
-changed and why:
+changed and why. With case names, only those outputs are rewritten and
+the input families stay as they are; with none, the families and every
+output are rewritten:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 from __future__ import annotations
@@ -127,12 +129,18 @@ def write_families() -> None:
         family_path(group, seed).write_text("\n".join(lines) + "\n")
 
 
-def regenerate() -> None:
-    write_families()
-    for name, argv in cases().items():
-        golden_path(name).write_bytes(gzip.compress(run_case(argv), mtime=0))
+def regenerate(names) -> None:
+    all_cases = cases()
+    unknown = sorted(set(names) - set(all_cases))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
+    if not names:
+        write_families()
+        names = all_cases
+    for name in names:
+        golden_path(name).write_bytes(gzip.compress(run_case(all_cases[name]), mtime=0))
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parent))
-    regenerate()
+    regenerate(sys.argv[1:])

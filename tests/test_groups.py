@@ -14,6 +14,7 @@ from azenum.groups import (
     validate_and_analyze,
     validate_k,
 )
+from oracles import power
 
 
 def names(table, indices):
@@ -127,9 +128,9 @@ def test_exponent_by_direct_power():
     for name in catalog_names():
         table, analysis, _ = catalog_group(name)
         m = analysis.exponent
-        assert all(table.power(g, m) == table.identity_index for g in range(table.order))
+        assert all(power(table, g, m) == table.identity_index for g in range(table.order))
         for n in range(1, m):
-            assert any(table.power(g, n) != table.identity_index for g in range(table.order))
+            assert any(power(table, g, n) != table.identity_index for g in range(table.order))
 
 
 def test_json_round_trip():

@@ -21,7 +21,7 @@ from azenum.quadratic import (
     qs_to_json,
     unpack_uv,
 )
-from oracles import random_nondegenerate_qs, random_qs, random_qs_extension
+from oracles import power, random_nondegenerate_qs, random_qs, random_qs_extension
 
 
 def derived(name):
@@ -207,8 +207,8 @@ def test_free_amalgam_groups_agree_on_base():
     # embed C4 = <i> into Q8 twice (as <i> and as <j>)
     i_idx = q8.index_of_name("i")
     j_idx = q8.index_of_name("j")
-    hom1 = [q8.power(i_idx, n) for n in range(4)]
-    hom2 = [q8.power(j_idx, n) for n in range(4)]
+    hom1 = [power(q8, i_idx, n) for n in range(4)]
+    hom2 = [power(q8, j_idx, n) for n in range(4)]
     res = free_amalgam_groups(c4, a4, q8, aq8, hom1, q8, aq8, hom2)
     _check_group_embedding(q8, res.group, res.emb1)
     _check_group_embedding(q8, res.group, res.emb2)

@@ -31,6 +31,11 @@ def all_words(alphabet, max_len):
             yield Word(letters)
 
 
+def compose(inner, outer):
+    """inner into the middle word, then outer middle-into-target."""
+    return Embedding(tuple(outer.image[p] for p in inner.image))
+
+
 # -- deletion order ----------------------------------------------------------
 
 
@@ -127,7 +132,7 @@ def test_star_partial_order_properties():
     for (w1, w2), e12 in below.items():
         for w3 in words:
             if (w2, w3) in below:
-                composed = e12.compose(below[(w2, w3)])
+                composed = compose(e12, below[(w2, w3)])
                 assert composed.is_star_witness(w1, w3)
 
 
@@ -198,6 +203,43 @@ def test_star_pair_examples():
     r = find_increasing_pair([w("ab"), w("ba"), w("abab")], "star")
     assert (r.i, r.j) == (0, 2)
     assert r.embedding.image == (2, 3)
+
+    r = find_increasing_pair([w(""), w("")], "star")
+    assert (r.i, r.j, r.embedding) == (0, 1, Embedding(()))
+    # the empty word covers nothing, so it lies below no nonempty word
+    assert find_increasing_pair([w(""), w("a")], "star") is None
+
+
+def first_star_pair(words):
+    """The least (j, i), j-major, with words[i] strongly below words[j]."""
+    for j in range(len(words)):
+        for i in range(j):
+            if brute_star(words[i], words[j]) is not None:
+                return i, j
+    return None
+
+
+def test_star_pair_is_first_pair_by_brute_force():
+    rng = random.Random(37)
+    streams = [
+        [
+            Word(tuple(rng.choice("abc") for _ in range(rng.randint(0, 6))))
+            for _ in range(rng.randint(0, 25))
+        ]
+        for _ in range(300)
+    ]
+    streams += [list(s) for s in itertools.product(all_words("ab", 3), repeat=3)]
+    found = 0
+    for words in streams:
+        r = find_increasing_pair(words, "star")
+        want = first_star_pair(words)
+        if want is None:
+            assert r is None, words
+            continue
+        found += 1
+        assert (r.i, r.j) == want, words
+        assert r.embedding.is_star_witness(words[r.i], words[r.j])
+    assert found > 100
 
 
 def test_pair_not_found_on_exhausted_stream():
