@@ -7,6 +7,7 @@ it maps one tuple to the other while preserving the element ordering.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,9 +65,8 @@ def normalize_family(fam: TupleFamily) -> NormalizedFamily:
     words = [letter_word(fam.ctx, member) for member in fam.members]
     for idx, word in enumerate(words):
         order = last_appearance_order(word)
-        residues = tuple(
-            sum(1 for x in word.letters if x == letter) % m for letter in order
-        )
+        counts = Counter(word.letters)
+        residues = tuple(counts[letter] % m for letter in order)
         buckets.setdefault((order, residues), []).append(idx)
     best = max(buckets.values(), key=len)
     if len(best) < 2:

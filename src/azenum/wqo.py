@@ -12,6 +12,7 @@ Positions are 0-based throughout.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -26,10 +27,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @staticmethod
-    def of(seq: Iterable[Letter]) -> "Word":
-        return Word(tuple(seq))
 
 
 @dataclass(frozen=True)
@@ -63,13 +60,16 @@ class Embedding:
 
 
 def is_subword(w1: Word, w2: Word) -> Optional[Embedding]:
-    """Greedy left-to-right deletion-order witness."""
+    """Greedy left-to-right deletion-order witness: each letter goes to its
+    leftmost free position, so the image is the pointwise-least one."""
+    target = w2.letters
+    n = len(target)
     image = []
     pos = 0
     for letter in w1.letters:
-        while pos < len(w2) and w2.letters[pos] != letter:
+        while pos < n and target[pos] != letter:
             pos += 1
-        if pos >= len(w2):
+        if pos >= n:
             return None
         image.append(pos)
         pos += 1
@@ -78,10 +78,11 @@ def is_subword(w1: Word, w2: Word) -> Optional[Embedding]:
 
 def rightmost_embedding(w1: Word, w2: Word) -> Optional[Embedding]:
     """The pointwise-maximal subword witness (greedy from the right)."""
+    target = w2.letters
     image: List[int] = []
-    pos = len(w2) - 1
+    pos = len(target) - 1
     for letter in reversed(w1.letters):
-        while pos >= 0 and w2.letters[pos] != letter:
+        while pos >= 0 and target[pos] != letter:
             pos -= 1
         if pos < 0:
             return None
@@ -123,9 +124,7 @@ PAD = _Pad()
 
 def last_appearance_order(w: Word) -> Tuple[Letter, ...]:
     """The word's letters, ordered by their last occurrence."""
-    last: Dict[Letter, int] = {}
-    for i, letter in enumerate(w.letters):
-        last[letter] = i
+    last = {letter: i for i, letter in enumerate(w.letters)}
     return tuple(sorted(last, key=last.get))
 
 
@@ -139,14 +138,8 @@ def block_split(w: Word) -> Tuple[List[Tuple[Letter, ...]], Letter]:
     """
     if len(w) == 0:
         raise InputError("cannot block-split the empty word")
-    order = last_appearance_order(w)
-    cuts = [max(i for i, x in enumerate(w.letters) if x == letter) for letter in order]
-    blocks = []
-    start = 0
-    for cut in cuts[:-1]:
-        blocks.append(w.letters[start:cut])
-        start = cut
-    blocks.append(w.letters[start : cuts[-1]])
+    cuts = sorted({letter: i for i, letter in enumerate(w.letters)}.values())
+    blocks = [w.letters[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
     return blocks, w.letters[cuts[-1]]
 
 
@@ -198,36 +191,41 @@ def find_increasing_pair(words: Iterable[Word], mode: str) -> Optional[PairResul
     """First (i, j) with i < j and w_i below w_j in the requested order,
     least in j and then in i.
 
-    Deletion mode keeps the frontier of words seen so far (an antichain,
-    since any domination would have ended the search) and tests each
-    newcomer against it. Strong mode decides each pair with
-    `is_star_embedded` alone, testing a newcomer only against earlier
-    words with the same last-appearance order. That loses no pair: only
-    its own position covers a letter's last occurrence in the target, so a
-    strong witness maps each letter's last occurrence in the source onto
-    it, and the two words have the same letters, last occurring in the
-    same order.
+    One scan serves both modes: each newcomer is decided against earlier
+    words by `is_subword` (deletion) or `is_star_embedded` (strong),
+    skipping only words that cannot lie below it. Strong mode buckets words
+    by last-appearance order: only its own position covers a letter's last
+    occurrence in the target, so a strong witness maps each letter's last
+    occurrence onto it and both words share that order. Within a bucket,
+    words are grouped by letter counts, and groups whose counts the
+    newcomer's do not dominate are skipped: either witness maps letters
+    injectively onto equal letters. A group keeps ascending i and is
+    scanned up to its first hit or the least i hit so far, so the least
+    i over all groups is returned.
     """
-    if mode == "higman":
-        frontier: List[Tuple[int, Word]] = []
-        for j, w in enumerate(words):
-            for i, earlier in frontier:
-                emb = is_subword(earlier, w)
+    if mode not in ("higman", "star"):
+        raise InputError(f"unknown mode {mode!r}")
+    strong = mode == "star"
+    below = is_star_embedded if strong else is_subword
+    buckets: Dict[Optional[Tuple[Letter, ...]], Dict[frozenset, List[Tuple[int, Word]]]] = {}
+    for j, w in enumerate(words):
+        counts = Counter(w.letters)
+        groups = buckets.setdefault(last_appearance_order(w) if strong else None, {})
+        best: Optional[PairResult] = None
+        for group_counts, group in groups.items():
+            if any(counts[letter] < n for letter, n in group_counts):
+                continue
+            for i, earlier in group:
+                if best is not None and i >= best.i:
+                    break
+                emb = below(earlier, w)
                 if emb is not None:
-                    return PairResult(i, j, emb)
-            frontier.append((j, w))
-        return None
-    if mode == "star":
-        buckets: Dict[Tuple[Letter, ...], List[Tuple[int, Word]]] = {}
-        for j, w in enumerate(words):
-            bucket = buckets.setdefault(last_appearance_order(w), [])
-            for i, earlier in bucket:
-                emb = is_star_embedded(earlier, w)
-                if emb is not None:
-                    return PairResult(i, j, emb)
-            bucket.append((j, w))
-        return None
-    raise InputError(f"unknown mode {mode!r}")
+                    best = PairResult(i, j, emb)
+                    break
+        if best is not None:
+            return best
+        groups.setdefault(frozenset(counts.items()), []).append((j, w))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Each case is one `azenum` command line. Its exit code and stdout are
 stored gzip-compressed under `tests/golden/`; the `az run` cases read
-seeded tuple families from `tests/golden/inputs/`. The corpus pins the
-element order, the minimal representatives and every certificate
+seeded tuple families and the `wqo pair` cases seeded word streams from
+`tests/golden/inputs/`. The corpus pins the element order, the minimal
+representatives, every certificate and the pair finder's witnesses
 independently of the code that computes them.
 
 Regenerate only when an output change is intended, and say which outputs
 changed and why. With case names, only those outputs are rewritten and
-the input families stay as they are; with none, the families and every
-output are rewritten:
+the inputs stay as they are; with none, the inputs and every output are
+rewritten:
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
@@ -56,8 +57,16 @@ AUT_VERIFY = [
 ]
 
 
+# seeded word streams for `wqo pair`, each run in both modes
+WQO_STREAMS = ("antichain", "random3")
+
+
 def family_path(group: str, seed: int) -> Path:
     return INPUTS / f"az_{group}_{seed}.txt"
+
+
+def stream_path(name: str) -> Path:
+    return INPUTS / f"wqo_{name}.txt"
 
 
 def cases():
@@ -78,6 +87,12 @@ def cases():
             "--word", json.dumps(word), "--level", str(level),
         ]
     out["rado_triples_8"] = ["--json", "rado", "triples", "--max-n", "8"]
+    for name in WQO_STREAMS:
+        for mode in ("star", "higman"):
+            out[f"wqo_pair_{name}_{mode}"] = [
+                "--json", "wqo", "pair", "--file", str(stream_path(name)),
+                "--mode", mode,
+            ]
     return out
 
 
@@ -129,6 +144,35 @@ def write_families() -> None:
         family_path(group, seed).write_text("\n".join(lines) + "\n")
 
 
+def stream_words(name: str):
+    """The `wqo pair` streams. `antichain`: 600 distinct binary words of
+    length 12 (an antichain in both orders), then one of them with three
+    of its own letters pumped in front, so every increasing pair ends at
+    the last word. `random3`: random words of length 6-12 over three
+    letters."""
+    if name == "antichain":
+        rng = random.Random(7)
+        words = [
+            tuple("ab"[(code >> t) & 1] for t in range(12))
+            for code in rng.sample(range(2**12), 600)
+        ]
+        source = rng.choice(words)
+        pump = tuple(rng.choice(source) for _ in range(3))
+        return words + [pump + source]
+    rng = random.Random(10)
+    return [
+        tuple(rng.choice("abc") for _ in range(rng.randint(6, 12)))
+        for _ in range(100)
+    ]
+
+
+def write_streams() -> None:
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for name in WQO_STREAMS:
+        lines = [",".join(word) for word in stream_words(name)]
+        stream_path(name).write_text("\n".join(lines) + "\n")
+
+
 def regenerate(names) -> None:
     all_cases = cases()
     unknown = sorted(set(names) - set(all_cases))
@@ -136,6 +180,7 @@ def regenerate(names) -> None:
         sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     if not names:
         write_families()
+        write_streams()
         names = all_cases
     for name in names:
         golden_path(name).write_bytes(gzip.compress(run_case(all_cases[name]), mtime=0))

@@ -31,6 +31,10 @@ def all_words(alphabet, max_len):
             yield Word(letters)
 
 
+def image_of(emb):
+    return None if emb is None else emb.image
+
+
 def compose(inner, outer):
     """inner into the middle word, then outer middle-into-target."""
     return Embedding(tuple(outer.image[p] for p in inner.image))
@@ -55,6 +59,27 @@ def test_subword_matches_brute_force():
         assert (got is not None) == (brute_subword(w1, w2) is not None)
         if got is not None:
             assert got.is_subword_witness(w1, w2)
+
+
+def test_subword_witnesses_are_least_and_greatest_exhaustive():
+    # every position combination, in lexicographic order, witnesses the
+    # word it spells: is_subword must return the first one (as
+    # brute_subword does) and rightmost_embedding the last one
+    words = list(all_words("abc", 6))
+    for w2 in words:
+        first, last = {}, {}
+        for k in range(len(w2) + 1):
+            for combo in itertools.combinations(range(len(w2)), k):
+                spelled = tuple(w2.letters[p] for p in combo)
+                first.setdefault(spelled, combo)
+                last[spelled] = combo
+        for w1 in words:
+            if len(w1) > len(w2):
+                break
+            assert image_of(is_subword(w1, w2)) == first.get(w1.letters), (w1, w2)
+            assert image_of(rightmost_embedding(w1, w2)) == last.get(w1.letters), (w1, w2)
+            if len(w2) <= 4:
+                assert brute_subword(w1, w2) == first.get(w1.letters), (w1, w2)
 
 
 def test_rightmost_embedding_dominates():
@@ -193,6 +218,10 @@ def test_higman_pair_example():
     r = find_increasing_pair([w("b"), w("ab"), w("aab")], "higman")
     assert (r.i, r.j) == (0, 1)
     assert r.embedding.is_subword_witness(w("b"), w("ab"))
+    # "bac" dominates the counts of "ab"/"ba" and of "c": the least i
+    # wins, although the group of "ab" and "ba" was started first
+    r = find_increasing_pair([w("ab"), w("c"), w("ba"), w("bac")], "higman")
+    assert (r.i, r.j, r.embedding.image) == (1, 3, (2,))
 
 
 def test_star_pair_examples():
@@ -240,6 +269,41 @@ def test_star_pair_is_first_pair_by_brute_force():
         assert (r.i, r.j) == want, words
         assert r.embedding.is_star_witness(words[r.i], words[r.j])
     assert found > 100
+
+
+def first_higman_pair(words):
+    """The least (j, i), j-major, with words[i] a subword of words[j]."""
+    for j in range(len(words)):
+        for i in range(j):
+            if brute_subword(words[i], words[j]) is not None:
+                return i, j
+    return None
+
+
+def test_higman_pair_is_first_pair_by_brute_force():
+    # mixed lengths, so a newcomer often dominates several letter-count
+    # groups and the least i across them decides
+    rng = random.Random(38)
+    streams = [
+        [
+            Word(tuple(rng.choice("abc") for _ in range(rng.randint(lo, lo + 5))))
+            for _ in range(rng.randint(0, 25))
+        ]
+        for lo in (0, 2, 3)
+        for _ in range(300)
+    ]
+    streams += [list(s) for s in itertools.product(all_words("ab", 3), repeat=3)]
+    found = 0
+    for words in streams:
+        r = find_increasing_pair(words, "higman")
+        want = first_higman_pair(words)
+        if want is None:
+            assert r is None, words
+            continue
+        found += 1
+        assert (r.i, r.j) == want, words
+        assert r.embedding.image == brute_subword(words[r.i], words[r.j]), words
+    assert found > 500
 
 
 def test_pair_not_found_on_exhausted_stream():
