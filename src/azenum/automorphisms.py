@@ -4,7 +4,9 @@ and the self-inverse ladder maps, plus words in them and verification.
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
 to coordinate perm[j]. Both generators move or rewrite the entries of an
 element's stored minimal representative and normalise the result;
-`verify_automorphism` checks the law on representatives by the merge law.
+`verify_automorphism` maps every element's enumeration index to its
+image's and checks the homomorphism law on those indices by
+`CPContext.index_law`.
 """
 
 from __future__ import annotations
@@ -202,77 +204,44 @@ def verify_automorphism(
 ) -> VerifyReport:
     """Check that the word acts as an automorphism of the level-n subgroup.
 
-    Bijectivity is exhaustive; the homomorphism law is exhaustive for small
-    levels and sampled otherwise.
+    The level-n elements have the indices 0 .. size-1, so the map is a list
+    of image indices. Bijectivity is exhaustive; the homomorphism law,
+    images[law(a, b)] == law(images[a], images[b]), is checked on every
+    pair (x-major over `all_cosets(n)`) when size^2 is at most
+    EXHAUSTIVE_PAIR_CAP, and otherwise on `sample_pairs` pairs drawn with
+    `rng.choice`. A failing pair is returned as elements.
     """
     if word.max_coord() >= n:
         raise InputError("word touches coordinates at or above the level")
     domain = ctx.all_cosets(n)
     size = len(domain)
-    images = {}
-    for x in domain:
+    index_of = ctx.index_of
+    indices = [index_of(x) for x in domain]
+    images = [0] * size
+    for x, i in zip(domain, indices):
         y = apply_word(ctx, word, x)
         if y.rep and y.rep[-1][0] >= n:
             return VerifyReport(False, n, size, 0, False, "image escapes level", (x, y))
-        images[x.rep] = y.rep
-    if len(set(images.values())) != size:
+        images[i] = index_of(y)
+    if len(set(images)) != size:
         return VerifyReport(False, n, size, 0, False, "not injective", None)
 
     exhaustive = size * size <= EXHAUSTIVE_PAIR_CAP
     if exhaustive:
-        pairs = ((x, y) for x in domain for y in domain)
+        pairs = ((a, b) for a in indices for b in indices)
     else:
         choice = (rng or random.Random(0)).choice
-        pairs = ((choice(domain), choice(domain)) for _ in range(sample_pairs))
-    mul = ctx._multiply_reps
+        pairs = ((choice(indices), choice(indices)) for _ in range(sample_pairs))
+    law = ctx.index_law
     checked = 0
-    for x, y in pairs:
-        if images[mul(x.rep, y.rep)] != mul(images[x.rep], images[y.rep]):
+    for a, b in pairs:
+        if images[law(a, b)] != law(images[a], images[b]):
+            witness = (ctx.element_at(a), ctx.element_at(b))
             return VerifyReport(
-                False, n, size, checked, exhaustive, "homomorphism law fails", (x, y)
+                False, n, size, checked, exhaustive, "homomorphism law fails", witness
             )
         checked += 1
     return VerifyReport(True, n, size, checked, exhaustive)
-
-
-def check_coset_welldefined(
-    ctx: CPContext,
-    coords: Sequence[int],
-    trials: int = 200,
-    rng: Optional[random.Random] = None,
-) -> Optional[tuple]:
-    """Probe representative independence of a raw ladder action.
-
-    Returns a witness (element, rep_a, rep_b) whose two representatives map
-    to different cosets, or None if no dependence was found. Used to show
-    that windows of the wrong arity do not descend to the quotient.
-    """
-    rng = rng or random.Random(0)
-    g = ctx.group
-    order = g.order
-    window = list(coords)
-    outside = max(window) + 1
-    for _ in range(trials):
-        support = {
-            c: rng.randrange(order)
-            for c in rng.sample(window, rng.randint(0, len(window)))
-        }
-        x = ctx.make(support)
-        rep_a = ctx.representative(x)
-        # alternative representative: a K element at a window coordinate,
-        # cancelled at a coordinate outside the window
-        k = ctx.k_list[rng.randrange(len(ctx.k_list))]
-        c1 = window[rng.randrange(len(window))]
-        rep_b = dict(rep_a)
-        e = g.identity_index
-        rep_b[c1] = g.mul[rep_b.get(c1, e)][k]
-        rep_b[outside] = g.mul[rep_b.get(outside, e)][g.inverse[k]]
-        assert ctx.make(rep_b) == x
-        img_a = ctx.make(beta_star_raw(ctx, window, rep_a))
-        img_b = ctx.make(beta_star_raw(ctx, window, rep_b))
-        if img_a != img_b:
-            return (x, rep_a, rep_b)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +253,6 @@ def check_coset_welldefined(
 class FiniteAutomorphism:
     level: int
     mapping: Dict[CPElement, CPElement]
-
-
-def finite_automorphism_from_word(ctx: CPContext, word: AutWord, n: int) -> FiniteAutomorphism:
-    return FiniteAutomorphism(n, {x: apply_word(ctx, word, x) for x in ctx.all_cosets(n)})
 
 
 def extend_automorphism(

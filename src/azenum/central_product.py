@@ -2,20 +2,21 @@
 
 Elements are cosets of the subgroup of K-tuples with trivial coordinate
 product. An element is stored only as its reverse-lex minimal
-representative, which the group law, hashing and formatting read. The
-group law is one merge of two representatives by coordinate: where both
-hold entries, their product v becomes min_of[v], the least member of its
-K-coset, and the K factor k_of[v] folds into coordinate 0. The order is a
-nice enumeration: each element's position in it is a mixed-radix number
+representative, which hashing and formatting read. The order is a nice
+enumeration: each element's position in it is a mixed-radix number
 (`CPContext.index_of`, inverted by `element_at`), which `compare` and
-`enumerate_elements` use as the one order key.
+`enumerate_elements` use as the one order key. The group law runs on these
+indices (`CPContext.index_law`): above coordinate 0 the product's digits
+are read, a block of coordinates at a time, from tables of block products,
+whose K factors fold into the coordinate-0 value because K is central.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import count, islice, product
 from math import lcm as _lcm
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 from .errors import CapacityError, InputError
 from .groups import KGroupSpec
@@ -24,9 +25,9 @@ Support = Mapping[int, int]
 
 # The largest domain all_cosets builds: Q8 level 8 (131 072 cosets) fits
 # and level 9 (524 288) does not. `aut verify --group Q8 --word [] --level 8`
-# takes about 2.1 s and 83 MB (Python 3.11, one core of a shared 2-core
-# x86-64 host); a two-generator word (a ladder and a transposition) about
-# 4.6 s and 144 MB.
+# takes 1.2-1.7 s and 83 MB (Python 3.11, one core of a shared 2-core
+# x86-64 host); a two-generator word (a ladder and a transposition)
+# 3.0-3.9 s and 87 MB.
 MAX_COSETS = 1 << 18
 
 
@@ -106,37 +107,53 @@ class CPContext:
 
     def multiply(self, x: "CPElement", y: "CPElement") -> "CPElement":
         self._check(x, y)
-        return CPElement(self, self._multiply_reps(x.rep, y.rep))
+        return self.element_at(self.index_law(self.index_of(x), self.index_of(y)))
 
-    def _multiply_reps(self, xr, yr) -> Tuple[Tuple[int, int], ...]:
-        """The group law on minimal representatives, one merge by
-        coordinate: an entry on one side only is kept as it is; where both
-        sides hold a and b, v = ab becomes min_of[v] and k_of[v] folds into
-        the K residual, which coordinate 0 absorbs (K is central)."""
-        mul, min_of, k_of = self.group.mul, self.min_of, self.k_of
-        e = residual = self.group.identity_index
-        i = j = 0
-        nx, ny = len(xr), len(yr)
-        out = []
-        while i < nx and j < ny:
-            a, b = xr[i], yr[j]
-            if a[0] < b[0]:
-                out.append(a)
-                i += 1
-            elif b[0] < a[0]:
-                out.append(b)
-                j += 1
-            else:
-                v = mul[a[1]][b[1]]
-                if min_of[v] != e:
-                    out.append((a[0], min_of[v]))
-                residual = mul[residual][k_of[v]]
-                i += 1
-                j += 1
-        out += xr[i:] or yr[j:]
-        if out and out[0][0] == 0:
-            residual = mul[out.pop(0)[1]][residual]
-        return ((0, residual), *out) if residual != e else tuple(out)
+    @cached_property
+    def index_law(self) -> Callable[[int, int], int]:
+        """The group law on enumeration indices: index_law(index_of(x),
+        index_of(y)) is index_of(x·y). Above coordinate 0 the digits are
+        read in blocks of h coordinates, h >= 1 the largest with r^h <= 16
+        (r = len(minima)); two flat tables indexed by a block pair hold the
+        block's product digits and its K factor, which folds into the
+        coordinate-0 value (K is central). Built on first use."""
+        g, r, minima = self.group, len(self.minima), self.minima
+        mul, order, e = g.mul, g.order, g.identity_index
+        h = 1
+        while 1 < r and r ** (h + 1) <= 16:
+            h += 1
+        width = r**h
+        digits, k_factor = [], []
+        for block_a, block_b in product(range(width), repeat=2):
+            d, k, place = 0, e, 1
+            for _ in range(h):
+                block_a, a = divmod(block_a, r)
+                block_b, b = divmod(block_b, r)
+                v = mul[minima[a]][minima[b]]
+                d += self.digit_of[self.min_of[v]] * place
+                k = mul[k][self.k_of[v]]
+                place *= r
+            digits.append(d)
+            k_factor.append(k)
+        ranked = self.kg.element_order
+        low = [mul[p][q] for p in ranked for q in ranked]
+        rank_of = self.rank_of
+
+        def law(a: int, b: int) -> int:
+            v = low[a % order * order + b % order]
+            a //= order
+            b //= order
+            out, place = 0, order
+            while a or b:
+                t = a % width * width + b % width
+                out += digits[t] * place
+                v = mul[v][k_factor[t]]
+                place *= width
+                a //= width
+                b //= width
+            return out + rank_of[v]
+
+        return law
 
     def inverse(self, x: "CPElement") -> "CPElement":
         self._check(x)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from azenum.automorphisms import FiniteAutomorphism, apply_word, beta_star_raw
 from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
 
 
@@ -96,6 +97,45 @@ def raw_ladder(ctx, coords, x):
                 v = mul[v][u]
         out[c] = v
     return out
+
+
+def check_coset_welldefined(ctx, coords, trials=200, rng=None):
+    """Probe representative independence of a raw ladder action.
+
+    Returns a witness (element, rep_a, rep_b) whose two representatives map
+    to different cosets, or None if no dependence was found. Shows that
+    windows of the wrong arity do not descend to the quotient.
+    """
+    rng = rng or random.Random(0)
+    g = ctx.group
+    window = list(coords)
+    outside = max(window) + 1
+    for _ in range(trials):
+        support = {
+            c: rng.randrange(g.order)
+            for c in rng.sample(window, rng.randint(0, len(window)))
+        }
+        x = ctx.make(support)
+        rep_a = ctx.representative(x)
+        # alternative representative: a K element at a window coordinate,
+        # cancelled at a coordinate outside the window
+        k = ctx.k_list[rng.randrange(len(ctx.k_list))]
+        c1 = window[rng.randrange(len(window))]
+        rep_b = dict(rep_a)
+        e = g.identity_index
+        rep_b[c1] = g.mul[rep_b.get(c1, e)][k]
+        rep_b[outside] = g.mul[rep_b.get(outside, e)][g.inverse[k]]
+        assert ctx.make(rep_b) == x
+        img_a = ctx.make(beta_star_raw(ctx, window, rep_a))
+        img_b = ctx.make(beta_star_raw(ctx, window, rep_b))
+        if img_a != img_b:
+            return (x, rep_a, rep_b)
+    return None
+
+
+def finite_automorphism_from_word(ctx, word, n):
+    """The word's action on every coset of level n, as a finite map."""
+    return FiniteAutomorphism(n, {x: apply_word(ctx, word, x) for x in ctx.all_cosets(n)})
 
 
 def brute_compare(ctx, x, y, width):

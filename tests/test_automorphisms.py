@@ -11,9 +11,7 @@ from azenum.automorphisms import (
     apply_beta_star,
     apply_perm,
     apply_word,
-    check_coset_welldefined,
     extend_automorphism,
-    finite_automorphism_from_word,
     verify_automorphism,
     word_from_json,
     word_to_json,
@@ -21,7 +19,13 @@ from azenum.automorphisms import (
 from azenum.central_product import CPContext
 from azenum.errors import InputError
 from azenum.groups import catalog_group, make_kgroup
-from oracles import brute_minimum, raw_ladder, raw_perm
+from oracles import (
+    brute_minimum,
+    check_coset_welldefined,
+    finite_automorphism_from_word,
+    raw_ladder,
+    raw_perm,
+)
 
 
 def make_ctx(name):

@@ -4,7 +4,7 @@ import pytest
 
 from azenum.central_product import MAX_COSETS, CPContext, format_support, parse_support
 from azenum.errors import CapacityError, InputError
-from azenum.groups import catalog_group, make_kgroup
+from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
 from oracles import brute_compare, brute_minimum, brute_product, coset_members
 
 
@@ -148,6 +148,44 @@ def test_multiply_matches_brute_force_product(name):
         for y in cosets:
             expected = brute_product(ctx, x, y, width=3)
             assert ctx.multiply(x, y).rep == tuple(sorted(expected.items()))
+
+
+# the least level whose coordinates 1.. fill a whole block of the index
+# law's tables (blocks of 4 coordinates for C4, 2 for Q8, D4 and C2xC2), so
+# every table entry is read; C2 has K = G and Γ is all of level 1
+LAW_LEVELS = {"C4": 5, "Q8": 3, "D4": 3, "C2xC2": 3, "C2": 3}
+
+
+@pytest.mark.parametrize("maker", [make_kgroup, make_standard_kgroup])
+@pytest.mark.parametrize("name", sorted(LAW_LEVELS))
+def test_index_law_matches_brute_force_product(name, maker):
+    # every ordered pair of the level: the law on indices gives the index
+    # of the brute-force minimum of the componentwise product
+    table, analysis, k = catalog_group(name)
+    ctx = CPContext(maker(table, analysis, k))
+    level = LAW_LEVELS[name]
+    cosets = ctx.all_cosets(level)
+    law = ctx.index_law
+    for x in cosets:
+        for y in cosets:
+            expected = ctx.make(brute_product(ctx, x, y, width=level))
+            assert law(ctx.index_of(x), ctx.index_of(y)) == ctx.index_of(expected)
+    if name == "C2":
+        assert sorted(ctx.index_of(x) for x in cosets) == [0, 1]
+
+
+@pytest.mark.parametrize("name", ["Q8", "D4"])
+def test_index_law_folds_across_blocks(name):
+    # seeded pairs of level 7: three blocks of two coordinates each, whose
+    # K factors all fold into coordinate 0
+    ctx = make_ctx(name)
+    rng = random.Random(13)
+    size = ctx.gamma_n_order(7)
+    for _ in range(400):
+        i, j = rng.randrange(size), rng.randrange(size)
+        x, y = ctx.element_at(i), ctx.element_at(j)
+        expected = ctx.make(brute_product(ctx, x, y, width=7))
+        assert ctx.index_law(i, j) == ctx.index_of(expected)
 
 
 def test_compare_total_order_on_random_triples(q8k):

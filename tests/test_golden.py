@@ -46,7 +46,8 @@ AZ_FAMILIES = [
 # every catalog group has a K; C2 has K = G, so its Γ has two elements
 ENUMERATE_COUNTS = {"C2": 2, "C4": 5000, "C2xC2": 5000, "Q8": 5000, "D4": 5000}
 
-# (name, group, word, level): exhaustive pair checks stay under the cap
+# (name, group, word, level): the first six check every pair (size^2 at
+# most the exhaustive cap), the last two sample 100 000 seeded pairs
 AUT_VERIFY = [
     ("c4_beta6", "C4", [{"beta": [0, 1, 2, 3, 4, 5]}], 6),
     ("c4_perm", "C4", [{"perm": [[0, 3], [1, 2]]}], 5),
@@ -54,6 +55,8 @@ AUT_VERIFY = [
     ("c4_short_beta", "C4", [{"beta": [0, 1, 2]}], 4),
     ("q8_perm", "Q8", [{"perm": [[0, 1, 2]]}], 3),
     ("d4_perm", "D4", [{"perm": [[0, 2]]}], 3),
+    ("q8_beta_swap", "Q8", [{"beta": [0, 1, 2, 3, 4, 5]}, {"perm": [[0, 4]]}], 6),
+    ("d4_cycle", "D4", [{"perm": [[0, 1, 3]]}], 4),
 ]
 
 
