@@ -328,7 +328,7 @@ def cmd_wqo_star(args) -> int:
 
 def cmd_wqo_pair(args) -> int:
     with open(args.file) as fh:
-        words = [parse_word(line.strip()) for line in fh if line.strip()]
+        words = [parse_word(line) for line in fh]
     result = find_increasing_pair(words, mode=args.mode)
     if result is None:
         _emit(args, {"found": False}, "no increasing pair")

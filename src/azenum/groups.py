@@ -5,7 +5,7 @@ Elements are indices 0..order-1 into the table; names are cosmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -196,12 +196,7 @@ def rank(table: GroupTable) -> int:
     raise StructuralError("no generating set found")  # unreachable
 
 
-def make_kgroup(
-    table: GroupTable,
-    analysis: GroupAnalysis,
-    k,
-    order_hint: Optional[Sequence[int]] = None,
-) -> KGroupSpec:
+def make_kgroup(table: GroupTable, analysis: GroupAnalysis, k) -> KGroupSpec:
     """Fix the transversal and element order used by canonical forms.
 
     Transversal: identity represents its own coset, all other cosets are
@@ -223,15 +218,8 @@ def make_kgroup(
     reps.remove(table.identity_index)
     transversal = (table.identity_index, *reps)
 
-    if order_hint is None:
-        rest = [g for g in range(table.order) if g != table.identity_index]
-        element_order = (table.identity_index, *rest)
-    else:
-        element_order = tuple(order_hint)
-        if sorted(element_order) != list(range(table.order)):
-            raise InputError("order_hint must be a permutation of all elements")
-        if element_order[0] != table.identity_index:
-            raise InputError("order_hint must start with the identity")
+    rest = [g for g in range(table.order) if g != table.identity_index]
+    element_order = (table.identity_index, *rest)
     return KGroupSpec(table, tuple(ks), transversal, element_order)
 
 
@@ -250,7 +238,7 @@ def standard_element_order(kg: KGroupSpec) -> Tuple[int, ...]:
 def make_standard_kgroup(table: GroupTable, analysis: GroupAnalysis, k) -> KGroupSpec:
     """A KGroupSpec using the coset-major element order."""
     base = make_kgroup(table, analysis, k)
-    return make_kgroup(table, analysis, k, order_hint=standard_element_order(base))
+    return replace(base, element_order=standard_element_order(base))
 
 
 def find_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[Dict[int, int]]:

@@ -6,7 +6,7 @@ Vectors are int bitmasks; bit i is the coefficient of basis vector i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import gf2
 from .errors import CapacityError, InputError, parse_json
@@ -61,12 +61,7 @@ class QuadraticStructure:
     def eval_gamma(self, u1: int, u2: int) -> int:
         self._check_u(u1)
         self._check_u(u2)
-        out = 0
-        for i in gf2.bits_of(u1):
-            row = self.gamma_basis[i]
-            for j in gf2.bits_of(u2):
-                out ^= row[j]
-        return out
+        return eval_cocycle(self.gamma_basis, u1, u2)
 
     def _check_u(self, u: int) -> None:
         if u < 0 or u >> self.dim_u:
@@ -148,6 +143,25 @@ class GroupQuadraticData:
         return self.v_coords[g.mul[g.inverse[t]][x]]
 
 
+def _greedy_basis(g: GroupTable, base, candidates) -> List[int]:
+    """Each candidate outside the subgroup generated by base and the earlier picks."""
+    basis: List[int] = []
+    span = subgroup_closure(g, base)
+    for x in candidates:
+        if x not in span:
+            basis.append(x)
+            span = subgroup_closure(g, list(base) + basis)
+    return basis
+
+
+def _subset_products(g: GroupTable, basis: List[int]) -> List[int]:
+    """products[mask]: the basis elements in mask multiplied in ascending bit order."""
+    products = [g.identity_index]
+    for b in basis:
+        products += [g.mul[x][b] for x in products]
+    return products
+
+
 def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> GroupQuadraticData:
     """The structure (G/V, V; squaring) for a class group."""
     if not is_class_csw(table, analysis):
@@ -155,36 +169,13 @@ def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> GroupQuadraticD
     g = table
     e = g.identity_index
     v_elements = tuple(sorted({x for x in range(g.order) if g.mul[x][x] == e}))
-
-    v_basis: List[int] = []
-    span = {e}
-    for x in v_elements:
-        if x not in span:
-            v_basis.append(x)
-            span = set(subgroup_closure(g, v_basis))
-    dim_v = len(v_basis)
-    v_coords: Dict[int, int] = {}
-    for mask in range(1 << dim_v):
-        prod = e
-        for i in gf2.bits_of(mask):
-            prod = g.mul[prod][v_basis[i]]
-        v_coords[prod] = mask
-
-    u_basis: List[int] = []
-    span = set(v_elements)
-    for x in range(g.order):
-        if x not in span:
-            u_basis.append(x)
-            span = set(subgroup_closure(g, list(v_elements) + u_basis))
-    dim_u = len(u_basis)
-
-    section: List[int] = []
+    v_basis = _greedy_basis(g, (), v_elements)
+    u_basis = _greedy_basis(g, v_elements, range(g.order))
+    dim_v, dim_u = len(v_basis), len(u_basis)
+    v_coords = {x: mask for mask, x in enumerate(_subset_products(g, v_basis))}
+    section = _subset_products(g, u_basis)
     u_coords = [None] * g.order
-    for mask in range(1 << dim_u):
-        prod = e
-        for i in gf2.bits_of(mask):
-            prod = g.mul[prod][u_basis[i]]
-        section.append(prod)
+    for mask, prod in enumerate(section):
         for v in v_elements:
             u_coords[g.mul[prod][v]] = mask
 
@@ -294,12 +285,12 @@ class _SplitDecomposer:
         for v in list(images) + self.extra:
             self._span.add(v)
 
-    def coords(self, v: int) -> Tuple[int, int]:
-        """(coords over images, coords over complement basis)."""
+    def embed(self, v: int, offset: int) -> int:
+        """Coords over the images, then those over the complement from bit offset."""
         combo = self._span.solve(v)
         if combo is None:
             raise InputError("vector outside the expected space")
-        return combo & ((1 << self.d0) - 1), combo >> self.d0
+        return (combo & ((1 << self.d0) - 1)) | (combo >> self.d0) << offset
 
 
 def free_amalgam(
@@ -325,76 +316,37 @@ def free_amalgam(
     sv2 = _SplitDecomposer(list(e2.g), qs2.dim_v)
     p, q = len(su1.extra), len(su2.extra)
     a1, a2 = len(sv1.extra), len(sv2.extra)
+    # The layout: U = U0 | U1' | U2' and V = V0 | V1' | V2' | U1' (x) U2'.
+    # lift1[k] / lift2[k] is U basis vector k's preimage in factor 1 / 2,
+    # None where it has none.
+    lift1 = list(e1.f) + su1.extra + [None] * q
+    lift2 = list(e2.f) + [None] * p + su2.extra
     dim_u = du0 + p + q
     dim_v = dv0 + a1 + a2 + p * q
 
-    def emb_v1(v: int) -> int:
-        c0, c1 = sv1.coords(v)
-        return c0 | (c1 << dv0)
-
-    def emb_v2(v: int) -> int:
-        c0, c2 = sv2.coords(v)
-        return c0 | (c2 << (dv0 + a1))
-
-    def tensor_bit(i: int, j: int) -> int:
-        return 1 << (dv0 + a1 + a2 + i * q + j)
-
-    # Underlying factor vector of each amalgam U basis vector (side, vec).
-    def side_vec(k: int):
-        if k < du0:
-            return ("0", k)
-        if k < du0 + p:
-            return ("1", su1.extra[k - du0])
-        return ("2", su2.extra[k - du0 - p])
-
     def pair_gamma(k: int, l: int) -> int:
-        sk, vk = side_vec(k)
-        sl, vl = side_vec(l)
-        if "0" in (sk, sl):
-            if sk == "0" and sl == "0":
-                return emb_v1(qs1.eval_gamma(e1.f[vk], e1.f[vl]))
-            s, v0k, other = (sl, vk, vl) if sk == "0" else (sk, vl, vk)
-            if s == "1":
-                return emb_v1(qs1.eval_gamma(e1.f[v0k], other))
-            return emb_v2(qs2.eval_gamma(e2.f[v0k], other))
-        if sk == sl == "1":
-            return emb_v1(qs1.eval_gamma(vk, vl))
-        if sk == sl == "2":
-            return emb_v2(qs2.eval_gamma(vk, vl))
-        i = (k if sk == "1" else l) - du0
-        j = (l if sl == "2" else k) - du0 - p
-        return tensor_bit(i, j)
+        if lift1[k] is not None and lift1[l] is not None:
+            return sv1.embed(qs1.eval_gamma(lift1[k], lift1[l]), dv0)
+        if lift2[k] is not None and lift2[l] is not None:
+            return sv2.embed(qs2.eval_gamma(lift2[k], lift2[l]), dv0 + a1)
+        i, j = sorted((k, l))
+        return 1 << (dv0 + a1 + a2 + (i - du0) * q + (j - du0 - p))
 
-    q_basis = []
-    for k in range(dim_u):
-        s, v = side_vec(k)
-        if s == "0":
-            q_basis.append(emb_v1(qs1.eval_q(e1.f[v])))
-        elif s == "1":
-            q_basis.append(emb_v1(qs1.eval_q(v)))
-        else:
-            q_basis.append(emb_v2(qs2.eval_q(v)))
-    gamma = [
-        [0 if k == l else pair_gamma(k, l) for l in range(dim_u)]
+    q_basis = tuple(
+        sv1.embed(qs1.eval_q(lift1[k]), dv0)
+        if lift1[k] is not None
+        else sv2.embed(qs2.eval_q(lift2[k]), dv0 + a1)
         for k in range(dim_u)
-    ]
-    qs = QuadraticStructure(dim_u, dim_v, tuple(q_basis), tuple(tuple(r) for r in gamma))
-
-    def emb_u1(u: int) -> int:
-        c0, c1 = su1.coords(u)
-        return c0 | (c1 << du0)
-
-    def emb_u2(u: int) -> int:
-        c0, c2 = su2.coords(u)
-        return c0 | (c2 << (du0 + p))
-
+    )
+    gamma = tuple(tuple(pair_gamma(k, l) for l in range(dim_u)) for k in range(dim_u))
+    qs = QuadraticStructure(dim_u, dim_v, q_basis, gamma)
     emb1 = QSMorphism(
-        tuple(emb_u1(1 << i) for i in range(qs1.dim_u)),
-        tuple(emb_v1(1 << i) for i in range(qs1.dim_v)),
+        tuple(su1.embed(1 << i, du0) for i in range(qs1.dim_u)),
+        tuple(sv1.embed(1 << i, dv0) for i in range(qs1.dim_v)),
     )
     emb2 = QSMorphism(
-        tuple(emb_u2(1 << i) for i in range(qs2.dim_u)),
-        tuple(emb_v2(1 << i) for i in range(qs2.dim_v)),
+        tuple(su2.embed(1 << i, du0 + p) for i in range(qs2.dim_u)),
+        tuple(sv2.embed(1 << i, dv0 + a1) for i in range(qs2.dim_v)),
     )
     return AmalgamResult(qs, emb1, emb2)
 

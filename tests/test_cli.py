@@ -264,6 +264,25 @@ def test_wqo_pair_from_file(tmp_path, capsys):
     assert doc["positions"] == [3, 4]
 
 
+@pytest.mark.parametrize("mode", ["star", "higman"])
+def test_wqo_pair_blank_line_is_empty_word(tmp_path, capsys, mode):
+    stream = tmp_path / "words.txt"
+    stream.write_text("a\n\na,a\n")
+    code, out = run(
+        capsys, "--json", "wqo", "pair", "--file", str(stream), "--mode", mode
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["i"], doc["j"]) == (0, 2)
+    stream.write_text("\n\n")
+    code, out = run(
+        capsys, "--json", "wqo", "pair", "--file", str(stream), "--mode", mode
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["i"], doc["j"], doc["w1"], doc["w2"]) == (0, 1, "", "")
+
+
 def test_wqo_pair_not_found(tmp_path, capsys):
     stream = tmp_path / "words.txt"
     stream.write_text("a,b\nb,a\n")

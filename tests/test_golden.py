@@ -2,10 +2,11 @@
 
 Each case is one `azenum` command line. Its exit code and stdout are
 stored gzip-compressed under `tests/golden/`; the `az run` cases read
-seeded tuple families and the `wqo pair` cases seeded word streams from
-`tests/golden/inputs/`. The corpus pins the element order, the minimal
-representatives, every certificate and the pair finder's witnesses
-independently of the code that computes them.
+seeded tuple families, the `wqo pair` cases seeded word streams and the
+`qs` cases quadratic-structure documents from `tests/golden/inputs/`.
+The corpus pins the element order, the minimal representatives, every
+certificate, the pair finder's witnesses and the free amalgam's basis
+layout independently of the code that computes them.
 
 Regenerate only when an output change is intended, and say which outputs
 changed and why. With case names, only those outputs are rewritten and
@@ -63,6 +64,9 @@ AUT_VERIFY = [
 # seeded word streams for `wqo pair`, each run in both modes
 WQO_STREAMS = ("antichain", "random3")
 
+# `qs from-group` cases; D4 has a non-central involution and exits 2
+QS_GROUPS = ("C2", "C4", "C2xC2", "Q8", "D4")
+
 
 def family_path(group: str, seed: int) -> Path:
     return INPUTS / f"az_{group}_{seed}.txt"
@@ -70,6 +74,10 @@ def family_path(group: str, seed: int) -> Path:
 
 def stream_path(name: str) -> Path:
     return INPUTS / f"wqo_{name}.txt"
+
+
+def qs_path(name: str) -> Path:
+    return INPUTS / f"qs_{name}.json"
 
 
 def cases():
@@ -96,6 +104,17 @@ def cases():
                 "--json", "wqo", "pair", "--file", str(stream_path(name)),
                 "--mode", mode,
             ]
+    for group in QS_GROUPS:
+        out[f"qs_from_group_{group}"] = ["--json", "qs", "from-group", "--group", group]
+    out["qs_to_group_Q8"] = ["--json", "qs", "to-group", "--file", str(qs_path("Q8"))]
+    out["qs_amalgam_q8_q8"] = [
+        "--json", "qs", "amalgam",
+        "--left", str(qs_path("Q8")), "--right", str(qs_path("Q8")),
+    ]
+    out["qs_amalgam_seeded"] = [
+        "--json", "--verify", "qs", "amalgam", "--common", str(qs_path("common")),
+        "--left", str(qs_path("left")), "--right", str(qs_path("right")),
+    ]
     return out
 
 
@@ -176,6 +195,30 @@ def write_streams() -> None:
         stream_path(name).write_text("\n".join(lines) + "\n")
 
 
+def write_qs_inputs() -> None:
+    """Q8's structure, and a seeded diagram qs1 <- qs0 -> qs2 along the
+    coordinate inclusions whose amalgam (dimU 5, dimV 6) has U0, both U
+    complements and both V complements non-empty."""
+    from azenum.groups import catalog_group
+    from azenum.quadratic import qs_from_group, qs_to_json
+    from oracles import random_nondegenerate_qs, random_qs_extension
+
+    rng = random.Random(1)
+    qs0 = random_nondegenerate_qs(rng, 2, 2)
+    qs1, _ = random_qs_extension(rng, qs0, 2, 1)
+    qs2, _ = random_qs_extension(rng, qs0, 1, 1)
+    table, analysis, _ = catalog_group("Q8")
+    docs = {
+        "Q8": qs_from_group(table, analysis).qs,
+        "common": qs0,
+        "left": qs1,
+        "right": qs2,
+    }
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for name, qs in docs.items():
+        qs_path(name).write_text(json.dumps(qs_to_json(qs)) + "\n")
+
+
 def regenerate(names) -> None:
     all_cases = cases()
     unknown = sorted(set(names) - set(all_cases))
@@ -184,6 +227,7 @@ def regenerate(names) -> None:
     if not names:
         write_families()
         write_streams()
+        write_qs_inputs()
         names = all_cases
     for name in names:
         golden_path(name).write_bytes(gzip.compress(run_case(all_cases[name]), mtime=0))

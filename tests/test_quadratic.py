@@ -3,6 +3,7 @@ import random
 import pytest
 
 from azenum.errors import InputError
+from azenum.gf2 import complete_basis
 from azenum.groups import catalog_group, find_isomorphism
 from azenum.quadratic import (
     QSMorphism,
@@ -155,20 +156,32 @@ def test_free_amalgam_restrictions_hold_randomized():
         assert is_nondegenerate(res.qs)
         p = qs1.dim_u - qs0.dim_u
         q = qs2.dim_u - qs0.dim_u
+        dv0 = qs0.dim_v
+        a1, a2 = qs1.dim_v - dv0, qs2.dim_v - dv0
         assert res.qs.dim_v == qs1.dim_v + qs2.dim_v - qs0.dim_v + p * q
-        # gamma between the two complements is the tensor pairing
+        # V = V0 | V1' | V2' | U1' (x) U2': both factors send V0 to the
+        # leading bits and their V complements to the next blocks
+        for e, emb, dim_v, offset in (
+            (e1, res.emb1, qs1.dim_v, dv0),
+            (e2, res.emb2, qs2.dim_v, dv0 + a1),
+        ):
+            assert [emb.apply_v(v) for v in e.g] == [1 << i for i in range(dv0)]
+            extra = complete_basis(list(e.g), dim_v)
+            assert [emb.apply_v(v) for v in extra] == [
+                1 << (offset + i) for i in range(len(extra))
+            ]
+        # gamma between the two complements is the tensor pairing, at
+        # tensor bit i * q + j
         for i in range(p):
             for j in range(q):
                 u1 = res.emb1.apply_u(e_complement(qs0, qs1, e1, i))
                 u2 = res.emb2.apply_u(e_complement(qs0, qs2, e2, j))
                 t = res.qs.eval_gamma(u1, u2)
-                assert t != 0 and t.bit_count() == 1
+                assert t == 1 << (dv0 + a1 + a2 + i * q + j)
 
 
 def e_complement(qs0, qs1, emb, i):
     """i-th greedy complement basis vector of emb(U0) inside U1."""
-    from azenum.gf2 import complete_basis
-
     return complete_basis(list(emb.f), qs1.dim_u)[i]
 
 
