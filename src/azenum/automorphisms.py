@@ -71,6 +71,8 @@ class BetaStar:
     coords: Tuple[int, ...]
 
     def __post_init__(self):
+        if not self.coords:
+            raise InputError("a ladder needs at least one coordinate")
         if len(set(self.coords)) != len(self.coords):
             raise InputError("ladder coordinates must be distinct")
         if any(c < 0 for c in self.coords):

@@ -31,9 +31,9 @@ from .errors import (
 from .groups import (
     catalog_group,
     catalog_names,
+    group_from_json,
     group_to_json,
     is_class_csw,
-    load_group_file,
     make_kgroup,
     make_standard_kgroup,
     rank,
@@ -41,12 +41,13 @@ from .groups import (
 )
 from .quadratic import (
     QSMorphism,
+    QuadraticStructure,
     free_amalgam,
     group_from_qs,
     identity_morphism,
     is_nondegenerate,
-    load_qs_file,
     qs_from_group,
+    qs_from_json,
     qs_to_json,
 )
 from .rado import build_triples, check_obstruction, triple_from_json
@@ -69,30 +70,32 @@ EXIT_INSUFFICIENT = 3
 # ---------------------------------------------------------------------------
 
 
-def _load_group_arg(arg: str):
-    """A catalog name or a path to a group JSON file."""
-    if arg in catalog_names():
-        return catalog_group(arg)
-    if not os.path.exists(arg):
+def _read_json(path: str):
+    """The JSON document in the file at `path`."""
+    with open(path) as fh:
+        return parse_json(fh.read(), path)
+
+
+def _group(args):
+    """(table, analysis, k) of `--group`, a catalog name or a group JSON
+    file; `--k` (element names or indices) overrides the file's K."""
+    if args.group in catalog_names():
+        table, analysis, k = catalog_group(args.group)
+    elif os.path.exists(args.group):
+        table, analysis, k = group_from_json(_read_json(args.group))
+    else:
         raise InputError(
-            f"{arg!r} is neither a catalog group ({', '.join(catalog_names())}) "
+            f"{args.group!r} is neither a catalog group ({', '.join(catalog_names())}) "
             "nor an existing file"
         )
-    return load_group_file(arg)
-
-
-def _parse_k(table, text):
-    indices = []
-    for item in text.split(","):
-        item = item.strip()
-        indices.append(int(item) if item.isdigit() else table.index_of_name(item))
-    return indices
+    if getattr(args, "k", None):
+        items = [item.strip() for item in args.k.split(",")]
+        k = [int(x) if x.isdecimal() else table.index_of_name(x) for x in items]
+    return table, analysis, k
 
 
 def _context(args, standard_order: bool = False) -> CPContext:
-    table, analysis, k = _load_group_arg(args.group)
-    if getattr(args, "k", None):
-        k = _parse_k(table, args.k)
+    table, analysis, k = _group(args)
     if k is None:
         raise InputError("no K subgroup given (use --k or a file with a 'K' field)")
     maker = make_standard_kgroup if standard_order else make_kgroup
@@ -104,7 +107,9 @@ def _dump(doc) -> str:
 
 
 def _emit(args, doc, text=None) -> None:
-    payload = _dump(doc)
+    """Print `text`, or with `--json` or no text the payload: `doc`, as JSON
+    unless it is a string. `--emit` writes the payload to a file too."""
+    payload = doc if isinstance(doc, str) else _dump(doc)
     if getattr(args, "emit", None):
         with open(args.emit, "w") as fh:
             fh.write(payload + "\n")
@@ -120,11 +125,8 @@ def _one_based(embedding) -> list:
 
 def _load_word_arg(arg):
     """Word JSON given inline or as a file path."""
-    text = arg
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
-    return word_from_json(parse_json(text, f"word {arg!r}"))
+    doc = _read_json(arg) if os.path.exists(arg) else parse_json(arg, f"word {arg!r}")
+    return word_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +135,7 @@ def _load_word_arg(arg):
 
 
 def cmd_group_check(args) -> int:
-    table, analysis, k = _load_group_arg(args.group)
-    if getattr(args, "k", None):
-        k = _parse_k(table, args.k)
+    table, analysis, k = _group(args)
     names = table.element_names
     doc = {
         "name": table.name,
@@ -156,8 +156,9 @@ def cmd_group_check(args) -> int:
 
 
 def cmd_group_rank(args) -> int:
-    table, _, _ = _load_group_arg(args.group)
-    _emit(args, {"name": table.name, "rank": rank(table)}, f"rank {rank(table)}")
+    table, _, _ = _group(args)
+    r = rank(table)
+    _emit(args, {"name": table.name, "rank": r}, f"rank {r}")
     return EXIT_OK
 
 
@@ -167,14 +168,13 @@ def cmd_group_rank(args) -> int:
 
 
 def cmd_qs_from_group(args) -> int:
-    table, analysis, _ = _load_group_arg(args.group)
-    data = qs_from_group(table, analysis)
-    _emit(args, qs_to_json(data.qs))
+    table, analysis, _ = _group(args)
+    _emit(args, qs_to_json(qs_from_group(table, analysis).qs))
     return EXIT_OK
 
 
 def cmd_qs_to_group(args) -> int:
-    qs = load_qs_file(args.file)
+    qs = qs_from_json(_read_json(args.file))
     table, _ = group_from_qs(qs, name=args.name)
     _emit(args, group_to_json(table))
     return EXIT_OK
@@ -187,14 +187,11 @@ def _inclusion(common, factor) -> QSMorphism:
 
 
 def cmd_qs_amalgam(args) -> int:
-    left = load_qs_file(args.left)
-    right = load_qs_file(args.right)
-    if args.common:
-        common = load_qs_file(args.common)
-    else:
-        from .quadratic import QuadraticStructure
-
-        common = QuadraticStructure(0, 0, (), ())
+    # without --common the factors share the trivial structure
+    left, right, common = (
+        qs_from_json(_read_json(path)) if path else QuadraticStructure(0, 0, (), ())
+        for path in (args.left, args.right, args.common)
+    )
     result = free_amalgam(
         common, left, _inclusion(common, left), right, _inclusion(common, right)
     )
@@ -216,21 +213,15 @@ def cmd_qs_amalgam(args) -> int:
 
 def cmd_cp_enumerate(args) -> int:
     ctx = _context(args)
-    lines = []
-    for index, x in enumerate(ctx.enumerate(args.count)):
-        lines.append(
-            {
-                "index": index,
-                "support": [c for c, _ in ctx.minimal_representative(x)],
-                "min_rep": format_support(ctx, x),
-            }
-        )
-    for line in lines:
-        print(json.dumps(line, sort_keys=True))
-    if getattr(args, "emit", None):
-        with open(args.emit, "w") as fh:
-            for line in lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+    lines = [
+        {
+            "index": index,
+            "support": [c for c, _ in ctx.minimal_representative(x)],
+            "min_rep": format_support(ctx, x),
+        }
+        for index, x in enumerate(ctx.enumerate(args.count))
+    ]
+    _emit(args, "\n".join(json.dumps(line, sort_keys=True) for line in lines))
     return EXIT_OK
 
 
@@ -362,10 +353,7 @@ def _load_tuples(ctx: CPContext, path: str):
             )
     if not members:
         raise InputError("tuple file is empty")
-    arity = len(members[0])
-    if any(len(m) != arity for m in members):
-        raise InputError("tuple components have inconsistent arity")
-    return TupleFamily(ctx, arity, members)
+    return TupleFamily(ctx, len(members[0]), members)
 
 
 def cmd_az_run(args) -> int:
@@ -402,8 +390,7 @@ def cmd_rado_triples(args) -> int:
 
 def cmd_rado_check(args) -> int:
     if args.file:
-        with open(args.file) as fh:
-            loaded = parse_json(fh.read(), args.file)
+        loaded = _read_json(args.file)
         if not isinstance(loaded, dict) or not isinstance(loaded.get("triples"), list):
             raise InputError(f"{args.file} has no 'triples' list")
         triples = [triple_from_json(d) for d in loaded["triples"]]
@@ -532,10 +519,7 @@ def run_command(argv) -> int:
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    except AzenumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except (AzenumError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

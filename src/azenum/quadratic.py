@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from . import gf2
-from .errors import CapacityError, InputError, parse_json
+from .errors import CapacityError, InputError
 from .groups import (
     GroupAnalysis,
     GroupTable,
@@ -494,8 +494,3 @@ def qs_from_json(doc: dict) -> QuadraticStructure:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad quadratic-structure document: {exc}")
     return QuadraticStructure(dim_u, dim_v, q, gamma)
-
-
-def load_qs_file(path) -> QuadraticStructure:
-    with open(path) as fh:
-        return qs_from_json(parse_json(fh.read(), path))

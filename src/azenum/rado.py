@@ -210,13 +210,15 @@ class Triple:
 
 def triple_from_json(doc: dict) -> Triple:
     """The triple of a `Triple.to_json` object; InputError unless n, a, b
-    and c are integers and cycle is a list of integers."""
+    and c are non-negative integers and cycle is a list of them."""
     keys = ("n", "a", "b", "c", "cycle")
     if isinstance(doc, dict) and all(k in doc for k in keys):
         n, a, b, c, cycle = (doc[k] for k in keys)
-        if isinstance(cycle, list) and all(type(x) is int for x in (n, a, b, c, *cycle)):
+        if isinstance(cycle, list) and all(
+            type(x) is int and x >= 0 for x in (n, a, b, c, *cycle)
+        ):
             return Triple(n, a, b, c, tuple(cycle))
-    raise InputError(f"not a triple (integers n, a, b, c and a cycle list): {doc!r}")
+    raise InputError(f"not a triple (integers n, a, b, c >= 0 and a cycle list): {doc!r}")
 
 
 def build_triples(max_n: int) -> List[Triple]:

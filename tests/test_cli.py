@@ -1,8 +1,15 @@
 import json
+import random
+import time
 
 import pytest
 
+from azenum import cli
+from azenum.central_product import MAX_COSETS, MAX_LITERAL_COORD
 from azenum.cli import run_command
+from azenum.groups import catalog_group, catalog_names, group_to_json
+from azenum.quadratic import group_from_qs
+from oracles import random_nondegenerate_qs
 
 
 def run(capsys, *argv):
@@ -63,10 +70,35 @@ def test_group_check_k_index_out_of_range(tmp_path, capsys):
     assert run_command(["group", "check", "--group", str(path)]) == 2
 
 
+@pytest.mark.parametrize("k", ["0,\u00b2", "\u00b2", "0,", "zz", "1.5"])
+def test_group_check_bad_k(capsys, k):
+    # "\u00b2" (superscript two) passes str.isdigit but not int()
+    assert run_command(["group", "check", "--group", "Q8", f"--k={k}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_group_rank(capsys):
     code, out = run(capsys, "--json", "group", "rank", "--group", "Q8")
     assert code == 0
     assert json.loads(out)["rank"] == 2
+
+
+def test_group_rank_searches_once(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "rank", lambda table: calls.append(table) or 2)
+    code, out = run(capsys, "group", "rank", "--group", "Q8")
+    assert (code, out, len(calls)) == (0, "rank 2\n", 1)
+
+
+def test_group_rank_above_cap(tmp_path, capsys):
+    # order 128 and rank 4: 341 503 subsets of sizes 1-3, refused up front
+    table, _ = group_from_qs(random_nondegenerate_qs(random.Random(1), 4, 3))
+    path = tmp_path / "g128.json"
+    path.write_text(json.dumps(group_to_json(table)))
+    start = time.perf_counter()
+    assert run_command(["group", "rank", "--group", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
 
 
 # -- qs ----------------------------------------------------------------------
@@ -152,6 +184,30 @@ def test_cp_bad_literal(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cp", "mul", "--group", "Q8", "--x", "100000:i", "--y", "3:j"],
+        ["cp", "compare", "--group", "Q8", "--x", "100000000:i", "--y", "-"],
+        ["cp", "mul", "--group", "Q8", "--x", "0:i", "--y", f"{MAX_LITERAL_COORD + 1}:j"],
+    ],
+    ids=["mul", "compare", "just-above"],
+)
+def test_literal_coordinate_above_cap(capsys, argv):
+    start = time.perf_counter()
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
+
+
+def test_literal_coordinate_at_cap(capsys):
+    code, out = run(
+        capsys, "cp", "mul", "--group", "Q8", "--x", f"{MAX_LITERAL_COORD}:i",
+        "--y", "3:j",
+    )
+    assert (code, out) == (0, f"3:j,{MAX_LITERAL_COORD}:i\n")
+
+
 # -- aut ---------------------------------------------------------------------
 
 
@@ -213,8 +269,9 @@ def test_aut_alpha_verified(capsys):
 @pytest.mark.parametrize(
     "word",
     ['[{"perm": 3}]', '[{"perm": [["a", "b"]]}]', '[{"beta": ["a", 1, 2, 3, 4, 5]}]',
-     '[{"perm": [[]]}]', "3"],
-    ids=["perm-int", "perm-str-cycle", "beta-str", "perm-empty-cycle", "not-list"],
+     '[{"perm": [[]]}]', "3", '[{"beta": []}]'],
+    ids=["perm-int", "perm-str-cycle", "beta-str", "perm-empty-cycle", "not-list",
+         "beta-empty"],
 )
 def test_aut_verify_bad_word(capsys, word):
     argv = ["aut", "verify", "--group", "C4", "--word", word, "--level", "2"]
@@ -226,6 +283,24 @@ def test_aut_verify_level_above_cap(capsys):
     # Q8 level 12 would have about 33M cosets; refused before any is built
     argv = ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", "12"]
     assert run_command(argv) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", "100000"],
+        ["aut", "verify", "--group", "C2", "--word", "[]", "--level", str(MAX_COSETS + 1)],
+        ["--verify", "aut", "alpha", "--group", "C4", "--coords", "0,1,2,3",
+         "--i0", "4", "--j0", "100000"],
+    ],
+    ids=["q8", "k-is-g", "alpha-verify"],
+)
+def test_aut_huge_level_above_cap(capsys, argv):
+    # a level's coset count is not built (nor printed) once it is over the cap
+    start = time.perf_counter()
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1
     assert "cap" in capsys.readouterr().err
 
 
@@ -329,6 +404,20 @@ def test_az_run_insufficient(tmp_path, capsys):
     assert code == 3
 
 
+def test_az_run_tuple_coordinate_above_cap(tmp_path, capsys):
+    tuples = tmp_path / "family.txt"
+    tuples.write_text(f"0:g\n{MAX_LITERAL_COORD + 1}:g\n")
+    assert run_command(["az", "run", "--group", "C4", "--tuples", str(tuples)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_az_run_mixed_arity(tmp_path, capsys):
+    tuples = tmp_path / "family.txt"
+    tuples.write_text("0:g;1:g\n0:g\n")
+    assert run_command(["az", "run", "--group", "C4", "--tuples", str(tuples)]) == 2
+    assert "arity" in capsys.readouterr().err
+
+
 def test_az_run_two_components(tmp_path, capsys):
     tuples = tmp_path / "family.txt"
     tuples.write_text("0:i;1:j\n0:i;1:j\n")
@@ -379,9 +468,11 @@ def test_rado_triples_and_check(tmp_path, capsys):
         '{"triples": [7]}',
         '{"triples": 7}',
         "[]",
+        '{"triples": [{"n": 4, "a": 0, "b": 5, "c": 39, "cycle": [-1, 1, 2, 5]}]}',
+        '{"triples": [{"n": 4, "a": 0, "b": -5, "c": 39, "cycle": [0, 1, 2, 5]}]}',
     ],
     ids=["json", "missing-a", "str-b", "int-cycle", "float-vertex",
-         "not-object", "not-list", "no-triples"],
+         "not-object", "not-list", "no-triples", "negative-vertex", "negative-b"],
 )
 def test_rado_check_bad_file(tmp_path, capsys, content):
     path = tmp_path / "triples.json"
@@ -450,6 +541,73 @@ def test_unreadable_input_is_bad_input(tmp_path, capsys, argv, kind):
         path.write_bytes(b"\xff\xfe")
     assert run_command([a.format(path=path) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- malformed values on every path -----------------------------------------
+
+
+def malformed_grid():
+    """A fixed grid of malformed and edge values for every option that takes
+    an element literal, K, an automorphism word, coordinates, a count, a
+    level, a wqo word or a bound, for every catalog group. Values go in as
+    `--opt=value`, so argparse reads a leading '-' as part of the value."""
+    literals = ["", "-", "1", ",", ":", "0:", ":{n}", "0:{n},", "x:{n}", "-1:{n}",
+                "0:{n},0:{n}", "1.5:{n}", "\u00b2:{n}", "0:nope", "0:{n},3:{n}",
+                " 2 : {n} ", f"{MAX_LITERAL_COORD + 1}:{{n}}", "99999999999:{n}"]
+    ks = ["", ",", "0,", "99", "-1", "\u00b2", "0,\u00b2", "1.5", "{n}", "0,{n}"]
+    words = ["", "[]", "{}", "[{}]", "null", '"x"', "[[]]", '[{"beta": []}]',
+             '[{"beta": [0, 0]}]', '[{"beta": [-1, 1]}]', '[{"perm": [[0, -1]]}]',
+             '[{"perm": [[0, 0]]}]', '[{"beta": [true, 1]}]',
+             '[{"beta": [0, 1, 2, 3, 4, 5]}, {"perm": [[1, 99]]}]',
+             '[{"beta": [0, 1]}, {"perm": [[0, 2]]}]', '[{"perm": [[0, 1]], "beta": [0]}]']
+    coords = ["", "0,1,2,3", "0,0,1,2", "x", "-1,1,2,3", "0,1,2", "\u00b2"]
+    ends = [("4", "5"), ("4", "4"), ("0", "5"), ("4", "-3")]
+    small = ["-1", "0", "1", "2", "3", "99"]
+    levels = small + ["100000"]
+    grid = []
+    for group in catalog_names():
+        name = catalog_group(group)[0].element_names[-1]
+        g = ["--group", group]
+        for lit in (x.format(n=name) for x in literals):
+            grid.append(["cp", "compare", *g, f"--x={lit}", "--y=-"])
+            grid.append(["cp", "mul", *g, f"--x={lit}", f"--y={lit}"])
+            grid.append(["aut", "apply", *g, "--word=[]", f"--element={lit}"])
+        for k in (x.format(n=name) for x in ks):
+            grid.append(["group", "check", *g, f"--k={k}"])
+            grid.append(["cp", "enumerate", *g, f"--k={k}", "--count=2"])
+        for word in words:
+            grid.append(["aut", "apply", *g, f"--word={word}", "--element=0:" + name])
+            grid.append(["aut", "verify", *g, f"--word={word}", "--level=3"])
+        for c in coords:
+            for i0, j0 in ends:
+                grid.append(["aut", "alpha", *g, f"--coords={c}", f"--i0={i0}",
+                             f"--j0={j0}"])
+        for n in small:
+            grid.append(["cp", "enumerate", *g, f"--count={n}"])
+        for n in levels:
+            grid.append(["aut", "verify", *g, "--word=[]", f"--level={n}"])
+        grid += [["group", "rank", *g], ["qs", "from-group", *g]]
+    for w1 in ["", ",", "a,,b", "a", " "]:
+        for verb in ("subword", "star"):
+            grid.append(["wqo", verb, f"--w1={w1}", "--w2=a,,b"])
+    for n in small + ["4", "12"]:
+        grid.append(["rado", "triples", f"--max-n={n}"])
+        grid.append(["rado", "check", f"--max-n={n}"])
+    return grid
+
+
+def test_malformed_grid_never_raises(capsys):
+    failures = []
+    for argv in malformed_grid():
+        try:
+            code = run_command(argv)
+        except BaseException as exc:  # a traceback, or argparse rejecting the grid
+            failures.append((argv, repr(exc)))
+        else:
+            if code not in (0, 1, 2, 3):
+                failures.append((argv, code))
+    capsys.readouterr()
+    assert not failures
 
 
 def test_usage_error_exit_code():

@@ -2,8 +2,11 @@
 
 Each case is one `azenum` command line. Its exit code and stdout are
 stored gzip-compressed under `tests/golden/`; the `az run` cases read
-seeded tuple families, the `wqo pair` cases seeded word streams and the
-`qs` cases quadratic-structure documents from `tests/golden/inputs/`.
+seeded tuple families, the `wqo pair` cases seeded word streams, the
+`qs` cases quadratic-structure documents and `rado check --file` a
+triples document from `tests/golden/inputs/`. The remaining cases pin
+the other subcommands, in text mode and with `--json` where the two
+differ.
 The corpus pins the element order, the minimal representatives, every
 certificate, the pair finder's witnesses and the free amalgam's basis
 layout independently of the code that computes them.
@@ -67,6 +70,22 @@ WQO_STREAMS = ("antichain", "random3")
 # `qs from-group` cases; D4 has a non-central involution and exits 2
 QS_GROUPS = ("C2", "C4", "C2xC2", "Q8", "D4")
 
+# `wqo subword` and `wqo star` cases: (name, w1, w2); the hit embeds in
+# both orders, the miss in neither
+WQO_QUERIES = [("hit", "a,b", "a,a,b"), ("miss", "b,a", "a,a,b")]
+
+# case name -> text-mode argv; each is also pinned with --json
+TEXT_CASES = {
+    "group_rank_Q8": ["group", "rank", "--group", "Q8"],
+    "cp_compare_Q8": ["cp", "compare", "--group", "Q8", "--x", "0:i,2:j", "--y", "1:k"],
+    "cp_mul_Q8": ["cp", "mul", "--group", "Q8", "--x", "0:i,2:j", "--y", "1:k,2:j"],
+    "aut_apply_C4": [
+        "aut", "apply", "--group", "C4",
+        "--word", json.dumps([{"beta": [0, 1, 2, 3, 4, 5]}, {"perm": [[1, 6]]}]),
+        "--element", "0:g,3:g3",
+    ],
+}
+
 
 def family_path(group: str, seed: int) -> Path:
     return INPUTS / f"az_{group}_{seed}.txt"
@@ -78,6 +97,9 @@ def stream_path(name: str) -> Path:
 
 def qs_path(name: str) -> Path:
     return INPUTS / f"qs_{name}.json"
+
+
+TRIPLES_PATH = INPUTS / "rado_triples_6.json"
 
 
 def cases():
@@ -115,6 +137,27 @@ def cases():
         "--json", "--verify", "qs", "amalgam", "--common", str(qs_path("common")),
         "--left", str(qs_path("left")), "--right", str(qs_path("right")),
     ]
+    out["group_check_Q8"] = ["group", "check", "--group", "Q8"]
+    out["group_check_D4"] = ["group", "check", "--group", "D4"]
+    out["group_check_C4_k"] = ["group", "check", "--group", "C4", "--k", "0,g2"]
+    for name, argv in TEXT_CASES.items():
+        out[name] = argv
+        out[f"{name}_json"] = ["--json", *argv]
+    out["aut_alpha_C4_verify"] = [
+        "--verify", "aut", "alpha", "--group", "C4",
+        "--coords", "0,1,2,3,5,7,8,9", "--i0", "4", "--j0", "6",
+    ]
+    for verb in ("subword", "star"):
+        for name, w1, w2 in WQO_QUERIES:
+            argv = ["wqo", verb, "--w1", w1, "--w2", w2]
+            out[f"wqo_{verb}_{name}"] = argv
+            out[f"wqo_{verb}_{name}_json"] = ["--json", *argv]
+    for mode in ("star", "higman"):
+        out[f"wqo_pair_random3_{mode}_text"] = [
+            "wqo", "pair", "--file", str(stream_path("random3")), "--mode", mode,
+        ]
+    out["rado_check_6"] = ["rado", "check", "--max-n", "6"]
+    out["rado_check_file"] = ["rado", "check", "--file", str(TRIPLES_PATH)]
     return out
 
 
@@ -145,6 +188,14 @@ def test_golden(name):
             f"  expected: {exp_lines[first:first + 1]}\n"
             f"  got:      {got_lines[first:first + 1]}"
         )
+
+
+def test_cp_enumerate_emit_is_stdout(tmp_path):
+    """`cp enumerate --emit` writes the very bytes it prints."""
+    emit = tmp_path / "enumerate.jsonl"
+    got = run_case([*cases()["cp_enumerate_C4"], "--emit", str(emit)])
+    assert got == gzip.decompress(golden_path("cp_enumerate_C4").read_bytes())
+    assert got == b"exit 0\n" + emit.read_bytes()
 
 
 def write_families() -> None:
@@ -195,6 +246,15 @@ def write_streams() -> None:
         stream_path(name).write_text("\n".join(lines) + "\n")
 
 
+def write_triples() -> None:
+    """The triples of `build_triples(6)`, as `rado triples` lists them."""
+    from azenum.rado import build_triples
+
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    doc = {"triples": [t.to_json() for t in build_triples(6)]}
+    TRIPLES_PATH.write_text(json.dumps(doc) + "\n")
+
+
 def write_qs_inputs() -> None:
     """Q8's structure, and a seeded diagram qs1 <- qs0 -> qs2 along the
     coordinate inclusions whose amalgam (dimU 5, dimV 6) has U0, both U
@@ -228,6 +288,7 @@ def regenerate(names) -> None:
         write_families()
         write_streams()
         write_qs_inputs()
+        write_triples()
         names = all_cases
     for name in names:
         golden_path(name).write_bytes(gzip.compress(run_case(all_cases[name]), mtime=0))

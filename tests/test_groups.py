@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from azenum.errors import InputError, StructuralError
@@ -14,7 +16,8 @@ from azenum.groups import (
     validate_and_analyze,
     validate_k,
 )
-from oracles import power
+from azenum.quadratic import group_from_qs
+from oracles import power, random_nondegenerate_qs
 
 
 def names(table, indices):
@@ -96,6 +99,45 @@ def test_rank_matches_brute_force_on_catalog():
     for name in catalog_names():
         table, _, _ = catalog_group(name)
         assert rank(table) == brute_rank(table), name
+
+
+def qs_group(seed, dim_u, dim_v):
+    """A 2-group of order 2^(dim_u + dim_v), built from a random structure."""
+    return group_from_qs(random_nondegenerate_qs(random.Random(seed), dim_u, dim_v))[0]
+
+
+def burnside_rank(table):
+    """The rank of a 2-group: log2 |G/Φ(G)|, with Φ(G) generated by the
+    squares (the Burnside basis theorem)."""
+    phi = subgroup_closure(table, [table.mul[a][a] for a in range(table.order)])
+    return (table.order // len(phi)).bit_length() - 1
+
+
+def naive_closure(table, gens):
+    span = {table.identity_index, *gens}
+    while True:
+        grown = span | {table.mul[a][b] for a in span for b in span}
+        if grown == span:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
+def test_rank_matches_burnside_on_random_2_groups(dims):
+    for seed in range(1, 4):
+        table = qs_group(seed, *dims)
+        assert rank(table) == burnside_rank(table), (seed, dims)
+    for name in catalog_names():
+        table, _, _ = catalog_group(name)
+        assert rank(table) == burnside_rank(table), name
+
+
+def test_subgroup_closure_matches_naive_closure():
+    rng = random.Random(5)
+    for table in [qs_group(2, 3, 2), *(catalog_group(n)[0] for n in catalog_names())]:
+        for size in range(min(4, table.order + 1)):
+            gens = rng.sample(range(table.order), size)
+            assert subgroup_closure(table, gens) == naive_closure(table, gens)
 
 
 def test_make_kgroup_c4():
