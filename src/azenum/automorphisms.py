@@ -2,11 +2,10 @@
 and the self-inverse ladder maps, plus words in them and verification.
 
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
-to coordinate perm[j]. Both generators move or rewrite the entries of an
-element's stored minimal representative and normalise the result;
-`verify_automorphism` maps every element's enumeration index to its
-image's and checks the homomorphism law on those indices by
-`CPContext.index_law`.
+to coordinate perm[j]. A word acts on enumeration indices (`index_map`),
+without building elements; `apply_word` reads the same map on elements.
+`verify_automorphism` maps the indices range(size) of a level and checks
+the homomorphism law on them by `CPContext.index_law`.
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .central_product import CPContext, CPElement
-from .errors import InputError
+from .central_product import MAX_LITERAL_COORD, CPContext, CPElement
+from .errors import CapacityError, InputError
 
 
 @dataclass(frozen=True)
@@ -107,47 +106,69 @@ class AutWord:
 # ---------------------------------------------------------------------------
 
 
-def apply_perm(ctx: CPContext, perm: Perm, x: CPElement) -> CPElement:
-    mapping = perm.mapping
-    return CPElement(ctx, ctx._normalise({mapping.get(c, c): v for c, v in x.rep}))
+def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
+    """The word's action on enumeration indices, built without elements.
 
+    The digits up to the word's top coordinate decode to coset minima and
+    one K factor, split off the coordinate-0 value. A permutation moves the
+    minima; a ladder sets each window slot to the ordered product of the
+    others, keeps its minimum and folds its K factor into the running one.
+    K is central, and the held-back factor k would enter the m+1 other slots
+    of a window on coordinate 0: k^(m+1) = k for the exponent m. Digits
+    above the top coordinate pass through unchanged.
+    """
+    g, minima, r, top = ctx.group, ctx.minima, len(ctx.minima), max(word.max_coord(), 0)
+    if top > MAX_LITERAL_COORD:
+        raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
+    mul, e, order, ranked = g.mul, g.identity_index, g.order, ctx.kg.element_order
+    min_of, k_of, rank_of, digit_of = ctx.min_of, ctx.k_of, ctx.rank_of, ctx.digit_of
+    steps = []
+    for gen in word.gens:
+        if isinstance(gen, Perm):
+            source = gen.inverse().mapping
+            steps.append([source.get(c, c) for c in range(top + 1)])
+        elif len(gen.coords) == ctx.exponent + 2:
+            steps.append(gen.coords)
+        else:
+            m, got = ctx.exponent + 2, len(gen.coords)
+            raise InputError(f"ladder needs exponent+2 = {m} coordinates, got {got}")
+    low_size = r**top * order
 
-def beta_star_raw(ctx: CPContext, coords: Sequence[int], rep: Dict[int, int]) -> Dict[int, int]:
-    """Tuple-level ladder action: the image entry at relative position j is
-    the ordered product of all window entries except the j-th (identity
-    entries are kept)."""
-    g = ctx.group
-    e = g.identity_index
-    vals = [rep.get(c, e) for c in coords]
-    m = len(vals)
-    prefix = [e] * (m + 1)
-    for i in range(m):
-        prefix[i + 1] = g.mul[prefix[i]][vals[i]]
-    suffix = [e] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = g.mul[vals[i]][suffix[i + 1]]
-    out = dict(rep)
-    for j, c in enumerate(coords):
-        out[c] = g.mul[prefix[j]][suffix[j + 1]]
-    return out
+    def f(i: int) -> int:
+        high, low = divmod(i, low_size)
+        low, d0 = divmod(low, order)
+        vals, k = [min_of[ranked[d0]]], k_of[ranked[d0]]
+        for _ in range(top):
+            low, d = divmod(low, r)
+            vals.append(minima[d])
+        for gen, step in zip(word.gens, steps):
+            if isinstance(gen, Perm):
+                vals = [vals[s] for s in step]
+                continue
+            window, prefix, p, s = [vals[c] for c in step], [], e, e
+            for v in window:
+                prefix.append(p)
+                p = mul[p][v]
+            for c, v, p in zip(reversed(step), reversed(window), reversed(prefix)):
+                u, s = mul[p][s], mul[v][s]
+                vals[c], k = min_of[u], mul[k][k_of[u]]
+        for v in reversed(vals[1:]):
+            high = high * r + digit_of[v]
+        return high * order + rank_of[mul[vals[0]][k]]
 
-
-def apply_beta_star(ctx: CPContext, bs: BetaStar, x: CPElement) -> CPElement:
-    if len(bs.coords) != ctx.exponent + 2:
-        raise InputError(
-            f"ladder needs exponent+2 = {ctx.exponent + 2} coordinates, "
-            f"got {len(bs.coords)}"
-        )
-    return CPElement(ctx, ctx._normalise(beta_star_raw(ctx, bs.coords, dict(x.rep))))
+    return f
 
 
 def apply_word(ctx: CPContext, word: AutWord, x: CPElement) -> CPElement:
-    for gen in word.gens:
-        if isinstance(gen, Perm):
-            x = apply_perm(ctx, gen, x)
-        else:
-            x = apply_beta_star(ctx, gen, x)
-    return x
+    return ctx.element_at(index_map(ctx, word)(ctx.index_of(x)))
+
+
+def apply_perm(ctx: CPContext, perm: Perm, x: CPElement) -> CPElement:
+    return apply_word(ctx, AutWord((perm,)), x)
+
+
+def apply_beta_star(ctx: CPContext, bs: BetaStar, x: CPElement) -> CPElement:
+    return apply_word(ctx, AutWord((bs,)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +227,31 @@ def verify_automorphism(
 ) -> VerifyReport:
     """Check that the word acts as an automorphism of the level-n subgroup.
 
-    The level-n elements have the indices 0 .. size-1, so the map is a list
-    of image indices. Bijectivity is exhaustive; the homomorphism law,
+    The level-n elements have the indices 0 .. size-1, so the map is the
+    list of `index_map` images of range(size); an image at or above size
+    escapes the level. Bijectivity is exhaustive; the homomorphism law,
     images[law(a, b)] == law(images[a], images[b]), is checked on every
-    pair (x-major over `all_cosets(n)`) when size^2 is at most
-    EXHAUSTIVE_PAIR_CAP, and otherwise on `sample_pairs` pairs drawn with
-    `rng.choice`. A failing pair is returned as elements.
+    pair (x-major over range(size)) when size^2 is at most
+    EXHAUSTIVE_PAIR_CAP, and otherwise on `sample_pairs` pairs, each index
+    drawn by `rng.randrange(size)`. A failing pair is returned as elements.
     """
     if word.max_coord() >= n:
         raise InputError("word touches coordinates at or above the level")
-    domain = ctx.all_cosets(n)
-    size = len(domain)
-    index_of = ctx.index_of
-    indices = [index_of(x) for x in domain]
-    images = [0] * size
-    for x, i in zip(domain, indices):
-        y = apply_word(ctx, word, x)
-        if y.rep and y.rep[-1][0] >= n:
-            return VerifyReport(False, n, size, 0, False, "image escapes level", (x, y))
-        images[i] = index_of(y)
+    size = ctx.level_size(n)
+    images = list(map(index_map(ctx, word), range(size)))
+    escaped = next((i for i, j in enumerate(images) if j >= size), None)
+    if escaped is not None:
+        witness = (ctx.element_at(escaped), ctx.element_at(images[escaped]))
+        return VerifyReport(False, n, size, 0, False, "image escapes level", witness)
     if len(set(images)) != size:
         return VerifyReport(False, n, size, 0, False, "not injective", None)
 
     exhaustive = size * size <= EXHAUSTIVE_PAIR_CAP
     if exhaustive:
-        pairs = ((a, b) for a in indices for b in indices)
+        pairs = ((a, b) for a in range(size) for b in range(size))
     else:
-        choice = (rng or random.Random(0)).choice
-        pairs = ((choice(indices), choice(indices)) for _ in range(sample_pairs))
+        randrange = (rng or random.Random(0)).randrange
+        pairs = ((randrange(size), randrange(size)) for _ in range(sample_pairs))
     law = ctx.index_law
     checked = 0
     for a, b in pairs:

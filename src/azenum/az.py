@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .automorphisms import AutWord, Perm, alpha_word, apply_word, word_to_json
+from .automorphisms import AutWord, Perm, alpha_word, index_map, word_to_json
+from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
 from .central_product import CPContext, CPElement
 from .errors import InputError, InsufficientFamilyError
 from .wqo import Embedding, Word, find_increasing_pair, last_appearance_order
@@ -329,21 +330,12 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
 
     # (d) the emitted word agrees on everything supported within l'
     word = beta_as_word(bm, l, l_prime)
-    agree = 0
-    total = 0
-    for coord in range(l_prime + 1):
-        for val in range(ctx.group.order):
-            x = ctx.embed(val, coord)
-            total += 1
-            if apply_word(ctx, word, x) == apply_beta(bm, x):
-                agree += 1
-    for _ in range(50):
-        x = _random_supported(ctx, rng, l_prime)
-        total += 1
-        if apply_word(ctx, word, x) == apply_beta(bm, x):
-            agree += 1
-    reports["word_agreement"] = {"agree": agree, "of": total}
-    if agree != total:
+    word_at, index_of = index_map(ctx, word), ctx.index_of
+    xs = [ctx.embed(val, c) for c in range(l_prime + 1) for val in range(ctx.group.order)]
+    xs += [_random_supported(ctx, rng, l_prime) for _ in range(50)]
+    agree = sum(word_at(index_of(x)) == index_of(apply_beta(bm, x)) for x in xs)
+    reports["word_agreement"] = {"agree": agree, "of": len(xs)}
+    if agree != len(xs):
         failures.append("word_agreement")
 
     return Certificate(

@@ -23,16 +23,18 @@ from .groups import KGroupSpec
 
 Support = Mapping[int, int]
 
-# The largest domain all_cosets builds: Q8 level 8 (131 072 cosets) fits
-# and level 9 (524 288) does not. `aut verify --group Q8 --word [] --level 8`
-# takes 1.2-1.7 s and 83 MB (Python 3.11, one core of a shared 2-core
-# x86-64 host); a two-generator word (a ladder and a transposition)
-# 3.0-3.9 s and 87 MB.
+# The largest level, in cosets, that verify_automorphism and all_cosets take
+# (`CPContext.level_size`): Q8 level 8 (131 072 cosets) fits and level 9
+# (524 288) does not. `aut verify --group Q8 --word [] --level 8` takes
+# 0.5-0.75 s and 28 MB peak (Python 3.11, in one process after start-up, on
+# one core of a shared 2-core x86-64 host); a two-generator word (a ladder
+# and a transposition) 1.35-1.5 s and 28 MB.
 MAX_COSETS = 1 << 18
 
-# The largest coordinate of an element literal. The group law's cost grows
-# with its square (an index has a digit per coordinate): `cp mul --group Q8`
-# at coordinate 10 000 takes 0.08 s, 30 000 0.5 s, 100 000 5.5 s (same host).
+# The largest coordinate of an element literal, and of a word acting on
+# indices. The group law's cost grows with its square (an index has a digit
+# per coordinate): `cp mul --group Q8` at coordinate 10 000 takes 0.08 s,
+# 30 000 0.5 s, 100 000 5.5 s (same host).
 MAX_LITERAL_COORD = 10_000
 
 
@@ -238,32 +240,19 @@ class CPContext:
             raise InputError("n must be >= 1")
         return len(self.k_list) * len(self.minima) ** n
 
-    def all_cosets(self, n: int) -> List["CPElement"]:
-        """Brute-force list of every coset with support below n (unsorted):
-        each tuple of transversal labels, then each K factor at 0. A level
-        over the cap is refused before its count is built: past
-        MAX_COSETS.bit_length() coordinates it has more than MAX_COSETS
-        cosets unless K = G, and then its coordinates are capped instead."""
+    def level_size(self, n: int) -> int:
+        """gamma_n_order(n), or CapacityError above MAX_COSETS. The cap is
+        decided before the count is built: past MAX_COSETS.bit_length()
+        coordinates a level has more than MAX_COSETS cosets unless K = G,
+        and then its coordinates are capped instead."""
         top = min(n, MAX_COSETS.bit_length())
         if n > MAX_COSETS or self.gamma_n_order(top) > MAX_COSETS:
             raise CapacityError(f"level {n} is above the cap of {MAX_COSETS} cosets")
-        mul = self.group.mul
-        e = self.group.identity_index
-        transversal = self.kg.transversal
-        k_of_label = [self.k_of[t] for t in transversal]
-        out = []
-        for t0, *t_high in product(range(len(transversal)), repeat=n):
-            v = transversal[t0]
-            higher = []
-            for c, t in enumerate(t_high, 1):
-                if t:
-                    higher.append((c, self.coset_min[t]))
-                    v = mul[v][k_of_label[t]]
-            higher = tuple(higher)
-            for k in self.k_list:
-                v0 = mul[v][k]
-                out.append(CPElement(self, ((0, v0), *higher) if v0 != e else higher))
-        return out
+        return self.gamma_n_order(n)
+
+    def all_cosets(self, n: int) -> List["CPElement"]:
+        """Every coset with support below n, in enumeration order."""
+        return [self.element_at(i) for i in range(self.level_size(n))]
 
     def _check(self, *elems: "CPElement") -> None:
         for e in elems:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from azenum.automorphisms import FiniteAutomorphism, apply_word, beta_star_raw
+from azenum.automorphisms import FiniteAutomorphism, Perm, apply_word
+from azenum.central_product import CPElement
 from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
 
 
@@ -53,6 +54,25 @@ def coset_members(ctx, x, width=None):
         yield member
 
 
+def brute_cosets(ctx, n):
+    """Every coset with support below n, built without the enumeration
+    (unsorted): each tuple of transversal labels, then each K factor at 0."""
+    mul, e, transversal = ctx.group.mul, ctx.group.identity_index, ctx.kg.transversal
+    out = []
+    for t0, *t_high in product(range(len(transversal)), repeat=n):
+        v = transversal[t0]
+        higher = []
+        for c, t in enumerate(t_high, 1):
+            if t:
+                higher.append((c, ctx.coset_min[t]))
+                v = mul[v][ctx.k_of[transversal[t]]]
+        higher = tuple(higher)
+        for k in ctx.k_list:
+            v0 = mul[v][k]
+            out.append(CPElement(ctx, ((0, v0), *higher) if v0 != e else higher))
+    return out
+
+
 def brute_minimum(ctx, x, width=None):
     """The reverse-lex least representative of x (an element, or any
     representative of it as a dict), found by trying every member of its
@@ -85,10 +105,11 @@ def raw_perm(perm, x):
 
 
 def raw_ladder(ctx, coords, x):
-    """The tuple of x's stored representative after the ladder on `coords`:
-    window slot j takes the ordered product of every other slot's entry."""
+    """The tuple of x's stored representative (or of a representative given
+    as a coordinate -> value dict) after the ladder on `coords`: window
+    slot j takes the ordered product of every other slot's entry."""
     mul, e = ctx.group.mul, ctx.group.identity_index
-    out = dict(x.rep)
+    out = dict(getattr(x, "rep", x))
     vals = [out.get(c, e) for c in coords]
     for j, c in enumerate(coords):
         v = e
@@ -97,6 +118,17 @@ def raw_ladder(ctx, coords, x):
                 v = mul[v][u]
         out[c] = v
     return out
+
+
+def oracle_apply_word(ctx, word, x):
+    """The word's action on elements, one generator at a time: the raw
+    tuple action on the stored representative, then `make` normalises it."""
+    for gen in word.gens:
+        if isinstance(gen, Perm):
+            x = ctx.make(raw_perm(gen, x))
+        else:
+            x = ctx.make(raw_ladder(ctx, gen.coords, x))
+    return x
 
 
 def check_coset_welldefined(ctx, coords, trials=200, rng=None):
@@ -126,8 +158,8 @@ def check_coset_welldefined(ctx, coords, trials=200, rng=None):
         rep_b[c1] = g.mul[rep_b.get(c1, e)][k]
         rep_b[outside] = g.mul[rep_b.get(outside, e)][g.inverse[k]]
         assert ctx.make(rep_b) == x
-        img_a = ctx.make(beta_star_raw(ctx, window, rep_a))
-        img_b = ctx.make(beta_star_raw(ctx, window, rep_b))
+        img_a = ctx.make(raw_ladder(ctx, window, rep_a))
+        img_b = ctx.make(raw_ladder(ctx, window, rep_b))
         if img_a != img_b:
             return (x, rep_a, rep_b)
     return None
@@ -135,7 +167,7 @@ def check_coset_welldefined(ctx, coords, trials=200, rng=None):
 
 def finite_automorphism_from_word(ctx, word, n):
     """The word's action on every coset of level n, as a finite map."""
-    return FiniteAutomorphism(n, {x: apply_word(ctx, word, x) for x in ctx.all_cosets(n)})
+    return FiniteAutomorphism(n, {x: apply_word(ctx, word, x) for x in brute_cosets(ctx, n)})
 
 
 def brute_compare(ctx, x, y, width):

@@ -12,17 +12,25 @@ from azenum.automorphisms import (
     apply_perm,
     apply_word,
     extend_automorphism,
+    index_map,
     verify_automorphism,
     word_from_json,
     word_to_json,
 )
 from azenum.central_product import CPContext
 from azenum.errors import InputError
-from azenum.groups import catalog_group, make_kgroup
+from azenum.groups import (
+    catalog_group,
+    make_kgroup,
+    make_standard_kgroup,
+    validate_and_analyze,
+)
 from oracles import (
+    brute_cosets,
     brute_minimum,
     check_coset_welldefined,
     finite_automorphism_from_word,
+    oracle_apply_word,
     raw_ladder,
     raw_perm,
 )
@@ -113,7 +121,7 @@ def test_beta_star_fixes_embedded_k(c4k):
 def test_beta_star_self_inverse_exhaustive(c4k):
     bs = word(BetaStar(tuple(range(6))))
     assert c4k.gamma_n_order(6) == 128
-    for x in c4k.all_cosets(6):
+    for x in brute_cosets(c4k, 6):
         assert apply_word(c4k, bs, apply_word(c4k, bs, x)) == x
 
 
@@ -145,12 +153,59 @@ def test_generators_match_brute_force_action(name, level, gens):
     # the raw componentwise action on the stored representative
     ctx = make_ctx(name)
     for gen in gens:
-        for x in ctx.all_cosets(level):
+        for x in brute_cosets(ctx, level):
             if isinstance(gen, Perm):
                 image, raw = apply_perm(ctx, gen, x), raw_perm(gen, x)
             else:
                 image, raw = apply_beta_star(ctx, gen, x), raw_ladder(ctx, gen.coords, x)
             assert image.rep == tuple(sorted(brute_minimum(ctx, raw, width=6).items()))
+
+
+def _mixed_word(rng, ctx, length, width):
+    """`length` generators on coordinates below `width`: ladders, most of
+    whose windows hold coordinate 0, and cycles of 2-4 coordinates."""
+    m = ctx.exponent + 2
+    gens = []
+    for _ in range(length):
+        if rng.random() < 0.5:
+            coords = rng.sample(range(width), m)
+            if 0 not in coords and rng.random() < 0.6:
+                coords[rng.randrange(m)] = 0
+            gens.append(BetaStar(tuple(coords)))
+        else:
+            gens.append(Perm.from_cycles([rng.sample(range(width), rng.randint(2, 4))]))
+    return word(*gens)
+
+
+def _oracle_group(name):
+    """A catalog group, or C6 over K = {1, g^3}: on the catalog the K
+    factors of a ladder's slot products cancel in every window, on C6 not."""
+    if name != "C6":
+        return catalog_group(name)
+    table, analysis = validate_and_analyze([[(a + b) % 6 for b in range(6)] for a in range(6)])
+    return table, analysis, [0, 3]
+
+
+@pytest.mark.parametrize("maker", [make_kgroup, make_standard_kgroup])
+@pytest.mark.parametrize(
+    "name, level", [("C2", 4), ("C4", 7), ("C2xC2", 5), ("Q8", 5), ("D4", 5), ("C6", 6)]
+)
+def test_index_map_matches_element_oracle(name, level, maker):
+    # every element of the level, under words of 1-4 generators reaching two
+    # coordinates past it: the index map agrees with the raw tuple actions
+    # normalised by `make`, and the inverse word's map undoes it
+    ctx = CPContext(maker(*_oracle_group(name)))
+    rng = random.Random(f"{name}-{maker.__name__}")
+    words = [_mixed_word(rng, ctx, length, level + 2) for length in (1, 2, 3, 4)]
+    assert any(0 in g.coords for w in words for g in w.gens if isinstance(g, BetaStar))
+    domain = range(ctx.gamma_n_order(level))
+    for w in words:
+        f, f_inverse = index_map(ctx, w), index_map(ctx, w.inverse())
+        images = [f(i) for i in domain]
+        assert images == [
+            ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))) for i in domain
+        ]
+        assert [f_inverse(j) for j in images] == list(domain)
 
 
 def test_wrong_window_size_is_representative_dependent(c4k, c2k):
@@ -257,7 +312,7 @@ def test_verify_sampled_path(q8k):
 def test_double_beta_star_is_identity_word(c4k):
     bs = BetaStar(tuple(range(6)))
     w = word(bs, bs)
-    for x in c4k.all_cosets(6):
+    for x in brute_cosets(c4k, 6):
         assert apply_word(c4k, w, x) == x
 
 
@@ -267,7 +322,7 @@ def test_double_beta_star_is_identity_word(c4k):
 def test_extend_identity(c4k):
     phi = finite_automorphism_from_word(c4k, word(), 1)
     ext = extend_automorphism(c4k, phi, 3)
-    assert all(ext.mapping[x] == x for x in c4k.all_cosets(3))
+    assert all(ext.mapping[x] == x for x in brute_cosets(c4k, 3))
 
 
 def test_extend_conjugation_is_automorphism(c4k):
@@ -275,12 +330,12 @@ def test_extend_conjugation_is_automorphism(c4k):
     g = c4k.embed(c4k.group.index_of_name("g"), 0)
     gi = c4k.inverse(g)
     phi = {
-        x: c4k.multiply(g, c4k.multiply(x, gi)) for x in c4k.all_cosets(2)
+        x: c4k.multiply(g, c4k.multiply(x, gi)) for x in brute_cosets(c4k, 2)
     }
     from azenum.automorphisms import FiniteAutomorphism
 
     ext = extend_automorphism(c4k, FiniteAutomorphism(2, phi), 3)
-    dom = c4k.all_cosets(3)
+    dom = brute_cosets(c4k, 3)
     assert len(set(ext.mapping.values())) == len(dom)
     for x in dom[:64]:
         for y in dom[:64]:
@@ -296,7 +351,7 @@ def test_extend_requires_k_fixed(q8k):
     # a map sending the embedded -1 elsewhere cannot extend centrally
     minus1 = q8k.embed_k(1)
     i_img = q8k.embed(q8k.group.index_of_name("i"), 0)
-    mapping = {x: x for x in q8k.all_cosets(1)}
+    mapping = {x: x for x in brute_cosets(q8k, 1)}
     mapping[minus1], mapping[i_img] = mapping[i_img], mapping[minus1]
     from azenum.automorphisms import FiniteAutomorphism
 
@@ -313,13 +368,15 @@ def test_extend_level_must_grow(c4k):
 # -- verification failures ----------------------------------------------------
 
 
-def _fake_word(monkeypatch, table):
-    """Make verify_automorphism see the map x -> table.get(x, x)."""
-    monkeypatch.setattr(automorphisms, "apply_word", lambda ctx, w, x: table.get(x, x))
+def _fake_word(monkeypatch, ctx, table):
+    """Make verify_automorphism see the map x -> table.get(x, x), as a
+    table on enumeration indices."""
+    index = {ctx.index_of(x): ctx.index_of(y) for x, y in table.items()}
+    monkeypatch.setattr(automorphisms, "index_map", lambda _ctx, _w: lambda i: index.get(i, i))
 
 
 def _two_non_identity(ctx, level):
-    domain = ctx.all_cosets(level)
+    domain = [ctx.element_at(i) for i in range(ctx.gamma_n_order(level))]
     a, b = [x for x in domain if x != ctx.identity][:2]
     return domain, a, b
 
@@ -331,12 +388,13 @@ def test_verify_reports_non_homomorphism(monkeypatch, name, level, exhaustive):
     ctx = make_ctx(name)
     domain, a, b = _two_non_identity(ctx, level)
     swap = {a: b, b: a}
-    _fake_word(monkeypatch, swap)
+    _fake_word(monkeypatch, ctx, swap)
     r = verify_automorphism(ctx, word(), level, sample_pairs=5000, rng=random.Random(12))
     assert not r.ok and r.failure == "homomorphism law fails"
     assert r.exhaustive is exhaustive and r.size == len(domain)
     # the witness is the first failing pair in the order pairs are checked:
-    # x-major over the domain, or drawn as domain[rng.randrange(size)]
+    # x-major over the domain in index order, or drawn as
+    # domain[rng.randrange(size)], the element at a drawn index
     if exhaustive:
         pairs = [(x, y) for x in domain for y in domain]
     else:
@@ -355,7 +413,7 @@ def test_verify_reports_non_homomorphism(monkeypatch, name, level, exhaustive):
 def test_verify_reports_non_injective(monkeypatch, name, level):
     ctx = make_ctx(name)
     _, a, b = _two_non_identity(ctx, level)
-    _fake_word(monkeypatch, {a: b})
+    _fake_word(monkeypatch, ctx, {a: b})
     r = verify_automorphism(ctx, word(), level, rng=random.Random(12))
     assert (r.ok, r.failure, r.pairs_checked, r.witness) == (False, "not injective", 0, None)
 
@@ -363,6 +421,6 @@ def test_verify_reports_non_injective(monkeypatch, name, level):
 def test_verify_reports_escaping_image(monkeypatch, c4k):
     _, a, _ = _two_non_identity(c4k, 2)
     far = c4k.embed(c4k.group.index_of_name("g"), 2)
-    _fake_word(monkeypatch, {a: far})
+    _fake_word(monkeypatch, c4k, {a: far})
     r = verify_automorphism(c4k, word(), 2)
     assert (r.ok, r.failure, r.witness) == (False, "image escapes level", (a, far))

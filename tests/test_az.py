@@ -18,7 +18,7 @@ from azenum.az import (
 from azenum.central_product import CPContext
 from azenum.errors import InputError, InsufficientFamilyError
 from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
-from oracles import brute_minimum, random_az_family
+from oracles import brute_cosets, brute_minimum, random_az_family
 
 
 def make_ctx(name):
@@ -268,7 +268,7 @@ def test_certificate_json_deterministic(c4k):
 @pytest.mark.parametrize("name", ["C4", "Q8"])
 def test_max_diff_index_matches_dict_definition(name):
     ctx = make_ctx(name)
-    cosets = ctx.all_cosets(3)
+    cosets = brute_cosets(ctx, 3)
     minima = {x: brute_minimum(ctx, x, width=3) for x in cosets}
     for x in cosets:
         rx = minima[x]

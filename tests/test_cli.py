@@ -208,6 +208,22 @@ def test_literal_coordinate_at_cap(capsys):
     assert (code, out) == (0, f"3:j,{MAX_LITERAL_COORD}:i\n")
 
 
+@pytest.mark.parametrize("top", [MAX_LITERAL_COORD + 1, 10**11], ids=["just-above", "far"])
+def test_word_coordinate_above_cap(capsys, top):
+    # a word acts on indices, which have a digit per coordinate up to its top
+    word = json.dumps([{"perm": [[0, top]]}])
+    start = time.perf_counter()
+    assert run_command(["aut", "apply", "--group", "Q8", "--word", word, "--element", "0:i"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
+
+
+def test_word_coordinate_at_cap(capsys):
+    word = json.dumps([{"perm": [[0, MAX_LITERAL_COORD]]}])
+    code, out = run(capsys, "aut", "apply", "--group", "Q8", "--word", word, "--element", "0:i")
+    assert (code, out) == (0, f"{MAX_LITERAL_COORD}:i\n")
+
+
 # -- aut ---------------------------------------------------------------------
 
 

@@ -1,13 +1,15 @@
 """Property tests over Γ_{≤6}, whose elements are drawn by enumeration
-index: the index bijection, the element literals and the index law."""
+index: the index bijection, the element literals and the index law; and
+the index maps of words on indices far above their coordinates."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from azenum.automorphisms import AutWord, BetaStar, Perm, index_map
 from azenum.central_product import CPContext, format_support, parse_support
 from azenum.groups import catalog_group, make_kgroup
-from oracles import brute_product
+from oracles import brute_product, oracle_apply_word
 
 LEVEL = 7  # Γ_{≤6}: supports within coordinates 0..6
 GROUPS = ["C4", "Q8"]
@@ -49,3 +51,29 @@ def test_index_law_on_drawn_pairs(ctx, data):
     j, y = draw_element(data, ctx)
     expected = ctx.make(brute_product(ctx, x, y, width=LEVEL))
     assert ctx.index_law(i, j) == ctx.index_of(expected)
+
+
+WORD_WIDTH = 10  # words act on coordinates 0..9
+FAR = 60  # drawn indices have digits up to coordinate 59
+
+
+def draw_word(data, ctx):
+    """1-4 generators below WORD_WIDTH: ladders and cycles of 2-4 coordinates."""
+    window = st.permutations(range(WORD_WIDTH)).map(lambda p: tuple(p[: ctx.exponent + 2]))
+    cycle = st.lists(st.integers(0, WORD_WIDTH - 1), min_size=2, max_size=4, unique=True)
+    gen = st.one_of(window.map(BetaStar), cycle.map(lambda c: Perm.from_cycles([c])))
+    return AutWord(tuple(data.draw(st.lists(gen, min_size=1, max_size=4))))
+
+
+@checked
+@given(data=st.data())
+def test_index_map_far_above_the_word(ctx, data):
+    # digits above the word's top coordinate pass through, the map agrees
+    # with the element oracle, and the inverse word's map undoes it
+    w = draw_word(data, ctx)
+    i = data.draw(st.integers(min_value=0, max_value=ctx.gamma_n_order(FAR) - 1))
+    j = index_map(ctx, w)(i)
+    low_size = ctx.gamma_n_order(w.max_coord() + 1)
+    assert j // low_size == i // low_size
+    assert j == ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i)))
+    assert index_map(ctx, w.inverse())(j) == i
