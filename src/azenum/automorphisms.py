@@ -117,44 +117,36 @@ def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
     of a window on coordinate 0: k^(m+1) = k for the exponent m. Digits
     above the top coordinate pass through unchanged.
     """
-    g, minima, r, top = ctx.group, ctx.minima, len(ctx.minima), max(word.max_coord(), 0)
+    top = max(word.max_coord(), 0)
     if top > MAX_LITERAL_COORD:
         raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
-    mul, e, order, ranked = g.mul, g.identity_index, g.order, ctx.kg.element_order
-    min_of, k_of, rank_of, digit_of = ctx.min_of, ctx.k_of, ctx.rank_of, ctx.digit_of
+    mul, e, min_of, k_of = ctx.group.mul, ctx.group.identity_index, ctx.min_of, ctx.k_of
+    split, join = ctx.index_codec(top)
     steps = []
     for gen in word.gens:
         if isinstance(gen, Perm):
             source = gen.inverse().mapping
-            steps.append([source.get(c, c) for c in range(top + 1)])
+            steps.append((True, [source.get(c, c) for c in range(top + 1)]))
         elif len(gen.coords) == ctx.exponent + 2:
-            steps.append(gen.coords)
+            steps.append((False, gen.coords))
         else:
             m, got = ctx.exponent + 2, len(gen.coords)
             raise InputError(f"ladder needs exponent+2 = {m} coordinates, got {got}")
-    low_size = r**top * order
 
     def f(i: int) -> int:
-        high, low = divmod(i, low_size)
-        low, d0 = divmod(low, order)
-        vals, k = [min_of[ranked[d0]]], k_of[ranked[d0]]
-        for _ in range(top):
-            low, d = divmod(low, r)
-            vals.append(minima[d])
-        for gen, step in zip(word.gens, steps):
-            if isinstance(gen, Perm):
-                vals = [vals[s] for s in step]
+        high, vals, k = split(i)
+        for is_perm, step in steps:
+            if is_perm:
+                vals = list(map(vals.__getitem__, step))
                 continue
-            window, prefix, p, s = [vals[c] for c in step], [], e, e
+            window, prefix, p, s = list(map(vals.__getitem__, step)), [], e, e
             for v in window:
                 prefix.append(p)
                 p = mul[p][v]
             for c, v, p in zip(reversed(step), reversed(window), reversed(prefix)):
                 u, s = mul[p][s], mul[v][s]
                 vals[c], k = min_of[u], mul[k][k_of[u]]
-        for v in reversed(vals[1:]):
-            high = high * r + digit_of[v]
-        return high * order + rank_of[mul[vals[0]][k]]
+        return join(high, vals, k)
 
     return f
 

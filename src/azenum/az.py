@@ -1,7 +1,8 @@
 """End-to-end pipeline over the central product: normalize a family of
 tuples, find a strongly embedded pair, build the shift-and-copy map from
 the witness, realize it as a word in the generator set, and verify that
-it maps one tuple to the other while preserving the element ordering.
+it maps one tuple to the other while preserving the element ordering;
+the map and every check act on enumeration indices only.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .automorphisms import AutWord, Perm, alpha_word, index_map, word_to_json
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
@@ -157,25 +158,32 @@ def build_beta(nf: NormalizedFamily) -> BetaMap:
     )
 
 
+def beta_index_map(bm: BetaMap) -> Callable[[int], int]:
+    """The shift-and-copy map on enumeration indices: the coset minima at
+    positions up to l_i follow the witness, fanning out over I_s when they
+    land on a letter's last occurrence; the digits above l_i shift by
+    l_j - l_i. The K factor of the coordinate-0 value enters each of the
+    1 + |I_s| targets of position 0, and k^(1+|I_s|) = k because K is
+    central and the exponent divides |I_s|, so it passes through as is."""
+    split, join = bm.ctx.index_codec(bm.l_i)
+    plan, e, width = bm.plan, bm.ctx.group.identity_index, bm.l_j + 1
+
+    def beta(i: int) -> int:
+        # every target is hit once: f is injective and the I_s lie off its
+        # image and apart from each other
+        high, vals, k = split(i)
+        out = [e] * width
+        for v, targets in zip(vals, plan):
+            for t in targets:
+                out[t] = v
+        return join(high, out, k)
+
+    return beta
+
+
 def apply_beta(bm: BetaMap, x: CPElement) -> CPElement:
-    """The shift-and-copy map on a finite-support element, coordinate by
-    coordinate: positions up to l_i follow the witness (fanning out over
-    I_s when they land on a letter's last occurrence), higher positions
-    shift by l_j - l_i."""
-    ctx = bm.ctx
-    plan = bm.plan
-    l_i = len(plan) - 1
-    shift = bm.shift
-    # every target is hit once: f is injective, the I_s lie off its image
-    # and apart from each other, and shifted positions land past l_j
-    out: Dict[int, int] = {}
-    for l, val in ctx.minimal_representative(x):
-        if l <= l_i:
-            for t in plan[l]:
-                out[t] = val
-        else:
-            out[l + shift] = val
-    return CPElement(ctx, ctx._normalise(out))
+    """The shift-and-copy map on elements, read from its index map."""
+    return bm.ctx.element_at(beta_index_map(bm)(bm.ctx.index_of(x)))
 
 
 def min_word_levels(bm: BetaMap) -> Tuple[int, int]:
@@ -253,90 +261,82 @@ class Certificate:
         }
 
 
-def _random_supported(ctx: CPContext, rng: random.Random, top: int) -> CPElement:
-    coords = rng.sample(range(top + 1), rng.randint(0, min(3, top + 1)))
-    return CPElement(ctx, ctx._normalise({c: rng.randrange(ctx.group.order) for c in coords}))
-
-
-def _max_diff_index(ctx: CPContext, x: CPElement, y: CPElement) -> int:
-    """The highest coordinate where the minimal representatives differ."""
-    rx = set(ctx.minimal_representative(x))
-    ry = set(ctx.minimal_representative(y))
-    return max(c for c, _ in rx ^ ry)
+def _top_coord(ctx: CPContext, a: int, b: int) -> int:
+    """The highest coordinate at which the elements with indices a and b
+    differ (0 when a == b): the least c for which a and b fall in the same
+    block of |Γ_{≤c}| consecutive indices."""
+    c, block, r = 0, ctx.group.order, len(ctx.minima)
+    while a // block != b // block:
+        c, block = c + 1, block * r
+    return c
 
 
 def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
-    """Full pipeline plus verification sweeps; returns a certificate whose
-    reports cover (a) tuple mapping, (b) order preservation, (c) the index
-    law for high differing indices, (d) agreement with the emitted word."""
+    """Full pipeline plus verification sweeps on indices; the certificate
+    reports (a) tuple mapping, (b) order preservation, exact on the whole
+    level Γ_{≤L} holding `depth` elements, and on sampled pairs, (c) the
+    index law for high differing coordinates, (d) agreement with the
+    emitted word. Each sample lies in Γ_{≤t} for a t drawn from 0..l', so
+    that top differing coordinates below l' are drawn too."""
     ctx = fam.ctx
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     nf = normalize_family(fam)
     bm = build_beta(nf)
+    beta, index_of = beta_index_map(bm), ctx.index_of
     failures: List[str] = []
     reports: Dict[str, dict] = {}
 
+    def report(name: str, key: str, count: int, of: int, **extra) -> None:
+        reports[name] = {key: count, "of": of, **extra}
+        if count != of:
+            failures.append(name)
+
     # (a) the map sends the i-th member to the j-th, componentwise
-    mapped = sum(
-        1
-        for a, b in zip(bm.member_i, bm.member_j)
-        if apply_beta(bm, a) == b
-    )
-    reports["tuple_mapping"] = {"components_ok": mapped, "of": fam.arity}
-    if mapped != fam.arity:
-        failures.append("tuple_mapping")
+    mapped = sum(beta(index_of(a)) == index_of(b) for a, b in zip(bm.member_i, bm.member_j))
+    report("tuple_mapping", "components_ok", mapped, fam.arity)
 
     l, l_prime = min_word_levels(bm)
     l_i, shift = bm.l_i, bm.shift
 
-    # (b) order preservation on the enumeration prefix and random pairs
-    ordered = 0
-    prefix = ctx.enumerate(depth)
-    images = [apply_beta(bm, x) for x in prefix]
-    for a, b in zip(images, images[1:]):
-        if ctx.compare(a, b) == -1:
-            ordered += 1
-    pair_checks = 0
-    law_checks = 0
-    law_ok = 0
+    def drawn_size() -> int:
+        """|Γ_{≤t}| for a level t drawn uniformly from 0..l'."""
+        return ctx.gamma_n_order(randrange(l_prime + 1) + 1)
+
+    # (b) order preservation on the whole prefix level and on sampled pairs
+    level = ctx.prefix_level(depth)
+    images = list(map(beta, range(ctx.level_size(level + 1))))
+    ordered = sum(a < b for a, b in zip(images, images[1:]))
+    expected_ordered = len(images) - 1
+    law_checks = law_ok = 0
     for _ in range(10 * depth):
-        x = _random_supported(ctx, rng, l_prime)
-        y = _random_supported(ctx, rng, l_prime)
-        cmp_xy = ctx.compare(x, y)
-        if cmp_xy == 0:
+        size = drawn_size()
+        a, b = sorted((randrange(size), randrange(size)))
+        if a == b:
             continue
-        if cmp_xy > 0:
-            x, y = y, x
-        bx, by = apply_beta(bm, x), apply_beta(bm, y)
-        pair_checks += 1
-        if ctx.compare(bx, by) == -1:
-            ordered += 1
-        # (c) index law when the top differing index clears l_i
-        t0 = _max_diff_index(ctx, x, y)
+        ba, bb = beta(a), beta(b)
+        expected_ordered += 1
+        ordered += ba < bb
+        # (c) index law when the top differing coordinate clears l_i
+        t0 = _top_coord(ctx, a, b)
         if t0 > l_i:
             law_checks += 1
-            if _max_diff_index(ctx, bx, by) == t0 + shift:
-                law_ok += 1
-    expected_ordered = (depth - 1) + pair_checks
-    reports["order_preservation"] = {
-        "ordered": ordered,
-        "of": expected_ordered,
-    }
-    if ordered != expected_ordered:
-        failures.append("order_preservation")
-    reports["index_law"] = {"ok": law_ok, "of": law_checks}
-    if law_ok != law_checks:
-        failures.append("index_law")
+            law_ok += _top_coord(ctx, ba, bb) == t0 + shift
+    report("order_preservation", "ordered", ordered, expected_ordered, level=level)
+    report("index_law", "ok", law_ok, law_checks)
 
     # (d) the emitted word agrees on everything supported within l'
     word = beta_as_word(bm, l, l_prime)
-    word_at, index_of = index_map(ctx, word), ctx.index_of
-    xs = [ctx.embed(val, c) for c in range(l_prime + 1) for val in range(ctx.group.order)]
-    xs += [_random_supported(ctx, rng, l_prime) for _ in range(50)]
-    agree = sum(word_at(index_of(x)) == index_of(apply_beta(bm, x)) for x in xs)
-    reports["word_agreement"] = {"agree": agree, "of": len(xs)}
-    if agree != len(xs):
-        failures.append("word_agreement")
+    word_at = index_map(ctx, word)
+    _, join = ctx.index_codec(0)
+    e, min_of, k_of = ctx.group.identity_index, ctx.min_of, ctx.k_of
+    # the singletons {c: v}: v's coset minimum at c, its K factor at 0
+    xs = [
+        join(0, [e] * c + [min_of[v]], k_of[v])
+        for c in range(l_prime + 1)
+        for v in range(ctx.group.order)
+    ]
+    xs += [randrange(drawn_size()) for _ in range(50)]
+    report("word_agreement", "agree", sum(word_at(i) == beta(i) for i in xs), len(xs))
 
     return Certificate(
         ok=not failures,

@@ -4,17 +4,17 @@ Elements are cosets of the subgroup of K-tuples with trivial coordinate
 product. An element is stored only as its reverse-lex minimal
 representative, which hashing and formatting read. The order is a nice
 enumeration: each element's position in it is a mixed-radix number
-(`CPContext.index_of`, inverted by `element_at`), which `compare` and
-`enumerate_elements` use as the one order key. The group law runs on these
-indices (`CPContext.index_law`): above coordinate 0 the product's digits
-are read, a block of coordinates at a time, from tables of block products,
-whose K factors fold into the coordinate-0 value because K is central.
+(`CPContext.index_of`, inverted by `element_at`; `index_codec` splits it
+into digits), the one order key. The group law runs on these indices
+(`CPContext.index_law`): above coordinate 0 the product's digits are read,
+a block of coordinates at a time, from tables of block products, whose K
+factors fold into the coordinate-0 value because K is central.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count, islice, product
+from itertools import count, product
 from math import lcm as _lcm
 from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
@@ -73,22 +73,16 @@ class CPContext:
     def make(self, support: Support) -> "CPElement":
         """The element of a finite-support tuple: coordinates above 0 take
         their coset minimum, and coordinate 0 absorbs the K factors."""
-        for coord in sorted(support):
-            if coord < 0:
-                raise InputError(f"negative coordinate {coord}")
-            if not 0 <= support[coord] < self.group.order:
-                raise InputError(f"unknown element index {support[coord]}")
-        return CPElement(self, self._normalise(support))
-
-    def _normalise(self, support: Support) -> Tuple[Tuple[int, int], ...]:
-        """The minimal representative of a tuple whose coordinates and
-        values are already valid: the body of `make` without its checks."""
         mul, min_of, k_of = self.group.mul, self.min_of, self.k_of
         e = self.group.identity_index
         v0 = residual = e
         higher = []
         for coord in sorted(support):
             val = support[coord]
+            if coord < 0:
+                raise InputError(f"negative coordinate {coord}")
+            if not 0 <= val < self.group.order:
+                raise InputError(f"unknown element index {val}")
             m = min_of[val]
             if coord == 0:
                 v0 = m
@@ -96,7 +90,7 @@ class CPContext:
                 higher.append((coord, m))
             residual = mul[residual][k_of[val]]
         v0 = mul[v0][residual]
-        return ((0, v0), *higher) if v0 != e else tuple(higher)
+        return CPElement(self, ((0, v0), *higher) if v0 != e else tuple(higher))
 
     def embed(self, elem: int, coord: int) -> "CPElement":
         return self.make({coord: elem})
@@ -165,7 +159,7 @@ class CPContext:
     def inverse(self, x: "CPElement") -> "CPElement":
         self._check(x)
         inv = self.group.inverse
-        return CPElement(self, self._normalise({c: inv[v] for c, v in x.rep}))
+        return self.make({c: inv[v] for c, v in x.rep})
 
     # -- order: the enumeration index -------------------------------------
 
@@ -211,6 +205,34 @@ class CPContext:
         x._index = i
         return x
 
+    def index_codec(self, top: int) -> Tuple[Callable, Callable]:
+        """The digit format of an index, as the closures (split, join).
+        split(i) is (high, vals, k): the digits above coordinate top as one
+        number, the coset minima at coordinates 0..top, and the K factor of
+        the coordinate-0 value. join(high, vals, k) inverts it for minima
+        vals at coordinates 0..len(vals)-1, with high above them."""
+        g, minima, r = self.group, self.minima, len(self.minima)
+        mul, order, ranked = g.mul, g.order, self.kg.element_order
+        min_of, k_of, rank_of, digit_of = self.min_of, self.k_of, self.rank_of, self.digit_of
+        low_size = r**top * order
+
+        def split(i: int) -> Tuple[int, List[int], int]:
+            high, low = divmod(i, low_size)
+            low, d0 = divmod(low, order)
+            v = ranked[d0]
+            vals = [min_of[v]]
+            for _ in range(top):
+                low, d = divmod(low, r)
+                vals.append(minima[d])
+            return high, vals, k_of[v]
+
+        def join(high: int, vals: List[int], k: int) -> int:
+            for v in reversed(vals[1:]):
+                high = high * r + digit_of[v]
+            return high * order + rank_of[mul[vals[0]][k]]
+
+        return split, join
+
     def compare(self, x: "CPElement", y: "CPElement") -> int:
         """Reverse lexicographic comparison of minimal representatives
         (highest differing coordinate wins), read off the indices."""
@@ -227,12 +249,22 @@ class CPContext:
         return map(self.element_at, range(self.group.order) if finite else count())
 
     def enumerate(self, count: int) -> List["CPElement"]:
+        """The elements at indices 0 .. count-1 (see `prefix_level`)."""
+        self.prefix_level(count)
+        return list(map(self.element_at, range(count)))
+
+    def prefix_level(self, count: int) -> int:
+        """The least L whose level Γ_{≤L} holds the first `count` elements:
+        InputError unless 1 <= count <= |Γ| (Γ is finite when K = G, and
+        then every level is all of Γ), CapacityError from `level_size`."""
         if count < 1:
             raise InputError("count must be >= 1")
-        out = list(islice(self.enumerate_elements(), count))
-        if len(out) < count:
-            raise InputError(f"count {count} exceeds |Γ| = {len(out)}")
-        return out
+        if len(self.minima) == 1 and count > self.group.order:
+            raise InputError(f"count {count} exceeds |Γ| = {self.group.order}")
+        level = 0
+        while self.level_size(level + 1) < count:
+            level += 1
+        return level
 
     def gamma_n_order(self, n: int) -> int:
         """|G|^n / |K|^(n-1) = |K| |G/K|^n, the order of the level-n subgroup."""

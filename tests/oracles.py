@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 from azenum.automorphisms import FiniteAutomorphism, Perm, apply_word
 from azenum.central_product import CPElement
+from azenum.groups import catalog_group, validate_and_analyze
 from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
 
 
@@ -22,6 +23,15 @@ def brute_star(w1, w2):
         if all(any(p >= i and b[p] == b[i] for p in combo) for i in range(len(b))):
             return combo
     return None
+
+
+def oracle_group(name):
+    """A catalog group, or C6 over K = {1, g^3}: on the catalog the K
+    factors of a ladder's slot products cancel in every window, on C6 not."""
+    if name != "C6":
+        return catalog_group(name)
+    table, analysis = validate_and_analyze([[(a + b) % 6 for b in range(6)] for a in range(6)])
+    return table, analysis, [0, 3]
 
 
 def power(table, a, n):
@@ -129,6 +139,22 @@ def oracle_apply_word(ctx, word, x):
         else:
             x = ctx.make(raw_ladder(ctx, gen.coords, x))
     return x
+
+
+def oracle_apply_beta(bm, x):
+    """The shift-and-copy map on the stored representative, coordinate by
+    coordinate, then `make` normalises it: positions up to l_i follow the
+    witness (fanning out over I_s when they land on a letter's last
+    occurrence), higher positions shift by l_j - l_i."""
+    l_i = len(bm.plan) - 1
+    out = {}
+    for l, val in x.rep:
+        if l <= l_i:
+            for t in bm.plan[l]:
+                out[t] = val
+        else:
+            out[l + bm.shift] = val
+    return bm.ctx.make(out)
 
 
 def check_coset_welldefined(ctx, coords, trials=200, rng=None):

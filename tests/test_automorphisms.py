@@ -23,7 +23,6 @@ from azenum.groups import (
     catalog_group,
     make_kgroup,
     make_standard_kgroup,
-    validate_and_analyze,
 )
 from oracles import (
     brute_cosets,
@@ -31,6 +30,7 @@ from oracles import (
     check_coset_welldefined,
     finite_automorphism_from_word,
     oracle_apply_word,
+    oracle_group,
     raw_ladder,
     raw_perm,
 )
@@ -177,15 +177,6 @@ def _mixed_word(rng, ctx, length, width):
     return word(*gens)
 
 
-def _oracle_group(name):
-    """A catalog group, or C6 over K = {1, g^3}: on the catalog the K
-    factors of a ladder's slot products cancel in every window, on C6 not."""
-    if name != "C6":
-        return catalog_group(name)
-    table, analysis = validate_and_analyze([[(a + b) % 6 for b in range(6)] for a in range(6)])
-    return table, analysis, [0, 3]
-
-
 @pytest.mark.parametrize("maker", [make_kgroup, make_standard_kgroup])
 @pytest.mark.parametrize(
     "name, level", [("C2", 4), ("C4", 7), ("C2xC2", 5), ("Q8", 5), ("D4", 5), ("C6", 6)]
@@ -194,7 +185,7 @@ def test_index_map_matches_element_oracle(name, level, maker):
     # every element of the level, under words of 1-4 generators reaching two
     # coordinates past it: the index map agrees with the raw tuple actions
     # normalised by `make`, and the inverse word's map undoes it
-    ctx = CPContext(maker(*_oracle_group(name)))
+    ctx = CPContext(maker(*oracle_group(name)))
     rng = random.Random(f"{name}-{maker.__name__}")
     words = [_mixed_word(rng, ctx, length, level + 2) for length in (1, 2, 3, 4)]
     assert any(0 in g.coords for w in words for g in w.gens if isinstance(g, BetaStar))

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
+from azenum import az
 from azenum.automorphisms import apply_word
 from azenum.az import (
     TupleFamily,
-    _max_diff_index,
+    _top_coord,
     apply_beta,
+    beta_index_map,
     beta_as_word,
     build_beta,
     letter_word,
@@ -18,7 +21,13 @@ from azenum.az import (
 from azenum.central_product import CPContext
 from azenum.errors import InputError, InsufficientFamilyError
 from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
-from oracles import brute_cosets, brute_minimum, random_az_family
+from oracles import (
+    brute_cosets,
+    brute_minimum,
+    oracle_apply_beta,
+    oracle_group,
+    random_az_family,
+)
 
 
 def make_ctx(name):
@@ -158,6 +167,40 @@ def test_apply_beta_homomorphism_and_injective(q8k):
         seen[bx] = x
 
 
+def _beta_families():
+    """(name, BetaMap) for the C4 example family, seeded Q8 families under
+    both element orders, and C6 over K = {1, g^3}, whose ladders' K factors
+    do not cancel (a missing K fold shows there and on no catalog group)."""
+    out = [("C4-example", build_beta(normalize_family(c4_example_family(make_ctx("C4")))))]
+    for maker in (make_kgroup, make_standard_kgroup):
+        ctx = CPContext(maker(*catalog_group("Q8")))
+        rng = random.Random(f"Q8-{maker.__name__}")
+        for n in range(3):
+            fam = random_az_family(ctx, rng, rng.randint(1, 3), 9)
+            out.append((f"Q8-{maker.__name__}-{n}", build_beta(normalize_family(fam))))
+    ctx = CPContext(make_kgroup(*oracle_group("C6")))
+    rng = random.Random("C6")
+    for n in range(2):
+        fam = random_az_family(ctx, rng, 2, 9)
+        out.append((f"C6-{n}", build_beta(normalize_family(fam))))
+    return out
+
+
+BETA_FAMILIES = _beta_families()
+
+
+@pytest.mark.parametrize("name, bm", BETA_FAMILIES, ids=[name for name, _ in BETA_FAMILIES])
+def test_beta_index_map_matches_element_oracle(name, bm):
+    # every index of Γ_{≤min(l'+1, 5)}, and seeded indices with digits far
+    # above l_i: the index map agrees with the element map normalised by make
+    ctx, beta = bm.ctx, beta_index_map(bm)
+    level = min(min_word_levels(bm)[1] + 1, 5)
+    rng = random.Random(name)
+    far = [rng.randrange(ctx.gamma_n_order(bm.l_i + 40)) for _ in range(200)]
+    for i in [*range(ctx.gamma_n_order(level + 1)), *far]:
+        assert beta(i) == ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))), i
+
+
 # -- realization as a word ---------------------------------------------------
 
 
@@ -262,6 +305,97 @@ def test_certificate_json_deterministic(c4k):
     assert doc1["ok"] is True
 
 
+# -- the order claim ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, depth, level", [("C4", 500, 7), ("Q8", 500, 3), ("C4", 32, 3), ("C4", 33, 4)]
+)
+def test_run_az_order_claim_covers_whole_level(name, depth, level):
+    # the prefix rounds up to the whole level Γ_{≤L} holding `depth` elements
+    ctx = make_ctx(name)
+    member = (ctx.make({0: ctx.coset_min[1], 1: ctx.coset_min[1]}),)
+    cert = run_az(TupleFamily(ctx, 1, [member, member]), depth=depth)
+    assert cert.ok
+    report = cert.reports["order_preservation"]
+    assert report["level"] == level
+    assert report["of"] >= ctx.gamma_n_order(level + 1) - 1 >= depth - 1
+
+
+def test_level_check_matches_all_pairs_on_c4_level_4():
+    # β strictly increasing on the indices of the level-4 subgroup (support
+    # below 4) exactly when it preserves the brute-force order on all pairs
+    # of it; images reach coordinate 7 at most, within brute_minimum's width
+    def key(ctx, x):
+        rep, e = brute_minimum(ctx, x, width=8), ctx.group.identity_index
+        return tuple(ctx.rank_of[rep.get(c, e)] for c in reversed(range(8)))
+
+    outcomes = set()
+    for maker in (make_kgroup, make_standard_kgroup):
+        ctx = CPContext(maker(*catalog_group("C4")))
+        rng = random.Random(f"C4-{maker.__name__}")
+        bms = [build_beta(normalize_family(c4_example_family(ctx)))]
+        while len(bms) < 6:
+            bm = build_beta(normalize_family(random_az_family(ctx, rng, 2, 6)))
+            if bm.l_j <= 7 and 3 + bm.shift <= 7:
+                bms.append(bm)
+                if bm.l_i >= 1:  # and with its two highest witness positions swapped
+                    plan = bm.plan[:-2] + (bm.plan[-1], bm.plan[-2])
+                    bms.append(dataclasses.replace(bm, plan=plan))
+        for bm in bms:
+            beta = beta_index_map(bm)
+            images = [beta(i) for i in range(ctx.level_size(4))]
+            consecutive = all(a < b for a, b in zip(images, images[1:]))
+            domain = brute_cosets(ctx, 4)
+            keys = {x: key(ctx, x) for x in domain}
+            image_keys = {x: key(ctx, oracle_apply_beta(bm, x)) for x in domain}
+            all_pairs = all(
+                image_keys[x] < image_keys[y]
+                for x in domain
+                for y in domain
+                if keys[x] < keys[y]
+            )
+            assert consecutive == all_pairs
+            outcomes.add(consecutive)
+    assert outcomes == {True, False}
+
+
+def test_swapped_images_in_the_level_fail_order_preservation(c4k, monkeypatch):
+    real = az.beta_index_map
+
+    def swapped(bm):
+        beta = real(bm)
+        return lambda i: beta({5: 9, 9: 5}.get(i, i))
+
+    assert run_az(c4_example_family(c4k), depth=100).ok
+    monkeypatch.setattr(az, "beta_index_map", swapped)
+    cert = run_az(c4_example_family(c4k), depth=100)
+    assert cert.reports["order_preservation"]["level"] == 5
+    assert "order_preservation" in cert.failures
+
+
+def test_swapped_witness_positions_fail_order_preservation(q8k, monkeypatch):
+    # the level check covers Γ_{≤3} only, so with l_i >= 4 the sampled pairs
+    # must catch a β whose two highest witness positions are swapped
+    rng = random.Random(44)
+    families = []
+    while len(families) < 40:
+        fam = random_az_family(q8k, rng, 2, 12)
+        if build_beta(normalize_family(fam)).l_i >= 4:
+            families.append(fam)
+    real = az.build_beta
+
+    def swapped(nf):
+        bm = real(nf)
+        return dataclasses.replace(bm, plan=bm.plan[:-2] + (bm.plan[-1], bm.plan[-2]))
+
+    monkeypatch.setattr(az, "build_beta", swapped)
+    for n, fam in enumerate(families):
+        cert = run_az(fam, depth=500, seed=n)
+        assert cert.reports["order_preservation"]["level"] == 3
+        assert "order_preservation" in cert.failures, n
+
+
 # -- index law helper ----------------------------------------------------------
 
 
@@ -279,4 +413,4 @@ def test_max_diff_index_matches_dict_definition(name):
             expected = max(
                 c for c in set(rx) | set(ry) if rx.get(c) != ry.get(c)
             )
-            assert _max_diff_index(ctx, x, y) == expected
+            assert _top_coord(ctx, ctx.index_of(x), ctx.index_of(y)) == expected

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,14 @@ def test_cp_enumerate_beyond_finite_gamma(capsys):
     # K = G in C2, so Γ has two elements
     assert run_command(["cp", "enumerate", "--group", "C2", "--count", "3"]) == 2
     assert "|Γ| = 2" in capsys.readouterr().err
+
+
+def test_cp_enumerate_count_above_cap(capsys):
+    # Q8 level 8 holds 131 072 elements; one more needs level 9, above the cap
+    start = time.perf_counter()
+    assert run_command(["cp", "enumerate", "--group", "Q8", "--count", "131073"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
 
 
 def test_cp_enumerate_deterministic(capsys):
@@ -445,6 +454,28 @@ def test_az_run_two_components(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_az_run_depth_above_cap(capsys):
+    # the order claim covers the whole level holding `depth` elements, and
+    # that level goes through level_size and its cap
+    tuples = Path(__file__).parent / "golden" / "inputs" / "az_Q8_1.txt"
+    start = time.perf_counter()
+    argv = ["az", "run", "--group", "Q8", "--tuples", str(tuples), "--depth", "10000000"]
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
+
+
+def test_az_run_depth_beyond_finite_gamma(tmp_path, capsys):
+    # K = G: every level is all of Γ, which has two elements
+    tuples = tmp_path / "family.txt"
+    tuples.write_text("0:g\n0:g\n")
+    start = time.perf_counter()
+    argv = ["az", "run", "--group", "C2", "--tuples", str(tuples), "--depth", "3"]
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert "count 3 exceeds |Γ| = 2" in capsys.readouterr().err
+
+
 # -- rado --------------------------------------------------------------------
 
 
@@ -562,11 +593,12 @@ def test_unreadable_input_is_bad_input(tmp_path, capsys, argv, kind):
 # -- malformed values on every path -----------------------------------------
 
 
-def malformed_grid():
+def malformed_grid(tmp_path):
     """A fixed grid of malformed and edge values for every option that takes
     an element literal, K, an automorphism word, coordinates, a count, a
-    level, a wqo word or a bound, for every catalog group. Values go in as
-    `--opt=value`, so argparse reads a leading '-' as part of the value."""
+    level, a depth, a wqo word or a bound, for every catalog group. Values
+    go in as `--opt=value`, so argparse reads a leading '-' as part of the
+    value. The `az run` rows read a family of two equal members."""
     literals = ["", "-", "1", ",", ":", "0:", ":{n}", "0:{n},", "x:{n}", "-1:{n}",
                 "0:{n},0:{n}", "1.5:{n}", "\u00b2:{n}", "0:nope", "0:{n},3:{n}",
                 " 2 : {n} ", f"{MAX_LITERAL_COORD + 1}:{{n}}", "99999999999:{n}"]
@@ -602,6 +634,10 @@ def malformed_grid():
             grid.append(["cp", "enumerate", *g, f"--count={n}"])
         for n in levels:
             grid.append(["aut", "verify", *g, "--word=[]", f"--level={n}"])
+        tuples = tmp_path / f"{group}.txt"
+        tuples.write_text(f"0:{name}\n0:{name}\n")
+        for n in small + ["10000000"]:
+            grid.append(["az", "run", *g, f"--tuples={tuples}", f"--depth={n}"])
         grid += [["group", "rank", *g], ["qs", "from-group", *g]]
     for w1 in ["", ",", "a,,b", "a", " "]:
         for verb in ("subword", "star"):
@@ -612,9 +648,9 @@ def malformed_grid():
     return grid
 
 
-def test_malformed_grid_never_raises(capsys):
+def test_malformed_grid_never_raises(tmp_path, capsys):
     failures = []
-    for argv in malformed_grid():
+    for argv in malformed_grid(tmp_path):
         try:
             code = run_command(argv)
         except BaseException as exc:  # a traceback, or argparse rejecting the grid

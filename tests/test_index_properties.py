@@ -1,12 +1,13 @@
 """Property tests over Γ_{≤6}, whose elements are drawn by enumeration
-index: the index bijection, the element literals and the index law; and
-the index maps of words on indices far above their coordinates."""
+index: the index bijection, the element literals and the index law; the
+index maps of words on indices far above their coordinates; and the JSON
+form of words."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azenum.automorphisms import AutWord, BetaStar, Perm, index_map
+from azenum.automorphisms import AutWord, BetaStar, Perm, index_map, word_from_json, word_to_json
 from azenum.central_product import CPContext, format_support, parse_support
 from azenum.groups import catalog_group, make_kgroup
 from oracles import brute_product, oracle_apply_word
@@ -57,12 +58,18 @@ WORD_WIDTH = 10  # words act on coordinates 0..9
 FAR = 60  # drawn indices have digits up to coordinate 59
 
 
-def draw_word(data, ctx):
-    """1-4 generators below WORD_WIDTH: ladders and cycles of 2-4 coordinates."""
-    window = st.permutations(range(WORD_WIDTH)).map(lambda p: tuple(p[: ctx.exponent + 2]))
+def words(window_size, min_size):
+    """Words of min_size-4 generators below WORD_WIDTH: ladders on
+    window_size coordinates and cycles of 2-4 coordinates."""
+    window = st.permutations(range(WORD_WIDTH)).map(lambda p: BetaStar(tuple(p[:window_size])))
     cycle = st.lists(st.integers(0, WORD_WIDTH - 1), min_size=2, max_size=4, unique=True)
-    gen = st.one_of(window.map(BetaStar), cycle.map(lambda c: Perm.from_cycles([c])))
-    return AutWord(tuple(data.draw(st.lists(gen, min_size=1, max_size=4))))
+    gen = st.one_of(window, cycle.map(lambda c: Perm.from_cycles([c])))
+    return st.lists(gen, min_size=min_size, max_size=4).map(lambda gens: AutWord(tuple(gens)))
+
+
+def draw_word(data, ctx):
+    """1-4 generators below WORD_WIDTH, with ladders of the exponent + 2."""
+    return data.draw(words(ctx.exponent + 2, 1))
 
 
 @checked
@@ -77,3 +84,9 @@ def test_index_map_far_above_the_word(ctx, data):
     assert j // low_size == i // low_size
     assert j == ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i)))
     assert index_map(ctx, w.inverse())(j) == i
+
+
+@checked
+@given(w=st.integers(1, WORD_WIDTH).flatmap(lambda size: words(size, 0)))
+def test_word_json_round_trip(w):
+    assert word_from_json(word_to_json(w)) == w
