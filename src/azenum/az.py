@@ -261,16 +261,6 @@ class Certificate:
         }
 
 
-def _top_coord(ctx: CPContext, a: int, b: int) -> int:
-    """The highest coordinate at which the elements with indices a and b
-    differ (0 when a == b): the least c for which a and b fall in the same
-    block of |Γ_{≤c}| consecutive indices."""
-    c, block, r = 0, ctx.group.order, len(ctx.minima)
-    while a // block != b // block:
-        c, block = c + 1, block * r
-    return c
-
-
 def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     """Full pipeline plus verification sweeps on indices; the certificate
     reports (a) tuple mapping, (b) order preservation, exact on the whole
@@ -282,7 +272,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     randrange = random.Random(seed).randrange
     nf = normalize_family(fam)
     bm = build_beta(nf)
-    beta, index_of = beta_index_map(bm), ctx.index_of
+    beta, index_of, top_coord = beta_index_map(bm), ctx.index_of, ctx.top_coord
     failures: List[str] = []
     reports: Dict[str, dict] = {}
 
@@ -317,21 +307,18 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
         expected_ordered += 1
         ordered += ba < bb
         # (c) index law when the top differing coordinate clears l_i
-        t0 = _top_coord(ctx, a, b)
+        t0 = top_coord(a, b)
         if t0 > l_i:
             law_checks += 1
-            law_ok += _top_coord(ctx, ba, bb) == t0 + shift
+            law_ok += top_coord(ba, bb) == t0 + shift
     report("order_preservation", "ordered", ordered, expected_ordered, level=level)
     report("index_law", "ok", law_ok, law_checks)
 
     # (d) the emitted word agrees on everything supported within l'
     word = beta_as_word(bm, l, l_prime)
     word_at = index_map(ctx, word)
-    _, join = ctx.index_codec(0)
-    e, min_of, k_of = ctx.group.identity_index, ctx.min_of, ctx.k_of
-    # the singletons {c: v}: v's coset minimum at c, its K factor at 0
     xs = [
-        join(0, [e] * c + [min_of[v]], k_of[v])
+        index_of(ctx.make({c: v}))
         for c in range(l_prime + 1)
         for v in range(ctx.group.order)
     ]

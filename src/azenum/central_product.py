@@ -1,11 +1,11 @@
 """The central product of omega copies of G amalgamated over K.
 
 Elements are cosets of the subgroup of K-tuples with trivial coordinate
-product. An element is stored only as its reverse-lex minimal
-representative, which hashing and formatting read. The order is a nice
-enumeration: each element's position in it is a mixed-radix number
-(`CPContext.index_of`, inverted by `element_at`; `index_codec` splits it
-into digits), the one order key. The group law runs on these indices
+product. The order is a nice enumeration, and an element is stored only as
+its position in it, a mixed-radix number: `CPContext.make` encodes a tuple
+through `join`, `minimal_representative` decodes the reverse-lex minimal
+representative, and `index_codec` splits an index into digits. This module
+alone knows the digit layout. The group law runs on these indices
 (`CPContext.index_law`): above coordinate 0 the product's digits are read,
 a block of coordinates at a time, from tables of block products, whose K
 factors fold into the coordinate-0 value because K is central.
@@ -14,9 +14,9 @@ factors fold into the coordinate-0 value because K is central.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count, product
+from itertools import product
 from math import lcm as _lcm
-from typing import Callable, Dict, Iterator, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from .errors import CapacityError, InputError
 from .groups import KGroupSpec
@@ -31,10 +31,10 @@ Support = Mapping[int, int]
 # and a transposition) 1.35-1.5 s and 28 MB.
 MAX_COSETS = 1 << 18
 
-# The largest coordinate of an element literal, and of a word acting on
-# indices. The group law's cost grows with its square (an index has a digit
-# per coordinate): `cp mul --group Q8` at coordinate 10 000 takes 0.08 s,
-# 30 000 0.5 s, 100 000 5.5 s (same host).
+# The largest coordinate that `make` takes, and that a word acting on
+# indices may touch. `make` builds a digit per coordinate up to the highest,
+# and the group law's cost grows with its square: `cp mul --group Q8` at
+# coordinate 10 000 takes 0.08 s, 30 000 0.5 s, 100 000 5.5 s (same host).
 MAX_LITERAL_COORD = 10_000
 
 
@@ -46,7 +46,6 @@ class CPContext:
         self.kg = kg
         self.group = g
         self.k_list = list(kg.k_subgroup)
-        self.k_set = set(kg.k_subgroup)
         self.rank_of = [0] * g.order
         for pos, elem in enumerate(kg.element_order):
             self.rank_of[elem] = pos
@@ -66,37 +65,33 @@ class CPContext:
         self.minima = sorted(self.coset_min, key=self.rank_of.__getitem__)
         self.digit_of = {m: d for d, m in enumerate(self.minima)}
         self.exponent = _lcm(*(g.element_order(a) for a in range(g.order)))
-        self.identity = CPElement(self, ())
+        self.identity = CPElement(self, 0)
 
     # -- construction -----------------------------------------------------
 
     def make(self, support: Support) -> "CPElement":
-        """The element of a finite-support tuple: coordinates above 0 take
-        their coset minimum, and coordinate 0 absorbs the K factors."""
-        mul, min_of, k_of = self.group.mul, self.min_of, self.k_of
-        e = self.group.identity_index
-        v0 = residual = e
-        higher = []
-        for coord in sorted(support):
-            val = support[coord]
+        """The element of a finite-support tuple: each coordinate takes its
+        coset minimum, and coordinate 0 absorbs the K factors. Coordinates
+        above MAX_LITERAL_COORD are refused before the digits are built."""
+        g, min_of, k_of = self.group, self.min_of, self.k_of
+        top = max(support, default=0)
+        if top > MAX_LITERAL_COORD:
+            raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
+        vals, k = [g.identity_index] * (top + 1), g.identity_index
+        for coord, val in sorted(support.items()):
             if coord < 0:
                 raise InputError(f"negative coordinate {coord}")
-            if not 0 <= val < self.group.order:
+            if not 0 <= val < g.order:
                 raise InputError(f"unknown element index {val}")
-            m = min_of[val]
-            if coord == 0:
-                v0 = m
-            elif m != e:
-                higher.append((coord, m))
-            residual = mul[residual][k_of[val]]
-        v0 = mul[v0][residual]
-        return CPElement(self, ((0, v0), *higher) if v0 != e else tuple(higher))
+            vals[coord] = min_of[val]
+            k = g.mul[k][k_of[val]]
+        return CPElement(self, self.join(0, vals, k))
 
     def embed(self, elem: int, coord: int) -> "CPElement":
         return self.make({coord: elem})
 
     def embed_k(self, k: int) -> "CPElement":
-        if k not in self.k_set:
+        if k not in self.k_list:
             raise InputError(f"element {k} is not in K")
         return self.make({0: k})
 
@@ -104,11 +99,11 @@ class CPContext:
 
     def representative(self, x: "CPElement") -> Dict[int, int]:
         """The minimal representative as a coordinate -> value dict."""
-        return dict(x.rep)
+        return dict(self.minimal_representative(x))
 
     def multiply(self, x: "CPElement", y: "CPElement") -> "CPElement":
         self._check(x, y)
-        return self.element_at(self.index_law(self.index_of(x), self.index_of(y)))
+        return CPElement(self, self.index_law(x.index, y.index))
 
     @cached_property
     def index_law(self) -> Callable[[int, int], int]:
@@ -159,15 +154,25 @@ class CPContext:
     def inverse(self, x: "CPElement") -> "CPElement":
         self._check(x)
         inv = self.group.inverse
-        return self.make({c: inv[v] for c, v in x.rep})
+        return self.make({c: inv[v] for c, v in self.minimal_representative(x)})
 
     # -- order: the enumeration index -------------------------------------
 
     def minimal_representative(self, x: "CPElement") -> Tuple[Tuple[int, int], ...]:
         """The reverse-lex minimum over the coset, as coordinate-sorted
-        (coord, value) pairs without identity entries."""
+        (coord, value) pairs without identity entries, decoded from the
+        index: the coordinate-0 digit is the value's rank, each digit above
+        it a position among the coset minima."""
         self._check(x)
-        return x.rep
+        high, d0 = divmod(x.index, self.group.order)
+        rep = [(0, self.kg.element_order[d0])] if d0 else []
+        radix, coord = len(self.minima), 1
+        while high:
+            high, d = divmod(high, radix)
+            if d:
+                rep.append((coord, self.minima[d]))
+            coord += 1
+        return tuple(rep)
 
     def index_of(self, x: "CPElement") -> int:
         """x's position in the enumeration, a mixed-radix number: the
@@ -176,44 +181,21 @@ class CPContext:
         sorted by rank (radix |G/K|). The highest coordinate is the most
         significant, so indices order elements reverse-lexicographically."""
         self._check(x)
-        if x._index is None:
-            radix = len(self.minima)
-            high = d0 = 0
-            for coord, val in x.rep:
-                if coord == 0:
-                    d0 = self.rank_of[val]
-                else:
-                    high += self.digit_of[val] * radix ** (coord - 1)
-            x._index = high * self.group.order + d0
-        return x._index
+        return x.index
 
     def element_at(self, i: int) -> "CPElement":
         """The element with enumeration index i (inverse of `index_of`)."""
-        order = self.group.order
-        if i < 0 or (i >= order and len(self.minima) == 1):
+        if i < 0 or (i >= self.group.order and len(self.minima) == 1):
             raise InputError(f"no element at index {i}")
-        high, d0 = divmod(i, order)
-        rep = [(0, self.kg.element_order[d0])] if d0 else []
-        radix = len(self.minima)
-        coord = 1
-        while high:
-            high, d = divmod(high, radix)
-            if d:
-                rep.append((coord, self.minima[d]))
-            coord += 1
-        x = CPElement(self, tuple(rep))
-        x._index = i
-        return x
+        return CPElement(self, i)
 
     def index_codec(self, top: int) -> Tuple[Callable, Callable]:
-        """The digit format of an index, as the closures (split, join).
-        split(i) is (high, vals, k): the digits above coordinate top as one
-        number, the coset minima at coordinates 0..top, and the K factor of
-        the coordinate-0 value. join(high, vals, k) inverts it for minima
-        vals at coordinates 0..len(vals)-1, with high above them."""
-        g, minima, r = self.group, self.minima, len(self.minima)
-        mul, order, ranked = g.mul, g.order, self.kg.element_order
-        min_of, k_of, rank_of, digit_of = self.min_of, self.k_of, self.rank_of, self.digit_of
+        """The digit format of an index, as (split, join). split(i) is
+        (high, vals, k): the digits above coordinate top as one number, the
+        coset minima at coordinates 0..top, and the K factor of the
+        coordinate-0 value; `join` inverts it."""
+        minima, r, min_of, k_of = self.minima, len(self.minima), self.min_of, self.k_of
+        order, ranked = self.group.order, self.kg.element_order
         low_size = r**top * order
 
         def split(i: int) -> Tuple[int, List[int], int]:
@@ -226,12 +208,24 @@ class CPContext:
                 vals.append(minima[d])
             return high, vals, k_of[v]
 
-        def join(high: int, vals: List[int], k: int) -> int:
-            for v in reversed(vals[1:]):
-                high = high * r + digit_of[v]
-            return high * order + rank_of[mul[vals[0]][k]]
+        return split, self.join
 
-        return split, join
+    def join(self, high: int, vals: List[int], k: int) -> int:
+        """The index of coset minima vals at coordinates 0..len(vals)-1,
+        with the digits high above them and the K factor k at coordinate 0."""
+        r, digit_of = len(self.minima), self.digit_of
+        for v in vals[:0:-1]:
+            high = high * r + digit_of[v]
+        return high * self.group.order + self.rank_of[self.group.mul[vals[0]][k]]
+
+    def top_coord(self, a: int, b: int) -> int:
+        """The highest coordinate at which the elements with indices a and b
+        differ (0 when a == b): the least c for which a and b fall in the same
+        block of |Γ_{≤c}| consecutive indices."""
+        c, block, r = 0, self.group.order, len(self.minima)
+        while a // block != b // block:
+            c, block = c + 1, block * r
+        return c
 
     def compare(self, x: "CPElement", y: "CPElement") -> int:
         """Reverse lexicographic comparison of minimal representatives
@@ -240,13 +234,6 @@ class CPContext:
         return (ix > iy) - (ix < iy)
 
     # -- enumeration ------------------------------------------------------
-
-    def enumerate_elements(self) -> Iterator["CPElement"]:
-        """All cosets in increasing reverse-lex order of minimal reps: the
-        elements at index 0, 1, ...; the iterator ends only when Γ is
-        finite, that is when K = G and |Γ| = |G|."""
-        finite = len(self.minima) == 1
-        return map(self.element_at, range(self.group.order) if finite else count())
 
     def enumerate(self, count: int) -> List["CPElement"]:
         """The elements at indices 0 .. count-1 (see `prefix_level`)."""
@@ -295,25 +282,25 @@ class CPContext:
 class CPElement:
     """A coset; immutable and hashable.
 
-    `rep`, the coordinate-sorted (coord, value) pairs of the minimal
-    representative without identity entries, identifies the element and is
-    its only stored form. `_index`, its enumeration index and order key,
-    is filled by the context on first use.
+    `index`, its position in the enumeration, identifies the element and is
+    its only stored form; `rep` decodes the minimal representative from it.
     """
 
-    __slots__ = ("ctx", "rep", "_hash", "_index")
+    __slots__ = ("ctx", "index")
 
-    def __init__(self, ctx: CPContext, rep: Tuple[Tuple[int, int], ...]):
+    def __init__(self, ctx: CPContext, index: int):
         self.ctx = ctx
-        self.rep = rep
-        self._hash = hash(rep)
-        self._index = None
+        self.index = index
+
+    @property
+    def rep(self) -> Tuple[Tuple[int, int], ...]:
+        return self.ctx.minimal_representative(self)
 
     def __eq__(self, other):
-        return isinstance(other, CPElement) and self.ctx is other.ctx and self.rep == other.rep
+        return isinstance(other, CPElement) and self.ctx is other.ctx and self.index == other.index
 
     def __hash__(self):
-        return self._hash
+        return hash(self.index)
 
     def __repr__(self):
         return f"CPElement({self.rep})"
@@ -335,8 +322,6 @@ def parse_support(ctx: CPContext, text: str) -> CPElement:
             coord = int(coord_s)
         except ValueError:
             raise InputError(f"bad element literal item {item!r}")
-        if coord > MAX_LITERAL_COORD:
-            raise CapacityError(f"coordinate {coord} is above the cap of {MAX_LITERAL_COORD}")
         if coord in support:
             raise InputError(f"duplicate coordinate {coord}")
         support[coord] = ctx.group.index_of_name(name.strip())

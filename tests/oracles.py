@@ -6,7 +6,6 @@ import random
 from itertools import combinations, product
 
 from azenum.automorphisms import FiniteAutomorphism, Perm, apply_word
-from azenum.central_product import CPElement
 from azenum.groups import catalog_group, validate_and_analyze
 from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
 
@@ -66,7 +65,9 @@ def coset_members(ctx, x, width=None):
 
 def brute_cosets(ctx, n):
     """Every coset with support below n, built without the enumeration
-    (unsorted): each tuple of transversal labels, then each K factor at 0."""
+    (unsorted): each tuple of transversal labels, then each K factor at 0.
+    `make` encodes each minimal representative found here, and must
+    decode it back unchanged."""
     mul, e, transversal = ctx.group.mul, ctx.group.identity_index, ctx.kg.transversal
     out = []
     for t0, *t_high in product(range(len(transversal)), repeat=n):
@@ -79,7 +80,10 @@ def brute_cosets(ctx, n):
         higher = tuple(higher)
         for k in ctx.k_list:
             v0 = mul[v][k]
-            out.append(CPElement(ctx, ((0, v0), *higher) if v0 != e else higher))
+            rep = ((0, v0), *higher) if v0 != e else higher
+            x = ctx.make(dict(rep))
+            assert x.rep == rep
+            out.append(x)
     return out
 
 
@@ -99,7 +103,7 @@ def brute_minimum(ctx, x, width=None):
 
 def brute_product(ctx, x, y, width):
     """The minimal representative of x·y: the componentwise product of the
-    two stored representatives, then `brute_minimum`."""
+    two minimal representatives, then `brute_minimum`."""
     mul, e = ctx.group.mul, ctx.group.identity_index
     prod = dict(x.rep)
     for c, v in y.rep:
@@ -108,14 +112,14 @@ def brute_product(ctx, x, y, width):
 
 
 def raw_perm(perm, x):
-    """The tuple of x's stored representative with the entry at j moved to
+    """The tuple of x's minimal representative with the entry at j moved to
     perm[j], read from the permutation's (source, target) moves."""
     moves = dict(perm.moves)
     return {moves.get(c, c): v for c, v in x.rep}
 
 
 def raw_ladder(ctx, coords, x):
-    """The tuple of x's stored representative (or of a representative given
+    """The tuple of x's minimal representative (or of a representative given
     as a coordinate -> value dict) after the ladder on `coords`: window
     slot j takes the ordered product of every other slot's entry."""
     mul, e = ctx.group.mul, ctx.group.identity_index
@@ -132,7 +136,7 @@ def raw_ladder(ctx, coords, x):
 
 def oracle_apply_word(ctx, word, x):
     """The word's action on elements, one generator at a time: the raw
-    tuple action on the stored representative, then `make` normalises it."""
+    tuple action on the minimal representative, then `make` normalises it."""
     for gen in word.gens:
         if isinstance(gen, Perm):
             x = ctx.make(raw_perm(gen, x))
@@ -142,7 +146,7 @@ def oracle_apply_word(ctx, word, x):
 
 
 def oracle_apply_beta(bm, x):
-    """The shift-and-copy map on the stored representative, coordinate by
+    """The shift-and-copy map on the minimal representative, coordinate by
     coordinate, then `make` normalises it: positions up to l_i follow the
     witness (fanning out over I_s when they land on a letter's last
     occurrence), higher positions shift by l_j - l_i."""
@@ -345,12 +349,13 @@ def random_nondegenerate_qs(rng, dim_u, dim_v, tries=100000) -> QuadraticStructu
 def random_qs_extension(rng, qs0, extra_u, extra_v, tries=20000):
     """A nondegenerate extension of qs0 along the coordinate inclusion.
 
-    Escalates extra_v if the requested V is too tight to support
+    Starts at dim_v >= dim_u / 2, since by Chevalley–Warning dim_v quadratic
+    forms in more than 2·dim_v variables have a common nontrivial zero, and
+    escalates extra_v if the requested V is still too tight to support
     nondegeneracy.
     """
     dim_u = qs0.dim_u + extra_u
-    if dim_u > 0:
-        extra_v = max(extra_v, 1 - qs0.dim_v)
+    extra_v = max(extra_v, (dim_u + 1) // 2 - qs0.dim_v)
     for attempt in range(tries):
         dim_v = qs0.dim_v + extra_v + attempt // (tries // 4 + 1)
         q = list(qs0.q_basis) + [

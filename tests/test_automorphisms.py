@@ -150,7 +150,7 @@ def test_beta_star_is_automorphism(c4k, q8k):
 )
 def test_generators_match_brute_force_action(name, level, gens):
     # every element of the level: the image is the brute-force minimum of
-    # the raw componentwise action on the stored representative
+    # the raw componentwise action on the minimal representative
     ctx = make_ctx(name)
     for gen in gens:
         for x in brute_cosets(ctx, level):

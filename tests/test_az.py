@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,6 @@ from azenum import az
 from azenum.automorphisms import apply_word
 from azenum.az import (
     TupleFamily,
-    _top_coord,
     apply_beta,
     beta_index_map,
     beta_as_word,
@@ -18,7 +18,7 @@ from azenum.az import (
     normalize_family,
     run_az,
 )
-from azenum.central_product import CPContext
+from azenum.central_product import CPContext, parse_support
 from azenum.errors import InputError, InsufficientFamilyError
 from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
 from oracles import (
@@ -322,6 +322,29 @@ def test_run_az_order_claim_covers_whole_level(name, depth, level):
     assert report["of"] >= ctx.gamma_n_order(level + 1) - 1 >= depth - 1
 
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+# the whole level checked per group: Q8 level 5 and C4 level 8 hold 2 048
+# and 512 indices
+GOLDEN_LEVELS = {"Q8": 5, "C4": 8}
+GOLDEN_FAMILIES = [f"az_Q8_{n}" for n in range(1, 5)] + [f"az_C4_{n}" for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("name", GOLDEN_FAMILIES)
+def test_beta_increases_on_whole_level_of_golden_family(name):
+    # β of each golden family, read as `az run` reads it, strictly increases
+    # over a whole level, and every image is the element oracle's
+    group = name.split("_")[1]
+    ctx = make_ctx(group)
+    lines = (GOLDEN_INPUTS / f"{name}.txt").read_text().split()
+    members = [tuple(parse_support(ctx, part) for part in line.split(";")) for line in lines]
+    bm = build_beta(normalize_family(TupleFamily(ctx, len(members[0]), members)))
+    beta = beta_index_map(bm)
+    size = ctx.level_size(GOLDEN_LEVELS[group])
+    images = list(map(beta, range(size)))
+    assert all(a < b for a, b in zip(images, images[1:]))
+    assert images == [ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))) for i in range(size)]
+
+
 def test_level_check_matches_all_pairs_on_c4_level_4():
     # β strictly increasing on the indices of the level-4 subgroup (support
     # below 4) exactly when it preserves the brute-force order on all pairs
@@ -413,4 +436,4 @@ def test_max_diff_index_matches_dict_definition(name):
             expected = max(
                 c for c in set(rx) | set(ry) if rx.get(c) != ry.get(c)
             )
-            assert _top_coord(ctx, ctx.index_of(x), ctx.index_of(y)) == expected
+            assert ctx.top_coord(ctx.index_of(x), ctx.index_of(y)) == expected

@@ -1,8 +1,15 @@
 import random
+import time
 
 import pytest
 
-from azenum.central_product import MAX_COSETS, CPContext, format_support, parse_support
+from azenum.central_product import (
+    MAX_COSETS,
+    MAX_LITERAL_COORD,
+    CPContext,
+    format_support,
+    parse_support,
+)
 from azenum.errors import CapacityError, InputError
 from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
 from oracles import (
@@ -269,15 +276,13 @@ def test_enumerate_c2_full_group():
     assert v0 == ctx.identity
     assert v1 == ctx.embed(1, 0)
     # Γ has two elements, so the enumeration ends after them
-    assert list(ctx.enumerate_elements()) == [v0, v1]
     with pytest.raises(InputError, match="2"):
         ctx.enumerate(3)
 
 
 @pytest.mark.parametrize("name", ["C4", "Q8", "D4", "C2xC2", "C2"])
 def test_index_round_trip(name):
-    # element_at fills the index it was given, so read it back from an
-    # element built afresh from the representative
+    # decode the representative from the index, then encode it afresh
     ctx = make_ctx(name)
     for i in range(ctx.gamma_n_order(3)):
         x = ctx.element_at(i)
@@ -299,6 +304,16 @@ def test_all_cosets_cap(q8k):
     assert q8k.gamma_n_order(8) <= MAX_COSETS < q8k.gamma_n_order(9)
     with pytest.raises(CapacityError):
         q8k.all_cosets(9)
+
+
+@pytest.mark.parametrize("coord", [MAX_LITERAL_COORD + 1, 10**9], ids=["just-above", "far"])
+def test_make_coordinate_above_cap(q8k, coord):
+    # make has a digit per coordinate up to the highest: the cap is decided
+    # before they are built
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="cap"):
+        q8k.make({coord: 1})
+    assert time.perf_counter() - start < 1
 
 
 def test_support_before_next_level(q8k):

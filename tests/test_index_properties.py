@@ -24,8 +24,8 @@ def ctx(request):
 
 
 def draw_element(data, ctx):
-    """An index of Γ_{≤6} and its element, rebuilt from the representative
-    so that no index is cached on it."""
+    """An index of Γ_{≤6} and its element, decoded to the representative
+    and encoded afresh by `make`."""
     i = data.draw(st.integers(min_value=0, max_value=ctx.gamma_n_order(LEVEL) - 1))
     return i, ctx.make(ctx.representative(ctx.element_at(i)))
 
