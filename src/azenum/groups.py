@@ -268,7 +268,7 @@ def find_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[Dict[int, int]]
     gens = _generating_sequence(g1)
 
     def extend(assigned: List[Tuple[int, int]]) -> Optional[Dict[int, int]]:
-        mapping = _closure_map(g1, g2, assigned)
+        mapping = hom_from_generators(g1, g2, assigned)
         if mapping is None:
             return None
         if len(assigned) == len(gens):
@@ -308,8 +308,12 @@ def _generating_sequence(table: GroupTable) -> List[int]:
     return gens
 
 
-def _closure_map(g1, g2, assigned) -> Optional[Dict[int, int]]:
-    """Grow the partial hom determined by generator images; None on clash."""
+def hom_from_generators(g1, g2, assigned) -> Optional[Dict[int, int]]:
+    """The homomorphism on the subgroup of g1 generated by the `assigned`
+    (generator, image) pairs, grown from the identity and checked at every
+    product it reaches; None on a clash or if it is not injective. Used by
+    `find_isomorphism` and by both factor embeddings of
+    `quadratic.free_amalgam_groups`."""
     mapping = {g1.identity_index: g2.identity_index}
     frontier = [g1.identity_index]
     while frontier:
@@ -437,12 +441,17 @@ def group_from_json(doc: dict):
         mul = doc["mul"]
         names = doc.get("elements")
         name = doc.get("name", "G")
+        k = doc.get("K")
     except (KeyError, TypeError):
         raise InputError("group document must contain 'mul'")
     if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
         raise InputError("group document 'mul' must be a list of rows")
+    for key, items, kind in (("elements", names, str), ("K", k, int)):
+        if items is not None and not (
+            isinstance(items, list) and all(type(x) is kind for x in items)
+        ):
+            raise InputError(f"group document {key!r} must be a list of {kind.__name__}s")
     table, analysis = validate_and_analyze(mul, names, name=name)
     if "order" in doc and doc["order"] != table.order:
         raise InputError("declared order does not match table size")
-    k = doc.get("K")
     return table, analysis, k

@@ -13,12 +13,19 @@ from .errors import CapacityError, InputError
 from .groups import (
     GroupAnalysis,
     GroupTable,
+    hom_from_generators,
     is_class_csw,
     subgroup_closure,
     validate_and_analyze,
 )
 
-NONDEGENERACY_CAP = 20
+EXHAUSTIVE_CAP = 20
+
+# A document's size bounds dimU (Q holds dimU entries, gamma dimU^2) but not
+# dimV. `qs amalgam` output and time grow faster than dimV^2: two dimU-2
+# factors of dimV 1024 take 0.5 s and 0.7 MB, of dimV 4096 9.5 s and 10 MB
+# (Python 3.11, one core of a shared 2-core x86-64 host).
+MAX_DIM_V = 1024
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ class QSMorphism:
 def is_morphism(src: QuadraticStructure, dst: QuadraticStructure, m: QSMorphism) -> bool:
     if len(m.f) != src.dim_u or len(m.g) != src.dim_v:
         return False
-    for u in range(1 << src.dim_u):
+    for u in _every_u(src.dim_u):
         if m.apply_v(src.eval_q(u)) != dst.eval_q(m.apply_u(u)):
             return False
     return True
@@ -108,9 +115,14 @@ def identity_morphism(qs: QuadraticStructure) -> QSMorphism:
 
 def is_nondegenerate(qs: QuadraticStructure) -> bool:
     """Exhaustively check Q(u) != 0 for every nonzero u."""
-    if qs.dim_u > NONDEGENERACY_CAP:
-        raise CapacityError(f"dim_u {qs.dim_u} exceeds cap {NONDEGENERACY_CAP}")
-    return all(qs.eval_q(u) != 0 for u in range(1, 1 << qs.dim_u))
+    return all(qs.eval_q(u) != 0 for u in _every_u(qs.dim_u)[1:])
+
+
+def _every_u(dim_u: int) -> range:
+    """Every vector of F2^dim_u, for an exhaustive check up to the cap."""
+    if dim_u > EXHAUSTIVE_CAP:
+        raise CapacityError(f"dim_u {dim_u} exceeds cap {EXHAUSTIVE_CAP}")
+    return range(1 << dim_u)
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +135,15 @@ class GroupQuadraticData:
     """A quadratic structure extracted from a group, with quotient data.
 
     v_coords maps each square-trivial element to its V-coordinates;
-    u_coords maps every group element to the coordinates of its coset;
-    section[mask] is the ordered product of the U-basis lifts for mask.
+    u_coords maps every group element to the coordinates of its coset.
     """
 
     qs: QuadraticStructure
     group: GroupTable
-    v_elements: Tuple[int, ...]
     v_basis: Tuple[int, ...]
     v_coords: Dict[int, int]
     u_basis: Tuple[int, ...]
     u_coords: Tuple[int, ...]
-    section: Tuple[int, ...]
-
-    def v_part(self, x: int) -> int:
-        """V-coordinates of x relative to the section of its coset."""
-        g = self.group
-        t = self.section[self.u_coords[x]]
-        return self.v_coords[g.mul[g.inverse[t]][x]]
 
 
 def _greedy_basis(g: GroupTable, base, candidates) -> List[int]:
@@ -187,12 +190,10 @@ def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> GroupQuadraticD
     return GroupQuadraticData(
         qs=qs,
         group=g,
-        v_elements=v_elements,
         v_basis=tuple(v_basis),
         v_coords=v_coords,
         u_basis=tuple(u_basis),
         u_coords=tuple(u_coords),
-        section=tuple(section),
     )
 
 
@@ -239,11 +240,11 @@ def group_from_qs(
 
     Elements are packed as (u << dim_v) | v.
     """
-    if not is_nondegenerate(qs):
-        raise InputError("quadratic structure is degenerate")
     total = qs.dim_u + qs.dim_v
     if total > 8:
         raise CapacityError(f"2^{total} elements exceed the desk-scale cap")
+    if not is_nondegenerate(qs):
+        raise InputError("quadratic structure is degenerate")
     beta = cocycle_basis(qs)
     order = 1 << total
     dv = qs.dim_v
@@ -380,43 +381,20 @@ class GroupAmalgamResult:
 
 
 def _pair_embedding(
-    data: GroupQuadraticData,
-    emb: QSMorphism,
-    amalgam: QuadraticStructure,
-    beta_am: List[List[int]],
-    dim_v: int,
+    data: GroupQuadraticData, emb: QSMorphism, amalgam: GroupTable, dim_v: int
 ) -> List[int]:
     """Embed a factor group into the amalgam group (packed pairs).
 
-    Sends x = section(u) * v to (f(u), g(v) + delta(u)) where delta is the
-    quadratic refinement of the cocycle discrepancy, making the map a
-    homomorphism.
+    The homomorphism sending each U-basis lift t_k to (f(e_k), 0) and each
+    V-basis element w_l to (0, g(e_l)). These generate the factor, and
+    (f, g) preserves Q and so gamma, so the images satisfy its relations.
     """
-    qs1 = data.qs
-    beta1 = cocycle_basis(qs1)
-    eps = [
-        [
-            emb.apply_v(beta1[i][j])
-            ^ eval_cocycle(beta_am, emb.f[i], emb.f[j])
-            for j in range(qs1.dim_u)
-        ]
-        for i in range(qs1.dim_u)
-    ]
-
-    def delta(u: int) -> int:
-        bits = gf2.bits_of(u)
-        out = 0
-        for a, i in enumerate(bits):
-            for j in bits[a + 1 :]:
-                out ^= eps[i][j]
-        return out
-
-    images = []
-    for x in range(data.group.order):
-        u = data.u_coords[x]
-        v = data.v_part(x)
-        images.append(pack_uv(emb.apply_u(u), emb.apply_v(v) ^ delta(u), dim_v))
-    return images
+    assigned = [(t, pack_uv(u, 0, dim_v)) for t, u in zip(data.u_basis, emb.f)]
+    assigned += [(w, pack_uv(0, v, dim_v)) for w, v in zip(data.v_basis, emb.g)]
+    hom = hom_from_generators(data.group, amalgam, assigned)
+    if hom is None or len(hom) != data.group.order:
+        raise AssertionError(f"generator images do not embed {data.group.name}")
+    return [hom[x] for x in range(data.group.order)]
 
 
 def free_amalgam_groups(
@@ -441,9 +419,8 @@ def free_amalgam_groups(
     am = free_amalgam(d0.qs, d1.qs, e1, d2.qs, e2)
     name = f"Amalgam({g1.name},{g2.name};{g0.name})"
     table, analysis = group_from_qs(am.qs, name=name)
-    beta_am = cocycle_basis(am.qs)
-    emb1 = _pair_embedding(d1, am.emb1, am.qs, beta_am, am.qs.dim_v)
-    emb2 = _pair_embedding(d2, am.emb2, am.qs, beta_am, am.qs.dim_v)
+    emb1 = _pair_embedding(d1, am.emb1, table, am.qs.dim_v)
+    emb2 = _pair_embedding(d2, am.emb2, table, am.qs.dim_v)
 
     # Align the two embeddings on g0: correct emb2 by the linear V-part
     # discrepancy, which factors through U0.
@@ -487,10 +464,19 @@ def qs_from_json(doc: dict) -> QuadraticStructure:
     try:
         dim_u = doc["dimU"]
         dim_v = doc["dimV"]
-        q = tuple(gf2.parse_bitstring(s) for s in doc["Q"])
-        gamma = tuple(
-            tuple(gf2.parse_bitstring(s) for s in row) for row in doc["gamma"]
-        )
+        q = _bitstrings(doc["Q"])
+        gamma = tuple(_bitstrings(row) for row in doc["gamma"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad quadratic-structure document: {exc}")
+    for key, dim in (("dimU", dim_u), ("dimV", dim_v)):
+        if type(dim) is not int or dim < 0:
+            raise InputError(f"{key} must be a non-negative integer, not {dim!r}")
+    if dim_v > MAX_DIM_V:
+        raise CapacityError(f"dimV {dim_v} exceeds cap {MAX_DIM_V}")
     return QuadraticStructure(dim_u, dim_v, q, gamma)
+
+
+def _bitstrings(items) -> Tuple[int, ...]:
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise TypeError("Q and each gamma row must be lists of bitstrings")
+    return tuple(gf2.parse_bitstring(s) for s in items)

@@ -63,6 +63,18 @@ def test_group_check_file_with_bad_mul(tmp_path, capsys, mul):
     assert run_command(["group", "check", "--group", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field", [{"K": 5}, {"K": [[0]]}, {"K": [True]}, {"elements": [[1], [2]]},
+              {"elements": "ab"}],
+)
+def test_group_file_with_bad_k_or_elements(tmp_path, capsys, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"mul": [[0, 1], [1, 0]], **field}))
+    for argv in (["group", "check"], ["group", "rank"], ["cp", "enumerate", "--count=2"]):
+        assert run_command([*argv, f"--group={path}"]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_group_check_k_index_out_of_range(tmp_path, capsys):
     assert run_command(["group", "check", "--group", "Q8", "--k", "99"]) == 2
     assert "out of range" in capsys.readouterr().err
@@ -142,6 +154,72 @@ def test_qs_amalgam(tmp_path, capsys):
         doc["qs"]["dimV"]
         == l_doc["dimV"] + r_doc["dimV"] + l_doc["dimU"] * r_doc["dimU"]
     )
+
+
+def test_qs_to_group_refuses_size_before_nondegeneracy(tmp_path, capsys):
+    # Q(u) = u is nondegenerate, but checking so reads all 2^20 vectors
+    dim = 20
+    doc = {"dimU": dim, "dimV": dim, "Q": ["0" * i + "1" for i in range(dim)],
+           "gamma": [["0"] * dim] * dim}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run_command(["qs", "to-group", f"--file={path}"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "desk-scale cap" in capsys.readouterr().err
+
+
+# Quadratic-structure documents that every qs reader refuses: dimensions
+# that are not non-negative integers or exceed MAX_DIM_V, a ragged gamma,
+# Q entries or gamma rows that are not bitstrings, and missing keys.
+BAD_QS_DOCS = {
+    "dimV-negative": {"dimU": 0, "dimV": -1, "Q": [], "gamma": []},
+    "dimV-float": {"dimU": 0, "dimV": 1.5, "Q": [], "gamma": []},
+    "dimV-huge": {"dimU": 0, "dimV": 100000000000, "Q": [], "gamma": []},
+    "dimV-string": {"dimU": 0, "dimV": "1", "Q": [], "gamma": []},
+    "dimU-bool": {"dimU": True, "dimV": 1, "Q": ["1"], "gamma": [["0"]]},
+    "gamma-ragged": {"dimU": 2, "dimV": 1, "Q": ["1", "1"], "gamma": [["0", "1"], ["1"]]},
+    "Q-int": {"dimU": 1, "dimV": 1, "Q": [1], "gamma": [["0"]]},
+    "Q-list": {"dimU": 1, "dimV": 1, "Q": [["1"]], "gamma": [["0"]]},
+    "gamma-row-string": {"dimU": 1, "dimV": 1, "Q": ["1"], "gamma": ["0"]},
+    "no-dimV": {"dimU": 1, "Q": ["1"], "gamma": [["0"]]},
+    "no-gamma": {"dimU": 1, "dimV": 1, "Q": ["1"]},
+    "not-an-object": [1, 1],
+}
+# Q(u) is the parity of u; checking a morphism from it reads all 2^24 vectors
+WIDE_QS_DOC = {"dimU": 24, "dimV": 1, "Q": ["1"] * 24, "gamma": [["0"] * 24] * 24}
+
+
+def qs_document_argvs(tmp_path, name, doc):
+    """`qs to-group` and each `qs amalgam` slot reading `doc`; the other
+    slots read the structure of C4."""
+    path, good = tmp_path / f"qs-{name}.json", tmp_path / "qs-c4.json"
+    path.write_text(json.dumps(doc))
+    good.write_text(json.dumps({"dimU": 1, "dimV": 1, "Q": ["1"], "gamma": [["0"]]}))
+    return [
+        ["qs", "to-group", f"--file={path}"],
+        ["qs", "amalgam", f"--left={path}", f"--right={good}"],
+        ["qs", "amalgam", f"--left={good}", f"--right={path}"],
+        ["qs", "amalgam", f"--left={good}", f"--right={good}", f"--common={path}"],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BAD_QS_DOCS))
+def test_bad_qs_document_is_bad_input(tmp_path, capsys, name):
+    for argv in qs_document_argvs(tmp_path, name, BAD_QS_DOCS[name]):
+        assert run_command(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_qs_amalgam_morphism_check_above_cap(tmp_path, capsys):
+    # checking the inclusion of --common would enumerate all 2^24 vectors
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE_QS_DOC))
+    argv = ["qs", "amalgam", f"--left={path}", f"--right={path}", f"--common={path}"]
+    start = time.perf_counter()
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
 
 
 # -- cp ----------------------------------------------------------------------
@@ -593,12 +671,30 @@ def test_unreadable_input_is_bad_input(tmp_path, capsys, argv, kind):
 # -- malformed values on every path -----------------------------------------
 
 
+C2_MUL = [[0, 1], [1, 0]]
+BAD_GROUP_DOCS = [3, [], {}, {"mul": 3}, {"mul": [3]}, {"mul": [[True]]},
+                  {"mul": [[0.0]]}, {"mul": C2_MUL, "K": 5}, {"mul": C2_MUL, "K": [5]},
+                  {"mul": C2_MUL, "K": ["a"]}, {"mul": C2_MUL, "K": [True]},
+                  {"mul": C2_MUL, "K": [[0]]}, {"mul": C2_MUL, "K": {"0": 1}},
+                  {"mul": C2_MUL, "order": 3}, {"mul": C2_MUL, "elements": ["a"]},
+                  {"mul": C2_MUL, "elements": [[1], [2]]},
+                  {"mul": C2_MUL, "elements": "ab"}, {"mul": C2_MUL, "elements": [1, 2]}]
+TRIPLE = {"n": 4, "a": 0, "b": 10, "c": 11, "cycle": [0, 1, 2, 3]}
+BAD_TRIPLES_DOCS = [3, {}, {"triples": 3}, {"triples": [3]}, {"triples": [{}]},
+                    {"triples": [{**TRIPLE, "cycle": "ab"}]},
+                    {"triples": [{**TRIPLE, "cycle": [0, 1, 2, True]}]},
+                    {"triples": [{**TRIPLE, "n": 4.0}]}, {"triples": [{**TRIPLE, "a": -1}]},
+                    {"triples": [{**TRIPLE, "n": 99, "b": 10**8, "c": 10**8 + 1}]}]
+
+
 def malformed_grid(tmp_path):
     """A fixed grid of malformed and edge values for every option that takes
     an element literal, K, an automorphism word, coordinates, a count, a
-    level, a depth, a wqo word or a bound, for every catalog group. Values
-    go in as `--opt=value`, so argparse reads a leading '-' as part of the
-    value. The `az run` rows read a family of two equal members."""
+    level, a depth, a wqo word or a bound, for every catalog group, and for
+    every JSON document reader: group files, quadratic-structure documents
+    in `qs to-group` and each `qs amalgam` slot, and `rado check` triples.
+    Values go in as `--opt=value`, so argparse reads a leading '-' as part
+    of the value. The `az run` rows read a family of two equal members."""
     literals = ["", "-", "1", ",", ":", "0:", ":{n}", "0:{n},", "x:{n}", "-1:{n}",
                 "0:{n},0:{n}", "1.5:{n}", "\u00b2:{n}", "0:nope", "0:{n},3:{n}",
                 " 2 : {n} ", f"{MAX_LITERAL_COORD + 1}:{{n}}", "99999999999:{n}"]
@@ -639,6 +735,18 @@ def malformed_grid(tmp_path):
         for n in small + ["10000000"]:
             grid.append(["az", "run", *g, f"--tuples={tuples}", f"--depth={n}"])
         grid += [["group", "rank", *g], ["qs", "from-group", *g]]
+    for name, doc in {**BAD_QS_DOCS, "dimU-24": WIDE_QS_DOC}.items():
+        grid += qs_document_argvs(tmp_path, name, doc)
+    for i, doc in enumerate(BAD_GROUP_DOCS):
+        path = tmp_path / f"group-{i}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["group", "check"], ["cp", "enumerate", "--count=2"],
+                     ["qs", "from-group"]):
+            grid.append([*argv, f"--group={path}"])
+    for i, doc in enumerate(BAD_TRIPLES_DOCS):
+        path = tmp_path / f"triples-{i}.json"
+        path.write_text(json.dumps(doc))
+        grid.append(["rado", "check", f"--file={path}"])
     for w1 in ["", ",", "a,,b", "a", " "]:
         for verb in ("subword", "star"):
             grid.append(["wqo", verb, f"--w1={w1}", "--w2=a,,b"])

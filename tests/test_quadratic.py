@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from azenum.errors import InputError
+from azenum.errors import CapacityError, InputError
 from azenum.gf2 import complete_basis
-from azenum.groups import catalog_group, find_isomorphism
+from azenum.groups import catalog_group, find_isomorphism, validate_and_analyze
 from azenum.quadratic import (
+    EXHAUSTIVE_CAP,
     QSMorphism,
     QuadraticStructure,
     cocycle_basis,
@@ -71,6 +72,15 @@ def test_polarization_identity_exhaustive():
         for x in range(1 << dim_u):
             for y in range(1 << dim_u):
                 assert qs.eval_gamma(x, y) == qs.eval_q(x) ^ qs.eval_q(y) ^ qs.eval_q(x ^ y)
+
+
+def test_exhaustive_checks_above_cap():
+    dim_u = EXHAUSTIVE_CAP + 1
+    qs = QuadraticStructure(dim_u, 1, (1,) * dim_u, ((0,) * dim_u,) * dim_u)
+    with pytest.raises(CapacityError):
+        is_nondegenerate(qs)
+    with pytest.raises(CapacityError):
+        is_morphism(qs, qs, identity_morphism(qs))
 
 
 def test_is_nondegenerate():
@@ -229,6 +239,45 @@ def test_free_amalgam_groups_agree_on_base():
         assert res.emb1[hom1[x]] == res.emb2[hom2[x]]
     common = set(res.emb1) & set(res.emb2)
     assert common == {res.emb1[hom1[x]] for x in range(c4.order)}
+
+
+# Diagrams G1 <- G0 -> G2 of class groups, each map given by the names of
+# the images of G0's elements in index order; "1" is the trivial group.
+AMALGAM_DIAGRAMS = {
+    "1-C4-C4": ("1", "C4", ["1"], "C4", ["1"]),
+    "Q8-Q8-Q8": ("Q8", "Q8", None, "Q8", None),
+    "C4-Q8i-Q8j": ("C4", "Q8", ["1", "i", "-1", "-i"], "Q8", ["1", "j", "-1", "-j"]),
+    "C4-Q8k-Q8i": ("C4", "Q8", ["1", "k", "-1", "-k"], "Q8", ["1", "i", "-1", "-i"]),
+    # g -> -j: the two embeddings first differ on C4 and need aligning
+    "C4-Q8i-Q8-j": ("C4", "Q8", ["1", "i", "-1", "-i"], "Q8", ["1", "-j", "-1", "j"]),
+    "C2-C4-Q8": ("C2", "C4", ["1", "g2"], "Q8", ["1", "-1"]),
+    "C2-C2xC2-C4": ("C2", "C2xC2", ["1", "a"], "C4", ["1", "g2"]),
+    "1-C2xC2-Q8": ("1", "C2xC2", ["1"], "Q8", ["1"]),
+}
+
+
+def _diagram_group(name):
+    if name == "1":
+        return validate_and_analyze([[0]], ["1"], name="1")
+    return catalog_group(name)[:2]
+
+
+@pytest.mark.parametrize("diagram", list(AMALGAM_DIAGRAMS))
+def test_free_amalgam_groups_diagrams(diagram):
+    n0, n1, names1, n2, names2 = AMALGAM_DIAGRAMS[diagram]
+    (g0, a0), (g1, a1), (g2, a2) = (_diagram_group(n) for n in (n0, n1, n2))
+    hom1, hom2 = (
+        [g.index_of_name(x) for x in (names or g0.element_names)]
+        for g, names in ((g1, names1), (g2, names2))
+    )
+    _check_group_embedding(g0, g1, hom1)
+    _check_group_embedding(g0, g2, hom2)
+    res = free_amalgam_groups(g0, a0, g1, a1, hom1, g2, a2, hom2)
+    _check_group_embedding(g1, res.group, res.emb1)
+    _check_group_embedding(g2, res.group, res.emb2)
+    base = [res.emb1[hom1[x]] for x in range(g0.order)]
+    assert base == [res.emb2[hom2[x]] for x in range(g0.order)]
+    assert set(res.emb1) & set(res.emb2) == set(base)
 
 
 def _check_group_embedding(src, dst, images):
