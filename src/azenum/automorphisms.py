@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .central_product import MAX_LITERAL_COORD, CPContext, CPElement
-from .errors import CapacityError, InputError
+from .central_product import CPContext, CPElement
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,6 @@ def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
     above the top coordinate pass through unchanged.
     """
     top = max(word.max_coord(), 0)
-    if top > MAX_LITERAL_COORD:
-        raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
     mul, e, min_of, k_of = ctx.group.mul, ctx.group.identity_index, ctx.min_of, ctx.k_of
     split, join = ctx.index_codec(top)
     steps = []
@@ -207,9 +205,6 @@ class VerifyReport:
     witness: Optional[tuple] = None
 
 
-EXHAUSTIVE_PAIR_CAP = 1 << 15
-
-
 def verify_automorphism(
     ctx: CPContext,
     word: AutWord,
@@ -223,9 +218,9 @@ def verify_automorphism(
     list of `index_map` images of range(size); an image at or above size
     escapes the level. Bijectivity is exhaustive; the homomorphism law,
     images[law(a, b)] == law(images[a], images[b]), is checked on every
-    pair (x-major over range(size)) when size^2 is at most
-    EXHAUSTIVE_PAIR_CAP, and otherwise on `sample_pairs` pairs, each index
-    drawn by `rng.randrange(size)`. A failing pair is returned as elements.
+    pair (x-major over range(size)) when size^2 is at most `sample_pairs`,
+    and otherwise on `sample_pairs` pairs, each index drawn by
+    `rng.randrange(size)`. A failing pair is returned as elements.
     """
     if word.max_coord() >= n:
         raise InputError("word touches coordinates at or above the level")
@@ -238,7 +233,7 @@ def verify_automorphism(
     if len(set(images)) != size:
         return VerifyReport(False, n, size, 0, False, "not injective", None)
 
-    exhaustive = size * size <= EXHAUSTIVE_PAIR_CAP
+    exhaustive = size * size <= sample_pairs
     if exhaustive:
         pairs = ((a, b) for a in range(size) for b in range(size))
     else:

@@ -31,10 +31,10 @@ Support = Mapping[int, int]
 # and a transposition) 1.35-1.5 s and 28 MB.
 MAX_COSETS = 1 << 18
 
-# The largest coordinate that `make` takes, and that a word acting on
-# indices may touch. `make` builds a digit per coordinate up to the highest,
-# and the group law's cost grows with its square: `cp mul --group Q8` at
-# coordinate 10 000 takes 0.08 s, 30 000 0.5 s, 100 000 5.5 s (same host).
+# The largest coordinate that `make` and `index_codec` take, hence that a
+# word acting on indices may touch. `make` builds a digit per coordinate up
+# to the highest, and the group law's cost grows with its square: `cp mul
+# --group Q8` at 10 000 takes 0.08 s, 30 000 0.5 s, 100 000 5.5 s (same host).
 MAX_LITERAL_COORD = 10_000
 
 
@@ -190,10 +190,12 @@ class CPContext:
         return CPElement(self, i)
 
     def index_codec(self, top: int) -> Tuple[Callable, Callable]:
-        """The digit format of an index, as (split, join). split(i) is
-        (high, vals, k): the digits above coordinate top as one number, the
-        coset minima at coordinates 0..top, and the K factor of the
-        coordinate-0 value; `join` inverts it."""
+        """The digit format of an index, as (split, join); CapacityError for
+        top above MAX_LITERAL_COORD. split(i) is (high, vals, k): the digits
+        above coordinate top as one number, the coset minima at 0..top, and
+        the K factor of the coordinate-0 value; `join` inverts it."""
+        if top > MAX_LITERAL_COORD:
+            raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
         minima, r, min_of, k_of = self.minima, len(self.minima), self.min_of, self.k_of
         order, ranked = self.group.order, self.kg.element_order
         low_size = r**top * order

@@ -62,10 +62,6 @@ class Gf2Span:
         self._rows.append((pivot, residual, combo | (1 << slot)))
         return True
 
-    def contains(self, v: int) -> bool:
-        residual, _ = self.reduce(v)
-        return residual == 0
-
     def solve(self, v: int) -> Optional[int]:
         """Combination mask over inserted vectors producing v, or None."""
         residual, combo = self.reduce(v)

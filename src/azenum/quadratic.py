@@ -11,6 +11,7 @@ from typing import Dict, List, Tuple
 from . import gf2
 from .errors import CapacityError, InputError
 from .groups import (
+    MAX_ORDER,
     GroupAnalysis,
     GroupTable,
     hom_from_generators,
@@ -241,7 +242,7 @@ def group_from_qs(
     Elements are packed as (u << dim_v) | v.
     """
     total = qs.dim_u + qs.dim_v
-    if total > 8:
+    if 1 << total > MAX_ORDER:
         raise CapacityError(f"2^{total} elements exceed the desk-scale cap")
     if not is_nondegenerate(qs):
         raise InputError("quadratic structure is degenerate")

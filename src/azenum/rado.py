@@ -169,19 +169,15 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
     every mask is <= b the explicit witness mask + 2^(b+1) still qualifies
     (and beats nothing, since qualifying masks are < 2^(b+1)).
 
-    Masks at level v lie in [2^v, 2^(v+1)), so the scan walks v upward
-    from the first level that holds an n-cycle and whose masks can
+    Masks at level v lie in [2^v, 2^(v+1)), so after the memoised first
+    level the scan walks v upward from the first level whose masks can
     exceed b.  InputError when {0..b} holds no induced n-cycle.
     """
     first, first_masks = _first_level(n)
     if first > b:
         raise InputError(f"the prefix {{0..{b}}} holds no induced {n}-cycle")
-    start = max(first, (b + 1).bit_length() - 1)
-    if start == first:
-        levels = chain([(first, first_masks)], _levels(n, first + 1))
-    else:
-        levels = _levels(n, start)
-    for v, masks in levels:
+    start = max(first + 1, (b + 1).bit_length() - 1)
+    for v, masks in chain([(first, first_masks)], _levels(n, start)):
         if v > b:
             break
         at = bisect_right(masks, b)
@@ -242,6 +238,9 @@ def build_triples(max_n: int) -> List[Triple]:
 
 
 def _validate_triple(t: Triple) -> None:
+    if len(t.cycle) != t.n or len(set(t.cycle)) != t.n:
+        found = f"{len(set(t.cycle))} distinct vertices in {len(t.cycle)} entries"
+        raise FalsificationError(f"stored cycle has {found}, not n = {t.n}", t)
     cycle = is_induced_cycle(t.cycle)
     if cycle is None:
         raise FalsificationError("stored cycle is not an induced cycle", t)

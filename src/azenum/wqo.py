@@ -49,14 +49,9 @@ class Embedding:
     def is_star_witness(self, w1: Word, w2: Word) -> bool:
         if not self.is_subword_witness(w1, w2):
             return False
-        # covering: every target position is dominated by a same-letter image
-        covered = [False] * len(w2)
-        for p in self.image:
-            letter = w2.letters[p]
-            for i in range(p + 1):
-                if w2.letters[i] == letter:
-                    covered[i] = True
-        return all(covered)
+        # covering: each letter's last occurrence in w2 is an image position
+        last = {letter: p for p, letter in enumerate(w2.letters)}
+        return set(last.values()) <= set(self.image)
 
 
 def is_subword(w1: Word, w2: Word) -> Optional[Embedding]:

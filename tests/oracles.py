@@ -19,9 +19,16 @@ def brute_star(w1, w2):
     for combo in combinations(range(len(b)), len(a)):
         if any(a[i] != b[p] for i, p in enumerate(combo)):
             continue
-        if all(any(p >= i and b[p] == b[i] for p in combo) for i in range(len(b))):
+        if brute_covers(combo, w2):
             return combo
     return None
+
+
+def brute_covers(image, w2):
+    """The covering condition as defined: every position of w2 has an
+    image position at or after it carrying the same letter."""
+    b = w2.letters
+    return all(any(p >= i and b[p] == b[i] for p in image) for i in range(len(b)))
 
 
 def oracle_group(name):

@@ -294,10 +294,26 @@ def test_verify_rejects_out_of_range_word(c4k):
 
 
 def test_verify_sampled_path(q8k):
-    # level 4: 512 elements, 512^2 pairs exceeds the exhaustive cap
+    # level 4: 512 elements, 512^2 pairs exceeds the pair budget
     w = word(Perm.from_cycles([[0, 1, 2]]))
     r = verify_automorphism(q8k, w, 4, sample_pairs=500, rng=random.Random(5))
     assert r.ok and not r.exhaustive and r.pairs_checked == 500
+
+
+@pytest.mark.parametrize(
+    "level, budget, exhaustive, checked",
+    [
+        (7, {}, True, 65536),
+        (2, {"sample_pairs": 63}, False, 63),
+        (2, {"sample_pairs": 64}, True, 64),
+    ],
+    ids=["C4-level-7-default", "C4-level-2-below", "C4-level-2-at"],
+)
+def test_verify_pair_budget(c4k, level, budget, exhaustive, checked):
+    # every pair exactly when size^2 <= sample_pairs: C4 level 7 has 256
+    # cosets (65 536 pairs <= 100 000), level 2 has 8 (64 pairs)
+    r = verify_automorphism(c4k, word(), level, rng=random.Random(3), **budget)
+    assert r.ok and (r.exhaustive, r.pairs_checked) == (exhaustive, checked)
 
 
 def test_double_beta_star_is_identity_word(c4k):

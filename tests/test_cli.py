@@ -616,6 +616,19 @@ def test_rado_check_c_inside_prefix(tmp_path, capsys):
     assert "prefix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cycle, entries", [([0, 1, 2, 5], 4), ([0, 1, 2, 5, 5], 5)])
+def test_rado_check_cycle_not_n_vertices(tmp_path, capsys, cycle, entries):
+    # n = 5 with a 4-cycle: falsified before the obstruction check, which
+    # would report the triple's own 4-cycle as a violation at i = 4
+    path = tmp_path / "triples.json"
+    triple = {"n": 5, "a": 0, "b": 5, "c": 39, "cycle": cycle}
+    path.write_text(json.dumps({"triples": [triple]}))
+    assert run_command(["--json", "rado", "check", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("falsified:") and f"4 distinct vertices in {entries} entries" in err
+
+
 def test_rado_triples_above_cap(capsys):
     assert run_command(["rado", "triples", "--max-n", "99"]) == 2
     assert "cap" in capsys.readouterr().err

@@ -51,7 +51,7 @@ AZ_FAMILIES = [
 ENUMERATE_COUNTS = {"C2": 2, "C4": 5000, "C2xC2": 5000, "Q8": 5000, "D4": 5000}
 
 # (name, group, word, level): the first six check every pair (size^2 at
-# most the exhaustive cap), the last two sample 100 000 seeded pairs
+# most the pair budget), the last two sample 100 000 seeded pairs
 AUT_VERIFY = [
     ("c4_beta6", "C4", [{"beta": [0, 1, 2, 3, 4, 5]}], 6),
     ("c4_perm", "C4", [{"perm": [[0, 3], [1, 2]]}], 5),

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -159,6 +159,31 @@ def test_minimal_exact_vertex_is_minimal_n4():
     for candidate in range(6, c):
         hood = neighborhood_in_prefix(candidate, 5)
         assert not (len(hood) == 4 and is_induced_cycle(sorted(hood)) is not None)
+
+
+def _least_mask_above(n, b):
+    # the least induced n-cycle mask above b among levels up to b, or the
+    # first level's least mask plus 2^(b+1) when there is none
+    first = next(v for v in count(n - 1) if rado_level_masks(n, v))
+    for v in range(first, b + 1):
+        above = [m for m in rado_level_masks(n, v) if m > b]
+        if above:
+            return above[0]
+    return rado_level_masks(n, first)[0] + (1 << (b + 1))
+
+
+@pytest.mark.parametrize(
+    "n, bs",
+    # L_4 = 5 and L_5 = 12; from b = 2^(L_n+1) - 1 on, every mask at L_n
+    # is <= b and the scan's later levels start above L_n + 1
+    [(4, [*range(5, 70), 127, 128, 200, 255, 256, 1000]),
+     (5, [12, 13, 100, 4095, 4096, 8189, 8190, 8191, 8192, 8200, 16383, 16384, 20000])],
+)
+def test_minimal_exact_vertex_matches_level_masks(n, bs):
+    for b in bs:
+        c, cycle = minimal_exact_vertex(n, b)
+        assert c == _least_mask_above(n, b), b
+        assert sorted(cycle) == [v for v in range(b + 1) if (c >> v) & 1]
 
 
 def test_minimal_exact_vertex_rejects_cycle_free_prefix():

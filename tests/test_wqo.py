@@ -18,7 +18,7 @@ from azenum.wqo import (
     parse_word,
     rightmost_embedding,
 )
-from oracles import brute_star, brute_subword
+from oracles import brute_covers, brute_star, brute_subword
 
 
 def w(text):
@@ -131,6 +131,18 @@ def test_star_decision_equals_brute_force_exhaustive():
             assert (got is None) == (want is None), (w1, w2)
             if got is not None:
                 assert got.is_star_witness(w1, w2)
+
+
+def test_star_witness_equals_covering_definition():
+    # every subword witness, covering or not: each image of each w2 over
+    # {a, b, c} up to length 5, with w1 read off the image
+    for w2 in all_words("abc", 5):
+        for size in range(len(w2) + 1):
+            for image in itertools.combinations(range(len(w2)), size):
+                w1 = Word(tuple(w2.letters[p] for p in image))
+                emb = Embedding(image)
+                assert emb.is_subword_witness(w1, w2)
+                assert emb.is_star_witness(w1, w2) == brute_covers(image, w2), (w2, image)
 
 
 def test_star_decision_equals_brute_force_sampled_3_letters():
