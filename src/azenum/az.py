@@ -3,6 +3,24 @@ tuples, find a strongly embedded pair, build the shift-and-copy map from
 the witness, realize it as a word in the generator set, and verify that
 it maps one tuple to the other while preserving the element ordering;
 the map and every check act on enumeration indices only.
+
+Order preservation is decided exactly. With B = gamma_n_order(l_i + 1) and
+B′ = gamma_n_order(l_j + 1), the codec gives β(h·B + low) = h·B′ + β(low)
+< (h + 1)·B′ for low < B, so β preserves the order on Γ iff it strictly
+increases on range(B). Lemma: if the targets in `plan` are pairwise
+distinct (as build_beta's are, in any order of its entries), that holds iff
+(i) |G/K| = 1 or max(plan[p]) strictly increases in p (for build_beta's
+plan, the head f(p): each I_s lies below its letter's last occurrence), and
+(ii) β strictly increases on Γ_{≤0} = range(|G|). Proof: let a < b differ
+last at coordinate p. If p >= 1, under (i) the images differ last at
+max(plan[p]) >= 1, in a's and b's digits at p; if max(plan[p']) >
+max(plan[p]) for a p' < p, raising a's digit at p' and b's at p reverses
+the order. If p = 0, the images differ only at source 0's targets and at
+coordinate 0, which holds m·k for the coordinate-0 value c·k (c a coset
+minimum, k in K) and the coset minimum m sent to target 0 (c when source 0
+sends it; 1 in Γ_{≤0}). Two cosets compare at max(plan[0]) whatever m is,
+and c·k, c·k′ compare as m·k, m·k′; so (ii) says that every coset, m's
+among them, ranks its K multiples as 1 does.
 """
 
 from __future__ import annotations
@@ -262,17 +280,17 @@ class Certificate:
 
 
 def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
-    """Full pipeline plus verification sweeps on indices; the certificate
-    reports (a) tuple mapping, (b) order preservation, exact on the whole
-    level Γ_{≤L} holding `depth` elements, and on sampled pairs, (c) the
-    index law for high differing coordinates, (d) agreement with the
-    emitted word. Each sample lies in Γ_{≤t} for a t drawn from 0..l', so
-    that top differing coordinates below l' are drawn too."""
+    """Full pipeline plus verification on indices; the certificate reports
+    (a) tuple mapping, (b) order preservation, on the whole level Γ_{≤L}
+    holding `depth` elements and decided exactly by the lemma above, (c) the
+    block identity of the index law at each coordinate in (l_i, l'], (d)
+    agreement with the emitted word on every singleton within l' and on 50
+    seeded indices, each in Γ_{≤t} for a t drawn from 0..l'."""
     ctx = fam.ctx
     randrange = random.Random(seed).randrange
     nf = normalize_family(fam)
     bm = build_beta(nf)
-    beta, index_of, top_coord = beta_index_map(bm), ctx.index_of, ctx.top_coord
+    beta, index_of, size = beta_index_map(bm), ctx.index_of, ctx.gamma_n_order
     failures: List[str] = []
     reports: Dict[str, dict] = {}
 
@@ -286,33 +304,24 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     report("tuple_mapping", "components_ok", mapped, fam.arity)
 
     l, l_prime = min_word_levels(bm)
-    l_i, shift = bm.l_i, bm.shift
+    r = len(ctx.minima)
 
-    def drawn_size() -> int:
-        """|Γ_{≤t}| for a level t drawn uniformly from 0..l'."""
-        return ctx.gamma_n_order(randrange(l_prime + 1) + 1)
-
-    # (b) order preservation on the whole prefix level and on sampled pairs
+    # (b) order preservation: every consecutive pair of the prefix level,
+    # which holds Γ_{≤0} and so decides the lemma's (ii), and then its (i)
     level = ctx.prefix_level(depth)
     images = list(map(beta, range(ctx.level_size(level + 1))))
-    ordered = sum(a < b for a, b in zip(images, images[1:]))
-    expected_ordered = len(images) - 1
-    law_checks = law_ok = 0
-    for _ in range(10 * depth):
-        size = drawn_size()
-        a, b = sorted((randrange(size), randrange(size)))
-        if a == b:
-            continue
-        ba, bb = beta(a), beta(b)
-        expected_ordered += 1
-        ordered += ba < bb
-        # (c) index law when the top differing coordinate clears l_i
-        t0 = top_coord(a, b)
-        if t0 > l_i:
-            law_checks += 1
-            law_ok += top_coord(ba, bb) == t0 + shift
-    report("order_preservation", "ordered", ordered, expected_ordered, level=level)
-    report("index_law", "ok", law_ok, law_checks)
+    pairs = list(zip(images, images[1:]))
+    if r > 1:
+        tops = [max(targets) for targets in bm.plan]
+        pairs += zip(tops, tops[1:])
+    report("order_preservation", "ordered", sum(a < b for a, b in pairs), len(pairs), level=level)
+
+    # (c) the block identity, with h·B the top digit at each coordinate in
+    # (l_i, l'] and low = B - 1; none when K = G, as no coordinate above 0 moves
+    low, top = size(bm.l_i + 1) - 1, r - 1
+    coords = range(bm.l_i + 1, l_prime + 1) if r > 1 else ()
+    law = [beta(top * size(c) + low) == top * size(c + bm.shift) + beta(low) for c in coords]
+    report("index_law", "ok", sum(law), len(law))
 
     # (d) the emitted word agrees on everything supported within l'
     word = beta_as_word(bm, l, l_prime)
@@ -322,7 +331,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
         for c in range(l_prime + 1)
         for v in range(ctx.group.order)
     ]
-    xs += [randrange(drawn_size()) for _ in range(50)]
+    xs += [randrange(size(randrange(l_prime + 1) + 1)) for _ in range(50)]
     report("word_agreement", "agree", sum(word_at(i) == beta(i) for i in xs), len(xs))
 
     return Certificate(

@@ -220,15 +220,6 @@ class CPContext:
             high = high * r + digit_of[v]
         return high * self.group.order + self.rank_of[self.group.mul[vals[0]][k]]
 
-    def top_coord(self, a: int, b: int) -> int:
-        """The highest coordinate at which the elements with indices a and b
-        differ (0 when a == b): the least c for which a and b fall in the same
-        block of |Γ_{≤c}| consecutive indices."""
-        c, block, r = 0, self.group.order, len(self.minima)
-        while a // block != b // block:
-            c, block = c + 1, block * r
-        return c
-
     def compare(self, x: "CPElement", y: "CPElement") -> int:
         """Reverse lexicographic comparison of minimal representatives
         (highest differing coordinate wins), read off the indices."""

@@ -230,9 +230,10 @@ def random_az_family(ctx, rng, arity, max_support, extra_members=0):
     from azenum.az import TupleFamily, letter_word
 
     # base entries are coset-minimal values so that letter words are stable
-    # under canonicalization at any position (prefixing keeps the signature)
+    # under canonicalization at any position (prefixing keeps the signature);
+    # when K = G the only coset minimum is 1, and every element is one at 0
     m = ctx.exponent
-    values = ctx.coset_min
+    values = ctx.coset_min if len(ctx.minima) > 1 else range(ctx.group.order)
     while True:
         top = rng.randint(0, max_support - m - 1)
         base = tuple(

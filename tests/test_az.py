@@ -18,9 +18,9 @@ from azenum.az import (
     normalize_family,
     run_az,
 )
-from azenum.central_product import CPContext, parse_support
+from azenum.central_product import MAX_COSETS, CPContext, parse_support
 from azenum.errors import InputError, InsufficientFamilyError
-from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
+from azenum.groups import catalog_group, catalog_names, make_kgroup, make_standard_kgroup
 from oracles import (
     brute_cosets,
     brute_minimum,
@@ -104,6 +104,17 @@ def test_build_beta_c4_example(c4k):
     assert bm.i_s[letter] == 4
     assert bm.I_s[letter] == (0, 1, 2, 3)
     assert (bm.l_i, bm.l_j) == (0, 4)
+
+
+def test_build_beta_without_strongly_embedded_pair(c4k):
+    # the C4 example in reverse order: both words share a bucket, but the
+    # longer one comes first and embeds in no later word
+    g = c4k.group.index_of_name("g")
+    fam = TupleFamily(c4k, 1, [(c4k.make({c: g for c in range(5)}),), (c4k.make({0: g}),)])
+    nf = normalize_family(fam)
+    assert nf.kept == (0, 1)
+    with pytest.raises(InsufficientFamilyError, match="no strongly embedded pair"):
+        build_beta(nf)
 
 
 def test_build_beta_identical_members(q8k):
@@ -308,6 +319,11 @@ def test_certificate_json_deterministic(c4k):
 # -- the order claim ----------------------------------------------------------
 
 
+def swap_top_plan_entries(bm):
+    """bm with the targets of its two highest witness positions swapped."""
+    return dataclasses.replace(bm, plan=bm.plan[:-2] + (bm.plan[-1], bm.plan[-2]))
+
+
 @pytest.mark.parametrize(
     "name, depth, level", [("C4", 500, 7), ("Q8", 500, 3), ("C4", 32, 3), ("C4", 33, 4)]
 )
@@ -329,17 +345,22 @@ GOLDEN_LEVELS = {"Q8": 5, "C4": 8}
 GOLDEN_FAMILIES = [f"az_Q8_{n}" for n in range(1, 5)] + [f"az_C4_{n}" for n in range(1, 4)]
 
 
-@pytest.mark.parametrize("name", GOLDEN_FAMILIES)
-def test_beta_increases_on_whole_level_of_golden_family(name):
-    # β of each golden family, read as `az run` reads it, strictly increases
-    # over a whole level, and every image is the element oracle's
-    group = name.split("_")[1]
-    ctx = make_ctx(group)
+def golden_family(name):
+    """The golden tuple file `name`, read as `az run` reads it."""
+    ctx = make_ctx(name.split("_")[1])
     lines = (GOLDEN_INPUTS / f"{name}.txt").read_text().split()
     members = [tuple(parse_support(ctx, part) for part in line.split(";")) for line in lines]
-    bm = build_beta(normalize_family(TupleFamily(ctx, len(members[0]), members)))
+    return TupleFamily(ctx, len(members[0]), members)
+
+
+@pytest.mark.parametrize("name", GOLDEN_FAMILIES)
+def test_beta_increases_on_whole_level_of_golden_family(name):
+    # β of each golden family strictly increases over a whole level, and
+    # every image is the element oracle's
+    fam = golden_family(name)
+    ctx, bm = fam.ctx, build_beta(normalize_family(fam))
     beta = beta_index_map(bm)
-    size = ctx.level_size(GOLDEN_LEVELS[group])
+    size = ctx.level_size(GOLDEN_LEVELS[name.split("_")[1]])
     images = list(map(beta, range(size)))
     assert all(a < b for a, b in zip(images, images[1:]))
     assert images == [ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))) for i in range(size)]
@@ -362,9 +383,8 @@ def test_level_check_matches_all_pairs_on_c4_level_4():
             bm = build_beta(normalize_family(random_az_family(ctx, rng, 2, 6)))
             if bm.l_j <= 7 and 3 + bm.shift <= 7:
                 bms.append(bm)
-                if bm.l_i >= 1:  # and with its two highest witness positions swapped
-                    plan = bm.plan[:-2] + (bm.plan[-1], bm.plan[-2])
-                    bms.append(dataclasses.replace(bm, plan=plan))
+                if bm.l_i >= 1:
+                    bms.append(swap_top_plan_entries(bm))
         for bm in bms:
             beta = beta_index_map(bm)
             images = [beta(i) for i in range(ctx.level_size(4))]
@@ -398,8 +418,8 @@ def test_swapped_images_in_the_level_fail_order_preservation(c4k, monkeypatch):
 
 
 def test_swapped_witness_positions_fail_order_preservation(q8k, monkeypatch):
-    # the level check covers Γ_{≤3} only, so with l_i >= 4 the sampled pairs
-    # must catch a β whose two highest witness positions are swapped
+    # the level check covers Γ_{≤3} only, so with l_i >= 4 the decision on
+    # the plan must catch a β whose two highest witness positions are swapped
     rng = random.Random(44)
     families = []
     while len(families) < 40:
@@ -407,33 +427,55 @@ def test_swapped_witness_positions_fail_order_preservation(q8k, monkeypatch):
         if build_beta(normalize_family(fam)).l_i >= 4:
             families.append(fam)
     real = az.build_beta
-
-    def swapped(nf):
-        bm = real(nf)
-        return dataclasses.replace(bm, plan=bm.plan[:-2] + (bm.plan[-1], bm.plan[-2]))
-
-    monkeypatch.setattr(az, "build_beta", swapped)
+    monkeypatch.setattr(az, "build_beta", lambda nf: swap_top_plan_entries(real(nf)))
     for n, fam in enumerate(families):
         cert = run_az(fam, depth=500, seed=n)
         assert cert.reports["order_preservation"]["level"] == 3
         assert "order_preservation" in cert.failures, n
 
 
-# -- index law helper ----------------------------------------------------------
+# -- the exact decision against the range(B) oracle ---------------------------
 
 
-@pytest.mark.parametrize("name", ["C4", "Q8"])
-def test_max_diff_index_matches_dict_definition(name):
-    ctx = make_ctx(name)
-    cosets = brute_cosets(ctx, 3)
-    minima = {x: brute_minimum(ctx, x, width=3) for x in cosets}
-    for x in cosets:
-        rx = minima[x]
-        for y in cosets:
-            if x == y:
-                continue
-            ry = minima[y]
-            expected = max(
-                c for c in set(rx) | set(ry) if rx.get(c) != ry.get(c)
-            )
-            assert ctx.top_coord(ctx.index_of(x), ctx.index_of(y)) == expected
+def order_claim_outcomes(monkeypatch, families):
+    """For each family's β, and again with its two highest plan entries
+    swapped: run_az at depth 1, whose prefix level is only Γ_{≤0}, flags
+    order preservation exactly when the oracle, the whole low block range(B)
+    with B = |Γ_{≤l_i}|, finds β not strictly increasing. Returns the
+    oracle's outcomes."""
+    outcomes = set()
+    for fam in families:
+        bm = build_beta(normalize_family(fam))
+        for variant in [bm, swap_top_plan_entries(bm)] if len(bm.plan) > 1 else [bm]:
+            size = fam.ctx.gamma_n_order(variant.l_i + 1)
+            assert size <= MAX_COSETS
+            images = list(map(beta_index_map(variant), range(size)))
+            increasing = all(a < b for a, b in zip(images, images[1:]))
+            monkeypatch.setattr(az, "build_beta", lambda nf, bm=variant: bm)
+            failures = run_az(fam, depth=1).failures
+            assert ("order_preservation" in failures) == (not increasing), variant.plan
+            outcomes.add(increasing)
+    return outcomes
+
+
+ORDER_GROUPS = [
+    (name, maker) for name in catalog_names() for maker in (make_kgroup, make_standard_kgroup)
+]
+
+
+@pytest.mark.parametrize(
+    "name, maker", ORDER_GROUPS, ids=[f"{name}-{maker.__name__}" for name, maker in ORDER_GROUPS]
+)
+def test_order_claim_is_exact_on_seeded_families(name, maker, monkeypatch):
+    ctx = CPContext(maker(*catalog_group(name)))
+    rng = random.Random(f"{name}-{maker.__name__}")
+    families = [random_az_family(ctx, rng, rng.randint(1, 3), 9) for _ in range(20)]
+    outcomes = order_claim_outcomes(monkeypatch, families)
+    # with K < G some swapped β fails; with K = G every word has at most one
+    # letter, so nothing is swapped and β is the identity on Γ = Γ_{≤0}
+    assert (False in outcomes) == (len(ctx.minima) > 1)
+
+
+def test_order_claim_is_exact_on_golden_families(monkeypatch):
+    families = [golden_family(name) for name in GOLDEN_FAMILIES]
+    assert order_claim_outcomes(monkeypatch, families) == {True, False}

@@ -507,6 +507,14 @@ def test_az_run_insufficient(tmp_path, capsys):
     assert code == 3
 
 
+def test_az_run_no_strongly_embedded_pair(tmp_path, capsys):
+    # one bucket, but the longer word comes first and embeds in no later one
+    tuples = tmp_path / "family.txt"
+    tuples.write_text("0:g,1:g,2:g,3:g,4:g\n0:g\n")
+    assert run_command(["az", "run", "--group", "C4", "--tuples", str(tuples)]) == 3
+    assert "no strongly embedded pair" in capsys.readouterr().err
+
+
 def test_az_run_tuple_coordinate_above_cap(tmp_path, capsys):
     tuples = tmp_path / "family.txt"
     tuples.write_text(f"0:g\n{MAX_LITERAL_COORD + 1}:g\n")
@@ -606,14 +614,27 @@ def test_rado_check_bad_file(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
-def test_rado_check_c_inside_prefix(tmp_path, capsys):
-    # c <= b: falsified before the neighbourhood scan, which would walk
-    # every vertex from c + 1 to b
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ({"b": 5, "c": 39, "cycle": [0, 1, 2, 3]}, "stored cycle is not an induced cycle"),
+        ({"b": 4, "c": 39, "cycle": [0, 1, 2, 5]}, "cycle exceeds the prefix"),
+        # c <= b: falsified before the neighbourhood scan, which would walk
+        # every vertex from c + 1 to b
+        ({"b": 10**12, "c": 3, "cycle": [0, 1, 2, 5]}, "c lies inside the prefix"),
+        # 38 = 0b100110 sees 1, 2 and 5 of the prefix, not 0
+        ({"b": 5, "c": 38, "cycle": [0, 1, 2, 5]}, "c's prefix neighborhood is not the cycle"),
+    ],
+    ids=["not-induced", "cycle-above-b", "c-inside-prefix", "wrong-neighbourhood"],
+)
+def test_rado_check_falsified_triple(tmp_path, capsys, triple, message):
+    # each a well-formed triple of n = 4 that one check of the file rejects
     path = tmp_path / "triples.json"
-    triple = {"n": 4, "a": 0, "b": 10**12, "c": 3, "cycle": [0, 1, 2, 5]}
-    path.write_text(json.dumps({"triples": [triple]}))
-    assert run_command(["rado", "check", "--file", str(path)]) == 1
-    assert "prefix" in capsys.readouterr().err
+    path.write_text(json.dumps({"triples": [{"n": 4, "a": 0, **triple}]}))
+    assert run_command(["--json", "rado", "check", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("falsified:") and message in err
 
 
 @pytest.mark.parametrize("cycle, entries", [([0, 1, 2, 5], 4), ([0, 1, 2, 5, 5], 5)])
