@@ -4,15 +4,19 @@ and the self-inverse ladder maps, plus words in them and verification.
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
 to coordinate perm[j]. A word acts on enumeration indices (`index_map`),
 without building elements; `apply_word` reads the same map on elements.
-`verify_automorphism` maps the indices range(size) of a level and checks
-the homomorphism law on them by `CPContext.index_law`.
+`level_images` maps the indices range(size) of a level by one table per
+generator on its window, and `verify_automorphism` checks the homomorphism
+law on those images by `CPContext.index_law`.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .central_product import CPContext, CPElement
@@ -149,6 +153,55 @@ def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
     return f
 
 
+def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
+    """list(map(index_map(ctx, word), range(level_size(n)))), computed one
+    generator at a time on window tables; InputError if the word touches a
+    coordinate at or above n.
+
+    Lemma. A generator reads and writes only the coset-minimum digits of its
+    window W (a perm's support, a ladder's coordinates), and multiplies the
+    K factor by a value that depends on those digits alone. Proof: in
+    `index_map` a perm step permutes `vals` and leaves k as it is; a ladder
+    step reads and writes `vals` at W and multiplies k by the K parts of
+    products of the window's entries, never reading k (K is central).
+
+    So on a level-n element's pair (s, k) (`CPContext.pair_of`) a generator
+    acts as (s + shift[c], k·factor[c]), c the configuration of s's digits
+    on W (`CPContext.window_configs`). Its table over the r^|W|
+    configurations is read off `index_map` on one representative per
+    configuration: the window digits as given, every other digit 0 and K
+    factor 1. W lies below n, so no table exceeds the level. The composed
+    map of the pairs goes back to indices through `CPContext.join_level`.
+    """
+    if word.max_coord() >= n:
+        raise InputError("word touches coordinates at or above the level")
+    ctx.level_size(n)  # CapacityError above MAX_COSETS
+    r, e = len(ctx.minima), ctx.group.identity_index
+    state, kfac = array("l", range(r**n)), [e] * r**n
+    for gen in word.gens:
+        state, kfac = _apply_on_level(ctx, gen, n, state, kfac)
+    return ctx.join_level(n, state, kfac)
+
+
+def _apply_on_level(ctx: CPContext, gen: AutGenerator, n: int, state, kfac):
+    """The map (state, kfac) of the level-n pairs followed by the generator:
+    its window table, read off `index_map`, looked up at the configuration
+    of each state[s] on the window."""
+    mul, e, r = ctx.group.mul, ctx.group.identity_index, len(ctx.minima)
+    window = gen.coords if isinstance(gen, BetaStar) else tuple(gen.mapping)
+    f = index_map(ctx, AutWord((gen,)))
+    # the representatives' digit vectors, in configuration order
+    starts = map(sum, product(*([d * r**c for d in range(r)] for c in window[::-1])))
+    shift, factor = [], []
+    for s in starts:
+        t, k = ctx.pair_of(f(ctx.index_of_pair(s, e)))
+        shift.append(t - s)
+        factor.append(k)
+    configs = array("l", map(ctx.window_configs(n, window).__getitem__, state))
+    kfac = [mul[a][factor[c]] for a, c in zip(kfac, configs)]
+    return array("l", map(add, state, map(shift.__getitem__, configs))), kfac
+
+
 def apply_word(ctx: CPContext, word: AutWord, x: CPElement) -> CPElement:
     return ctx.element_at(index_map(ctx, word)(ctx.index_of(x)))
 
@@ -215,17 +268,17 @@ def verify_automorphism(
     """Check that the word acts as an automorphism of the level-n subgroup.
 
     The level-n elements have the indices 0 .. size-1, so the map is the
-    list of `index_map` images of range(size); an image at or above size
-    escapes the level. Bijectivity is exhaustive; the homomorphism law,
+    list `level_images` of their images: one window table per generator,
+    filled by `index_map` on r^|W| representatives and spread over the
+    level's digit vectors. An image at or above size escapes the level.
+    Bijectivity is exhaustive; the homomorphism law,
     images[law(a, b)] == law(images[a], images[b]), is checked on every
     pair (x-major over range(size)) when size^2 is at most `sample_pairs`,
     and otherwise on `sample_pairs` pairs, each index drawn by
     `rng.randrange(size)`. A failing pair is returned as elements.
     """
-    if word.max_coord() >= n:
-        raise InputError("word touches coordinates at or above the level")
-    size = ctx.level_size(n)
-    images = list(map(index_map(ctx, word), range(size)))
+    images = level_images(ctx, word, n)
+    size = len(images)
     escaped = next((i for i, j in enumerate(images) if j >= size), None)
     if escaped is not None:
         witness = (ctx.element_at(escaped), ctx.element_at(images[escaped]))

@@ -144,6 +144,10 @@ def build_beta(nf: NormalizedFamily) -> BetaMap:
         )
     pair_i, pair_j, emb = result.i, result.j, result.embedding
     w_i, w_j = nf.words[pair_i], nf.words[pair_j]
+    if not w_i:
+        raise InsufficientFamilyError(
+            "the strongly embedded pair has empty words; supply non-identity members"
+        )
     image = set(emb.image)
     i_s: Dict[tuple, int] = {}
     I_s: Dict[tuple, Tuple[int, ...]] = {}

@@ -4,19 +4,22 @@ Elements are cosets of the subgroup of K-tuples with trivial coordinate
 product. The order is a nice enumeration, and an element is stored only as
 its position in it, a mixed-radix number: `CPContext.make` encodes a tuple
 through `join`, `minimal_representative` decodes the reverse-lex minimal
-representative, and `index_codec` splits an index into digits. This module
-alone knows the digit layout. The group law runs on these indices
-(`CPContext.index_law`): above coordinate 0 the product's digits are read,
-a block of coordinates at a time, from tables of block products, whose K
-factors fold into the coordinate-0 value because K is central.
+representative, and `index_codec` splits an index into digits; for whole
+levels, `pair_of` reads an index as its K-free digit vector and K factor
+and `join_level` maps such pairs back. This module alone knows the digit
+layout. The group law runs on these indices (`CPContext.index_law`): above
+coordinate 0 the product's digits are read, a block of coordinates at a
+time, from tables of block products, whose K factors fold into the
+coordinate-0 value because K is central.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import product
 from math import lcm as _lcm
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .errors import CapacityError, InputError
 from .groups import KGroupSpec
@@ -26,9 +29,9 @@ Support = Mapping[int, int]
 # The largest level, in cosets, that verify_automorphism and all_cosets take
 # (`CPContext.level_size`): Q8 level 8 (131 072 cosets) fits and level 9
 # (524 288) does not. `aut verify --group Q8 --word [] --level 8` takes
-# 0.5-0.75 s and 28 MB peak (Python 3.11, in one process after start-up, on
-# one core of a shared 2-core x86-64 host); a two-generator word (a ladder
-# and a transposition) 1.35-1.5 s and 28 MB.
+# 0.4-0.55 s and 28.5 MB peak (Python 3.11, in one process after start-up,
+# on one core of a shared 2-core x86-64 host); a two-generator word (a
+# ladder and a transposition) 0.5-0.7 s and 28.5 MB.
 MAX_COSETS = 1 << 18
 
 # The largest coordinate that `make` and `index_codec` take, hence that a
@@ -191,11 +194,14 @@ class CPContext:
 
     def index_codec(self, top: int) -> Tuple[Callable, Callable]:
         """The digit format of an index, as (split, join); CapacityError for
-        top above MAX_LITERAL_COORD. split(i) is (high, vals, k): the digits
-        above coordinate top as one number, the coset minima at 0..top, and
-        the K factor of the coordinate-0 value; `join` inverts it."""
+        top above MAX_LITERAL_COORD, InputError below 0. split(i) is (high,
+        vals, k): the digits above coordinate top as one number, the coset
+        minima at 0..top, and the K factor of the coordinate-0 value; `join`
+        inverts it."""
         if top > MAX_LITERAL_COORD:
             raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
+        if top < 0:
+            raise InputError(f"no coordinate {top}")
         minima, r, min_of, k_of = self.minima, len(self.minima), self.min_of, self.k_of
         order, ranked = self.group.order, self.kg.element_order
         low_size = r**top * order
@@ -219,6 +225,51 @@ class CPContext:
         for v in vals[:0:-1]:
             high = high * r + digit_of[v]
         return high * self.group.order + self.rank_of[self.group.mul[vals[0]][k]]
+
+    # -- the pair layout: an index as (digit vector, K factor) -------------
+    #
+    # An element is also the pair (s, k): s = sum of d_c r^c over its
+    # coordinates c, d_c the digit of coordinate c's coset minimum (d_0
+    # too), and k the K factor of its coordinate-0 value. The level-n
+    # elements are the pairs with s < r^n.
+
+    def pair_of(self, i: int) -> Tuple[int, int]:
+        """The pair (s, k) of the element with index i."""
+        high, d0 = divmod(i, self.group.order)
+        v = self.kg.element_order[d0]
+        return high * len(self.minima) + self.digit_of[self.min_of[v]], self.k_of[v]
+
+    def index_of_pair(self, s: int, k: int) -> int:
+        """The index of the pair (s, k) (inverse of `pair_of`)."""
+        high, d0 = divmod(s, len(self.minima))
+        return high * self.group.order + self.rank_of[self.group.mul[self.minima[d0]][k]]
+
+    def window_configs(self, n: int, window: Sequence[int]) -> "array[int]":
+        """Per digit vector s < r^n, in order: sum_j d_{window[j]} r^j, the
+        window's digits as one number; the window lies below n. The vectors
+        below r^(c+1) are d·r^c + s' for each digit d, each in turn over
+        every s' < r^c, and the digits above the window repeat the list."""
+        r, configs, width = len(self.minima), array("l", [0]), max(window, default=-1) + 1
+        for c in range(width):
+            step = r ** window.index(c) if c in window else 0
+            below, configs = configs, array("l")
+            for d in range(r):
+                configs.extend(map((d * step).__add__, below))
+        return configs * r ** (n - width)
+
+    def join_level(self, n: int, state: Sequence[int], kfac: Sequence[int]) -> List[int]:
+        """Per level-n index, in order, with (s, k) its pair: the index of
+        the pair (state[s], k·kfac[s]). Index d0 + |G|·h has s = c0 + r·h,
+        c0 and k fixed by d0, so each d0 reads the slice state[c0::r]."""
+        r, mul, order = len(self.minima), self.group.mul, self.group.order
+        images = [0] * (order * r ** (n - 1))
+        for d0 in range(order):
+            c0, k0 = self.pair_of(d0)
+            low = [[self.index_of_pair(c, mul[k0][k]) for k in range(order)] for c in range(r)]
+            images[d0::order] = [
+                order * (s // r) + low[s % r][k] for s, k in zip(state[c0::r], kfac[c0::r])
+            ]
+        return images
 
     def compare(self, x: "CPElement", y: "CPElement") -> int:
         """Reverse lexicographic comparison of minimal representatives

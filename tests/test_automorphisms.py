@@ -13,6 +13,7 @@ from azenum.automorphisms import (
     apply_word,
     extend_automorphism,
     index_map,
+    level_images,
     verify_automorphism,
     word_from_json,
     word_to_json,
@@ -199,6 +200,54 @@ def test_index_map_matches_element_oracle(name, level, maker):
         assert [f_inverse(j) for j in images] == list(domain)
 
 
+def _level_word(rng, ctx, length, n):
+    """`length` generators below level n: ladders on shuffled (unsorted)
+    windows at even positions where one fits, else cycles through
+    coordinate 0."""
+    m = ctx.exponent + 2
+    gens = []
+    for pos in range(length):
+        if m <= n and pos % 2 == 0:
+            coords = rng.sample(range(n), m)
+            if coords == sorted(coords):
+                coords.reverse()
+            gens.append(BetaStar(tuple(coords)))
+        elif n > 1:
+            cycle = [0, *rng.sample(range(1, n), rng.randint(1, min(3, n - 1)))]
+            gens.append(Perm.from_cycles([rng.sample(cycle, len(cycle))]))
+    return word(*gens)
+
+
+@pytest.mark.parametrize("maker", [make_kgroup, make_standard_kgroup])
+@pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "Q8", "D4", "C6"])
+def test_level_images_match_index_map(name, maker):
+    # every level of at most 2^12 elements (C2 is finite: levels 1-11), with
+    # words of 0-4 generators up to 2^9 elements and one word above, and a
+    # ladder and a cycle on the least level that fits a ladder when that is
+    # larger (Q8, D4, C6); only C6's ladders carry a K factor other than 1
+    ctx = CPContext(maker(*oracle_group(name)))
+    m = ctx.exponent + 2
+    levels = {
+        n: range(5) if ctx.gamma_n_order(n) <= 1 << 9 else [1 + n % 4]
+        for n in range(1, 12) if ctx.gamma_n_order(n) <= 1 << 12
+    }
+    levels.setdefault(m, [2])
+    rng = random.Random(f"level-images-{name}-{maker.__name__}")
+    kinds = set()
+    for n, lengths in levels.items():
+        for length in lengths:
+            w = _level_word(rng, ctx, length, n)
+            kinds.update(type(g) for g in w.gens)
+            expected = list(map(index_map(ctx, w), range(ctx.level_size(n))))
+            assert level_images(ctx, w, n) == expected
+    assert kinds == {Perm, BetaStar}
+
+
+def test_level_images_keep_the_short_ladder_message(c4k):
+    with pytest.raises(InputError, match=r"^ladder needs exponent\+2 = 6 coordinates, got 3$"):
+        level_images(c4k, word(BetaStar((0, 1, 2))), 4)
+
+
 def test_wrong_window_size_is_representative_dependent(c4k, c2k):
     # one slot short of exponent+2: the raw action does not descend
     assert check_coset_welldefined(c4k, tuple(range(5))) is not None
@@ -379,7 +428,11 @@ def _fake_word(monkeypatch, ctx, table):
     """Make verify_automorphism see the map x -> table.get(x, x), as a
     table on enumeration indices."""
     index = {ctx.index_of(x): ctx.index_of(y) for x, y in table.items()}
-    monkeypatch.setattr(automorphisms, "index_map", lambda _ctx, _w: lambda i: index.get(i, i))
+    monkeypatch.setattr(
+        automorphisms,
+        "level_images",
+        lambda _ctx, _w, n: [index.get(i, i) for i in range(ctx.level_size(n))],
+    )
 
 
 def _two_non_identity(ctx, level):

@@ -300,6 +300,24 @@ def test_element_at_rejects_out_of_range(c4k):
         c2.element_at(2)
 
 
+@pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "Q8"])
+def test_pair_codec_round_trip(name):
+    # an index is the pair (digit vector, K factor), and split reads the
+    # same digits and K factor
+    ctx = make_ctx(name)
+    r, (split, _) = len(ctx.minima), ctx.index_codec(3)
+    for i in range(ctx.gamma_n_order(4)):
+        s, k = ctx.pair_of(i)
+        assert ctx.index_of_pair(s, k) == i
+        _, vals, k_split = split(i)
+        assert (s, k) == (sum(ctx.digit_of[v] * r**c for c, v in enumerate(vals)), k_split)
+
+
+def test_index_codec_rejects_negative_top(q8k):
+    with pytest.raises(InputError, match="no coordinate -1"):
+        q8k.index_codec(-1)
+
+
 def test_all_cosets_cap(q8k):
     assert q8k.gamma_n_order(8) <= MAX_COSETS < q8k.gamma_n_order(9)
     with pytest.raises(CapacityError):

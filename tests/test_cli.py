@@ -407,6 +407,22 @@ def test_aut_huge_level_above_cap(capsys, argv):
     assert "cap" in capsys.readouterr().err
 
 
+def test_aut_alpha_verify_failure_is_falsified(monkeypatch, capsys):
+    # a failing report makes `aut alpha --verify` exit 1 and print no word
+    from azenum.automorphisms import VerifyReport
+
+    def failing(ctx, word, level, rng):
+        return VerifyReport(False, level, ctx.level_size(level), 0, False, "not injective")
+
+    monkeypatch.setattr(cli, "verify_automorphism", failing)
+    argv = ["--verify", "aut", "alpha", "--group", "C4", "--coords", "0,1,2,3",
+            "--i0", "4", "--j0", "5"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "falsified: word fails verification: not injective\n"
+
+
 def test_aut_alpha_bad_coords(capsys):
     argv = ["aut", "alpha", "--group", "Q8", "--coords", "1,x", "--i0", "0",
             "--j0", "9"]
@@ -513,6 +529,34 @@ def test_az_run_no_strongly_embedded_pair(tmp_path, capsys):
     tuples.write_text("0:g,1:g,2:g,3:g,4:g\n0:g\n")
     assert run_command(["az", "run", "--group", "C4", "--tuples", str(tuples)]) == 3
     assert "no strongly embedded pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["Q8", "C4"])
+def test_az_run_identity_members_insufficient(tmp_path, capsys, group):
+    # two identity members give empty words, so β has no position to copy
+    tuples = tmp_path / "family.txt"
+    tuples.write_text("-\n-\n")
+    argv = ["--json", "az", "run", "--group", group, "--tuples", str(tuples), "--depth", "5"]
+    assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty words" in captured.err and "Traceback" not in captured.err
+
+
+def test_az_run_verify_differing_runs_is_falsified(tmp_path, capsys, monkeypatch):
+    # the two runs of `--verify` get different seeds, so their certificates
+    # differ and the command exits 1 without printing one
+    seeds, real = iter([0, 1]), cli.run_az
+    monkeypatch.setattr(
+        cli, "run_az", lambda fam, depth, seed: real(fam, depth=depth, seed=next(seeds))
+    )
+    tuples = tmp_path / "family.txt"
+    tuples.write_text("0:g\n0:g,1:g,2:g,3:g,4:g\n")
+    argv = ["--verify", "az", "run", "--group", "C4", "--tuples", str(tuples), "--depth", "5"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "falsified: certificate is not deterministic\n"
 
 
 def test_az_run_tuple_coordinate_above_cap(tmp_path, capsys):
