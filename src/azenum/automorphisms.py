@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import add
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .central_product import CPContext, CPElement
 from .errors import InputError
@@ -155,8 +155,8 @@ def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
 
 def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
     """list(map(index_map(ctx, word), range(level_size(n)))), computed one
-    generator at a time on window tables; InputError if the word touches a
-    coordinate at or above n.
+    generator at a time on window tables; InputError if n < 1 or the word
+    touches a coordinate at or above n.
 
     Lemma. A generator reads and writes only the coset-minimum digits of its
     window W (a perm's support, a ladder's coordinates), and multiplies the
@@ -173,6 +173,8 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
     factor 1. W lies below n, so no table exceeds the level. The composed
     map of the pairs goes back to indices through `CPContext.join_level`.
     """
+    if n < 1:
+        raise InputError("level must be >= 1")
     if word.max_coord() >= n:
         raise InputError("word touches coordinates at or above the level")
     ctx.level_size(n)  # CapacityError above MAX_COSETS
@@ -274,8 +276,9 @@ def verify_automorphism(
     Bijectivity is exhaustive; the homomorphism law,
     images[law(a, b)] == law(images[a], images[b]), is checked on every
     pair (x-major over range(size)) when size^2 is at most `sample_pairs`,
-    and otherwise on `sample_pairs` pairs, each index drawn by
-    `rng.randrange(size)`. A failing pair is returned as elements.
+    and otherwise on `sample_pairs` pairs from `_sampled_pairs`, each
+    index rng.getrandbits(size.bit_length()) drawn again until below size,
+    as rng.randrange(size) draws it. A failing pair is returned as elements.
     """
     images = level_images(ctx, word, n)
     size = len(images)
@@ -288,10 +291,9 @@ def verify_automorphism(
 
     exhaustive = size * size <= sample_pairs
     if exhaustive:
-        pairs = ((a, b) for a in range(size) for b in range(size))
+        pairs = product(range(size), repeat=2)
     else:
-        randrange = (rng or random.Random(0)).randrange
-        pairs = ((randrange(size), randrange(size)) for _ in range(sample_pairs))
+        pairs = _sampled_pairs(rng or random.Random(0), size, sample_pairs)
     law = ctx.index_law
     checked = 0
     for a, b in pairs:
@@ -302,6 +304,22 @@ def verify_automorphism(
             )
         checked += 1
     return VerifyReport(True, n, size, checked, exhaustive)
+
+
+def _sampled_pairs(rng: random.Random, size: int, count: int) -> Iterator[Tuple[int, int]]:
+    """`count` pairs of indices below size, each drawn by the rejection loop
+    of random.Random.randrange(size): getrandbits(size.bit_length()) until
+    below size. So the draws and the end state are randrange's, without its
+    two Python calls per index."""
+    getrandbits, bits = rng.getrandbits, size.bit_length()
+    for _ in range(count):
+        a = getrandbits(bits)
+        while a >= size:
+            a = getrandbits(bits)
+        b = getrandbits(bits)
+        while b >= size:
+            b = getrandbits(bits)
+        yield a, b
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ Support = Mapping[int, int]
 # The largest level, in cosets, that verify_automorphism and all_cosets take
 # (`CPContext.level_size`): Q8 level 8 (131 072 cosets) fits and level 9
 # (524 288) does not. `aut verify --group Q8 --word [] --level 8` takes
-# 0.4-0.55 s and 28.5 MB peak (Python 3.11, in one process after start-up,
+# 0.35-0.47 s and 28.4 MB peak (Python 3.11, in one process after start-up,
 # on one core of a shared 2-core x86-64 host); a two-generator word (a
-# ladder and a transposition) 0.5-0.7 s and 28.5 MB.
+# ladder and a transposition) 0.45-0.6 s and 28.6 MB.
 MAX_COSETS = 1 << 18
 
 # The largest coordinate that `make` and `index_codec` take, hence that a
@@ -112,14 +112,15 @@ class CPContext:
     def index_law(self) -> Callable[[int, int], int]:
         """The group law on enumeration indices: index_law(index_of(x),
         index_of(y)) is index_of(x·y). Above coordinate 0 the digits are
-        read in blocks of h coordinates, h >= 1 the largest with r^h <= 16
-        (r = len(minima)); two flat tables indexed by a block pair hold the
-        block's product digits and its K factor, which folds into the
-        coordinate-0 value (K is central). Built on first use."""
+        read in blocks of h coordinates, h >= 1 the largest with r^h <= 64
+        (r = len(minima)); two flat tables indexed by a block pair, of
+        max(r, 64)^2 entries at most, hold the block's product digits and
+        its K factor, which folds into the coordinate-0 value (K is
+        central). Built on first use."""
         g, r, minima = self.group, len(self.minima), self.minima
         mul, order, e = g.mul, g.order, g.identity_index
         h = 1
-        while 1 < r and r ** (h + 1) <= 16:
+        while 1 < r and r ** (h + 1) <= 64:
             h += 1
         width = r**h
         digits, k_factor = [], []

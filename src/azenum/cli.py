@@ -281,7 +281,7 @@ def cmd_aut_alpha(args) -> int:
         raise InputError(f"--coords must be comma-separated integers: {args.coords!r}")
     word = alpha_word(ctx, coords, args.i0, args.j0)
     if args.verify:
-        level = word.max_coord() + 1
+        level = max(word.max_coord(), args.i0, args.j0) + 1
         report = verify_automorphism(ctx, word, level, rng=random.Random(args.seed))
         if not report.ok:
             raise FalsificationError(f"word fails verification: {report.failure}")

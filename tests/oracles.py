@@ -24,6 +24,25 @@ def brute_star(w1, w2):
     return None
 
 
+def dp_star(w1, w2):
+    """Strong-order decision by a table over (i, j), i a position in w1 and
+    j one in w2; True or False. ok(i, j): w1[:i] embeds in w2[:j] with each
+    position q < j covered by a same-letter image at or after q, given that
+    w1[i:] goes at or above j, where its images carry exactly the letters
+    of w1[i:]. Position j - 1 either takes w1[i-1] (ok(i-1, j-1)) or is
+    covered from above when its letter is in w1[i:] (ok(i, j-1)). The table
+    is built a column j at a time."""
+    a, b = w1.letters, w2.letters
+    above = [set(a[i:]) for i in range(len(a) + 1)]
+    ok = [True] + [False] * len(a)  # column j = 0
+    for letter in b:
+        ok = [ok[0] and letter in above[0]] + [
+            (a[i - 1] == letter and ok[i - 1]) or (letter in above[i] and ok[i])
+            for i in range(1, len(a) + 1)
+        ]
+    return ok[-1]
+
+
 def brute_covers(image, w2):
     """The covering condition as defined: every position of w2 has an
     image position at or after it carrying the same letter."""

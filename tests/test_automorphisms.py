@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -243,6 +244,17 @@ def test_level_images_match_index_map(name, maker):
     assert kinds == {Perm, BetaStar}
 
 
+def test_level_images_at_the_benchmark_shape():
+    # the aut_verify_q8 benchmark's shape: Q8 level 7 (32 768 cosets) and a
+    # word of a ladder and a transposition; the benchmark's digest holds
+    # only report fields, so a wrong image list would pass it unseen
+    ctx = CPContext(make_kgroup(*oracle_group("Q8")))
+    rng = random.Random("level-images-benchmark-shape")
+    ladder = BetaStar(tuple(rng.sample(range(7), ctx.exponent + 2)))
+    w = word(ladder, Perm.from_cycles([rng.sample(range(7), 2)]))
+    assert level_images(ctx, w, 7) == list(map(index_map(ctx, w), range(32768)))
+
+
 def test_level_images_keep_the_short_ladder_message(c4k):
     with pytest.raises(InputError, match=r"^ladder needs exponent\+2 = 6 coordinates, got 3$"):
         level_images(c4k, word(BetaStar((0, 1, 2))), 4)
@@ -467,6 +479,39 @@ def test_verify_reports_non_homomorphism(monkeypatch, name, level, exhaustive):
     )
     assert (r.pairs_checked, r.witness) == first
     assert first[0] > 0
+
+
+def test_verify_sampled_failure_is_pinned(monkeypatch):
+    # the Q8 case above, as literal values: the sixth drawn pair fails
+    ctx = make_ctx("Q8")
+    _, a, b = _two_non_identity(ctx, 4)
+    _fake_word(monkeypatch, ctx, {a: b, b: a})
+    r = verify_automorphism(ctx, word(), 4, sample_pairs=5000, rng=random.Random(12))
+    assert (r.pairs_checked, r.witness) == (5, (ctx.element_at(233), ctx.element_at(1)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 100, 8192, 32768, 100_003, 131_072])
+def test_sampled_pairs_are_the_randrange_draws(monkeypatch, size):
+    # the pairs verify_automorphism checks, and the rng's state after them,
+    # are those of drawing each index by rng.randrange(size); the budget
+    # stays below size^2, so that the pairs are drawn, not enumerated
+    def randrange_pairs(count):
+        rng = random.Random(size)
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
+        return pairs, rng.getstate()
+
+    rng = random.Random(size)
+    drawn = list(automorphisms._sampled_pairs(rng, size, 1500))
+    assert (drawn, rng.getstate()) == randrange_pairs(1500)
+    # identity images and a stand-in law that records its arguments and
+    # returns 0, so every pair passes
+    monkeypatch.setattr(automorphisms, "level_images", lambda _ctx, _w, _n: list(range(size)))
+    calls = []
+    ctx = SimpleNamespace(index_law=lambda a, b: calls.append((a, b)) or 0)
+    budget, rng = min(1500, size * size - 1), random.Random(size)
+    r = verify_automorphism(ctx, word(), 1, sample_pairs=budget, rng=rng)
+    assert r.ok and not r.exhaustive and r.pairs_checked == budget
+    assert (calls[::2], rng.getstate()) == randrange_pairs(budget)
 
 
 @pytest.mark.parametrize("name, level", [("C4", 2), ("Q8", 4)])

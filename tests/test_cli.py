@@ -389,6 +389,14 @@ def test_aut_verify_level_above_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["-1", "0"])
+def test_aut_verify_level_below_one(capsys, level):
+    argv = ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", level]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: level must be >= 1\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -421,6 +429,13 @@ def test_aut_alpha_verify_failure_is_falsified(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "falsified: word fails verification: not injective\n"
+
+
+def test_aut_alpha_verify_empty_coords(capsys):
+    # an empty I gives the empty word, verified on level max(i0, j0) + 1
+    code, out = run(capsys, "--verify", "aut", "alpha", "--group", "Q8", "--coords", ",",
+                    "--i0", "0", "--j0", "1")
+    assert (code, out) == (0, "[]\n")
 
 
 def test_aut_alpha_bad_coords(capsys):

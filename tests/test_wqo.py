@@ -18,7 +18,7 @@ from azenum.wqo import (
     parse_word,
     rightmost_embedding,
 )
-from oracles import brute_covers, brute_star, brute_subword
+from oracles import brute_covers, brute_star, brute_subword, dp_star
 
 
 def w(text):
@@ -131,6 +131,23 @@ def test_star_decision_equals_brute_force_exhaustive():
             assert (got is None) == (want is None), (w1, w2)
             if got is not None:
                 assert got.is_star_witness(w1, w2)
+
+
+def test_dp_star_equals_brute_force_exhaustive():
+    # the table oracle against the search over injections: every pair of
+    # words over {a, b} up to length 6, and every word over {a, b, c} up to
+    # length 6 against each of its distinct subsequences
+    words = list(all_words("ab", 6))
+    pairs = [(w1, w2) for w2 in words for w1 in words]
+    for w2 in all_words("abc", 6):
+        subsequences = {
+            tuple(w2.letters[p] for p in image)
+            for size in range(len(w2) + 1)
+            for image in itertools.combinations(range(len(w2)), size)
+        }
+        pairs += [(Word(letters), w2) for letters in subsequences]
+    for w1, w2 in pairs:
+        assert dp_star(w1, w2) == (brute_star(w1, w2) is not None), (w1, w2)
 
 
 def test_star_witness_equals_covering_definition():
