@@ -20,7 +20,8 @@ coordinate 0, which holds m·k for the coordinate-0 value c·k (c a coset
 minimum, k in K) and the coset minimum m sent to target 0 (c when source 0
 sends it; 1 in Γ_{≤0}). Two cosets compare at max(plan[0]) whatever m is,
 and c·k, c·k′ compare as m·k, m·k′; so (ii) says that every coset, m's
-among them, ranks its K multiples as 1 does.
+among them, ranks its K multiples as 1 does. It holds in every context, as
+`KGroupSpec.element_order` is coset-major; `run_az` still scans for it.
 """
 
 from __future__ import annotations
@@ -311,8 +312,9 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     r = len(ctx.minima)
 
     # (b) order preservation: every consecutive pair of the prefix level,
-    # which holds Γ_{≤0} and so decides the lemma's (ii), and then its (i)
-    level = ctx.prefix_level(depth)
+    # which holds Γ_{≤0} and so decides the lemma's (ii), and then its (i);
+    # a finite Γ (K = G) is one level, scanned whole when depth exceeds it
+    level = ctx.prefix_level(depth if r > 1 else min(depth, ctx.group.order))
     images = list(map(beta, range(ctx.level_size(level + 1))))
     pairs = list(zip(images, images[1:]))
     if r > 1:

@@ -49,24 +49,15 @@ class CPContext:
         self.kg = kg
         self.group = g
         self.k_list = list(kg.k_subgroup)
-        self.rank_of = [0] * g.order
-        for pos, elem in enumerate(kg.element_order):
-            self.rank_of[elem] = pos
-        # per coset, in transversal order: the member least in the order
-        self.coset_min: List[int] = [
-            min((g.mul[t][k] for k in self.k_list), key=self.rank_of.__getitem__)
-            for t in kg.transversal
-        ]
-        # per element v: min_of[v], the least member of v's K-coset, and
-        # k_of[v] = min_of[v]^-1 v in K, which coordinate 0 absorbs
-        self.min_of = [0] * g.order
-        self.k_of = [0] * g.order
-        for m, k in product(self.coset_min, self.k_list):
-            v = g.mul[m][k]
-            self.min_of[v], self.k_of[v] = m, k
-        # the digits above coordinate 0: coset minima in increasing rank
-        self.minima = sorted(self.coset_min, key=self.rank_of.__getitem__)
+        # the digits above coordinate 0: the coset minima in increasing rank
+        self.minima = list(kg.transversal)
         self.digit_of = {m: d for d, m in enumerate(self.minima)}
+        # per element v = t·k of the coset-major order: its rank, its coset
+        # minimum min_of[v] = t and k_of[v] = k in K, which coordinate 0 absorbs
+        self.rank_of, self.min_of, self.k_of = [0] * g.order, [0] * g.order, [0] * g.order
+        for pos, (t, k) in enumerate(product(self.minima, self.k_list)):
+            v = g.mul[t][k]
+            self.rank_of[v], self.min_of[v], self.k_of[v] = pos, t, k
         self.exponent = _lcm(*(g.element_order(a) for a in range(g.order)))
         self.identity = CPElement(self, 0)
 
@@ -232,18 +223,16 @@ class CPContext:
     # An element is also the pair (s, k): s = sum of d_c r^c over its
     # coordinates c, d_c the digit of coordinate c's coset minimum (d_0
     # too), and k the K factor of its coordinate-0 value. The level-n
-    # elements are the pairs with s < r^n.
+    # elements are the pairs with s < r^n, and the index is s·|K| + rank(k).
 
     def pair_of(self, i: int) -> Tuple[int, int]:
         """The pair (s, k) of the element with index i."""
-        high, d0 = divmod(i, self.group.order)
-        v = self.kg.element_order[d0]
-        return high * len(self.minima) + self.digit_of[self.min_of[v]], self.k_of[v]
+        s, k = divmod(i, len(self.k_list))
+        return s, self.k_list[k]
 
     def index_of_pair(self, s: int, k: int) -> int:
         """The index of the pair (s, k) (inverse of `pair_of`)."""
-        high, d0 = divmod(s, len(self.minima))
-        return high * self.group.order + self.rank_of[self.group.mul[self.minima[d0]][k]]
+        return s * len(self.k_list) + self.rank_of[k]
 
     def window_configs(self, n: int, window: Sequence[int]) -> "array[int]":
         """Per digit vector s < r^n, in order: sum_j d_{window[j]} r^j, the
@@ -260,16 +249,11 @@ class CPContext:
 
     def join_level(self, n: int, state: Sequence[int], kfac: Sequence[int]) -> List[int]:
         """Per level-n index, in order, with (s, k) its pair: the index of
-        the pair (state[s], k·kfac[s]). Index d0 + |G|·h has s = c0 + r·h,
-        c0 and k fixed by d0, so each d0 reads the slice state[c0::r]."""
-        r, mul, order = len(self.minima), self.group.mul, self.group.order
-        images = [0] * (order * r ** (n - 1))
-        for d0 in range(order):
-            c0, k0 = self.pair_of(d0)
-            low = [[self.index_of_pair(c, mul[k0][k]) for k in range(order)] for c in range(r)]
-            images[d0::order] = [
-                order * (s // r) + low[s % r][k] for s, k in zip(state[c0::r], kfac[c0::r])
-            ]
+        the pair (state[s], k·kfac[s]); index s·|K| + j has k = k_list[j]."""
+        nk, mul, rank_of = len(self.k_list), self.group.mul, self.rank_of
+        images = [0] * (nk * len(state))
+        for j, k in enumerate(self.k_list):
+            images[j::nk] = [nk * t + rank_of[mul[k][f]] for t, f in zip(state, kfac)]
         return images
 
     def compare(self, x: "CPElement", y: "CPElement") -> int:

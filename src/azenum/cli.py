@@ -35,7 +35,6 @@ from .groups import (
     group_to_json,
     is_class_csw,
     make_kgroup,
-    make_standard_kgroup,
     rank,
     validate_k,
 )
@@ -94,12 +93,11 @@ def _group(args):
     return table, analysis, k
 
 
-def _context(args, standard_order: bool = False) -> CPContext:
+def _context(args) -> CPContext:
     table, analysis, k = _group(args)
     if k is None:
         raise InputError("no K subgroup given (use --k or a file with a 'K' field)")
-    maker = make_standard_kgroup if standard_order else make_kgroup
-    return CPContext(maker(table, analysis, k))
+    return CPContext(make_kgroup(table, analysis, k))
 
 
 def _dump(doc) -> str:
@@ -357,7 +355,7 @@ def _load_tuples(ctx: CPContext, path: str):
 
 
 def cmd_az_run(args) -> int:
-    ctx = _context(args, standard_order=True)
+    ctx = _context(args)
     fam = _load_tuples(ctx, args.tuples)
     cert = run_az(fam, depth=args.depth, seed=args.seed)
     doc = cert.to_json()
@@ -382,21 +380,23 @@ def cmd_rado_triples(args) -> int:
         "obstruction": report.to_json(),
     }
     if args.verify:
-        for t_doc in doc["triples"]:
-            triple_from_json(t_doc)
+        _check_triples(doc, "the emitted triples")
     _emit(args, doc)
     return EXIT_OK if report.ok else EXIT_FALSIFIED
 
 
+def _check_triples(doc, source: str):
+    """The obstruction report of the triples in `doc`, each re-validated."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("triples"), list):
+        raise InputError(f"{source} has no 'triples' list")
+    return check_obstruction([triple_from_json(d) for d in doc["triples"]])
+
+
 def cmd_rado_check(args) -> int:
     if args.file:
-        loaded = _read_json(args.file)
-        if not isinstance(loaded, dict) or not isinstance(loaded.get("triples"), list):
-            raise InputError(f"{args.file} has no 'triples' list")
-        triples = [triple_from_json(d) for d in loaded["triples"]]
+        report = _check_triples(_read_json(args.file), args.file)
     else:
-        triples = build_triples(args.max_n)
-    report = check_obstruction(triples)
+        report = check_obstruction(build_triples(args.max_n))
     _emit(args, report.to_json())
     return EXIT_OK if report.ok else EXIT_FALSIFIED
 

@@ -5,7 +5,8 @@ Elements are indices 0..order-1 into the table; names are cosmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -64,7 +65,13 @@ class KGroupSpec:
     group: GroupTable
     k_subgroup: Tuple[int, ...]
     transversal: Tuple[int, ...]
-    element_order: Tuple[int, ...]
+
+    @cached_property
+    def element_order(self) -> Tuple[int, ...]:
+        """The elements ranked coset-major, t·k for each t of the transversal
+        and then each k of K: every coset ranks its K multiples as K does."""
+        mul = self.group.mul
+        return tuple(mul[t][k] for t in self.transversal for k in self.k_subgroup)
 
 
 def validate_and_analyze(
@@ -208,48 +215,23 @@ def rank(table: GroupTable) -> int:
 
 
 def make_kgroup(table: GroupTable, analysis: GroupAnalysis, k) -> KGroupSpec:
-    """Fix the transversal and element order used by canonical forms.
-
-    Transversal: identity represents its own coset, all other cosets are
-    represented by their smallest element index; ordered identity first,
-    then by representative index.
-    """
+    """K stored identity first, then by index, and the transversal: the
+    identity, then each other coset's least element index, by index."""
     if not validate_k(table, analysis, k):
         raise InputError("K must be a subgroup with G' <= K <= Z(G)")
-    ks = sorted(set(k))
-    seen = set()
-    reps: List[int] = []
+    e = table.identity_index
+    ks = (e, *sorted(set(k) - {e}))
+    seen, transversal = set(ks), [e]
     for g in range(table.order):
-        if g in seen:
-            continue
-        coset = {table.mul[g][x] for x in ks}
-        seen.update(coset)
-        reps.append(table.identity_index if table.identity_index in coset else min(coset))
-    reps.sort()
-    reps.remove(table.identity_index)
-    transversal = (table.identity_index, *reps)
-
-    rest = [g for g in range(table.order) if g != table.identity_index]
-    element_order = (table.identity_index, *rest)
-    return KGroupSpec(table, tuple(ks), transversal, element_order)
-
-
-def standard_element_order(kg: KGroupSpec) -> Tuple[int, ...]:
-    """The element order sorted by K-coset and then by K-multiplier.
-
-    Ranking K-multiples consistently across cosets is what makes the
-    coset enumeration compatible with the shift-and-copy maps of the
-    enumeration pipeline (an arbitrary order need not be)."""
-    k_list = [kg.group.identity_index] + [
-        x for x in sorted(kg.k_subgroup) if x != kg.group.identity_index
-    ]
-    return tuple(kg.group.mul[t][x] for t in kg.transversal for x in k_list)
+        if g not in seen:
+            transversal.append(g)
+            seen.update(table.mul[g][x] for x in ks)
+    return KGroupSpec(table, ks, tuple(transversal))
 
 
 def make_standard_kgroup(table: GroupTable, analysis: GroupAnalysis, k) -> KGroupSpec:
-    """A KGroupSpec using the coset-major element order."""
-    base = make_kgroup(table, analysis, k)
-    return replace(base, element_order=standard_element_order(base))
+    """The same spec as `make_kgroup`, under the name some callers use."""
+    return make_kgroup(table, analysis, k)
 
 
 def find_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[Dict[int, int]]:

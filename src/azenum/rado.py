@@ -277,6 +277,10 @@ def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
 
     Consequently no adjacency-and-order-preserving map of initial segments
     can send a shorter triple onto a longer one, reported per pair.
+
+    Lemma: `violations` is always empty. After `_validate_triple`, c's
+    prefix neighbourhood is exactly an induced n-cycle, and a proper subset
+    of a chordless cycle induces only paths; the scan confirms it per triple.
     """
     for t in triples:
         _validate_triple(t)

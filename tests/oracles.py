@@ -95,13 +95,15 @@ def brute_cosets(ctx, n):
     `make` encodes each minimal representative found here, and must
     decode it back unchanged."""
     mul, e, transversal = ctx.group.mul, ctx.group.identity_index, ctx.kg.transversal
+    rank = ctx.rank_of.__getitem__
+    least = [min((mul[t][k] for k in ctx.k_list), key=rank) for t in transversal]
     out = []
     for t0, *t_high in product(range(len(transversal)), repeat=n):
         v = transversal[t0]
         higher = []
         for c, t in enumerate(t_high, 1):
             if t:
-                higher.append((c, ctx.coset_min[t]))
+                higher.append((c, least[t]))
                 v = mul[v][ctx.k_of[transversal[t]]]
         higher = tuple(higher)
         for k in ctx.k_list:
@@ -252,7 +254,7 @@ def random_az_family(ctx, rng, arity, max_support, extra_members=0):
     # under canonicalization at any position (prefixing keeps the signature);
     # when K = G the only coset minimum is 1, and every element is one at 0
     m = ctx.exponent
-    values = ctx.coset_min if len(ctx.minima) > 1 else range(ctx.group.order)
+    values = ctx.minima if len(ctx.minima) > 1 else range(ctx.group.order)
     while True:
         top = rng.randint(0, max_support - m - 1)
         base = tuple(

@@ -16,7 +16,6 @@ from azenum.groups import (
     find_isomorphism,
     is_class_csw,
     make_kgroup,
-    make_standard_kgroup,
 )
 from azenum.quadratic import (
     free_amalgam,
@@ -281,7 +280,7 @@ def test_criterion_5_wqo(capsys):
 def test_criterion_6_az_pipeline(capsys):
     def body():
         table, analysis, k = catalog_group("Q8")
-        ctx = CPContext(make_standard_kgroup(table, analysis, k))
+        ctx = CPContext(make_kgroup(table, analysis, k))
         rng = random.Random(107)
         for trial in range(50):
             fam = random_az_family(ctx, rng, 4, 12)

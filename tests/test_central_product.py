@@ -232,15 +232,16 @@ def test_enumerate_c4_gamma2():
         tuple(names[v] for _, v in ctx.minimal_representative(x))
         for x in ctx.enumerate(8)
     ]
-    # classes of (1,1),(g,1),(g2,1),(g3,1),(1,g),(g,g),(g2,g),(g3,g)
+    # classes of (1,1),(g2,1),(g,1),(g3,1),(1,g),(g2,g),(g,g),(g3,g): each
+    # coset ranks its K multiples as K = {1, g2} does
     assert got == [
         (),
-        ("g",),
         ("g2",),
+        ("g",),
         ("g3",),
         ("g",),  # {1: g}
-        ("g", "g"),
         ("g2", "g"),
+        ("g", "g"),
         ("g3", "g"),
     ]
     assert [tuple(c for c, _ in x.rep) for x in ctx.enumerate(8)][4] == (1,)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from azenum import cli
+from azenum import cli, rado
 from azenum.central_product import MAX_COSETS, MAX_LITERAL_COORD
 from azenum.cli import run_command
 from azenum.groups import catalog_group, catalog_names, group_to_json
@@ -610,15 +610,25 @@ def test_az_run_depth_above_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_az_run_depth_beyond_finite_gamma(tmp_path, capsys):
-    # K = G: every level is all of Γ, which has two elements
+def c2_run(tmp_path, capsys, *depth):
+    """`az run` on C2 with K = G: every level is all of Γ, which has two
+    elements, and a depth above that scans the whole of Γ."""
     tuples = tmp_path / "family.txt"
     tuples.write_text("0:g\n0:g\n")
     start = time.perf_counter()
-    argv = ["az", "run", "--group", "C2", "--tuples", str(tuples), "--depth", "3"]
-    assert run_command(argv) == 2
+    argv = ["--json", "az", "run", "--group", "C2", "--tuples", str(tuples), *depth]
+    code, out = run(capsys, *argv)
+    assert code == 0
     assert time.perf_counter() - start < 1
-    assert "count 3 exceeds |Γ| = 2" in capsys.readouterr().err
+    assert json.loads(out)["reports"]["order_preservation"] == {"level": 0, "ordered": 1, "of": 1}
+
+
+def test_az_run_depth_beyond_finite_gamma(tmp_path, capsys):
+    c2_run(tmp_path, capsys, "--depth", "3")
+
+
+def test_az_run_default_depth_on_finite_gamma(tmp_path, capsys):
+    c2_run(tmp_path, capsys)
 
 
 # -- rado --------------------------------------------------------------------
@@ -707,6 +717,17 @@ def test_rado_check_cycle_not_n_vertices(tmp_path, capsys, cycle, entries):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("falsified:") and f"4 distinct vertices in {entries} entries" in err
+
+
+def test_rado_triples_verify_revalidates_emitted_triples(capsys, monkeypatch):
+    # `--verify` re-checks the triples as emitted, so a c that to_json gets
+    # wrong is falsified before anything is printed
+    real = rado.Triple.to_json
+    monkeypatch.setattr(rado.Triple, "to_json", lambda t: {**real(t), "c": t.c + 1})
+    assert run_command(["--json", "--verify", "rado", "triples", "--max-n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("falsified:")
 
 
 def test_rado_triples_above_cap(capsys):

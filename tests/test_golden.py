@@ -140,6 +140,8 @@ def cases():
     out["group_check_Q8"] = ["group", "check", "--group", "Q8"]
     out["group_check_D4"] = ["group", "check", "--group", "D4"]
     out["group_check_C4_k"] = ["group", "check", "--group", "C4", "--k", "0,g2"]
+    # coset-major: the coset {1, g2} = K comes first, so {0:g} > {0:g2}
+    out["cp_compare_C4"] = ["cp", "compare", "--group", "C4", "--x", "0:g", "--y", "0:g2"]
     for name, argv in TEXT_CASES.items():
         out[name] = argv
         out[f"{name}_json"] = ["--json", *argv]
@@ -190,6 +192,12 @@ def test_golden(name):
         )
 
 
+def test_every_golden_file_is_a_case():
+    assert sorted(p.name for p in GOLDEN.glob("*.out.gz")) == sorted(
+        golden_path(name).name for name in cases()
+    )
+
+
 def test_cp_enumerate_emit_is_stdout(tmp_path):
     """`cp enumerate --emit` writes the very bytes it prints."""
     emit = tmp_path / "enumerate.jsonl"
@@ -200,13 +208,13 @@ def test_cp_enumerate_emit_is_stdout(tmp_path):
 
 def write_families() -> None:
     from azenum.central_product import CPContext, format_support
-    from azenum.groups import catalog_group, make_standard_kgroup
+    from azenum.groups import catalog_group, make_kgroup
     from oracles import random_az_family
 
     INPUTS.mkdir(parents=True, exist_ok=True)
     for group, seed, arity, max_support, _ in AZ_FAMILIES:
         table, analysis, k = catalog_group(group)
-        ctx = CPContext(make_standard_kgroup(table, analysis, k))
+        ctx = CPContext(make_kgroup(table, analysis, k))
         fam = random_az_family(
             ctx, random.Random(seed), arity, max_support, extra_members=2
         )

@@ -144,7 +144,23 @@ def test_make_kgroup_c4():
     c4, a, _ = catalog_group("C4")
     kg = make_kgroup(c4, a, [0, 2])
     assert kg.transversal == (0, 1)  # cosets {1,g2} and {g,g3}
-    assert kg.element_order == (0, 1, 2, 3)
+    assert kg.element_order == (0, 2, 1, 3)  # 1, g2, then g, g·g2
+
+
+def test_make_kgroup_stores_k_identity_first():
+    # C4 relabelled so that the identity has index 2: K = {1, g2} is stored
+    # identity first, and each coset ranks its K multiples as K does
+    c4, a, _ = catalog_group("C4")
+    relabel = [2, 0, 3, 1]  # old index -> new index
+    mul = [[0] * 4 for _ in range(4)]
+    for x in range(4):
+        for y in range(4):
+            mul[relabel[x]][relabel[y]] = relabel[c4.mul[x][y]]
+    table, analysis = validate_and_analyze(mul)
+    kg = make_kgroup(table, analysis, [relabel[0], relabel[2]])
+    assert kg.k_subgroup == (2, 3)
+    assert kg.transversal == (2, 0)
+    assert kg.element_order == (2, 3, 0, 1)  # 1, g2, then g, g·g2
 
 
 def test_make_kgroup_k_equals_g():

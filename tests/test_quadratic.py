@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azenum.errors import CapacityError, InputError
 from azenum.gf2 import complete_basis
@@ -291,3 +294,23 @@ def test_qs_json_round_trip():
     d = derived("Q8")
     doc = qs_to_json(d.qs)
     assert qs_from_json(doc) == d.qs
+
+
+@st.composite
+def quadratic_structures(draw):
+    """Any quadratic structure with dimU <= 4 and dimV <= 6, degenerate or
+    not: Q's basis values and gamma's upper triangle drawn freely."""
+    dim_u, dim_v = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    value = st.integers(0, (1 << dim_v) - 1)
+    gamma = [[0] * dim_u for _ in range(dim_u)]
+    for i in range(dim_u):
+        for j in range(i + 1, dim_u):
+            gamma[i][j] = gamma[j][i] = draw(value)
+    q = tuple(draw(value) for _ in range(dim_u))
+    return QuadraticStructure(dim_u, dim_v, q, tuple(map(tuple, gamma)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(quadratic_structures())
+def test_qs_json_round_trip_any_structure(qs):
+    assert qs_from_json(json.loads(json.dumps(qs_to_json(qs)))) == qs
