@@ -2,11 +2,14 @@
 and the self-inverse ladder maps, plus words in them and verification.
 
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
-to coordinate perm[j]. A word acts on enumeration indices (`index_map`),
-without building elements; `apply_word` reads the same map on elements.
-`level_images` maps the indices range(size) of a level by one table per
-generator on its window, and `verify_automorphism` checks the homomorphism
-law on those images by `CPContext.index_law`.
+to coordinate perm[j]. Each generator is stated once, as an action on the
+coset digits of its window (`_window_action`). A word acts on enumeration
+indices (`index_map`), reading and writing window digits of the pair
+(s, k) without building elements; `apply_word` reads the same map on
+elements. `level_images` maps the indices range(size) of a level by each
+generator's action tabulated over its window configurations, and
+`verify_automorphism` checks the homomorphism law on those images by
+`CPContext.index_law`.
 """
 
 from __future__ import annotations
@@ -110,45 +113,67 @@ class AutWord:
 # ---------------------------------------------------------------------------
 
 
-def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
-    """The word's action on enumeration indices, built without elements.
+def _window_action(ctx: CPContext, gen: AutGenerator) -> Tuple[Tuple[int, ...], Callable]:
+    """The generator as (window, act): it reads and writes only the digits
+    of its window W (a perm's support, a ladder's coordinates, in order),
+    and act maps W's digits to their new digits and a K factor, which
+    multiplies k. InputError for a ladder of other than exponent + 2
+    coordinates.
 
-    The digits up to the word's top coordinate decode to coset minima and
-    one K factor, split off the coordinate-0 value. A permutation moves the
-    minima; a ladder sets each window slot to the ordered product of the
-    others, keeps its minimum and folds its K factor into the running one.
-    K is central, and the held-back factor k would enter the m+1 other slots
-    of a window on coordinate 0: k^(m+1) = k for the exponent m. Digits
-    above the top coordinate pass through unchanged.
+    A permutation moves the digits and leaves k as it is. A ladder sets
+    each slot to the ordered product of the other slots' coset minima,
+    keeps its digit and folds its K factor into k. That ignores the held-
+    back k, which is right because K is central: k would enter the m+1
+    other slots of a window on coordinate 0, and k^(m+1) = k for the
+    exponent m.
     """
-    top = max(word.max_coord(), 0)
-    mul, e, min_of, k_of = ctx.group.mul, ctx.group.identity_index, ctx.min_of, ctx.k_of
-    split, join = ctx.index_codec(top)
+    mul, e, minima = ctx.group.mul, ctx.group.identity_index, ctx.minima
+    digit_of, k_of = ctx.digit_of, ctx.k_of
+    if isinstance(gen, Perm):
+        window = tuple(gen.mapping)
+        lands = {t: j for j, (_, t) in enumerate(gen.moves)}  # target -> source slot
+        gather = [lands[c] for c in window]
+        return window, lambda ds: ([ds[j] for j in gather], e)
+    if len(gen.coords) != ctx.exponent + 2:
+        m, got = ctx.exponent + 2, len(gen.coords)
+        raise InputError(f"ladder needs exponent+2 = {m} coordinates, got {got}")
+
+    def ladder(ds):
+        vals, prefix, p, s = [minima[d] for d in ds], [], e, e
+        for v in vals:
+            prefix.append(p)
+            p = mul[p][v]
+        out, k = [0] * len(vals), e
+        for j in reversed(range(len(vals))):
+            u, s = mul[prefix[j]][s], mul[vals[j]][s]
+            out[j], k = digit_of[u], mul[k][k_of[u]]
+        return out, k
+
+    return gen.coords, ladder
+
+
+def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
+    """The word's action on enumeration indices, built without elements:
+    on the pair (s, k) of an index, each generator reads its window's
+    digits out of s, applies its `_window_action` and writes the new
+    digits back, multiplying k by the action's K factor. Every other digit
+    passes through unchanged. CapacityError for a word above
+    MAX_LITERAL_COORD."""
+    ctx.place(max(word.max_coord(), 0))
+    r, mul = len(ctx.minima), ctx.group.mul
     steps = []
     for gen in word.gens:
-        if isinstance(gen, Perm):
-            source = gen.inverse().mapping
-            steps.append((True, [source.get(c, c) for c in range(top + 1)]))
-        elif len(gen.coords) == ctx.exponent + 2:
-            steps.append((False, gen.coords))
-        else:
-            m, got = ctx.exponent + 2, len(gen.coords)
-            raise InputError(f"ladder needs exponent+2 = {m} coordinates, got {got}")
+        window, act = _window_action(ctx, gen)
+        steps.append((list(map(ctx.place, window)), act))
 
     def f(i: int) -> int:
-        high, vals, k = split(i)
-        for is_perm, step in steps:
-            if is_perm:
-                vals = list(map(vals.__getitem__, step))
-                continue
-            window, prefix, p, s = list(map(vals.__getitem__, step)), [], e, e
-            for v in window:
-                prefix.append(p)
-                p = mul[p][v]
-            for c, v, p in zip(reversed(step), reversed(window), reversed(prefix)):
-                u, s = mul[p][s], mul[v][s]
-                vals[c], k = min_of[u], mul[k][k_of[u]]
-        return join(high, vals, k)
+        s, k = ctx.pair_of(i)
+        for places, act in steps:
+            ds = [s // p % r for p in places]
+            new, kf = act(ds)
+            s += sum((b - a) * p for a, b, p in zip(ds, new, places))
+            k = mul[k][kf]
+        return ctx.index_of_pair(s, k)
 
     return f
 
@@ -158,20 +183,13 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
     generator at a time on window tables; InputError if n < 1 or the word
     touches a coordinate at or above n.
 
-    Lemma. A generator reads and writes only the coset-minimum digits of its
-    window W (a perm's support, a ladder's coordinates), and multiplies the
-    K factor by a value that depends on those digits alone. Proof: in
-    `index_map` a perm step permutes `vals` and leaves k as it is; a ladder
-    step reads and writes `vals` at W and multiplies k by the K parts of
-    products of the window's entries, never reading k (K is central).
-
-    So on a level-n element's pair (s, k) (`CPContext.pair_of`) a generator
+    On a level-n element's pair (s, k) (`CPContext.pair_of`) a generator
     acts as (s + shift[c], k·factor[c]), c the configuration of s's digits
-    on W (`CPContext.window_configs`). Its table over the r^|W|
-    configurations is read off `index_map` on one representative per
-    configuration: the window digits as given, every other digit 0 and K
-    factor 1. W lies below n, so no table exceeds the level. The composed
-    map of the pairs goes back to indices through `CPContext.join_level`.
+    on its window W (`CPContext.window_configs`): `_window_action` reads
+    and writes those digits alone. Its table over the r^|W| configurations
+    is that action tabulated. W lies below n, so no table exceeds the
+    level. The composed map of the pairs goes back to indices through
+    `CPContext.join_level`.
     """
     if n < 1:
         raise InputError("level must be >= 1")
@@ -187,18 +205,18 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
 
 def _apply_on_level(ctx: CPContext, gen: AutGenerator, n: int, state, kfac):
     """The map (state, kfac) of the level-n pairs followed by the generator:
-    its window table, read off `index_map`, looked up at the configuration
-    of each state[s] on the window."""
-    mul, e, r = ctx.group.mul, ctx.group.identity_index, len(ctx.minima)
-    window = gen.coords if isinstance(gen, BetaStar) else tuple(gen.mapping)
-    f = index_map(ctx, AutWord((gen,)))
-    # the representatives' digit vectors, in configuration order
-    starts = map(sum, product(*([d * r**c for d in range(r)] for c in window[::-1])))
+    its window action, tabulated over the window's configurations, looked
+    up at the configuration of each state[s]."""
+    mul, r = ctx.group.mul, len(ctx.minima)
+    window, act = _window_action(ctx, gen)
+    places = list(map(ctx.place, window))
     shift, factor = [], []
-    for s in starts:
-        t, k = ctx.pair_of(f(ctx.index_of_pair(s, e)))
-        shift.append(t - s)
-        factor.append(k)
+    # configuration sum_j ds[j] r^j, in order: ds[0] varies fastest
+    for high_first in product(range(r), repeat=len(window)):
+        ds = high_first[::-1]
+        new, kf = act(ds)
+        shift.append(sum((b - a) * p for a, b, p in zip(ds, new, places)))
+        factor.append(kf)
     configs = array("l", map(ctx.window_configs(n, window).__getitem__, state))
     kfac = [mul[a][factor[c]] for a, c in zip(kfac, configs)]
     return array("l", map(add, state, map(shift.__getitem__, configs))), kfac
@@ -271,7 +289,7 @@ def verify_automorphism(
 
     The level-n elements have the indices 0 .. size-1, so the map is the
     list `level_images` of their images: one window table per generator,
-    filled by `index_map` on r^|W| representatives and spread over the
+    its window action over the r^|W| configurations, spread over the
     level's digit vectors. An image at or above size escapes the level.
     Bijectivity is exhaustive; the homomorphism law,
     images[law(a, b)] == law(images[a], images[b]), is checked on every

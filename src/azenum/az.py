@@ -5,10 +5,11 @@ it maps one tuple to the other while preserving the element ordering;
 the map and every check act on enumeration indices only.
 
 Order preservation is decided exactly. With B = gamma_n_order(l_i + 1) and
-B′ = gamma_n_order(l_j + 1), the codec gives β(h·B + low) = h·B′ + β(low)
-< (h + 1)·B′ for low < B, so β preserves the order on Γ iff it strictly
-increases on range(B). Lemma: if the targets in `plan` are pairwise
-distinct (as build_beta's are, in any order of its entries), that holds iff
+B′ = gamma_n_order(l_j + 1), β's digit-weight form (`beta_index_map`)
+gives β(h·B + low) = h·B′ + β(low) < (h + 1)·B′ for low < B, so β
+preserves the order on Γ iff it strictly increases on range(B). Lemma:
+if the targets in `plan` are pairwise distinct (as build_beta's are, in
+any order of its entries), that holds iff
 (i) |G/K| = 1 or max(plan[p]) strictly increases in p (for build_beta's
 plan, the head f(p): each I_s lies below its letter's last occurrence), and
 (ii) β strictly increases on Γ_{≤0} = range(|G|). Proof: let a < b differ
@@ -182,24 +183,29 @@ def build_beta(nf: NormalizedFamily) -> BetaMap:
 
 
 def beta_index_map(bm: BetaMap) -> Callable[[int], int]:
-    """The shift-and-copy map on enumeration indices: the coset minima at
-    positions up to l_i follow the witness, fanning out over I_s when they
-    land on a letter's last occurrence; the digits above l_i shift by
-    l_j - l_i. The K factor of the coordinate-0 value enters each of the
-    1 + |I_s| targets of position 0, and k^(1+|I_s|) = k because K is
-    central and the exponent divides |I_s|, so it passes through as is."""
-    split, join = bm.ctx.index_codec(bm.l_i)
-    plan, e, width = bm.plan, bm.ctx.group.identity_index, bm.l_j + 1
+    """The shift-and-copy map on enumeration indices, on the pair (s, k):
+    β(s) = ⌊s / r^(l_i+1)⌋·r^(l_j+1) + Σ_p d_p(s)·Σ_{t ∈ plan[p]} r^t over
+    the digits d_p of positions p up to l_i. So each position's coset digit
+    follows the witness, fanning out over I_s when it lands on a letter's
+    last occurrence, and the digits above l_i shift by l_j - l_i. The K
+    factor k of the coordinate-0 value enters each of the 1 + |I_s|
+    targets of position 0, and k^(1+|I_s|) = k because K is central and
+    the exponent divides |I_s|, so k passes through as is."""
+    ctx, r = bm.ctx, len(bm.ctx.minima)
+    # every target is hit once: f is injective and the I_s lie off its
+    # image and apart from each other
+    weights = [sum(map(ctx.place, targets)) for targets in bm.plan]
+    # r^(l_i+1) and r^(l_j+1), capped at the members' top coordinates
+    low, high = ctx.place(bm.l_i) * r, ctx.place(bm.l_j) * r
 
     def beta(i: int) -> int:
-        # every target is hit once: f is injective and the I_s lie off its
-        # image and apart from each other
-        high, vals, k = split(i)
-        out = [e] * width
-        for v, targets in zip(vals, plan):
-            for t in targets:
-                out[t] = v
-        return join(high, out, k)
+        s, k = ctx.pair_of(i)
+        above, s = divmod(s, low)
+        out = above * high
+        for w in weights:
+            s, d = divmod(s, r)
+            out += d * w
+        return ctx.index_of_pair(out, k)
 
     return beta
 

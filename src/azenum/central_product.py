@@ -2,15 +2,17 @@
 
 Elements are cosets of the subgroup of K-tuples with trivial coordinate
 product. The order is a nice enumeration, and an element is stored only as
-its position in it, a mixed-radix number: `CPContext.make` encodes a tuple
-through `join`, `minimal_representative` decodes the reverse-lex minimal
-representative, and `index_codec` splits an index into digits; for whole
-levels, `pair_of` reads an index as its K-free digit vector and K factor
-and `join_level` maps such pairs back. This module alone knows the digit
-layout. The group law runs on these indices (`CPContext.index_law`): above
-coordinate 0 the product's digits are read, a block of coordinates at a
-time, from tables of block products, whose K factors fold into the
-coordinate-0 value because K is central.
+its position in it, the index |K|·s + rank(k) of the pair (s, k): s is the
+base-r number (r = |G/K|) of the coordinates' coset digits and k in K the
+product of their K factors, held at coordinate 0. This module alone knows
+that layout: `make` encodes a tuple, `minimal_representative` decodes the
+reverse-lex minimal representative, `pair_of` and `index_of_pair` read and
+write the pair, `place` is the place value of a coordinate's digit in s,
+and for whole levels `window_configs` reads digits off every s and
+`join_level` maps pairs back to indices. The group law runs on these
+indices (`CPContext.index_law`): above coordinate 0 the product's digits
+are read, a block of coordinates at a time, from tables of block products,
+whose K factors fold into the coordinate-0 value because K is central.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ Support = Mapping[int, int]
 # ladder and a transposition) 0.45-0.6 s and 28.6 MB.
 MAX_COSETS = 1 << 18
 
-# The largest coordinate that `make` and `index_codec` take, hence that a
-# word acting on indices may touch. `make` builds a digit per coordinate up
-# to the highest, and the group law's cost grows with its square: `cp mul
-# --group Q8` at 10 000 takes 0.08 s, 30 000 0.5 s, 100 000 5.5 s (same host).
+# The largest coordinate whose place value `CPContext.place` gives, hence
+# the largest that `make` takes and that a word acting on indices may
+# touch. An index has a digit per coordinate up to the highest, and the
+# group law's cost grows with its square: `cp mul --group Q8` at 10 000
+# takes 0.08 s, 30 000 0.5 s, 100 000 5.5 s (same host).
 MAX_LITERAL_COORD = 10_000
 
 
@@ -49,37 +52,35 @@ class CPContext:
         self.kg = kg
         self.group = g
         self.k_list = list(kg.k_subgroup)
-        # the digits above coordinate 0: the coset minima in increasing rank
+        # the coset minima in increasing rank: digit d stands for minima[d]
         self.minima = list(kg.transversal)
-        self.digit_of = {m: d for d, m in enumerate(self.minima)}
-        # per element v = t·k of the coset-major order: its rank, its coset
-        # minimum min_of[v] = t and k_of[v] = k in K, which coordinate 0 absorbs
-        self.rank_of, self.min_of, self.k_of = [0] * g.order, [0] * g.order, [0] * g.order
-        for pos, (t, k) in enumerate(product(self.minima, self.k_list)):
-            v = g.mul[t][k]
-            self.rank_of[v], self.min_of[v], self.k_of[v] = pos, t, k
+        # per element v = minima[d]·k of the coset-major order: its rank, the
+        # digit d of its coset and k_of[v] = k in K, which coordinate 0 absorbs
+        self.rank_of, self.digit_of, self.k_of = [0] * g.order, [0] * g.order, [0] * g.order
+        for pos, (d, k) in enumerate(product(range(len(self.minima)), self.k_list)):
+            v = g.mul[self.minima[d]][k]
+            self.rank_of[v], self.digit_of[v], self.k_of[v] = pos, d, k
         self.exponent = _lcm(*(g.element_order(a) for a in range(g.order)))
         self.identity = CPElement(self, 0)
 
     # -- construction -----------------------------------------------------
 
     def make(self, support: Support) -> "CPElement":
-        """The element of a finite-support tuple: each coordinate takes its
-        coset minimum, and coordinate 0 absorbs the K factors. Coordinates
-        above MAX_LITERAL_COORD are refused before the digits are built."""
-        g, min_of, k_of = self.group, self.min_of, self.k_of
-        top = max(support, default=0)
-        if top > MAX_LITERAL_COORD:
-            raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
-        vals, k = [g.identity_index] * (top + 1), g.identity_index
+        """The element of a finite-support tuple: the pair (s, k) with each
+        coordinate's coset digit in s and the product of the K factors in
+        k. A coordinate above MAX_LITERAL_COORD is refused before any digit
+        is read."""
+        g, digit_of, k_of, place = self.group, self.digit_of, self.k_of, self.place
+        place(max(support, default=0))
+        s, k = 0, g.identity_index
         for coord, val in sorted(support.items()):
             if coord < 0:
                 raise InputError(f"negative coordinate {coord}")
             if not 0 <= val < g.order:
                 raise InputError(f"unknown element index {val}")
-            vals[coord] = min_of[val]
+            s += digit_of[val] * place(coord)
             k = g.mul[k][k_of[val]]
-        return CPElement(self, self.join(0, vals, k))
+        return CPElement(self, self.index_of_pair(s, k))
 
     def embed(self, elem: int, coord: int) -> "CPElement":
         return self.make({coord: elem})
@@ -107,25 +108,26 @@ class CPContext:
         (r = len(minima)); two flat tables indexed by a block pair, of
         max(r, 64)^2 entries at most, hold the block's product digits and
         its K factor, which folds into the coordinate-0 value (K is
-        central). Built on first use."""
+        central). Built on first use, a coordinate at a time: the tables of
+        (j+1)-coordinate blocks extend those of j-coordinate blocks by a
+        top digit, with one group product per entry."""
         g, r, minima = self.group, len(self.minima), self.minima
         mul, order, e = g.mul, g.order, g.identity_index
         h = 1
         while 1 < r and r ** (h + 1) <= 64:
             h += 1
-        width = r**h
-        digits, k_factor = [], []
-        for block_a, block_b in product(range(width), repeat=2):
-            d, k, place = 0, e, 1
-            for _ in range(h):
-                block_a, a = divmod(block_a, r)
-                block_b, b = divmod(block_b, r)
-                v = mul[minima[a]][minima[b]]
-                d += self.digit_of[self.min_of[v]] * place
-                k = mul[k][self.k_of[v]]
-                place *= r
-            digits.append(d)
-            k_factor.append(k)
+        digits, k_factor, width = [0], [e], 1
+        for _ in range(h):
+            # the block pair (a_top·width + a, b_top·width + b), in order
+            grown_d, grown_k = [], []
+            for ta, a in product(minima, range(width)):
+                row = slice(a * width, (a + 1) * width)
+                for tb in minima:
+                    v = mul[ta][tb]
+                    top, kv = self.digit_of[v] * width, self.k_of[v]
+                    grown_d += [top + d for d in digits[row]]
+                    grown_k += [mul[kv][k] for k in k_factor[row]]
+            digits, k_factor, width = grown_d, grown_k, width * r
         ranked = self.kg.element_order
         low = [mul[p][q] for p in ranked for q in ranked]
         rank_of = self.rank_of
@@ -170,10 +172,8 @@ class CPContext:
         return tuple(rep)
 
     def index_of(self, x: "CPElement") -> int:
-        """x's position in the enumeration, a mixed-radix number: the
-        coordinate-0 digit is the value's rank (radix |G|); the digit at
-        coordinate c >= 1 is the value's position among the coset minima
-        sorted by rank (radix |G/K|). The highest coordinate is the most
+        """x's position in the enumeration, the index of its pair (s, k)
+        (see the layout below). The highest coordinate is the most
         significant, so indices order elements reverse-lexicographically."""
         self._check(x)
         return x.index
@@ -184,46 +184,21 @@ class CPContext:
             raise InputError(f"no element at index {i}")
         return CPElement(self, i)
 
-    def index_codec(self, top: int) -> Tuple[Callable, Callable]:
-        """The digit format of an index, as (split, join); CapacityError for
-        top above MAX_LITERAL_COORD, InputError below 0. split(i) is (high,
-        vals, k): the digits above coordinate top as one number, the coset
-        minima at 0..top, and the K factor of the coordinate-0 value; `join`
-        inverts it."""
-        if top > MAX_LITERAL_COORD:
-            raise CapacityError(f"coordinate {top} is above the cap of {MAX_LITERAL_COORD}")
-        if top < 0:
-            raise InputError(f"no coordinate {top}")
-        minima, r, min_of, k_of = self.minima, len(self.minima), self.min_of, self.k_of
-        order, ranked = self.group.order, self.kg.element_order
-        low_size = r**top * order
-
-        def split(i: int) -> Tuple[int, List[int], int]:
-            high, low = divmod(i, low_size)
-            low, d0 = divmod(low, order)
-            v = ranked[d0]
-            vals = [min_of[v]]
-            for _ in range(top):
-                low, d = divmod(low, r)
-                vals.append(minima[d])
-            return high, vals, k_of[v]
-
-        return split, self.join
-
-    def join(self, high: int, vals: List[int], k: int) -> int:
-        """The index of coset minima vals at coordinates 0..len(vals)-1,
-        with the digits high above them and the K factor k at coordinate 0."""
-        r, digit_of = len(self.minima), self.digit_of
-        for v in vals[:0:-1]:
-            high = high * r + digit_of[v]
-        return high * self.group.order + self.rank_of[self.group.mul[vals[0]][k]]
-
-    # -- the pair layout: an index as (digit vector, K factor) -------------
+    # -- the layout: an index is the pair (s, k) ---------------------------
     #
-    # An element is also the pair (s, k): s = sum of d_c r^c over its
-    # coordinates c, d_c the digit of coordinate c's coset minimum (d_0
-    # too), and k the K factor of its coordinate-0 value. The level-n
-    # elements are the pairs with s < r^n, and the index is s·|K| + rank(k).
+    # s = sum of d_c r^c over the coordinates c, d_c = digit_of[v] for the
+    # value v at c, and k the product of their K factors k_of[v], held at
+    # coordinate 0. The index is s·|K| + rank(k): as the order is coset-major,
+    # that is the mixed-radix number whose coordinate-0 digit is the rank of
+    # minima[d_0]·k and whose digit at c >= 1 is d_c. The level-n elements
+    # are the pairs with s < r^n.
+
+    def place(self, c: int) -> int:
+        """r^c, the place value of coordinate c's digit in s; CapacityError
+        for c above MAX_LITERAL_COORD."""
+        if c > MAX_LITERAL_COORD:
+            raise CapacityError(f"coordinate {c} is above the cap of {MAX_LITERAL_COORD}")
+        return len(self.minima) ** c
 
     def pair_of(self, i: int) -> Tuple[int, int]:
         """The pair (s, k) of the element with index i."""

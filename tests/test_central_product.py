@@ -11,7 +11,7 @@ from azenum.central_product import (
     parse_support,
 )
 from azenum.errors import CapacityError, InputError
-from azenum.groups import catalog_group, make_kgroup, make_standard_kgroup
+from azenum.groups import catalog_group, catalog_names, make_kgroup, make_standard_kgroup
 from oracles import (
     brute_compare,
     brute_cosets,
@@ -301,22 +301,18 @@ def test_element_at_rejects_out_of_range(c4k):
         c2.element_at(2)
 
 
-@pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "Q8"])
+@pytest.mark.parametrize("name", catalog_names())
 def test_pair_codec_round_trip(name):
-    # an index is the pair (digit vector, K factor), and split reads the
-    # same digits and K factor
+    # an index is the pair (s, k): s the coset digits of the minimal
+    # representative as a base-r number and k the K factor of its
+    # coordinate-0 value
     ctx = make_ctx(name)
-    r, (split, _) = len(ctx.minima), ctx.index_codec(3)
+    r, e = len(ctx.minima), ctx.group.identity_index
     for i in range(ctx.gamma_n_order(4)):
-        s, k = ctx.pair_of(i)
+        rep = dict(ctx.minimal_representative(ctx.element_at(i)))
+        s, k = sum(ctx.digit_of[v] * r**c for c, v in rep.items()), ctx.k_of[rep.get(0, e)]
+        assert ctx.pair_of(i) == (s, k)
         assert ctx.index_of_pair(s, k) == i
-        _, vals, k_split = split(i)
-        assert (s, k) == (sum(ctx.digit_of[v] * r**c for c, v in enumerate(vals)), k_split)
-
-
-def test_index_codec_rejects_negative_top(q8k):
-    with pytest.raises(InputError, match="no coordinate -1"):
-        q8k.index_codec(-1)
 
 
 def test_all_cosets_cap(q8k):

@@ -295,10 +295,18 @@ def test_literal_coordinate_at_cap(capsys):
     assert (code, out) == (0, f"3:j,{MAX_LITERAL_COORD}:i\n")
 
 
-@pytest.mark.parametrize("top", [MAX_LITERAL_COORD + 1, 10**11], ids=["just-above", "far"])
-def test_word_coordinate_above_cap(capsys, top):
+ABOVE_CAP = [MAX_LITERAL_COORD + 1, 10**11]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[{"perm": [[0, top]]}] for top in ABOVE_CAP]
+    + [[{"beta": [0, 1, 2, 3, 4, top]}] for top in ABOVE_CAP],
+    ids=["just-above", "far", "ladder-just-above", "ladder-far"],
+)
+def test_word_coordinate_above_cap(capsys, gens):
     # a word acts on indices, which have a digit per coordinate up to its top
-    word = json.dumps([{"perm": [[0, top]]}])
+    word = json.dumps(gens)
     start = time.perf_counter()
     assert run_command(["aut", "apply", "--group", "Q8", "--word", word, "--element", "0:i"]) == 2
     assert time.perf_counter() - start < 1
@@ -309,6 +317,13 @@ def test_word_coordinate_at_cap(capsys):
     word = json.dumps([{"perm": [[0, MAX_LITERAL_COORD]]}])
     code, out = run(capsys, "aut", "apply", "--group", "Q8", "--word", word, "--element", "0:i")
     assert (code, out) == (0, f"{MAX_LITERAL_COORD}:i\n")
+
+
+def test_ladder_coordinate_at_cap(capsys):
+    # each slot becomes the product of the others: i off coordinate 0
+    word = json.dumps([{"beta": [0, 1, 2, 3, 4, MAX_LITERAL_COORD]}])
+    code, out = run(capsys, "aut", "apply", "--group", "Q8", "--word", word, "--element", "0:i")
+    assert (code, out) == (0, f"1:i,2:i,3:i,4:i,{MAX_LITERAL_COORD}:i\n")
 
 
 # -- aut ---------------------------------------------------------------------

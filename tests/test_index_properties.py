@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from azenum.automorphisms import AutWord, BetaStar, Perm, index_map, word_from_json, word_to_json
 from azenum.central_product import CPContext, format_support, parse_support
-from azenum.groups import catalog_group, make_kgroup
+from azenum.groups import catalog_group, catalog_names, make_kgroup
 from oracles import brute_product, oracle_apply_word
 
 LEVEL = 7  # Γ_{≤6}: supports within coordinates 0..6
-GROUPS = ["C4", "Q8"]
+GROUPS = catalog_names()  # C2 (r = 1) and C2xC2 (|K| = 1) are the layout's edge cases
 checked = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
