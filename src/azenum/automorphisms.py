@@ -243,8 +243,9 @@ def alpha_word(ctx: CPContext, I: Iterable[int], i0: int, j0: int) -> AutWord:
     """A word copying the entry at i0 onto every coordinate of I, for
     elements trivial on I and j0. Built per exponent-sized block: ladder on
     (i0, block..., j0) then the transposition (i0 j0)."""
-    block_coords = sorted(set(I))
-    if len(block_coords) != len(list(I)):
+    coords = list(I)
+    block_coords = sorted(set(coords))
+    if len(block_coords) != len(coords):
         raise InputError("I must not repeat coordinates")
     m = ctx.exponent
     if i0 in block_coords or j0 in block_coords:
@@ -338,40 +339,6 @@ def _sampled_pairs(rng: random.Random, size: int, count: int) -> Iterator[Tuple[
         while b >= size:
             b = getrandbits(bits)
         yield a, b
-
-
-# ---------------------------------------------------------------------------
-# Finite automorphisms and level extension
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FiniteAutomorphism:
-    level: int
-    mapping: Dict[CPElement, CPElement]
-
-
-def extend_automorphism(
-    ctx: CPContext, phi: FiniteAutomorphism, new_level: int
-) -> FiniteAutomorphism:
-    """Extend trivially on the upper central factor.
-
-    Every level-n' element splits (centrally over K) into a low part below
-    the old level and a high part above it; the image is phi(low) * high.
-    Requires phi to fix the embedded K pointwise, which makes the split
-    independent of the chosen representative.
-    """
-    n = phi.level
-    if new_level <= n:
-        raise InputError("new level must exceed the automorphism level")
-    if any(phi.mapping[ctx.embed_k(k)] != ctx.embed_k(k) for k in ctx.k_list):
-        raise InputError("automorphism moves an embedded K element")
-    mapping = {}
-    for x in ctx.all_cosets(new_level):
-        low = ctx.make({c: v for c, v in x.rep if c < n})
-        high = ctx.make({c: v for c, v in x.rep if c >= n})
-        mapping[x] = ctx.multiply(phi.mapping[low], high)
-    return FiniteAutomorphism(new_level, mapping)
 
 
 # ---------------------------------------------------------------------------

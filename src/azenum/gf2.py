@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def bits_of(v: int) -> List[int]:
@@ -81,7 +81,7 @@ def gf2_rank(vectors) -> int:
     return span.rank
 
 
-def apply_linear(images: List[int], v: int) -> int:
+def apply_linear(images: Sequence[int], v: int) -> int:
     """Apply the map sending basis vector i to images[i]."""
     out = 0
     for i in bits_of(v):

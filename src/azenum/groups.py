@@ -89,7 +89,7 @@ def validate_and_analyze(
         if len(row) != order:
             raise StructuralError(f"row {a} has length {len(row)}, expected {order}")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < order:
+            if type(v) is not int or not 0 <= v < order:
                 raise StructuralError(f"entry mul[{a}][{b}] = {v!r} out of range")
 
     identity = None
@@ -433,6 +433,8 @@ def group_from_json(doc: dict):
             isinstance(items, list) and all(type(x) is kind for x in items)
         ):
             raise InputError(f"group document {key!r} must be a list of {kind.__name__}s")
+    if type(name) is not str:
+        raise InputError("group document 'name' must be a str")
     table, analysis = validate_and_analyze(mul, names, name=name)
     if "order" in doc and doc["order"] != table.order:
         raise InputError("declared order does not match table size")

@@ -84,10 +84,10 @@ class QSMorphism:
     g: Tuple[int, ...]
 
     def apply_u(self, u: int) -> int:
-        return gf2.apply_linear(list(self.f), u)
+        return gf2.apply_linear(self.f, u)
 
     def apply_v(self, v: int) -> int:
-        return gf2.apply_linear(list(self.g), v)
+        return gf2.apply_linear(self.g, v)
 
 
 def is_morphism(src: QuadraticStructure, dst: QuadraticStructure, m: QSMorphism) -> bool:

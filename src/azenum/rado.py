@@ -311,52 +311,3 @@ def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
             )
     return ObstructionReport(checks, pairs, violations)
 
-
-# ---------------------------------------------------------------------------
-# Finite graphs and their free amalgam
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteGraph:
-    vertices: FrozenSet[int]
-    edges: FrozenSet[FrozenSet[int]]
-
-    def __post_init__(self):
-        for e in self.edges:
-            if len(e) != 2 or not e <= self.vertices:
-                raise InputError(f"bad edge {set(e)}")
-
-    @staticmethod
-    def of(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> "FiniteGraph":
-        return FiniteGraph(
-            frozenset(vertices), frozenset(frozenset(e) for e in edges)
-        )
-
-    def induced(self, subset: Iterable[int]) -> "FiniteGraph":
-        sub = frozenset(subset)
-        if not sub <= self.vertices:
-            raise InputError("subset is not a vertex subset")
-        return FiniteGraph(sub, frozenset(e for e in self.edges if e <= sub))
-
-
-def prefix_graph(top: int) -> FiniteGraph:
-    return FiniteGraph.of(
-        range(top + 1),
-        (
-            (u, v)
-            for u in range(top + 1)
-            for v in range(u + 1, top + 1)
-            if adjacent(u, v)
-        ),
-    )
-
-
-def free_amalgam_graphs(
-    base: FiniteGraph, ext: FiniteGraph, common: Iterable[int]
-) -> FiniteGraph:
-    """Disjoint union glued over the common part; no cross edges."""
-    shared = frozenset(common)
-    if base.induced(shared) != ext.induced(shared):
-        raise InputError("common part induces different subgraphs")
-    return FiniteGraph(base.vertices | ext.vertices, base.edges | ext.edges)

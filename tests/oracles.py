@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from azenum.automorphisms import FiniteAutomorphism, Perm, apply_word
+from azenum.automorphisms import Perm
 from azenum.groups import catalog_group, validate_and_analyze
 from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
 
@@ -221,11 +221,6 @@ def check_coset_welldefined(ctx, coords, trials=200, rng=None):
         if img_a != img_b:
             return (x, rep_a, rep_b)
     return None
-
-
-def finite_automorphism_from_word(ctx, word, n):
-    """The word's action on every coset of level n, as a finite map."""
-    return FiniteAutomorphism(n, {x: apply_word(ctx, word, x) for x in brute_cosets(ctx, n)})
 
 
 def brute_compare(ctx, x, y, width):

@@ -20,7 +20,7 @@ from azenum.az import (
 )
 from azenum.central_product import MAX_COSETS, CPContext, parse_support
 from azenum.errors import InputError, InsufficientFamilyError
-from azenum.groups import catalog_group, catalog_names, make_kgroup, make_standard_kgroup
+from azenum.groups import catalog_group, catalog_names, make_kgroup
 from oracles import (
     brute_cosets,
     brute_minimum,
@@ -177,16 +177,15 @@ def test_apply_beta_homomorphism_and_injective(q8k):
 
 
 def _beta_families():
-    """(name, BetaMap) for the C4 example family, seeded Q8 families under
-    both element orders, and C6 over K = {1, g^3}, whose ladders' K factors
-    do not cancel (a missing K fold shows there and on no catalog group)."""
+    """(name, BetaMap) for the C4 example family, seeded Q8 families, and
+    C6 over K = {1, g^3}, whose ladders' K factors do not cancel (a missing
+    K fold shows there and on no catalog group)."""
     out = [("C4-example", build_beta(normalize_family(c4_example_family(make_ctx("C4")))))]
-    for maker in (make_kgroup, make_standard_kgroup):
-        ctx = CPContext(maker(*catalog_group("Q8")))
-        rng = random.Random(f"Q8-{maker.__name__}")
-        for n in range(3):
-            fam = random_az_family(ctx, rng, rng.randint(1, 3), 9)
-            out.append((f"Q8-{maker.__name__}-{n}", build_beta(normalize_family(fam))))
+    ctx = make_ctx("Q8")
+    rng = random.Random("Q8-make_kgroup")
+    for n in range(3):
+        fam = random_az_family(ctx, rng, rng.randint(1, 3), 9)
+        out.append((f"Q8-make_kgroup-{n}", build_beta(normalize_family(fam))))
     ctx = CPContext(make_kgroup(*oracle_group("C6")))
     rng = random.Random("C6")
     for n in range(2):
@@ -459,17 +458,10 @@ def order_claim_outcomes(monkeypatch, families):
     return outcomes
 
 
-ORDER_GROUPS = [
-    (name, maker) for name in catalog_names() for maker in (make_kgroup, make_standard_kgroup)
-]
-
-
-@pytest.mark.parametrize(
-    "name, maker", ORDER_GROUPS, ids=[f"{name}-{maker.__name__}" for name, maker in ORDER_GROUPS]
-)
-def test_order_claim_is_exact_on_seeded_families(name, maker, monkeypatch):
-    ctx = CPContext(maker(*catalog_group(name)))
-    rng = random.Random(f"{name}-{maker.__name__}")
+@pytest.mark.parametrize("name", catalog_names(), ids=lambda name: f"{name}-make_kgroup")
+def test_order_claim_is_exact_on_seeded_families(name, monkeypatch):
+    ctx = make_ctx(name)
+    rng = random.Random(f"{name}-make_kgroup")
     families = [random_az_family(ctx, rng, rng.randint(1, 3), 9) for _ in range(20)]
     outcomes = order_claim_outcomes(monkeypatch, families)
     # with K < G some swapped β fails; with K = G every word has at most one

@@ -11,7 +11,7 @@ from azenum.central_product import (
     parse_support,
 )
 from azenum.errors import CapacityError, InputError
-from azenum.groups import catalog_group, catalog_names, make_kgroup, make_standard_kgroup
+from azenum.groups import catalog_group, catalog_names, make_kgroup
 from oracles import (
     brute_compare,
     brute_cosets,
@@ -169,13 +169,11 @@ def test_multiply_matches_brute_force_product(name):
 LAW_LEVELS = {"C4": 5, "Q8": 3, "D4": 3, "C2xC2": 3, "C2": 3}
 
 
-@pytest.mark.parametrize("maker", [make_kgroup, make_standard_kgroup])
-@pytest.mark.parametrize("name", sorted(LAW_LEVELS))
-def test_index_law_matches_brute_force_product(name, maker):
+@pytest.mark.parametrize("name", sorted(LAW_LEVELS), ids=lambda name: f"{name}-make_kgroup")
+def test_index_law_matches_brute_force_product(name):
     # every ordered pair of the level: the law on indices gives the index
     # of the brute-force minimum of the componentwise product
-    table, analysis, k = catalog_group(name)
-    ctx = CPContext(maker(table, analysis, k))
+    ctx = make_ctx(name)
     level = LAW_LEVELS[name]
     cosets = brute_cosets(ctx, level)
     law = ctx.index_law

@@ -56,7 +56,7 @@ def test_group_check_from_file(tmp_path, capsys):
     assert json.loads(out)["k"] == ["1", "a"]
 
 
-@pytest.mark.parametrize("mul", [3, [3], "ab"])
+@pytest.mark.parametrize("mul", [3, [3], "ab", [[False, True], [True, False]]])
 def test_group_check_file_with_bad_mul(tmp_path, capsys, mul):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"mul": mul}))
@@ -65,7 +65,7 @@ def test_group_check_file_with_bad_mul(tmp_path, capsys, mul):
 
 @pytest.mark.parametrize(
     "field", [{"K": 5}, {"K": [[0]]}, {"K": [True]}, {"elements": [[1], [2]]},
-              {"elements": "ab"}],
+              {"elements": "ab"}, {"name": 5}],
 )
 def test_group_file_with_bad_k_or_elements(tmp_path, capsys, field):
     path = tmp_path / "bad.json"

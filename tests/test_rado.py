@@ -6,18 +6,15 @@ import pytest
 from azenum.errors import CapacityError, InputError
 from azenum.rado import (
     MAX_TRIPLES_N,
-    FiniteGraph,
     _first_level,
     _levels,
     adjacent,
     build_triples,
     check_obstruction,
     first_cycle_bound,
-    free_amalgam_graphs,
     is_induced_cycle,
     minimal_exact_vertex,
     neighborhood_in_prefix,
-    prefix_graph,
     triple_from_json,
 )
 from oracles import rado_level_masks, rado_triples
@@ -218,60 +215,3 @@ def test_triple_json_round_trip():
     t = build_triples(4)[0]
     assert triple_from_json(t.to_json()) == t
 
-
-# -- graph amalgams ------------------------------------------------------------
-
-
-def test_amalgam_over_whole_base_is_base():
-    g = prefix_graph(5)
-    assert free_amalgam_graphs(g, g, g.vertices) == g
-
-
-def test_amalgam_star_over_cycle():
-    t = build_triples(4)[0]
-    base = prefix_graph(t.b)
-    star = FiniteGraph.of(
-        set(t.cycle) | {t.c}, [(t.c, x) for x in t.cycle] + _cycle_edges(t.cycle)
-    )
-    amalgam = free_amalgam_graphs(base, star, t.cycle)
-    # c is adjacent to exactly the cycle in the amalgam
-    c_edges = {e for e in amalgam.edges if t.c in e}
-    assert {next(iter(e - {t.c})) for e in c_edges} == set(t.cycle)
-
-
-def _cycle_edges(cycle):
-    return [
-        (cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-    ]
-
-
-def test_amalgam_no_cross_edges_random():
-    rng = random.Random(53)
-    for _ in range(30):
-        shared = set(rng.sample(range(10), 3))
-        left_only = set(rng.sample(range(10, 20), 3))
-        right_only = set(rng.sample(range(20, 30), 3))
-        shared_edges = [
-            (u, v) for u, v in combinations(sorted(shared), 2) if rng.random() < 0.5
-        ]
-        left = FiniteGraph.of(
-            shared | left_only,
-            shared_edges
-            + [(u, v) for u in shared for v in left_only if rng.random() < 0.5],
-        )
-        right = FiniteGraph.of(
-            shared | right_only,
-            shared_edges
-            + [(u, v) for u in shared for v in right_only if rng.random() < 0.5],
-        )
-        am = free_amalgam_graphs(left, right, shared)
-        for u in left_only:
-            for v in right_only:
-                assert frozenset({u, v}) not in am.edges
-
-
-def test_amalgam_rejects_mismatched_common():
-    left = FiniteGraph.of({0, 1, 2}, [(0, 1)])
-    right = FiniteGraph.of({0, 1, 3}, [])
-    with pytest.raises(InputError):
-        free_amalgam_graphs(left, right, {0, 1})
