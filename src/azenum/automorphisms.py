@@ -2,12 +2,13 @@
 and the self-inverse ladder maps, plus words in them and verification.
 
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
-to coordinate perm[j]. Each generator is stated once, as an action on the
-coset digits of its window (`_window_action`). A word acts on enumeration
-indices (`index_map`), reading and writing window digits of the pair
-(s, k) without building elements; `apply_word` reads the same map on
-elements. `level_images` maps the indices range(size) of a level by each
-generator's action tabulated over its window configurations, and
+to coordinate perm[j]. Each generator is stated once (`_window_action`),
+as weights on the coset digits it touches: a permutation's weighted digit
+sum moves its digits, a ladder's is its window configuration, whose shift
+and K factor it computes once. A word acts on enumeration indices
+(`index_map`) by those sums on the pair (s, k), building no element;
+`apply_word` reads the same map on elements. `level_images` maps the
+indices range(size) of a level by the same sums over the whole level, and
 `verify_automorphism` checks the homomorphism law on those images by
 `CPContext.index_law`.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from operator import add
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -49,13 +49,8 @@ class Perm:
                 mapping[a] = b
         return Perm.from_mapping(mapping)
 
-    @cached_property
-    def mapping(self) -> Dict[int, int]:
-        """The moves as a source -> target dict, built once (do not mutate)."""
-        return dict(self.moves)
-
     def cycles(self) -> List[List[int]]:
-        mapping, seen, out = self.mapping, set(), []
+        mapping, seen, out = dict(self.moves), set(), []
         for start in sorted(mapping):
             if start not in seen:
                 cyc = [start]
@@ -113,66 +108,70 @@ class AutWord:
 # ---------------------------------------------------------------------------
 
 
-def _window_action(ctx: CPContext, gen: AutGenerator) -> Tuple[Tuple[int, ...], Callable]:
-    """The generator as (window, act): it reads and writes only the digits
-    of its window W (a perm's support, a ladder's coordinates, in order),
-    and act maps W's digits to their new digits and a K factor, which
-    multiplies k. InputError for a ladder of other than exponent + 2
-    coordinates.
-
-    A permutation moves the digits and leaves k as it is. A ladder sets
-    each slot to the ordered product of the other slots' coset minima,
-    keeps its digit and folds its K factor into k. That ignores the held-
-    back k, which is right because K is central: k would enter the m+1
-    other slots of a window on coordinate 0, and k^(m+1) = k for the
-    exponent m.
+def _window_action(ctx: CPContext, gen: AutGenerator) -> Tuple[Dict[int, int], Optional[Callable]]:
+    """The generator as (weights, act) on the pair (s, k): it reads the sum
+    v of d_c(s)·weights[c] over the coordinates c it touches. A permutation
+    weighs each move (src, tgt) r^tgt - r^src, so s + v has its digits
+    moved; its act is None and k stays. A ladder weighs its window's j-th
+    coordinate r^j, so v is the window's configuration, and act(v) =
+    (shift, K factor) takes (s, k) to (s + shift, k·factor): each slot
+    gets the ordered product of the other slots' coset minima, keeps its
+    digit and folds its K factor into k, once per configuration, as act
+    remembers each result. That ignores the held-back k, which is right
+    because K is central: k would enter the m+1 other slots of a window on
+    coordinate 0, and k^(m+1) = k for the exponent m. InputError for a
+    ladder of other than exponent + 2 coordinates.
     """
-    mul, e, minima = ctx.group.mul, ctx.group.identity_index, ctx.minima
-    digit_of, k_of = ctx.digit_of, ctx.k_of
+    r, place = len(ctx.minima), ctx.place
     if isinstance(gen, Perm):
-        window = tuple(gen.mapping)
-        lands = {t: j for j, (_, t) in enumerate(gen.moves)}  # target -> source slot
-        gather = [lands[c] for c in window]
-        return window, lambda ds: ([ds[j] for j in gather], e)
+        return {src: place(tgt) - place(src) for src, tgt in gen.moves}, None
     if len(gen.coords) != ctx.exponent + 2:
         m, got = ctx.exponent + 2, len(gen.coords)
         raise InputError(f"ladder needs exponent+2 = {m} coordinates, got {got}")
+    mul, e, minima = ctx.group.mul, ctx.group.identity_index, ctx.minima
+    digit_of, k_of, places = ctx.digit_of, ctx.k_of, list(map(place, gen.coords))
+    memo: Dict[int, Tuple[int, int]] = {}
 
-    def ladder(ds):
+    def ladder(v: int) -> Tuple[int, int]:
+        if v in memo:
+            return memo[v]
+        ds = [v // r**j % r for j in range(len(places))]
         vals, prefix, p, s = [minima[d] for d in ds], [], e, e
-        for v in vals:
+        for u in vals:
             prefix.append(p)
-            p = mul[p][v]
-        out, k = [0] * len(vals), e
+            p = mul[p][u]
+        shift, k = 0, e
         for j in reversed(range(len(vals))):
             u, s = mul[prefix[j]][s], mul[vals[j]][s]
-            out[j], k = digit_of[u], mul[k][k_of[u]]
-        return out, k
+            shift += (digit_of[u] - ds[j]) * places[j]
+            k = mul[k][k_of[u]]
+        memo[v] = shift, k
+        return shift, k
 
-    return gen.coords, ladder
+    return {c: r**j for j, c in enumerate(gen.coords)}, ladder
 
 
 def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
     """The word's action on enumeration indices, built without elements:
-    on the pair (s, k) of an index, each generator reads its window's
-    digits out of s, applies its `_window_action` and writes the new
-    digits back, multiplying k by the action's K factor. Every other digit
+    on the pair (s, k) of an index, each generator reads its weighted
+    digit sum v off s and applies its `_window_action`. Every other digit
     passes through unchanged. CapacityError for a word above
     MAX_LITERAL_COORD."""
     ctx.place(max(word.max_coord(), 0))
     r, mul = len(ctx.minima), ctx.group.mul
     steps = []
     for gen in word.gens:
-        window, act = _window_action(ctx, gen)
-        steps.append((list(map(ctx.place, window)), act))
+        weights, act = _window_action(ctx, gen)
+        steps.append(([(ctx.place(c), w) for c, w in weights.items()], act))
 
     def f(i: int) -> int:
         s, k = ctx.pair_of(i)
-        for places, act in steps:
-            ds = [s // p % r for p in places]
-            new, kf = act(ds)
-            s += sum((b - a) * p for a, b, p in zip(ds, new, places))
-            k = mul[k][kf]
+        for read, act in steps:
+            v = sum(s // p % r * w for p, w in read)
+            if act is not None:
+                v, kf = act(v)
+                k = mul[k][kf]
+            s += v
         return ctx.index_of_pair(s, k)
 
     return f
@@ -180,46 +179,32 @@ def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
 
 def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
     """list(map(index_map(ctx, word), range(level_size(n)))), computed one
-    generator at a time on window tables; InputError if n < 1 or the word
+    generator at a time on level tables; InputError if n < 1 or the word
     touches a coordinate at or above n.
 
-    On a level-n element's pair (s, k) (`CPContext.pair_of`) a generator
-    acts as (s + shift[c], k·factor[c]), c the configuration of s's digits
-    on its window W (`CPContext.window_configs`): `_window_action` reads
-    and writes those digits alone. Its table over the r^|W| configurations
-    is that action tabulated. W lies below n, so no table exceeds the
-    level. The composed map of the pairs goes back to indices through
-    `CPContext.join_level`.
+    A generator (`_window_action`) moves each level-n pair's s by its
+    weighted digit sum v (`CPContext.digit_sums` lists v for every s), or
+    for a ladder by the shift of its act tabulated over the r^|W|
+    configurations v of its window W, which lies below n. The pairs go
+    back to indices through `CPContext.join_level`.
     """
     if n < 1:
         raise InputError("level must be >= 1")
     if word.max_coord() >= n:
         raise InputError("word touches coordinates at or above the level")
     ctx.level_size(n)  # CapacityError above MAX_COSETS
-    r, e = len(ctx.minima), ctx.group.identity_index
+    mul, r, e = ctx.group.mul, len(ctx.minima), ctx.group.identity_index
     state, kfac = array("l", range(r**n)), [e] * r**n
     for gen in word.gens:
-        state, kfac = _apply_on_level(ctx, gen, n, state, kfac)
+        weights, act = _window_action(ctx, gen)
+        sums = ctx.digit_sums(n, [weights.get(c, 0) for c in range(max(weights, default=-1) + 1)])
+        vs = list(map(sums.__getitem__, state))
+        if act is not None:
+            shift, factor = zip(*map(act, range(r ** len(weights))))
+            kfac = [mul[a][factor[v]] for a, v in zip(kfac, vs)]
+            vs = map(shift.__getitem__, vs)
+        state = array("l", map(add, state, vs))
     return ctx.join_level(n, state, kfac)
-
-
-def _apply_on_level(ctx: CPContext, gen: AutGenerator, n: int, state, kfac):
-    """The map (state, kfac) of the level-n pairs followed by the generator:
-    its window action, tabulated over the window's configurations, looked
-    up at the configuration of each state[s]."""
-    mul, r = ctx.group.mul, len(ctx.minima)
-    window, act = _window_action(ctx, gen)
-    places = list(map(ctx.place, window))
-    shift, factor = [], []
-    # configuration sum_j ds[j] r^j, in order: ds[0] varies fastest
-    for high_first in product(range(r), repeat=len(window)):
-        ds = high_first[::-1]
-        new, kf = act(ds)
-        shift.append(sum((b - a) * p for a, b, p in zip(ds, new, places)))
-        factor.append(kf)
-    configs = array("l", map(ctx.window_configs(n, window).__getitem__, state))
-    kfac = [mul[a][factor[c]] for a, c in zip(kfac, configs)]
-    return array("l", map(add, state, map(shift.__getitem__, configs))), kfac
 
 
 def apply_word(ctx: CPContext, word: AutWord, x: CPElement) -> CPElement:

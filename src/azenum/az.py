@@ -22,7 +22,8 @@ minimum, k in K) and the coset minimum m sent to target 0 (c when source 0
 sends it; 1 in Γ_{≤0}). Two cosets compare at max(plan[0]) whatever m is,
 and c·k, c·k′ compare as m·k, m·k′; so (ii) says that every coset, m's
 among them, ranks its K multiples as 1 does. It holds in every context, as
-`KGroupSpec.element_order` is coset-major; `run_az` still scans for it.
+`KGroupSpec.element_order` is coset-major; `run_az` still scans for it, on
+a whole level's images, each β's weighted digit sum (`beta_level_images`).
 """
 
 from __future__ import annotations
@@ -182,21 +183,30 @@ def build_beta(nf: NormalizedFamily) -> BetaMap:
     )
 
 
+def digit_weights(bm: BetaMap, n: int) -> List[int]:
+    """β's weight of each coordinate c < n: β(s) = Σ_c d_c(s)·weight[c] on
+    the pair (s, k), with Σ_{t ∈ plan[c]} r^t up to l_i, so each position's
+    coset digit follows the witness, fanning out over I_s when it lands on
+    a letter's last occurrence, and r^(c + l_j - l_i) above l_i."""
+    ctx, r = bm.ctx, len(bm.ctx.minima)
+    # every target is hit once: f is injective and the I_s lie off its
+    # image and apart from each other
+    weights = [sum(map(ctx.place, targets)) for targets in bm.plan[:n]]
+    high = ctx.place(bm.l_j) * r  # capped at the members' top coordinates
+    return weights + [high * r ** (c - bm.l_i - 1) for c in range(bm.l_i + 1, n)]
+
+
 def beta_index_map(bm: BetaMap) -> Callable[[int], int]:
     """The shift-and-copy map on enumeration indices, on the pair (s, k):
     β(s) = ⌊s / r^(l_i+1)⌋·r^(l_j+1) + Σ_p d_p(s)·Σ_{t ∈ plan[p]} r^t over
-    the digits d_p of positions p up to l_i. So each position's coset digit
-    follows the witness, fanning out over I_s when it lands on a letter's
-    last occurrence, and the digits above l_i shift by l_j - l_i. The K
+    the digits d_p of positions p up to l_i (`digit_weights`). The K
     factor k of the coordinate-0 value enters each of the 1 + |I_s|
     targets of position 0, and k^(1+|I_s|) = k because K is central and
     the exponent divides |I_s|, so k passes through as is."""
     ctx, r = bm.ctx, len(bm.ctx.minima)
-    # every target is hit once: f is injective and the I_s lie off its
-    # image and apart from each other
-    weights = [sum(map(ctx.place, targets)) for targets in bm.plan]
-    # r^(l_i+1) and r^(l_j+1), capped at the members' top coordinates
-    low, high = ctx.place(bm.l_i) * r, ctx.place(bm.l_j) * r
+    # the weight at l_i + 1 is r^(l_j+1), the new place of r^(l_i+1)
+    *weights, high = digit_weights(bm, bm.l_i + 2)
+    low = ctx.place(bm.l_i) * r
 
     def beta(i: int) -> int:
         s, k = ctx.pair_of(i)
@@ -208,6 +218,15 @@ def beta_index_map(bm: BetaMap) -> Callable[[int], int]:
         return ctx.index_of_pair(out, k)
 
     return beta
+
+
+def beta_level_images(bm: BetaMap, n: int) -> List[int]:
+    """list(map(beta_index_map(bm), range(level_size(n)))), from one
+    weighted digit sum per s < r^n (`CPContext.digit_sums`), k passing
+    through."""
+    ctx = bm.ctx
+    sums = ctx.digit_sums(n, digit_weights(bm, n))
+    return ctx.join_level(n, sums, [ctx.group.identity_index] * len(sums))
 
 
 def apply_beta(bm: BetaMap, x: CPElement) -> CPElement:
@@ -321,7 +340,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     # which holds Γ_{≤0} and so decides the lemma's (ii), and then its (i);
     # a finite Γ (K = G) is one level, scanned whole when depth exceeds it
     level = ctx.prefix_level(depth if r > 1 else min(depth, ctx.group.order))
-    images = list(map(beta, range(ctx.level_size(level + 1))))
+    images = beta_level_images(bm, level + 1)
     pairs = list(zip(images, images[1:]))
     if r > 1:
         tops = [max(targets) for targets in bm.plan]

@@ -8,8 +8,8 @@ product of their K factors, held at coordinate 0. This module alone knows
 that layout: `make` encodes a tuple, `minimal_representative` decodes the
 reverse-lex minimal representative, `pair_of` and `index_of_pair` read and
 write the pair, `place` is the place value of a coordinate's digit in s,
-and for whole levels `window_configs` reads digits off every s and
-`join_level` maps pairs back to indices. The group law runs on these
+and for whole levels `digit_sums` weighs and adds the digits of every s
+and `join_level` maps pairs back to indices. The group law runs on these
 indices (`CPContext.index_law`): above coordinate 0 the product's digits
 are read, a block of coordinates at a time, from tables of block products,
 whose K factors fold into the coordinate-0 value because K is central.
@@ -17,7 +17,6 @@ whose K factors fold into the coordinate-0 value because K is central.
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
 from itertools import product
 from math import lcm as _lcm
@@ -209,18 +208,15 @@ class CPContext:
         """The index of the pair (s, k) (inverse of `pair_of`)."""
         return s * len(self.k_list) + self.rank_of[k]
 
-    def window_configs(self, n: int, window: Sequence[int]) -> "array[int]":
-        """Per digit vector s < r^n, in order: sum_j d_{window[j]} r^j, the
-        window's digits as one number; the window lies below n. The vectors
+    def digit_sums(self, n: int, weights: Sequence[int]) -> List[int]:
+        """Per digit vector s < r^n, in order: sum_c d_c(s)·weights[c], each
+        coordinate at or above len(weights) <= n weighing 0. The vectors
         below r^(c+1) are d·r^c + s' for each digit d, each in turn over
-        every s' < r^c, and the digits above the window repeat the list."""
-        r, configs, width = len(self.minima), array("l", [0]), max(window, default=-1) + 1
-        for c in range(width):
-            step = r ** window.index(c) if c in window else 0
-            below, configs = configs, array("l")
-            for d in range(r):
-                configs.extend(map((d * step).__add__, below))
-        return configs * r ** (n - width)
+        every s' < r^c, and the coordinates past the weights repeat the list."""
+        r, sums = len(self.minima), [0]
+        for w in weights:
+            sums = [d * w + t for d in range(r) for t in sums]
+        return sums * r ** (n - len(weights))
 
     def join_level(self, n: int, state: Sequence[int], kfac: Sequence[int]) -> List[int]:
         """Per level-n index, in order, with (s, k) its pair: the index of

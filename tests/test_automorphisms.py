@@ -22,6 +22,7 @@ from azenum.central_product import CPContext
 from azenum.errors import InputError
 from azenum.groups import (
     catalog_group,
+    catalog_names,
     make_kgroup,
 )
 from oracles import (
@@ -83,8 +84,8 @@ def test_perm_cycles_round_trip():
 
 
 def apply_inv_is_identity(p):
-    m = p.mapping
-    inv = p.inverse().mapping
+    m = dict(p.moves)
+    inv = dict(p.inverse().moves)
     return all(inv[t] == s for s, t in m.items())
 
 
@@ -200,6 +201,43 @@ def test_index_map_matches_element_oracle(name, level):
             ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))) for i in domain
         ]
         assert [f_inverse(j) for j in images] == list(domain)
+
+
+def _beta_shaped_word(rng, ctx):
+    """A word shaped as `az.beta_as_word`'s: a permutation moving at least
+    8 of the coordinates 0..l, then two copy words (`alpha_word`) anchored
+    at j0 = l + 1, with 2 and 1 ladder+swap blocks sharing their anchors,
+    so the ladders meet their window configurations again. Returns the
+    word and j0."""
+    m = ctx.exponent
+    l = 3 * m + 3
+    coords = list(range(l + 1))
+    while True:
+        targets = rng.sample(coords, len(coords))
+        if sum(s != t for s, t in zip(coords, targets)) >= 8:
+            break
+    gens = [Perm.from_mapping(dict(zip(coords, targets)))]
+    picked = rng.sample(coords, 3 * m + 2)
+    for i0, I in ((picked[0], picked[2 : 2 + 2 * m]), (picked[1], picked[2 + 2 * m :])):
+        gens += alpha_word(ctx, I, i0, l + 1).gens
+    return word(*gens), l + 1
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_index_map_on_beta_shaped_words(name):
+    # every singleton on the word's coordinates and 200 seeded indices with
+    # digits up to one coordinate past it: the index map agrees with the
+    # raw tuple actions normalised by `make`
+    ctx = make_ctx(name)
+    rng = random.Random(f"beta-shaped-{name}")
+    for _ in range(3):
+        w, top = _beta_shaped_word(rng, ctx)
+        assert sum(isinstance(g, BetaStar) for g in w.gens) == 3
+        f = index_map(ctx, w)
+        xs = [ctx.index_of(ctx.embed(v, c)) for c in range(top + 1) for v in range(ctx.group.order)]
+        xs += [rng.randrange(ctx.gamma_n_order(top + 2)) for _ in range(200)]
+        for i in xs:
+            assert f(i) == ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))), i
 
 
 def _level_word(rng, ctx, length, n):

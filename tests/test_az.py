@@ -12,6 +12,7 @@ from azenum.az import (
     apply_beta,
     beta_index_map,
     beta_as_word,
+    beta_level_images,
     build_beta,
     letter_word,
     min_word_levels,
@@ -367,6 +368,34 @@ def test_beta_increases_on_whole_level_of_golden_family(name):
     assert images == [ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))) for i in range(size)]
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_beta_level_images_match_beta_index_map(name):
+    # the order scan's images on every level of at most 2^11 indices, on
+    # levels below l_i + 1 (the plan's weights only) and above it (the
+    # shifted weights too)
+    ctx = make_ctx(name)
+    rng = random.Random(f"beta-level-images-{name}")
+    above = set()
+    for _ in range(8):
+        bm = build_beta(normalize_family(random_az_family(ctx, rng, rng.randint(1, 3), 9)))
+        beta = beta_index_map(bm)
+        for n in range(1, 12):
+            if ctx.gamma_n_order(n) > 1 << 11:
+                break
+            assert beta_level_images(bm, n) == list(map(beta, range(ctx.level_size(n))))
+            above.add(n > bm.l_i + 1)
+    assert above == {False, True}
+
+
+@pytest.mark.parametrize("name", GOLDEN_FAMILIES)
+def test_beta_level_images_of_golden_family(name):
+    fam = golden_family(name)
+    ctx, bm = fam.ctx, build_beta(normalize_family(fam))
+    beta = beta_index_map(bm)
+    for n in range(1, GOLDEN_LEVELS[name.split("_")[1]] + 1):
+        assert beta_level_images(bm, n) == list(map(beta, range(ctx.level_size(n))))
+
+
 def test_level_check_matches_all_pairs_on_c4_level_4():
     # β strictly increasing on the indices of the level-4 subgroup (support
     # below 4) exactly when it preserves the brute-force order on all pairs
@@ -404,14 +433,16 @@ def test_level_check_matches_all_pairs_on_c4_level_4():
 
 
 def test_swapped_images_in_the_level_fail_order_preservation(c4k, monkeypatch):
-    real = az.beta_index_map
+    # the scan reads the level's images from beta_level_images alone
+    real = az.beta_level_images
 
-    def swapped(bm):
-        beta = real(bm)
-        return lambda i: beta({5: 9, 9: 5}.get(i, i))
+    def swapped(bm, n):
+        images = real(bm, n)
+        images[5], images[9] = images[9], images[5]
+        return images
 
     assert run_az(c4_example_family(c4k), depth=100).ok
-    monkeypatch.setattr(az, "beta_index_map", swapped)
+    monkeypatch.setattr(az, "beta_level_images", swapped)
     cert = run_az(c4_example_family(c4k), depth=100)
     assert cert.reports["order_preservation"]["level"] == 5
     assert "order_preservation" in cert.failures

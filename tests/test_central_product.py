@@ -313,6 +313,28 @@ def test_pair_codec_round_trip(name):
         assert ctx.index_of_pair(s, k) == i
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_digit_sums_match_direct_digit_reading(name):
+    # per s < r^n, the weighted sum of s's coset digits, read off the
+    # minimal representative of the pair (s, 1): zero weights, a ladder's
+    # unsorted window (3, 1, 5) weighing its j-th coordinate r^j, a
+    # permutation's moves (negative weights), and n above the weights
+    ctx = make_ctx(name)
+    r, e = len(ctx.minima), ctx.group.identity_index
+    ladder = [0] * 6
+    for j, c in enumerate((3, 1, 5)):
+        ladder[c] = r**j
+    moves = {0: 4, 4: 2, 2: 0}
+    perm = [r ** moves[c] - r**c if c in moves else 0 for c in range(5)]
+    cases = [(1, []), (3, [0]), (5, [0] * 5), (6, [0] * 2), (6, ladder), (7, ladder), (6, perm)]
+    for n, weights in cases:
+        expected = []
+        for s in range(r**n):
+            rep = dict(ctx.minimal_representative(ctx.element_at(ctx.index_of_pair(s, e))))
+            expected.append(sum(ctx.digit_of[rep.get(c, e)] * w for c, w in enumerate(weights)))
+        assert ctx.digit_sums(n, weights) == expected, (n, weights)
+
+
 def test_all_cosets_cap(q8k):
     assert q8k.gamma_n_order(8) <= MAX_COSETS < q8k.gamma_n_order(9)
     with pytest.raises(CapacityError):

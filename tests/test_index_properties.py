@@ -60,10 +60,18 @@ FAR = 60  # drawn indices have digits up to coordinate 59
 
 def words(window_size, min_size):
     """Words of min_size-4 generators below WORD_WIDTH: ladders on
-    window_size coordinates and cycles of 2-4 coordinates."""
+    window_size coordinates, cycles of 2-4 coordinates and permutations
+    moving at least 8 coordinates, as `az.beta_as_word` begins with."""
     window = st.permutations(range(WORD_WIDTH)).map(lambda p: BetaStar(tuple(p[:window_size])))
     cycle = st.lists(st.integers(0, WORD_WIDTH - 1), min_size=2, max_size=4, unique=True)
-    gen = st.one_of(window, cycle.map(lambda c: Perm.from_cycles([c])))
+    wide = st.permutations(range(WORD_WIDTH)).filter(
+        lambda p: sum(c != t for c, t in enumerate(p)) >= 8
+    )
+    gen = st.one_of(
+        window,
+        cycle.map(lambda c: Perm.from_cycles([c])),
+        wide.map(lambda p: Perm.from_mapping(dict(enumerate(p)))),
+    )
     return st.lists(gen, min_size=min_size, max_size=4).map(lambda gens: AutWord(tuple(gens)))
 
 
