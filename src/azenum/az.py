@@ -358,7 +358,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     word = beta_as_word(bm, l, l_prime)
     word_at = index_map(ctx, word)
     xs = [
-        index_of(ctx.make({c: v}))
+        ctx.index_of_pair(ctx.digit_of[v] * ctx.place(c), ctx.k_of[v])
         for c in range(l_prime + 1)
         for v in range(ctx.group.order)
     ]

@@ -167,7 +167,7 @@ def cmd_group_rank(args) -> int:
 
 def cmd_qs_from_group(args) -> int:
     table, analysis, _ = _group(args)
-    _emit(args, qs_to_json(qs_from_group(table, analysis).qs))
+    _emit(args, qs_to_json(qs_from_group(table, analysis)))
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError, StructuralError
 
@@ -234,42 +234,6 @@ def make_standard_kgroup(table: GroupTable, analysis: GroupAnalysis, k) -> KGrou
     return make_kgroup(table, analysis, k)
 
 
-def find_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[Dict[int, int]]:
-    """Brute-force isomorphism search by generator images.
-
-    Returns a full element map or None. Intended as an independent oracle
-    at desk scale (orders <= 64 or so).
-    """
-    if g1.order != g2.order:
-        return None
-    orders1 = [g1.element_order(a) for a in range(g1.order)]
-    orders2 = [g2.element_order(a) for a in range(g2.order)]
-    if sorted(orders1) != sorted(orders2):
-        return None
-
-    gens = _generating_sequence(g1)
-
-    def extend(assigned: List[Tuple[int, int]]) -> Optional[Dict[int, int]]:
-        mapping = hom_from_generators(g1, g2, assigned)
-        if mapping is None:
-            return None
-        if len(assigned) == len(gens):
-            if len(mapping) != g1.order:
-                return None
-            return mapping
-        nxt = gens[len(assigned)]
-        used = set(mapping.values())
-        for img in range(g2.order):
-            if img in used or orders2[img] != orders1[nxt]:
-                continue
-            result = extend(assigned + [(nxt, img)])
-            if result is not None:
-                return result
-        return None
-
-    return extend([])
-
-
 def _generating_sequence(table: GroupTable) -> List[int]:
     """A small generating sequence, greedily grown."""
     gens: List[int] = []
@@ -288,31 +252,6 @@ def _generating_sequence(table: GroupTable) -> List[int]:
         gens.append(best)
         span = subgroup_closure(table, gens)
     return gens
-
-
-def hom_from_generators(g1, g2, assigned) -> Optional[Dict[int, int]]:
-    """The homomorphism on the subgroup of g1 generated by the `assigned`
-    (generator, image) pairs, grown from the identity and checked at every
-    product it reaches; None on a clash or if it is not injective. Used by
-    `find_isomorphism` and by both factor embeddings of
-    `quadratic.free_amalgam_groups`."""
-    mapping = {g1.identity_index: g2.identity_index}
-    frontier = [g1.identity_index]
-    while frontier:
-        x = frontier.pop()
-        fx = mapping[x]
-        for gen, img in assigned:
-            y = g1.mul[x][gen]
-            fy = g2.mul[fx][img]
-            if y in mapping:
-                if mapping[y] != fy:
-                    return None
-            else:
-                mapping[y] = fy
-                frontier.append(y)
-    if len(set(mapping.values())) != len(mapping):
-        return None
-    return mapping
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Vectors are int bitmasks; bit i is the coefficient of basis vector i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import gf2
 from .errors import CapacityError, InputError
@@ -14,7 +14,6 @@ from .groups import (
     MAX_ORDER,
     GroupAnalysis,
     GroupTable,
-    hom_from_generators,
     is_class_csw,
     subgroup_closure,
     validate_and_analyze,
@@ -131,22 +130,6 @@ def _every_u(dim_u: int) -> range:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupQuadraticData:
-    """A quadratic structure extracted from a group, with quotient data.
-
-    v_coords maps each square-trivial element to its V-coordinates;
-    u_coords maps every group element to the coordinates of its coset.
-    """
-
-    qs: QuadraticStructure
-    group: GroupTable
-    v_basis: Tuple[int, ...]
-    v_coords: Dict[int, int]
-    u_basis: Tuple[int, ...]
-    u_coords: Tuple[int, ...]
-
-
 def _greedy_basis(g: GroupTable, base, candidates) -> List[int]:
     """Each candidate outside the subgroup generated by base and the earlier picks."""
     basis: List[int] = []
@@ -166,7 +149,7 @@ def _subset_products(g: GroupTable, basis: List[int]) -> List[int]:
     return products
 
 
-def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> GroupQuadraticData:
+def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> QuadraticStructure:
     """The structure (G/V, V; squaring) for a class group."""
     if not is_class_csw(table, analysis):
         raise InputError(f"group {table.name} is not exponent-4 with central involutions")
@@ -175,27 +158,12 @@ def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> GroupQuadraticD
     v_elements = tuple(sorted({x for x in range(g.order) if g.mul[x][x] == e}))
     v_basis = _greedy_basis(g, (), v_elements)
     u_basis = _greedy_basis(g, v_elements, range(g.order))
-    dim_v, dim_u = len(v_basis), len(u_basis)
     v_coords = {x: mask for mask, x in enumerate(_subset_products(g, v_basis))}
-    section = _subset_products(g, u_basis)
-    u_coords = [None] * g.order
-    for mask, prod in enumerate(section):
-        for v in v_elements:
-            u_coords[g.mul[prod][v]] = mask
-
     q_basis = tuple(v_coords[g.mul[t][t]] for t in u_basis)
     gamma = tuple(
         tuple(v_coords[g.commutator(a, b)] for b in u_basis) for a in u_basis
     )
-    qs = QuadraticStructure(dim_u, dim_v, q_basis, gamma)
-    return GroupQuadraticData(
-        qs=qs,
-        group=g,
-        v_basis=tuple(v_basis),
-        v_coords=v_coords,
-        u_basis=tuple(u_basis),
-        u_coords=tuple(u_coords),
-    )
+    return QuadraticStructure(len(u_basis), len(v_basis), q_basis, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -351,97 +319,6 @@ def free_amalgam(
         tuple(sv2.embed(1 << i, dv0 + a1) for i in range(qs2.dim_v)),
     )
     return AmalgamResult(qs, emb1, emb2)
-
-
-# ---------------------------------------------------------------------------
-# Free amalgam of groups
-# ---------------------------------------------------------------------------
-
-
-def morphism_from_group_hom(
-    src: GroupQuadraticData, dst: GroupQuadraticData, hom: List[int]
-) -> QSMorphism:
-    """The quadratic-structure morphism induced by a group homomorphism."""
-    g1, g2 = src.group, dst.group
-    for a in range(g1.order):
-        for b in range(g1.order):
-            if hom[g1.mul[a][b]] != g2.mul[hom[a]][hom[b]]:
-                raise InputError(f"not a homomorphism at pair ({a}, {b})")
-    f = tuple(dst.u_coords[hom[t]] for t in src.u_basis)
-    g = tuple(dst.v_coords[hom[v]] for v in src.v_basis)
-    return QSMorphism(f, g)
-
-
-@dataclass(frozen=True)
-class GroupAmalgamResult:
-    group: GroupTable
-    analysis: GroupAnalysis
-    qs: QuadraticStructure
-    emb1: Tuple[int, ...]
-    emb2: Tuple[int, ...]
-
-
-def _pair_embedding(
-    data: GroupQuadraticData, emb: QSMorphism, amalgam: GroupTable, dim_v: int
-) -> List[int]:
-    """Embed a factor group into the amalgam group (packed pairs).
-
-    The homomorphism sending each U-basis lift t_k to (f(e_k), 0) and each
-    V-basis element w_l to (0, g(e_l)). These generate the factor, and
-    (f, g) preserves Q and so gamma, so the images satisfy its relations.
-    """
-    assigned = [(t, pack_uv(u, 0, dim_v)) for t, u in zip(data.u_basis, emb.f)]
-    assigned += [(w, pack_uv(0, v, dim_v)) for w, v in zip(data.v_basis, emb.g)]
-    hom = hom_from_generators(data.group, amalgam, assigned)
-    if hom is None or len(hom) != data.group.order:
-        raise AssertionError(f"generator images do not embed {data.group.name}")
-    return [hom[x] for x in range(data.group.order)]
-
-
-def free_amalgam_groups(
-    g0: GroupTable,
-    a0: GroupAnalysis,
-    g1: GroupTable,
-    a1: GroupAnalysis,
-    hom1: List[int],
-    g2: GroupTable,
-    a2: GroupAnalysis,
-    hom2: List[int],
-) -> GroupAmalgamResult:
-    """Free amalgam of class groups along injective homomorphisms."""
-    for g, hom in ((g1, hom1), (g2, hom2)):
-        if len(set(hom)) != g0.order:
-            raise InputError("embeddings must be injective")
-    d0 = qs_from_group(g0, a0)
-    d1 = qs_from_group(g1, a1)
-    d2 = qs_from_group(g2, a2)
-    e1 = morphism_from_group_hom(d0, d1, hom1)
-    e2 = morphism_from_group_hom(d0, d2, hom2)
-    am = free_amalgam(d0.qs, d1.qs, e1, d2.qs, e2)
-    name = f"Amalgam({g1.name},{g2.name};{g0.name})"
-    table, analysis = group_from_qs(am.qs, name=name)
-    emb1 = _pair_embedding(d1, am.emb1, table, am.qs.dim_v)
-    emb2 = _pair_embedding(d2, am.emb2, table, am.qs.dim_v)
-
-    # Align the two embeddings on g0: correct emb2 by the linear V-part
-    # discrepancy, which factors through U0.
-    du0 = d0.qs.dim_u
-    chi = []
-    for i in range(du0):
-        t = d0.u_basis[i]
-        diff = emb1[hom1[t]] ^ emb2[hom2[t]]
-        if diff >> am.qs.dim_v:
-            raise InputError("embeddings disagree beyond a central factor")
-        chi.append(diff)
-    if any(chi):
-        corrected = []
-        for x in range(g2.order):
-            u_am, v_am = unpack_uv(emb2[x], am.qs.dim_v)
-            u0_part = u_am & ((1 << du0) - 1)
-            v_am ^= gf2.apply_linear(chi, u0_part)
-            corrected.append(pack_uv(u_am, v_am, am.qs.dim_v))
-        emb2 = corrected
-    return GroupAmalgamResult(table, analysis, am.qs, tuple(emb1), tuple(emb2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,34 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import product
 
 from azenum.automorphisms import Perm
-from azenum.groups import catalog_group, validate_and_analyze
+from azenum.groups import _generating_sequence, catalog_group, validate_and_analyze
 from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
 
 
 def brute_star(w1, w2):
-    """Strong-order decision by exhaustive search over all injections,
-    with an independent covering check. Returns a witness tuple or None."""
-    a, b = w1.letters, w2.letters
-    if len(a) > len(b):
-        return None
-    for combo in combinations(range(len(b)), len(a)):
-        if any(a[i] != b[p] for i, p in enumerate(combo)):
-            continue
-        if brute_covers(combo, w2):
-            return combo
+    """Strong-order decision by exhaustive search over all injections that
+    carry each letter of w1 to the same letter of w2, with an independent
+    covering check. Returns the lexicographically least witness or None."""
+    for image in letter_images(w1.letters, w2.letters):
+        if brute_covers(image, w2):
+            return image
     return None
+
+
+def letter_images(a, b, start=0):
+    """Every strictly increasing tuple of positions of b at or after start
+    carrying the letters of a in turn, in lexicographic order: a search
+    over all injections, pruned at the first position whose letter differs."""
+    if not a:
+        yield ()
+        return
+    for p in range(start, len(b) - len(a) + 1):
+        if b[p] == a[0]:
+            for rest in letter_images(a[1:], b, p + 1):
+                yield (p, *rest)
 
 
 def dp_star(w1, w2):
@@ -43,6 +52,18 @@ def dp_star(w1, w2):
     return ok[-1]
 
 
+def star_subwords(w2):
+    """Every w1 that strongly embeds in w2, as letter tuples, by one search
+    from the right built on the covering condition itself: a word read off
+    an image covering w2[q:] either takes position q (which it then covers)
+    or leaves it out, and then q is covered exactly when q's letter is
+    among the word's letters, all of which lie at image positions after q."""
+    found = {()}
+    for letter in reversed(w2.letters):
+        found = {(letter, *w) for w in found} | {w for w in found if letter in w}
+    return found
+
+
 def brute_covers(image, w2):
     """The covering condition as defined: every position of w2 has an
     image position at or after it carrying the same letter."""
@@ -57,6 +78,62 @@ def oracle_group(name):
         return catalog_group(name)
     table, analysis = validate_and_analyze([[(a + b) % 6 for b in range(6)] for a in range(6)])
     return table, analysis, [0, 3]
+
+
+def find_isomorphism(g1, g2):
+    """Brute-force isomorphism search by generator images: a full element
+    map, or None. An independent oracle at desk scale (orders <= 64 or so)."""
+    if g1.order != g2.order:
+        return None
+    orders1 = [g1.element_order(a) for a in range(g1.order)]
+    orders2 = [g2.element_order(a) for a in range(g2.order)]
+    if sorted(orders1) != sorted(orders2):
+        return None
+
+    gens = _generating_sequence(g1)
+
+    def extend(assigned):
+        mapping = hom_from_generators(g1, g2, assigned)
+        if mapping is None:
+            return None
+        if len(assigned) == len(gens):
+            if len(mapping) != g1.order:
+                return None
+            return mapping
+        nxt = gens[len(assigned)]
+        used = set(mapping.values())
+        for img in range(g2.order):
+            if img in used or orders2[img] != orders1[nxt]:
+                continue
+            result = extend(assigned + [(nxt, img)])
+            if result is not None:
+                return result
+        return None
+
+    return extend([])
+
+
+def hom_from_generators(g1, g2, assigned):
+    """The homomorphism on the subgroup of g1 generated by the `assigned`
+    (generator, image) pairs, grown from the identity and checked at every
+    product it reaches; None on a clash or if it is not injective."""
+    mapping = {g1.identity_index: g2.identity_index}
+    frontier = [g1.identity_index]
+    while frontier:
+        x = frontier.pop()
+        fx = mapping[x]
+        for gen, img in assigned:
+            y = g1.mul[x][gen]
+            fy = g2.mul[fx][img]
+            if y in mapping:
+                if mapping[y] != fy:
+                    return None
+            else:
+                mapping[y] = fy
+                frontier.append(y)
+    if len(set(mapping.values())) != len(mapping):
+        return None
+    return mapping
 
 
 def power(table, a, n):
@@ -285,13 +362,7 @@ def random_az_family(ctx, rng, arity, max_support, extra_members=0):
 
 
 def brute_subword(w1, w2):
-    a, b = w1.letters, w2.letters
-    if len(a) > len(b):
-        return None
-    for combo in combinations(range(len(b)), len(a)):
-        if all(a[i] == b[p] for i, p in enumerate(combo)):
-            return combo
-    return None
+    return next(letter_images(w1.letters, w2.letters), None)
 
 
 def rado_level_masks(n, v_max):

@@ -448,6 +448,26 @@ def test_swapped_images_in_the_level_fail_order_preservation(c4k, monkeypatch):
     assert "order_preservation" in cert.failures
 
 
+def test_word_wrong_at_one_singleton_fails_word_agreement(c4k, monkeypatch):
+    # word agreement checks every singleton within l', K factor included: a
+    # word whose index map is off only at g3 = g·g2 on coordinate l' fails it
+    fam = c4_example_family(c4k)
+    cert = run_az(fam, depth=100)
+    assert cert.ok
+    bad = c4k.index_of(c4k.make({cert.levels[1]: c4k.group.index_of_name("g3")}))
+    real = az.index_map
+
+    def off_at_bad(ctx, word):
+        at = real(ctx, word)
+        return lambda i: at(i) + (i == bad)
+
+    monkeypatch.setattr(az, "index_map", off_at_bad)
+    cert = run_az(fam, depth=100)
+    report = cert.reports["word_agreement"]
+    assert cert.failures == ["word_agreement"]
+    assert report["agree"] == report["of"] - 1
+
+
 def test_swapped_witness_positions_fail_order_preservation(q8k, monkeypatch):
     # the level check covers Γ_{≤3} only, so with l_i >= 4 the decision on
     # the plan must catch a β whose two highest witness positions are swapped

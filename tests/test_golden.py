@@ -277,7 +277,7 @@ def write_qs_inputs() -> None:
     qs2, _ = random_qs_extension(rng, qs0, 1, 1)
     table, analysis, _ = catalog_group("Q8")
     docs = {
-        "Q8": qs_from_group(table, analysis).qs,
+        "Q8": qs_from_group(table, analysis),
         "common": qs0,
         "left": qs1,
         "right": qs2,

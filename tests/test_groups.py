@@ -6,7 +6,6 @@ from azenum.errors import InputError, StructuralError
 from azenum.groups import (
     catalog_group,
     catalog_names,
-    find_isomorphism,
     group_from_json,
     group_to_json,
     is_class_csw,
@@ -17,7 +16,7 @@ from azenum.groups import (
     validate_k,
 )
 from azenum.quadratic import group_from_qs
-from oracles import power, random_nondegenerate_qs
+from oracles import find_isomorphism, power, random_nondegenerate_qs
 
 
 def names(table, indices):

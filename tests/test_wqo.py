@@ -18,7 +18,7 @@ from azenum.wqo import (
     parse_word,
     rightmost_embedding,
 )
-from oracles import brute_covers, brute_star, brute_subword, dp_star
+from oracles import brute_covers, brute_star, brute_subword, dp_star, star_subwords
 
 
 def w(text):
@@ -148,6 +148,28 @@ def test_dp_star_equals_brute_force_exhaustive():
         pairs += [(Word(letters), w2) for letters in subsequences]
     for w1, w2 in pairs:
         assert dp_star(w1, w2) == (brute_star(w1, w2) is not None), (w1, w2)
+
+
+def test_star_subwords_equal_brute_force_exhaustive():
+    # the search from the right against the search over injections, on the
+    # pairs of the table oracle's test: every pair of words over {a, b} up
+    # to length 6, and every word over {a, b, c} up to length 6 against each
+    # of its distinct subsequences and each word the search returns
+    words = list(all_words("ab", 6))
+    for w2 in words:
+        strong = star_subwords(w2)
+        for w1 in words:
+            assert (w1.letters in strong) == (brute_star(w1, w2) is not None), (w1, w2)
+    for w2 in all_words("abc", 6):
+        strong = star_subwords(w2)
+        subsequences = {
+            tuple(w2.letters[p] for p in image)
+            for size in range(len(w2) + 1)
+            for image in itertools.combinations(range(len(w2)), size)
+        }
+        for letters in subsequences | strong:
+            want = brute_star(Word(letters), w2) is not None
+            assert (letters in strong) == want, (letters, w2)
 
 
 def test_star_witness_equals_covering_definition():
