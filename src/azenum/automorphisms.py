@@ -5,12 +5,12 @@ A `Perm` stores the "moves" convention: the value at coordinate j is moved
 to coordinate perm[j]. Each generator is stated once (`_window_action`),
 as weights on the coset digits it touches: a permutation's weighted digit
 sum moves its digits, a ladder's is its window configuration, whose shift
-and K factor it computes once. A word acts on enumeration indices
-(`index_map`) by those sums on the pair (s, k), building no element;
-`apply_word` reads the same map on elements. `level_images` maps the
-indices range(size) of a level by the same sums over the whole level, and
-`verify_automorphism` checks the homomorphism law on those images by
-`CPContext.index_law`.
+and K factor it computes once. A word acts on lists of enumeration indices
+(`index_images`) by those sums on the pairs (s, k), a generator and a run
+of consecutive digits (`CPContext.digit_runs`) at a time, building no
+element; `index_map` and `apply_word` are its views on one index and one
+element. `level_images` maps a level's indices range(size) by the same sums
+over the whole level; `verify_automorphism` checks the law on them.
 """
 
 from __future__ import annotations
@@ -151,30 +151,38 @@ def _window_action(ctx: CPContext, gen: AutGenerator) -> Tuple[Dict[int, int], O
     return {c: r**j for j, c in enumerate(gen.coords)}, ladder
 
 
-def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
-    """The word's action on enumeration indices, built without elements:
-    on the pair (s, k) of an index, each generator reads its weighted
-    digit sum v off s and applies its `_window_action`. Every other digit
-    passes through unchanged. CapacityError for a word above
-    MAX_LITERAL_COORD."""
+def _word_kernel(ctx: CPContext, word: AutWord) -> Callable[[Iterable[int]], List[int]]:
+    """The word on lists of indices, each generator's `_window_action` read as
+    runs (`CPContext.digit_runs`): over the pairs (s, k) the reads sum to v, a
+    ladder maps v to its shift and K factor, and s gains v; CapacityError."""
     ctx.place(max(word.max_coord(), 0))
-    r, mul = len(ctx.minima), ctx.group.mul
-    steps = []
-    for gen in word.gens:
-        weights, act = _window_action(ctx, gen)
-        steps.append(([(ctx.place(c), w) for c, w in weights.items()], act))
+    steps = [(ctx.digit_runs(w), act) for w, act in (_window_action(ctx, g) for g in word.gens)]
+    mul = ctx.group.mul
 
-    def f(i: int) -> int:
-        s, k = ctx.pair_of(i)
-        for read, act in steps:
-            v = sum(s // p % r * w for p, w in read)
+    def images(indices: Iterable[int]) -> List[int]:
+        ss, ks = ctx.pairs_of(indices)
+        for runs, act in steps:
+            vs = [0] * len(ss)
+            for p, m, w in runs:
+                vs = [v + s // p % m * w for v, s in zip(vs, ss)]
             if act is not None:
-                v, kf = act(v)
-                k = mul[k][kf]
-            s += v
-        return ctx.index_of_pair(s, k)
+                acted = list(map(act, vs))
+                vs, ks = [v for v, _ in acted], [mul[k][f] for k, (_, f) in zip(ks, acted)]
+            ss = list(map(add, ss, vs))
+        return ctx.indices_of_pairs(ss, ks)
 
-    return f
+    return images
+
+
+def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
+    """The word's action on one enumeration index, built without elements."""
+    images = _word_kernel(ctx, word)
+    return lambda i: images([i])[0]
+
+
+def index_images(ctx: CPContext, word: AutWord, indices: Iterable[int]) -> List[int]:
+    """list(map(index_map(ctx, word), indices)), a generator at a time."""
+    return _word_kernel(ctx, word)(indices)
 
 
 def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:

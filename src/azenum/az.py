@@ -32,9 +32,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Tuple
+from operator import eq, lt
+from typing import Callable, Dict, Iterable, List, Tuple
 
-from .automorphisms import AutWord, Perm, alpha_word, index_map, word_to_json
+from .automorphisms import AutWord, Perm, alpha_word, index_images, word_to_json
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
 from .central_product import CPContext, CPElement
 from .errors import InputError, InsufficientFamilyError
@@ -136,6 +137,12 @@ class BetaMap:
     def shift(self) -> int:
         return self.l_j - self.l_i
 
+    @cached_property
+    def reads(self) -> Tuple[int, int, List[Tuple[int, int, int]]]:
+        """`beta_images`' r^(l_i+1), its new place r^(l_j+1) and the runs up to l_i."""
+        *weights, high = digit_weights(self, self.l_i + 2)
+        return self.ctx.place(self.l_i + 1), high, self.ctx.digit_runs(dict(enumerate(weights)))
+
 
 def build_beta(nf: NormalizedFamily) -> BetaMap:
     """Find a strongly embedded pair among the normalized words and read
@@ -196,28 +203,24 @@ def digit_weights(bm: BetaMap, n: int) -> List[int]:
     return weights + [high * r ** (c - bm.l_i - 1) for c in range(bm.l_i + 1, n)]
 
 
+def beta_images(bm: BetaMap, indices: Iterable[int]) -> List[int]:
+    """The shift-and-copy map on a list of enumeration indices, on the pairs
+    (s, k): β(s) = ⌊s / r^(l_i+1)⌋·r^(l_j+1) + Σ_p d_p(s)·Σ_{t ∈ plan[p]} r^t
+    over the digits d_p of positions p up to l_i (`digit_weights`, read as
+    `CPContext.digit_runs`). The K factor k of the coordinate-0 value enters
+    each of the 1 + |I_s| targets of position 0, and k^(1+|I_s|) = k as K is
+    central and the exponent divides |I_s|, so k passes through as is."""
+    ctx, (low, high, runs) = bm.ctx, bm.reads
+    ss, ks = ctx.pairs_of(indices)
+    out = [s // low * high for s in ss]
+    for p, m, w in runs:
+        out = [o + s // p % m * w for o, s in zip(out, ss)]
+    return ctx.indices_of_pairs(out, ks)
+
+
 def beta_index_map(bm: BetaMap) -> Callable[[int], int]:
-    """The shift-and-copy map on enumeration indices, on the pair (s, k):
-    β(s) = ⌊s / r^(l_i+1)⌋·r^(l_j+1) + Σ_p d_p(s)·Σ_{t ∈ plan[p]} r^t over
-    the digits d_p of positions p up to l_i (`digit_weights`). The K
-    factor k of the coordinate-0 value enters each of the 1 + |I_s|
-    targets of position 0, and k^(1+|I_s|) = k because K is central and
-    the exponent divides |I_s|, so k passes through as is."""
-    ctx, r = bm.ctx, len(bm.ctx.minima)
-    # the weight at l_i + 1 is r^(l_j+1), the new place of r^(l_i+1)
-    *weights, high = digit_weights(bm, bm.l_i + 2)
-    low = ctx.place(bm.l_i) * r
-
-    def beta(i: int) -> int:
-        s, k = ctx.pair_of(i)
-        above, s = divmod(s, low)
-        out = above * high
-        for w in weights:
-            s, d = divmod(s, r)
-            out += d * w
-        return ctx.index_of_pair(out, k)
-
-    return beta
+    """β on one enumeration index: `beta_images` of [i]."""
+    return lambda i: beta_images(bm, [i])[0]
 
 
 def beta_level_images(bm: BetaMap, n: int) -> List[int]:
@@ -315,12 +318,13 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     holding `depth` elements and decided exactly by the lemma above, (c) the
     block identity of the index law at each coordinate in (l_i, l'], (d)
     agreement with the emitted word on every singleton within l' and on 50
-    seeded indices, each in Γ_{≤t} for a t drawn from 0..l'."""
+    seeded indices, each in Γ_{≤t} for a t drawn from 0..l', on the lists
+    `index_images` and `beta_images`."""
     ctx = fam.ctx
     randrange = random.Random(seed).randrange
     nf = normalize_family(fam)
     bm = build_beta(nf)
-    beta, index_of, size = beta_index_map(bm), ctx.index_of, ctx.gamma_n_order
+    index_of, size = ctx.index_of, ctx.gamma_n_order
     failures: List[str] = []
     reports: Dict[str, dict] = {}
 
@@ -330,7 +334,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
             failures.append(name)
 
     # (a) the map sends the i-th member to the j-th, componentwise
-    mapped = sum(beta(index_of(a)) == index_of(b) for a, b in zip(bm.member_i, bm.member_j))
+    mapped = sum(map(eq, beta_images(bm, map(index_of, bm.member_i)), map(index_of, bm.member_j)))
     report("tuple_mapping", "components_ok", mapped, fam.arity)
 
     l, l_prime = min_word_levels(bm)
@@ -341,29 +345,25 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     # a finite Γ (K = G) is one level, scanned whole when depth exceeds it
     level = ctx.prefix_level(depth if r > 1 else min(depth, ctx.group.order))
     images = beta_level_images(bm, level + 1)
-    pairs = list(zip(images, images[1:]))
-    if r > 1:
-        tops = [max(targets) for targets in bm.plan]
-        pairs += zip(tops, tops[1:])
-    report("order_preservation", "ordered", sum(a < b for a, b in pairs), len(pairs), level=level)
+    tops = [max(targets) for targets in bm.plan] if r > 1 else []
+    lower, upper = images[:-1] + tops[:-1], images[1:] + tops[1:]
+    report("order_preservation", "ordered", sum(map(lt, lower, upper)), len(lower), level=level)
 
     # (c) the block identity, with h·B the top digit at each coordinate in
     # (l_i, l'] and low = B - 1; none when K = G, as no coordinate above 0 moves
     low, top = size(bm.l_i + 1) - 1, r - 1
-    coords = range(bm.l_i + 1, l_prime + 1) if r > 1 else ()
-    law = [beta(top * size(c) + low) == top * size(c + bm.shift) + beta(low) for c in coords]
+    coords = range(bm.l_i + 1, l_prime + 1) if r > 1 else range(0)
+    beta_low, *shifted = beta_images(bm, [low, *(top * size(c) + low for c in coords)])
+    law = [b == top * size(c + bm.shift) + beta_low for c, b in zip(coords, shifted)]
     report("index_law", "ok", sum(law), len(law))
 
     # (d) the emitted word agrees on everything supported within l'
     word = beta_as_word(bm, l, l_prime)
-    word_at = index_map(ctx, word)
-    xs = [
-        ctx.index_of_pair(ctx.digit_of[v] * ctx.place(c), ctx.k_of[v])
-        for c in range(l_prime + 1)
-        for v in range(ctx.group.order)
-    ]
+    places, values = map(ctx.place, range(l_prime + 1)), range(ctx.group.order)
+    xs = [ctx.index_of_pair(ctx.digit_of[v] * p, ctx.k_of[v]) for p in places for v in values]
     xs += [randrange(size(randrange(l_prime + 1) + 1)) for _ in range(50)]
-    report("word_agreement", "agree", sum(word_at(i) == beta(i) for i in xs), len(xs))
+    agree = sum(map(eq, index_images(ctx, word, xs), beta_images(bm, xs)))
+    report("word_agreement", "agree", agree, len(xs))
 
     return Certificate(
         ok=not failures,

@@ -7,12 +7,13 @@ base-r number (r = |G/K|) of the coordinates' coset digits and k in K the
 product of their K factors, held at coordinate 0. This module alone knows
 that layout: `make` encodes a tuple, `minimal_representative` decodes the
 reverse-lex minimal representative, `pair_of` and `index_of_pair` read and
-write the pair, `place` is the place value of a coordinate's digit in s,
-and for whole levels `digit_sums` weighs and adds the digits of every s
-and `join_level` maps pairs back to indices. The group law runs on these
-indices (`CPContext.index_law`): above coordinate 0 the product's digits
-are read, a block of coordinates at a time, from tables of block products,
-whose K factors fold into the coordinate-0 value because K is central.
+write the pair (`pairs_of`, `indices_of_pairs` for lists), `place` is the
+place value of a coordinate's digit in s, `digit_runs` reads weighted
+digits a run at a time, and for whole levels `digit_sums` weighs and adds
+the digits of every s and `join_level` maps pairs back to indices. The
+group law runs on indices (`CPContext.index_law`): above coordinate 0 the
+product's digits are read, a block of coordinates at a time, from tables of
+block products, whose K factors fold into coordinate 0 as K is central.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from math import lcm as _lcm
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import CapacityError, InputError
 from .groups import KGroupSpec
@@ -207,6 +208,27 @@ class CPContext:
     def index_of_pair(self, s: int, k: int) -> int:
         """The index of the pair (s, k) (inverse of `pair_of`)."""
         return s * len(self.k_list) + self.rank_of[k]
+
+    def pairs_of(self, indices: Iterable[int]) -> Tuple[List[int], List[int]]:
+        """`pair_of` of each index, as the list of the s and that of the k."""
+        nk, k_list, indices = len(self.k_list), self.k_list, list(indices)
+        return [i // nk for i in indices], [k_list[i % nk] for i in indices]
+
+    def indices_of_pairs(self, ss: Sequence[int], ks: Sequence[int]) -> List[int]:
+        """`index_of_pair` of each pair (ss[j], ks[j])."""
+        nk, rank_of = len(self.k_list), self.rank_of
+        return [s * nk + rank_of[k] for s, k in zip(ss, ks)]
+
+    def digit_runs(self, weights: Mapping[int, int]) -> List[Tuple[int, int, int]]:
+        """Reads (p, m, w) with sum_c d_c(s)·weights[c] = sum s // p % m · w: a
+        maximal run of coordinates c+j, j < n, weighing w·r^j reads w·(s // r^c % r^n)."""
+        r, runs = len(self.minima), []
+        for c, w in sorted(weights.items()):
+            if runs and sum(runs[-1][:2]) == c and runs[-1][2] * r ** runs[-1][1] == w:
+                runs[-1][1] += 1
+            else:
+                runs.append([c, 1, w])
+        return [(self.place(c), r**n, w) for c, n, w in runs]
 
     def digit_sums(self, n: int, weights: Sequence[int]) -> List[int]:
         """Per digit vector s < r^n, in order: sum_c d_c(s)·weights[c], each

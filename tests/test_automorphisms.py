@@ -12,6 +12,7 @@ from azenum.automorphisms import (
     apply_beta_star,
     apply_perm,
     apply_word,
+    index_images,
     index_map,
     level_images,
     verify_automorphism,
@@ -238,6 +239,103 @@ def test_index_map_on_beta_shaped_words(name):
         xs += [rng.randrange(ctx.gamma_n_order(top + 2)) for _ in range(200)]
         for i in xs:
             assert f(i) == ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))), i
+
+
+# -- runs of consecutive digits ----------------------------------------------
+
+
+def read_runs(runs, s):
+    return sum(s // p % m * w for p, m, w in runs)
+
+
+def per_coordinate_sum(ctx, weights, s):
+    r = len(ctx.minima)
+    return sum(s // r**c % r * w for c, w in weights.items())
+
+
+def block_shift(a, e, delta):
+    """The rotation of the coordinates a..e by delta: t -> t + delta, the
+    top delta coordinates wrapping onto a..a+delta-1."""
+    return Perm.from_mapping({t: a + (t - a + delta) % (e - a + 1) for t in range(a, e + 1)})
+
+
+def run_shape(ctx, gen):
+    """The (place, modulus) of each run of the generator's weights."""
+    return [(p, m) for p, m, _ in ctx.digit_runs(automorphisms._window_action(ctx, gen)[0])]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_digit_runs_equal_the_per_coordinate_sum(name):
+    # seeded weight dicts, whose adjacent coordinates often weigh r times
+    # the one below as a run does, and the weights of block shifts, cycles
+    # and ladders on adjacent and scattered coordinates: the runs' reads
+    # equal the per-coordinate sum on seeded s with digits past every weight
+    # (r = 1 on C2, where every s is 0)
+    ctx = make_ctx(name)
+    r, m = len(ctx.minima), ctx.exponent + 2
+    rng = random.Random(f"digit-runs-{name}")
+    dicts = []
+    for _ in range(60):
+        weights, c = {}, rng.randrange(3)
+        for _ in range(rng.randint(0, 8)):
+            below = weights.get(c - 1)
+            grows = below is not None and rng.random() < 0.6
+            weights[c] = below * r if grows else rng.randint(-(r**12), r**12)
+            c += rng.choice([1, 1, 2, 3])
+        dicts.append(weights)
+    gens = [block_shift(2, 9, 3), block_shift(0, 11, 1), Perm.from_cycles([[0, 1, 2]])]
+    gens += [BetaStar(tuple(range(3, 3 + m))), BetaStar(tuple(rng.sample(range(20), m)))]
+    dicts += [automorphisms._window_action(ctx, gen)[0] for gen in gens]
+    for weights in dicts:
+        runs = ctx.digit_runs(weights)
+        for s in [rng.randrange(r**30) for _ in range(30)]:
+            assert read_runs(runs, s) == per_coordinate_sum(ctx, weights, s), weights
+
+
+def test_digit_runs_of_shifts_cycles_and_ladders(q8k, c2k):
+    r, m = len(q8k.minima), q8k.exponent + 2
+    # a block shift is the shifted block and the wrapped tail, a run each
+    assert run_shape(q8k, block_shift(2, 9, 3)) == [(r**2, r**5), (r**7, r**3)]
+    # (0 1 2) weighs r - 1, r(r - 1) and 1 - r^2: runs {0, 1} and {2}
+    assert run_shape(q8k, Perm.from_cycles([[0, 1, 2]])) == [(1, r**2), (r**2, r)]
+    # a ladder on adjacent coordinates in window order is one run; on
+    # scattered or descending coordinates, one run per coordinate
+    assert run_shape(q8k, BetaStar(tuple(range(3, 3 + m)))) == [(r**3, r**m)]
+    scattered = tuple(range(0, 2 * m, 2))
+    assert run_shape(q8k, BetaStar(scattered)) == [(r**c, r) for c in scattered]
+    assert run_shape(q8k, BetaStar(tuple(reversed(range(m))))) == [(r**c, r) for c in range(m)]
+    # r = 1: a permutation weighs 0 everywhere, one run of digits that are all 0
+    weights, _ = automorphisms._window_action(c2k, Perm.from_cycles([[0, 1, 2]]))
+    assert weights == {0: 0, 1: 0, 2: 0}
+    assert c2k.digit_runs(weights) == [(1, 1, 0)]
+
+
+def merge_adjacent(ctx, weights):
+    """A wrong `digit_runs`: it merges adjacent coordinates whatever their
+    weights, as if each weighed r times the one below."""
+    r, runs = len(ctx.minima), []
+    for c, w in sorted(weights.items()):
+        if runs and sum(runs[-1][:2]) == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, 1, w])
+    return [(ctx.place(c), r**n, w) for c, n, w in runs]
+
+
+def test_runs_merged_past_their_weights_fail_the_oracle(q8k, monkeypatch):
+    # the transposition (0 1) weighs r - 1 and 1 - r: merged into one run,
+    # index_images no longer agrees with the element oracle, while a ladder
+    # on adjacent coordinates in window order, one run either way, still does
+    xs = list(range(q8k.gamma_n_order(4)))
+    swap, ladder = word(Perm.from_cycles([[0, 1]])), word(BetaStar(tuple(range(q8k.exponent + 2))))
+    expected = {
+        w: [q8k.index_of(oracle_apply_word(q8k, w, q8k.element_at(i))) for i in xs]
+        for w in (swap, ladder)
+    }
+    assert all(index_images(q8k, w, xs) == images for w, images in expected.items())
+    monkeypatch.setattr(CPContext, "digit_runs", merge_adjacent)
+    assert index_images(q8k, swap, xs) != expected[swap]
+    assert index_images(q8k, ladder, xs) == expected[ladder]
 
 
 def _level_word(rng, ctx, length, n):

@@ -455,13 +455,13 @@ def test_word_wrong_at_one_singleton_fails_word_agreement(c4k, monkeypatch):
     cert = run_az(fam, depth=100)
     assert cert.ok
     bad = c4k.index_of(c4k.make({cert.levels[1]: c4k.group.index_of_name("g3")}))
-    real = az.index_map
+    real = az.index_images
 
-    def off_at_bad(ctx, word):
-        at = real(ctx, word)
-        return lambda i: at(i) + (i == bad)
+    def off_at_bad(ctx, word, indices):
+        indices = list(indices)
+        return [j + (i == bad) for i, j in zip(indices, real(ctx, word, indices))]
 
-    monkeypatch.setattr(az, "index_map", off_at_bad)
+    monkeypatch.setattr(az, "index_images", off_at_bad)
     cert = run_az(fam, depth=100)
     report = cert.reports["word_agreement"]
     assert cert.failures == ["word_agreement"]

@@ -1,16 +1,27 @@
 """Property tests over Γ_{≤6}, whose elements are drawn by enumeration
 index: the index bijection, the element literals and the index law; the
-index maps of words on indices far above their coordinates; and the JSON
-form of words."""
+index maps of words, one index and a list at a time, and the list map of
+β on indices far above their coordinates; and the JSON form of words."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azenum.automorphisms import AutWord, BetaStar, Perm, index_map, word_from_json, word_to_json
+from azenum.automorphisms import (
+    AutWord,
+    BetaStar,
+    Perm,
+    index_images,
+    index_map,
+    word_from_json,
+    word_to_json,
+)
+from azenum.az import beta_images, beta_index_map, build_beta, normalize_family
 from azenum.central_product import CPContext, format_support, parse_support
 from azenum.groups import catalog_group, catalog_names, make_kgroup
-from oracles import brute_product, oracle_apply_word
+from oracles import brute_product, oracle_apply_beta, oracle_apply_word
+from test_automorphisms import block_shift
+from test_az import BETA_FAMILIES, GOLDEN_FAMILIES, golden_family
 
 LEVEL = 7  # Γ_{≤6}: supports within coordinates 0..6
 GROUPS = catalog_names()  # C2 (r = 1) and C2xC2 (|K| = 1) are the layout's edge cases
@@ -58,10 +69,21 @@ WORD_WIDTH = 10  # words act on coordinates 0..9
 FAR = 60  # drawn indices have digits up to coordinate 59
 
 
+@st.composite
+def block_shifts(draw):
+    """The rotation of coordinates a..e below WORD_WIDTH by 1 <= δ <= e - a,
+    which shifts a block as `az.beta_as_word` shifts (l_i, l']; its weights
+    read as two long runs."""
+    a = draw(st.integers(0, WORD_WIDTH - 2))
+    e = draw(st.integers(a + 1, WORD_WIDTH - 1))
+    return block_shift(a, e, draw(st.integers(1, e - a)))
+
+
 def words(window_size, min_size):
     """Words of min_size-4 generators below WORD_WIDTH: ladders on
-    window_size coordinates, cycles of 2-4 coordinates and permutations
-    moving at least 8 coordinates, as `az.beta_as_word` begins with."""
+    window_size coordinates, cycles of 2-4 coordinates, block shifts and
+    permutations moving at least 8 coordinates, as `az.beta_as_word`
+    begins with."""
     window = st.permutations(range(WORD_WIDTH)).map(lambda p: BetaStar(tuple(p[:window_size])))
     cycle = st.lists(st.integers(0, WORD_WIDTH - 1), min_size=2, max_size=4, unique=True)
     wide = st.permutations(range(WORD_WIDTH)).filter(
@@ -70,6 +92,7 @@ def words(window_size, min_size):
     gen = st.one_of(
         window,
         cycle.map(lambda c: Perm.from_cycles([c])),
+        block_shifts(),
         wide.map(lambda p: Perm.from_mapping(dict(enumerate(p)))),
     )
     return st.lists(gen, min_size=min_size, max_size=4).map(lambda gens: AutWord(tuple(gens)))
@@ -92,6 +115,37 @@ def test_index_map_far_above_the_word(ctx, data):
     assert j // low_size == i // low_size
     assert j == ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i)))
     assert index_map(ctx, w.inverse())(j) == i
+
+
+@checked
+@given(data=st.data())
+def test_index_images_far_above_the_word(ctx, data):
+    # a list at a time, the word's map agrees with its map on each index
+    # and with the element oracle
+    w, top = draw_word(data, ctx), ctx.gamma_n_order(FAR) - 1
+    xs = data.draw(st.lists(st.integers(min_value=0, max_value=top), max_size=8))
+    images = index_images(ctx, w, xs)
+    assert images == list(map(index_map(ctx, w), xs))
+    assert images == [ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))) for i in xs]
+
+
+BETA_MAPS = BETA_FAMILIES + [
+    (name, build_beta(normalize_family(golden_family(name)))) for name in GOLDEN_FAMILIES
+]
+
+
+@pytest.mark.parametrize("name, bm", BETA_MAPS, ids=[name for name, _ in BETA_MAPS])
+@settings(checked, max_examples=40)
+@given(data=st.data())
+def test_beta_images_far_above_l_i(name, bm, data):
+    # a list of indices with digits up to 40 coordinates past l_i: β's list
+    # map agrees with its map on each index and with the element oracle
+    ctx = bm.ctx
+    top = ctx.gamma_n_order(bm.l_i + 40) - 1
+    xs = data.draw(st.lists(st.integers(min_value=0, max_value=top), max_size=8))
+    images = beta_images(bm, xs)
+    assert images == list(map(beta_index_map(bm), xs))
+    assert images == [ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))) for i in xs]
 
 
 @checked
