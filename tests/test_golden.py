@@ -120,6 +120,7 @@ def cases():
             "--word", json.dumps(word), "--level", str(level),
         ]
     out["rado_triples_8"] = ["--json", "rado", "triples", "--max-n", "8"]
+    out["rado_triples_11"] = ["--json", "rado", "triples", "--max-n", "11"]
     for name in WQO_STREAMS:
         for mode in ("star", "higman"):
             out[f"wqo_pair_{name}_{mode}"] = [
