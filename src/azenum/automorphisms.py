@@ -8,9 +8,9 @@ sum moves its digits, a ladder's is its window configuration, whose shift
 and K factor it computes once. A word acts on lists of enumeration indices
 (`index_images`) by those sums on the pairs (s, k), a generator and a run
 of consecutive digits (`CPContext.digit_runs`) at a time, building no
-element; `index_map` and `apply_word` are its views on one index and one
-element. `level_images` maps a level's indices range(size) by the same sums
-over the whole level; `verify_automorphism` checks the law on them.
+element; `apply_word` is its view on one element. `level_images` maps a
+level's indices range(size) by the same sums over the whole level;
+`verify_automorphism` checks the law on them.
 """
 
 from __future__ import annotations
@@ -174,19 +174,14 @@ def _word_kernel(ctx: CPContext, word: AutWord) -> Callable[[Iterable[int]], Lis
     return images
 
 
-def index_map(ctx: CPContext, word: AutWord) -> Callable[[int], int]:
-    """The word's action on one enumeration index, built without elements."""
-    images = _word_kernel(ctx, word)
-    return lambda i: images([i])[0]
-
-
 def index_images(ctx: CPContext, word: AutWord, indices: Iterable[int]) -> List[int]:
-    """list(map(index_map(ctx, word), indices)), a generator at a time."""
+    """The word's action on a list of enumeration indices, a generator at a
+    time, built without elements."""
     return _word_kernel(ctx, word)(indices)
 
 
 def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
-    """list(map(index_map(ctx, word), range(level_size(n)))), computed one
+    """index_images(ctx, word, range(level_size(n))), computed one
     generator at a time on level tables; InputError if n < 1 or the word
     touches a coordinate at or above n.
 
@@ -216,7 +211,7 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
 
 
 def apply_word(ctx: CPContext, word: AutWord, x: CPElement) -> CPElement:
-    return ctx.element_at(index_map(ctx, word)(ctx.index_of(x)))
+    return ctx.element_at(index_images(ctx, word, [ctx.index_of(x)])[0])
 
 
 def apply_perm(ctx: CPContext, perm: Perm, x: CPElement) -> CPElement:

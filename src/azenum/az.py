@@ -5,7 +5,7 @@ it maps one tuple to the other while preserving the element ordering;
 the map and every check act on enumeration indices only.
 
 Order preservation is decided exactly. With B = gamma_n_order(l_i + 1) and
-B′ = gamma_n_order(l_j + 1), β's digit-weight form (`beta_index_map`)
+B′ = gamma_n_order(l_j + 1), β's digit-weight form (`beta_images`)
 gives β(h·B + low) = h·B′ + β(low) < (h + 1)·B′ for low < B, so β
 preserves the order on Γ iff it strictly increases on range(B). Lemma:
 if the targets in `plan` are pairwise distinct (as build_beta's are, in
@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import eq, lt
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .automorphisms import AutWord, Perm, alpha_word, index_images, word_to_json
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
@@ -218,13 +218,8 @@ def beta_images(bm: BetaMap, indices: Iterable[int]) -> List[int]:
     return ctx.indices_of_pairs(out, ks)
 
 
-def beta_index_map(bm: BetaMap) -> Callable[[int], int]:
-    """β on one enumeration index: `beta_images` of [i]."""
-    return lambda i: beta_images(bm, [i])[0]
-
-
 def beta_level_images(bm: BetaMap, n: int) -> List[int]:
-    """list(map(beta_index_map(bm), range(level_size(n)))), from one
+    """beta_images(bm, range(level_size(n))), from one
     weighted digit sum per s < r^n (`CPContext.digit_sums`), k passing
     through."""
     ctx = bm.ctx
@@ -233,8 +228,8 @@ def beta_level_images(bm: BetaMap, n: int) -> List[int]:
 
 
 def apply_beta(bm: BetaMap, x: CPElement) -> CPElement:
-    """The shift-and-copy map on elements, read from its index map."""
-    return bm.ctx.element_at(beta_index_map(bm)(bm.ctx.index_of(x)))
+    """The shift-and-copy map on one element, read from `beta_images`."""
+    return bm.ctx.element_at(beta_images(bm, [bm.ctx.index_of(x)])[0])
 
 
 def min_word_levels(bm: BetaMap) -> Tuple[int, int]:

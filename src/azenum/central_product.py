@@ -85,11 +85,6 @@ class CPContext:
     def embed(self, elem: int, coord: int) -> "CPElement":
         return self.make({coord: elem})
 
-    def embed_k(self, k: int) -> "CPElement":
-        if k not in self.k_list:
-            raise InputError(f"element {k} is not in K")
-        return self.make({0: k})
-
     # -- group operations -------------------------------------------------
 
     def representative(self, x: "CPElement") -> Dict[int, int]:
@@ -147,11 +142,6 @@ class CPContext:
             return out + rank_of[v]
 
         return law
-
-    def inverse(self, x: "CPElement") -> "CPElement":
-        self._check(x)
-        inv = self.group.inverse
-        return self.make({c: inv[v] for c, v in self.minimal_representative(x)})
 
     # -- order: the enumeration index -------------------------------------
 

@@ -39,11 +39,9 @@ from .groups import (
     validate_k,
 )
 from .quadratic import (
-    QSMorphism,
     QuadraticStructure,
     free_amalgam,
     group_from_qs,
-    identity_morphism,
     is_nondegenerate,
     qs_from_group,
     qs_from_json,
@@ -178,21 +176,13 @@ def cmd_qs_to_group(args) -> int:
     return EXIT_OK
 
 
-def _inclusion(common, factor) -> QSMorphism:
-    if common.dim_u > factor.dim_u or common.dim_v > factor.dim_v:
-        raise InputError("common structure does not fit inside a factor")
-    return identity_morphism(common)
-
-
 def cmd_qs_amalgam(args) -> int:
     # without --common the factors share the trivial structure
     left, right, common = (
         qs_from_json(_read_json(path)) if path else QuadraticStructure(0, 0, (), ())
         for path in (args.left, args.right, args.common)
     )
-    result = free_amalgam(
-        common, left, _inclusion(common, left), right, _inclusion(common, right)
-    )
+    result = free_amalgam(common, left, right)
     doc = {
         "qs": qs_to_json(result.qs),
         "embedding_left": {"f": list(result.emb1.f), "g": list(result.emb1.g)},

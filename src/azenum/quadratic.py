@@ -1,6 +1,12 @@
 """Quadratic structures over F2 and their correspondence with groups.
 
 Vectors are int bitmasks; bit i is the coefficient of basis vector i.
+
+Free amalgams are taken over leading coordinates: the common structure is
+each factor's structure on its first dim_u U and dim_v V coordinates. Any
+injective morphism becomes this coordinate inclusion after a change of
+basis of its target (extend the images of the U and V bases to bases), so
+no free amalgam is lost up to isomorphism.
 """
 
 from __future__ import annotations
@@ -8,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from . import gf2
 from .errors import CapacityError, InputError
 from .groups import (
     MAX_ORDER,
@@ -22,10 +27,38 @@ from .groups import (
 EXHAUSTIVE_CAP = 20
 
 # A document's size bounds dimU (Q holds dimU entries, gamma dimU^2) but not
-# dimV. `qs amalgam` output and time grow faster than dimV^2: two dimU-2
-# factors of dimV 1024 take 0.5 s and 0.7 MB, of dimV 4096 9.5 s and 10 MB
-# (Python 3.11, one core of a shared 2-core x86-64 host).
+# dimV. `qs amalgam` output grows as dimV^2, as each embedding lists dimV
+# images of up to 2 dimV bits: two dimU-2 factors of dimV 1024 give 0.7 MB
+# in 0.07 s, of dimV 2048 2.6 MB in 0.11 s, of dimV 4096 10 MB in 0.3 s
+# (wall time with interpreter start; Python 3.11, shared 2-core x86-64 host).
 MAX_DIM_V = 1024
+
+
+def bits_of(v: int) -> List[int]:
+    """Indices of set bits, ascending."""
+    out = []
+    i = 0
+    while v:
+        if v & 1:
+            out.append(i)
+        v >>= 1
+        i += 1
+    return out
+
+
+def parse_bitstring(s: str) -> int:
+    """Little-endian bitstring: character at index i is bit i."""
+    v = 0
+    for i, ch in enumerate(s):
+        if ch == "1":
+            v |= 1 << i
+        elif ch != "0":
+            raise ValueError(f"bad bitstring character {ch!r}")
+    return v
+
+
+def format_bitstring(v: int, width: int) -> str:
+    return "".join("1" if (v >> i) & 1 else "0" for i in range(width))
 
 
 @dataclass(frozen=True)
@@ -57,7 +90,7 @@ class QuadraticStructure:
     def eval_q(self, u: int) -> int:
         """Extend Q from the basis by polarization."""
         self._check_u(u)
-        bits = gf2.bits_of(u)
+        bits = bits_of(u)
         out = 0
         for a, i in enumerate(bits):
             out ^= self.q_basis[i]
@@ -82,47 +115,12 @@ class QSMorphism:
     f: Tuple[int, ...]
     g: Tuple[int, ...]
 
-    def apply_u(self, u: int) -> int:
-        return gf2.apply_linear(self.f, u)
-
-    def apply_v(self, v: int) -> int:
-        return gf2.apply_linear(self.g, v)
-
-
-def is_morphism(src: QuadraticStructure, dst: QuadraticStructure, m: QSMorphism) -> bool:
-    if len(m.f) != src.dim_u or len(m.g) != src.dim_v:
-        return False
-    for u in _every_u(src.dim_u):
-        if m.apply_v(src.eval_q(u)) != dst.eval_q(m.apply_u(u)):
-            return False
-    return True
-
-
-def is_injective_morphism(src, dst, m) -> bool:
-    return (
-        is_morphism(src, dst, m)
-        and gf2.gf2_rank(m.f) == src.dim_u
-        and gf2.gf2_rank(m.g) == src.dim_v
-    )
-
-
-def identity_morphism(qs: QuadraticStructure) -> QSMorphism:
-    return QSMorphism(
-        tuple(1 << i for i in range(qs.dim_u)),
-        tuple(1 << i for i in range(qs.dim_v)),
-    )
-
 
 def is_nondegenerate(qs: QuadraticStructure) -> bool:
-    """Exhaustively check Q(u) != 0 for every nonzero u."""
-    return all(qs.eval_q(u) != 0 for u in _every_u(qs.dim_u)[1:])
-
-
-def _every_u(dim_u: int) -> range:
-    """Every vector of F2^dim_u, for an exhaustive check up to the cap."""
-    if dim_u > EXHAUSTIVE_CAP:
-        raise CapacityError(f"dim_u {dim_u} exceeds cap {EXHAUSTIVE_CAP}")
-    return range(1 << dim_u)
+    """Exhaustively check Q(u) != 0 for every nonzero u, up to the cap."""
+    if qs.dim_u > EXHAUSTIVE_CAP:
+        raise CapacityError(f"dim_u {qs.dim_u} exceeds cap {EXHAUSTIVE_CAP}")
+    return all(qs.eval_q(u) != 0 for u in range(1, 1 << qs.dim_u))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +193,9 @@ def cocycle_basis(qs: QuadraticStructure) -> List[List[int]]:
 
 def eval_cocycle(beta: List[List[int]], u1: int, u2: int) -> int:
     out = 0
-    for i in gf2.bits_of(u1):
+    for i in bits_of(u1):
         row = beta[i]
-        for j in gf2.bits_of(u2):
+        for j in bits_of(u2):
             out ^= row[j]
     return out
 
@@ -225,8 +223,8 @@ def group_from_qs(
             mul[x][y] = pack_uv(u1 ^ u2, v1 ^ v2 ^ eval_cocycle(beta, u1, u2), dv)
     names = [
         "({}|{})".format(
-            gf2.format_bitstring(x >> dv, qs.dim_u),
-            gf2.format_bitstring(x & ((1 << dv) - 1), dv),
+            format_bitstring(x >> dv, qs.dim_u),
+            format_bitstring(x & ((1 << dv) - 1), dv),
         )
         for x in range(order)
     ]
@@ -245,80 +243,60 @@ class AmalgamResult:
     emb2: QSMorphism
 
 
-class _SplitDecomposer:
-    """Decompose vectors over [morphism images | greedy complement basis]."""
+def _has_leading(qs: QuadraticStructure, qs0: QuadraticStructure) -> bool:
+    """Whether qs0 is qs on its leading coordinates. By polarization
+    (`eval_q`), Q agrees with qs0's on all of U0 exactly when Q and gamma
+    do on U0's basis vectors and their pairs."""
+    d = qs0.dim_u
+    return (
+        d <= qs.dim_u
+        and qs0.dim_v <= qs.dim_v
+        and qs.q_basis[:d] == qs0.q_basis
+        and all(qs.gamma_basis[i][:d] == qs0.gamma_basis[i] for i in range(d))
+    )
 
-    def __init__(self, images: List[int], dim: int):
-        self.d0 = len(images)
-        self.extra = gf2.complete_basis(images, dim)
-        self._span = gf2.Gf2Span()
-        for v in list(images) + self.extra:
-            self._span.add(v)
 
-    def embed(self, v: int, offset: int) -> int:
-        """Coords over the images, then those over the complement from bit offset."""
-        combo = self._span.solve(v)
-        if combo is None:
-            raise InputError("vector outside the expected space")
-        return (combo & ((1 << self.d0) - 1)) | (combo >> self.d0) << offset
+def _place(v: int, d0: int, offset: int) -> int:
+    """v's first d0 coordinates kept, the rest moved up to start at offset."""
+    return v & ((1 << d0) - 1) | (v >> d0) << offset
 
 
 def free_amalgam(
-    qs0: QuadraticStructure,
-    qs1: QuadraticStructure,
-    e1: QSMorphism,
-    qs2: QuadraticStructure,
-    e2: QSMorphism,
+    qs0: QuadraticStructure, qs1: QuadraticStructure, qs2: QuadraticStructure
 ) -> AmalgamResult:
-    """Free amalgam of qs1 and qs2 over qs0 along injective morphisms.
+    """Free amalgam of qs1 and qs2 over qs0, their common structure on
+    their leading coordinates.
 
-    U is the amalgamated sum; V gains the tensor block carrying
-    gamma(u1', u2') = u1' (x) u2'.
+    U = U0 | U1' | U2' and V = V0 | V1' | V2' | U1' (x) U2', where U1', V1'
+    are qs1's coordinates past qs0's and U2', V2' qs2's; gamma carries
+    gamma(u1', u2') = u1' (x) u2'. Both embeddings are these coordinate maps.
     """
-    for src, dst, m in ((qs0, qs1, e1), (qs0, qs2, e2)):
-        if not is_injective_morphism(src, dst, m):
-            raise InputError("e1/e2 must be injective quadratic-structure morphisms")
-
+    if not (_has_leading(qs1, qs0) and _has_leading(qs2, qs0)):
+        raise InputError(
+            "the common structure is not each factor's structure on its leading coordinates"
+        )
     du0, dv0 = qs0.dim_u, qs0.dim_v
-    su1 = _SplitDecomposer(list(e1.f), qs1.dim_u)
-    su2 = _SplitDecomposer(list(e2.f), qs2.dim_u)
-    sv1 = _SplitDecomposer(list(e1.g), qs1.dim_v)
-    sv2 = _SplitDecomposer(list(e2.g), qs2.dim_v)
-    p, q = len(su1.extra), len(su2.extra)
-    a1, a2 = len(sv1.extra), len(sv2.extra)
-    # The layout: U = U0 | U1' | U2' and V = V0 | V1' | V2' | U1' (x) U2'.
-    # lift1[k] / lift2[k] is U basis vector k's preimage in factor 1 / 2,
-    # None where it has none.
-    lift1 = list(e1.f) + su1.extra + [None] * q
-    lift2 = list(e2.f) + [None] * p + su2.extra
+    p, q = qs1.dim_u - du0, qs2.dim_u - du0
+    a1, a2 = qs1.dim_v - dv0, qs2.dim_v - dv0
     dim_u = du0 + p + q
-    dim_v = dv0 + a1 + a2 + p * q
-
-    def pair_gamma(k: int, l: int) -> int:
-        if lift1[k] is not None and lift1[l] is not None:
-            return sv1.embed(qs1.eval_gamma(lift1[k], lift1[l]), dv0)
-        if lift2[k] is not None and lift2[l] is not None:
-            return sv2.embed(qs2.eval_gamma(lift2[k], lift2[l]), dv0 + a1)
-        i, j = sorted((k, l))
-        return 1 << (dv0 + a1 + a2 + (i - du0) * q + (j - du0 - p))
-
-    q_basis = tuple(
-        sv1.embed(qs1.eval_q(lift1[k]), dv0)
-        if lift1[k] is not None
-        else sv2.embed(qs2.eval_q(lift2[k]), dv0 + a1)
-        for k in range(dim_u)
-    )
-    gamma = tuple(tuple(pair_gamma(k, l) for l in range(dim_u)) for k in range(dim_u))
-    qs = QuadraticStructure(dim_u, dim_v, q_basis, gamma)
-    emb1 = QSMorphism(
-        tuple(su1.embed(1 << i, du0) for i in range(qs1.dim_u)),
-        tuple(sv1.embed(1 << i, dv0) for i in range(qs1.dim_v)),
-    )
-    emb2 = QSMorphism(
-        tuple(su2.embed(1 << i, du0 + p) for i in range(qs2.dim_u)),
-        tuple(sv2.embed(1 << i, dv0 + a1) for i in range(qs2.dim_v)),
-    )
-    return AmalgamResult(qs, emb1, emb2)
+    tensor = dv0 + a1 + a2
+    q_basis = [0] * dim_u
+    gamma = [[0] * dim_u for _ in range(dim_u)]
+    for i in range(p):
+        for j in range(q):
+            bit = 1 << (tensor + i * q + j)
+            gamma[du0 + i][du0 + p + j] = gamma[du0 + p + j][du0 + i] = bit
+    embs = []
+    for qs, u_off, v_off in ((qs1, du0, dv0), (qs2, du0 + p, dv0 + a1)):
+        coords = [i if i < du0 else i - du0 + u_off for i in range(qs.dim_u)]
+        for a, k in enumerate(coords):
+            q_basis[k] = _place(qs.q_basis[a], dv0, v_off)
+            for b, l in enumerate(coords):
+                gamma[k][l] = _place(qs.gamma_basis[a][b], dv0, v_off)
+        g = tuple(_place(1 << i, dv0, v_off) for i in range(qs.dim_v))
+        embs.append(QSMorphism(tuple(1 << k for k in coords), g))
+    qs = QuadraticStructure(dim_u, tensor + p * q, tuple(q_basis), tuple(map(tuple, gamma)))
+    return AmalgamResult(qs, *embs)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +308,9 @@ def qs_to_json(qs: QuadraticStructure) -> dict:
     return {
         "dimU": qs.dim_u,
         "dimV": qs.dim_v,
-        "Q": [gf2.format_bitstring(v, qs.dim_v) for v in qs.q_basis],
+        "Q": [format_bitstring(v, qs.dim_v) for v in qs.q_basis],
         "gamma": [
-            [gf2.format_bitstring(v, qs.dim_v) for v in row]
+            [format_bitstring(v, qs.dim_v) for v in row]
             for row in qs.gamma_basis
         ],
     }
@@ -357,4 +335,4 @@ def qs_from_json(doc: dict) -> QuadraticStructure:
 def _bitstrings(items) -> Tuple[int, ...]:
     if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
         raise TypeError("Q and each gamma row must be lists of bitstrings")
-    return tuple(gf2.parse_bitstring(s) for s in items)
+    return tuple(parse_bitstring(s) for s in items)

@@ -7,7 +7,7 @@ from itertools import product
 
 from azenum.automorphisms import Perm
 from azenum.groups import _generating_sequence, catalog_group, validate_and_analyze
-from azenum.quadratic import QuadraticStructure, QSMorphism, is_nondegenerate
+from azenum.quadratic import QuadraticStructure, QSMorphism, bits_of, is_nondegenerate
 
 
 def brute_star(w1, w2):
@@ -442,7 +442,8 @@ def random_nondegenerate_qs(rng, dim_u, dim_v, tries=100000) -> QuadraticStructu
 
 
 def random_qs_extension(rng, qs0, extra_u, extra_v, tries=20000):
-    """A nondegenerate extension of qs0 along the coordinate inclusion.
+    """A nondegenerate structure whose structure on the leading coordinates
+    is qs0.
 
     Starts at dim_v >= dim_u / 2, since by Chevalley–Warning dim_v quadratic
     forms in more than 2·dim_v variables have a common nontrivial zero, and
@@ -465,9 +466,41 @@ def random_qs_extension(rng, qs0, extra_u, extra_v, tries=20000):
                     gamma[i][j] = gamma[j][i] = rng.randrange(1 << dim_v)
         qs = QuadraticStructure(dim_u, dim_v, tuple(q), tuple(tuple(r) for r in gamma))
         if is_nondegenerate(qs):
-            inc = QSMorphism(
-                tuple(1 << i for i in range(qs0.dim_u)),
-                tuple(1 << i for i in range(qs0.dim_v)),
-            )
-            return qs, inc
+            return qs
     raise AssertionError("no nondegenerate extension found")
+
+
+def apply_linear(images, v: int) -> int:
+    """Apply the map sending basis vector i to images[i]."""
+    out = 0
+    for i in bits_of(v):
+        out ^= images[i]
+    return out
+
+
+def is_morphism(src: QuadraticStructure, dst: QuadraticStructure, m: QSMorphism) -> bool:
+    """g . Q_src = Q_dst . f, checked on every vector of src's U."""
+    if len(m.f) != src.dim_u or len(m.g) != src.dim_v:
+        return False
+    return all(
+        apply_linear(m.g, src.eval_q(u)) == dst.eval_q(apply_linear(m.f, u))
+        for u in range(1 << src.dim_u)
+    )
+
+
+def is_injective_morphism(src, dst, m: QSMorphism) -> bool:
+    """A morphism whose f and g send no nonzero vector to 0, checked on
+    every vector."""
+    return (
+        is_morphism(src, dst, m)
+        and all(apply_linear(m.f, u) for u in range(1, 1 << src.dim_u))
+        and all(apply_linear(m.g, v) for v in range(1, 1 << src.dim_v))
+    )
+
+
+def coordinate_inclusion(qs0: QuadraticStructure) -> QSMorphism:
+    """The inclusion of qs0's U and V as the leading coordinates."""
+    return QSMorphism(
+        tuple(1 << i for i in range(qs0.dim_u)),
+        tuple(1 << i for i in range(qs0.dim_v)),
+    )

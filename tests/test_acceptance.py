@@ -16,13 +16,7 @@ from azenum.groups import (
     is_class_csw,
     make_kgroup,
 )
-from azenum.quadratic import (
-    free_amalgam,
-    group_from_qs,
-    is_injective_morphism,
-    is_nondegenerate,
-    qs_from_group,
-)
+from azenum.quadratic import free_amalgam, group_from_qs, is_nondegenerate, qs_from_group
 from azenum.rado import (
     adjacent,
     build_triples,
@@ -43,6 +37,7 @@ from oracles import (
     brute_star,
     coset_members,
     find_isomorphism,
+    is_injective_morphism,
     oracle_apply_beta,
     random_az_family,
     random_qs_extension,
@@ -98,13 +93,13 @@ def test_criterion_2_free_amalgam(capsys):
             qs0 = random_nondegenerate_qs(
                 rng, du0, rng.randint(1 if du0 else 0, 2)
             )
-            qs1, e1 = random_qs_extension(
+            qs1 = random_qs_extension(
                 rng, qs0, rng.randint(0, 4 - qs0.dim_u), rng.randint(0, 2)
             )
-            qs2, e2 = random_qs_extension(
+            qs2 = random_qs_extension(
                 rng, qs0, rng.randint(0, 4 - qs0.dim_u), rng.randint(0, 2)
             )
-            result = free_amalgam(qs0, qs1, e1, qs2, e2)
+            result = free_amalgam(qs0, qs1, qs2)
             assert is_injective_morphism(qs1, result.qs, result.emb1), trial
             assert is_injective_morphism(qs2, result.qs, result.emb2), trial
             assert is_nondegenerate(result.qs), trial
@@ -137,7 +132,7 @@ def test_criterion_3_window_ladder(capsys):
         for x in elems:
             assert apply_beta_star(ctx, window, images[x]) == x  # self-inverse
         for k in ctx.k_list:
-            assert images[ctx.embed_k(k)] == ctx.embed_k(k)
+            assert images[ctx.make({0: k})] == ctx.make({0: k})
         checked = 0
         for x in elems:
             for y in elems:
@@ -153,7 +148,7 @@ def test_criterion_3_window_ladder(capsys):
         for x in elems:
             assert apply_beta_star(ctx, window, images[x]) == x
         for k in ctx.k_list:
-            assert images[ctx.embed_k(k)] == ctx.embed_k(k)
+            assert images[ctx.make({0: k})] == ctx.make({0: k})
         rng = random.Random(103)
         for _ in range(100_000):
             x = elems[rng.randrange(8192)]

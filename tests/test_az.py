@@ -10,8 +10,8 @@ from azenum.automorphisms import apply_word
 from azenum.az import (
     TupleFamily,
     apply_beta,
-    beta_index_map,
     beta_as_word,
+    beta_images,
     beta_level_images,
     build_beta,
     letter_word,
@@ -202,12 +202,13 @@ BETA_FAMILIES = _beta_families()
 def test_beta_index_map_matches_element_oracle(name, bm):
     # every index of Γ_{≤min(l'+1, 5)}, and seeded indices with digits far
     # above l_i: the index map agrees with the element map normalised by make
-    ctx, beta = bm.ctx, beta_index_map(bm)
+    ctx = bm.ctx
     level = min(min_word_levels(bm)[1] + 1, 5)
     rng = random.Random(name)
     far = [rng.randrange(ctx.gamma_n_order(bm.l_i + 40)) for _ in range(200)]
-    for i in [*range(ctx.gamma_n_order(level + 1)), *far]:
-        assert beta(i) == ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))), i
+    xs = [*range(ctx.gamma_n_order(level + 1)), *far]
+    for i, image in zip(xs, beta_images(bm, xs)):
+        assert image == ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))), i
 
 
 # -- realization as a word ---------------------------------------------------
@@ -361,9 +362,8 @@ def test_beta_increases_on_whole_level_of_golden_family(name):
     # every image is the element oracle's
     fam = golden_family(name)
     ctx, bm = fam.ctx, build_beta(normalize_family(fam))
-    beta = beta_index_map(bm)
     size = ctx.level_size(GOLDEN_LEVELS[name.split("_")[1]])
-    images = list(map(beta, range(size)))
+    images = beta_images(bm, range(size))
     assert all(a < b for a, b in zip(images, images[1:]))
     assert images == [ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))) for i in range(size)]
 
@@ -378,11 +378,10 @@ def test_beta_level_images_match_beta_index_map(name):
     above = set()
     for _ in range(8):
         bm = build_beta(normalize_family(random_az_family(ctx, rng, rng.randint(1, 3), 9)))
-        beta = beta_index_map(bm)
         for n in range(1, 12):
             if ctx.gamma_n_order(n) > 1 << 11:
                 break
-            assert beta_level_images(bm, n) == list(map(beta, range(ctx.level_size(n))))
+            assert beta_level_images(bm, n) == beta_images(bm, range(ctx.level_size(n)))
             above.add(n > bm.l_i + 1)
     assert above == {False, True}
 
@@ -391,9 +390,8 @@ def test_beta_level_images_match_beta_index_map(name):
 def test_beta_level_images_of_golden_family(name):
     fam = golden_family(name)
     ctx, bm = fam.ctx, build_beta(normalize_family(fam))
-    beta = beta_index_map(bm)
     for n in range(1, GOLDEN_LEVELS[name.split("_")[1]] + 1):
-        assert beta_level_images(bm, n) == list(map(beta, range(ctx.level_size(n))))
+        assert beta_level_images(bm, n) == beta_images(bm, range(ctx.level_size(n)))
 
 
 def test_level_check_matches_all_pairs_on_c4_level_4():
@@ -415,8 +413,7 @@ def test_level_check_matches_all_pairs_on_c4_level_4():
             if bm.l_i >= 1:
                 bms.append(swap_top_plan_entries(bm))
     for bm in bms:
-        beta = beta_index_map(bm)
-        images = [beta(i) for i in range(ctx.level_size(4))]
+        images = beta_images(bm, range(ctx.level_size(4)))
         consecutive = all(a < b for a, b in zip(images, images[1:]))
         domain = brute_cosets(ctx, 4)
         keys = {x: key(ctx, x) for x in domain}
@@ -500,7 +497,7 @@ def order_claim_outcomes(monkeypatch, families):
         for variant in [bm, swap_top_plan_entries(bm)] if len(bm.plan) > 1 else [bm]:
             size = fam.ctx.gamma_n_order(variant.l_i + 1)
             assert size <= MAX_COSETS
-            images = list(map(beta_index_map(variant), range(size)))
+            images = beta_images(variant, range(size))
             increasing = all(a < b for a, b in zip(images, images[1:]))
             monkeypatch.setattr(az, "build_beta", lambda nf, bm=variant: bm)
             failures = run_az(fam, depth=1).failures

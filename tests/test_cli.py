@@ -186,7 +186,7 @@ BAD_QS_DOCS = {
     "no-gamma": {"dimU": 1, "dimV": 1, "Q": ["1"]},
     "not-an-object": [1, 1],
 }
-# Q(u) is the parity of u; checking a morphism from it reads all 2^24 vectors
+# Q(u) is the parity of u; checking it nondegenerate would read all 2^24 vectors
 WIDE_QS_DOC = {"dimU": 24, "dimV": 1, "Q": ["1"] * 24, "gamma": [["0"] * 24] * 24}
 
 
@@ -212,12 +212,19 @@ def test_bad_qs_document_is_bad_input(tmp_path, capsys, name):
 
 
 def test_qs_amalgam_morphism_check_above_cap(tmp_path, capsys):
-    # checking the inclusion of --common would enumerate all 2^24 vectors
+    # the inclusion of --common is checked on its 24 basis vectors and
+    # their pairs, not on all 2^24 vectors; the amalgam of a structure with
+    # itself over itself is that structure. Only --verify's nondegeneracy
+    # check reads every vector, and it is refused at the cap.
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(WIDE_QS_DOC))
-    argv = ["qs", "amalgam", f"--left={path}", f"--right={path}", f"--common={path}"]
+    argv = ["--json", "qs", "amalgam", f"--left={path}", f"--right={path}", f"--common={path}"]
     start = time.perf_counter()
-    assert run_command(argv) == 2
+    assert run_command(argv) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["qs"] == WIDE_QS_DOC
+    start = time.perf_counter()
+    assert run_command(["--verify"] + argv) == 2
     assert time.perf_counter() - start < 1
     assert "cap" in capsys.readouterr().err
 

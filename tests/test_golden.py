@@ -274,8 +274,8 @@ def write_qs_inputs() -> None:
 
     rng = random.Random(1)
     qs0 = random_nondegenerate_qs(rng, 2, 2)
-    qs1, _ = random_qs_extension(rng, qs0, 2, 1)
-    qs2, _ = random_qs_extension(rng, qs0, 1, 1)
+    qs1 = random_qs_extension(rng, qs0, 2, 1)
+    qs2 = random_qs_extension(rng, qs0, 1, 1)
     table, analysis, _ = catalog_group("Q8")
     docs = {
         "Q8": qs_from_group(table, analysis),

@@ -12,11 +12,10 @@ from azenum.automorphisms import (
     BetaStar,
     Perm,
     index_images,
-    index_map,
     word_from_json,
     word_to_json,
 )
-from azenum.az import beta_images, beta_index_map, build_beta, normalize_family
+from azenum.az import beta_images, build_beta, normalize_family
 from azenum.central_product import CPContext, format_support, parse_support
 from azenum.groups import catalog_group, catalog_names, make_kgroup
 from oracles import brute_product, oracle_apply_beta, oracle_apply_word
@@ -110,22 +109,22 @@ def test_index_map_far_above_the_word(ctx, data):
     # with the element oracle, and the inverse word's map undoes it
     w = draw_word(data, ctx)
     i = data.draw(st.integers(min_value=0, max_value=ctx.gamma_n_order(FAR) - 1))
-    j = index_map(ctx, w)(i)
+    [j] = index_images(ctx, w, [i])
     low_size = ctx.gamma_n_order(w.max_coord() + 1)
     assert j // low_size == i // low_size
     assert j == ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i)))
-    assert index_map(ctx, w.inverse())(j) == i
+    assert index_images(ctx, w.inverse(), [j]) == [i]
 
 
 @checked
 @given(data=st.data())
 def test_index_images_far_above_the_word(ctx, data):
     # a list at a time, the word's map agrees with its map on each index
-    # and with the element oracle
+    # alone and with the element oracle
     w, top = draw_word(data, ctx), ctx.gamma_n_order(FAR) - 1
     xs = data.draw(st.lists(st.integers(min_value=0, max_value=top), max_size=8))
     images = index_images(ctx, w, xs)
-    assert images == list(map(index_map(ctx, w), xs))
+    assert images == [index_images(ctx, w, [i])[0] for i in xs]
     assert images == [ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))) for i in xs]
 
 
@@ -139,12 +138,12 @@ BETA_MAPS = BETA_FAMILIES + [
 @given(data=st.data())
 def test_beta_images_far_above_l_i(name, bm, data):
     # a list of indices with digits up to 40 coordinates past l_i: β's list
-    # map agrees with its map on each index and with the element oracle
+    # map agrees with its map on each index alone and with the element oracle
     ctx = bm.ctx
     top = ctx.gamma_n_order(bm.l_i + 40) - 1
     xs = data.draw(st.lists(st.integers(min_value=0, max_value=top), max_size=8))
     images = beta_images(bm, xs)
-    assert images == list(map(beta_index_map(bm), xs))
+    assert images == [beta_images(bm, [i])[0] for i in xs]
     assert images == [ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))) for i in xs]
 
 

@@ -6,25 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from azenum.errors import CapacityError, InputError
-from azenum.gf2 import complete_basis
 from azenum.groups import catalog_group, validate_and_analyze
 from azenum.quadratic import (
     EXHAUSTIVE_CAP,
-    QSMorphism,
     QuadraticStructure,
     cocycle_basis,
     eval_cocycle,
     free_amalgam,
     group_from_qs,
-    identity_morphism,
-    is_morphism,
     is_nondegenerate,
     qs_from_group,
     qs_from_json,
     qs_to_json,
     unpack_uv,
 )
-from oracles import find_isomorphism, random_nondegenerate_qs, random_qs, random_qs_extension
+from oracles import (
+    apply_linear,
+    coordinate_inclusion,
+    find_isomorphism,
+    is_morphism,
+    random_nondegenerate_qs,
+    random_qs,
+    random_qs_extension,
+)
 
 
 def derived(name):
@@ -80,8 +84,6 @@ def test_exhaustive_checks_above_cap():
     qs = QuadraticStructure(dim_u, 1, (1,) * dim_u, ((0,) * dim_u,) * dim_u)
     with pytest.raises(CapacityError):
         is_nondegenerate(qs)
-    with pytest.raises(CapacityError):
-        is_morphism(qs, qs, identity_morphism(qs))
 
 
 def test_is_nondegenerate():
@@ -155,12 +157,11 @@ def _shuffled(table, rng):
 
 
 TRIVIAL = QuadraticStructure(0, 0, (), ())
-EMPTY_M = QSMorphism((), ())
 
 
 def test_free_amalgam_c4_copies_over_trivial():
     qs1 = derived("C4")
-    res = free_amalgam(TRIVIAL, qs1, EMPTY_M, qs1, EMPTY_M)
+    res = free_amalgam(TRIVIAL, qs1, qs1)
     assert (res.qs.dim_u, res.qs.dim_v) == (2, 3)
     assert is_nondegenerate(res.qs)
     assert is_morphism(qs1, res.qs, res.emb1)
@@ -170,12 +171,12 @@ def test_free_amalgam_c4_copies_over_trivial():
 def test_free_amalgam_degenerate_case_gives_qs2():
     rng = random.Random(4)
     qs1 = random_nondegenerate_qs(rng, 2, 2)
-    qs2, inc = random_qs_extension(rng, qs1, 1, 1)
-    res = free_amalgam(qs1, qs1, identity_morphism(qs1), qs2, inc)
+    qs2 = random_qs_extension(rng, qs1, 1, 1)
+    res = free_amalgam(qs1, qs1, qs2)
     assert (res.qs.dim_u, res.qs.dim_v) == (qs2.dim_u, qs2.dim_v)
     assert is_morphism(qs2, res.qs, res.emb2)
     # emb2 is a bijective morphism, so the amalgam is a copy of qs2
-    assert sorted(res.emb2.apply_u(u) for u in range(1 << qs2.dim_u)) == list(
+    assert sorted(apply_linear(res.emb2.f, u) for u in range(1 << qs2.dim_u)) == list(
         range(1 << qs2.dim_u)
     )
 
@@ -186,9 +187,9 @@ def test_free_amalgam_restrictions_hold_randomized():
         du0 = rng.randint(0, 2)
         dv0 = rng.randint(1 if du0 else 0, 2)
         qs0 = random_nondegenerate_qs(rng, du0, dv0)
-        qs1, e1 = random_qs_extension(rng, qs0, rng.randint(0, 2), rng.randint(0, 1))
-        qs2, e2 = random_qs_extension(rng, qs0, rng.randint(0, 2), rng.randint(0, 1))
-        res = free_amalgam(qs0, qs1, e1, qs2, e2)
+        qs1 = random_qs_extension(rng, qs0, rng.randint(0, 2), rng.randint(0, 1))
+        qs2 = random_qs_extension(rng, qs0, rng.randint(0, 2), rng.randint(0, 1))
+        res = free_amalgam(qs0, qs1, qs2)
         assert is_morphism(qs1, res.qs, res.emb1)
         assert is_morphism(qs2, res.qs, res.emb2)
         assert is_nondegenerate(res.qs)
@@ -198,36 +199,80 @@ def test_free_amalgam_restrictions_hold_randomized():
         a1, a2 = qs1.dim_v - dv0, qs2.dim_v - dv0
         assert res.qs.dim_v == qs1.dim_v + qs2.dim_v - qs0.dim_v + p * q
         # V = V0 | V1' | V2' | U1' (x) U2': both factors send V0 to the
-        # leading bits and their V complements to the next blocks
-        for e, emb, dim_v, offset in (
-            (e1, res.emb1, qs1.dim_v, dv0),
-            (e2, res.emb2, qs2.dim_v, dv0 + a1),
-        ):
-            assert [emb.apply_v(v) for v in e.g] == [1 << i for i in range(dv0)]
-            extra = complete_basis(list(e.g), dim_v)
-            assert [emb.apply_v(v) for v in extra] == [
-                1 << (offset + i) for i in range(len(extra))
+        # leading bits and their V complements, the unit vectors past V0,
+        # to the next blocks
+        for emb, dim_v, offset in ((res.emb1, qs1.dim_v, dv0), (res.emb2, qs2.dim_v, dv0 + a1)):
+            assert [apply_linear(emb.g, 1 << i) for i in range(dv0)] == [
+                1 << i for i in range(dv0)
             ]
-        # gamma between the two complements is the tensor pairing, at
-        # tensor bit i * q + j
+            assert [apply_linear(emb.g, 1 << i) for i in range(dv0, dim_v)] == [
+                1 << (offset + i) for i in range(dim_v - dv0)
+            ]
+        # gamma between the two complements, the unit vectors past U0, is
+        # the tensor pairing, at tensor bit i * q + j
         for i in range(p):
             for j in range(q):
-                u1 = res.emb1.apply_u(e_complement(qs0, qs1, e1, i))
-                u2 = res.emb2.apply_u(e_complement(qs0, qs2, e2, j))
+                u1 = apply_linear(res.emb1.f, 1 << (du0 + i))
+                u2 = apply_linear(res.emb2.f, 1 << (du0 + j))
                 t = res.qs.eval_gamma(u1, u2)
                 assert t == 1 << (dv0 + a1 + a2 + i * q + j)
 
 
-def e_complement(qs0, qs1, emb, i):
-    """i-th greedy complement basis vector of emb(U0) inside U1."""
-    return complete_basis(list(emb.f), qs1.dim_u)[i]
-
-
 def test_free_amalgam_rejects_non_morphism():
-    qs1 = derived("C4")
-    bad = QSMorphism((1,), (0,))  # g kills Q-values: not a morphism
+    c4 = derived("C4")
+    # Q = 0 on the common coordinate, where C4's Q is 1: the inclusion is
+    # not a morphism
+    zero = QuadraticStructure(1, 1, (0,), ((0,),))
     with pytest.raises(InputError):
-        free_amalgam(qs1, qs1, bad, qs1, identity_morphism(qs1))
+        free_amalgam(zero, c4, c4)
+    # a common structure wider than a factor does not fit
+    with pytest.raises(InputError):
+        free_amalgam(derived("Q8"), derived("Q8"), c4)
+    with pytest.raises(InputError):
+        free_amalgam(QuadraticStructure(0, 2, (), ()), c4, c4)
+
+
+def _flipped(rng, qs, du0):
+    """qs with one bit flipped in one of its first du0 Q values, or in both
+    entries of a gamma pair between two of its first du0 coordinates."""
+    q, gamma = list(qs.q_basis), [list(row) for row in qs.gamma_basis]
+    bit = 1 << rng.randrange(qs.dim_v)
+    if du0 >= 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(du0), 2)
+        gamma[i][j] ^= bit
+        gamma[j][i] ^= bit
+    else:
+        q[rng.randrange(du0)] ^= bit
+    return QuadraticStructure(qs.dim_u, qs.dim_v, tuple(q), tuple(map(tuple, gamma)))
+
+
+def test_free_amalgam_accepts_exactly_the_morphic_inclusions():
+    # free_amalgam checks the inclusion of the common structure on its
+    # basis vectors and their pairs; the oracle reads every vector of U0.
+    # Every other diagram gets one leading Q value or gamma pair flipped
+    # in a factor, which breaks the inclusion.
+    rng = random.Random(9)
+    outcomes = []
+    for trial in range(200):
+        du0 = rng.randint(1, 3)
+        qs0 = random_nondegenerate_qs(rng, du0, rng.randint(2, 3))
+        factors = [
+            random_qs_extension(rng, qs0, rng.randint(0, 2), rng.randint(0, 1))
+            for _ in range(2)
+        ]
+        if trial % 2:
+            side = rng.randrange(2)
+            factors[side] = _flipped(rng, factors[side], du0)
+        inclusion = coordinate_inclusion(qs0)
+        expected = all(is_morphism(qs0, qs, inclusion) for qs in factors)
+        try:
+            free_amalgam(qs0, *factors)
+            accepted = True
+        except InputError:
+            accepted = False
+        assert accepted == expected, trial
+        outcomes.append(accepted)
+    assert outcomes == [trial % 2 == 0 for trial in range(200)]
 
 
 def test_qs_json_round_trip():
