@@ -1,5 +1,6 @@
 """Generators of the automorphism group: finitary coordinate permutations
-and the self-inverse ladder maps, plus words in them and verification.
+and the self-inverse ladder maps, plus words in them and verification. An
+element is its enumeration index (see `central_product`).
 
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
 to coordinate perm[j]. Each generator is stated once (`_window_action`),
@@ -8,7 +9,7 @@ sum moves its digits, a ladder's is its window configuration, whose shift
 and K factor it computes once. A word acts on lists of enumeration indices
 (`index_images`) by those sums on the pairs (s, k), a generator and a run
 of consecutive digits (`CPContext.digit_runs`) at a time, building no
-element; `apply_word` is its view on one element. `level_images` maps a
+element; `apply_word` is its view on one index. `level_images` maps a
 level's indices range(size) by the same sums over the whole level;
 `verify_automorphism` checks the law on them.
 """
@@ -22,7 +23,7 @@ from itertools import product
 from operator import add
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .central_product import CPContext, CPElement
+from .central_product import CPContext
 from .errors import InputError
 
 
@@ -210,15 +211,15 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
     return ctx.join_level(n, state, kfac)
 
 
-def apply_word(ctx: CPContext, word: AutWord, x: CPElement) -> CPElement:
-    return ctx.element_at(index_images(ctx, word, [ctx.index_of(x)])[0])
+def apply_word(ctx: CPContext, word: AutWord, x: int) -> int:
+    return index_images(ctx, word, [x])[0]
 
 
-def apply_perm(ctx: CPContext, perm: Perm, x: CPElement) -> CPElement:
+def apply_perm(ctx: CPContext, perm: Perm, x: int) -> int:
     return apply_word(ctx, AutWord((perm,)), x)
 
 
-def apply_beta_star(ctx: CPContext, bs: BetaStar, x: CPElement) -> CPElement:
+def apply_beta_star(ctx: CPContext, bs: BetaStar, x: int) -> int:
     return apply_word(ctx, AutWord((bs,)), x)
 
 
@@ -285,13 +286,13 @@ def verify_automorphism(
     pair (x-major over range(size)) when size^2 is at most `sample_pairs`,
     and otherwise on `sample_pairs` pairs from `_sampled_pairs`, each
     index rng.getrandbits(size.bit_length()) drawn again until below size,
-    as rng.randrange(size) draws it. A failing pair is returned as elements.
+    as rng.randrange(size) draws it. A failing pair is returned as indices.
     """
     images = level_images(ctx, word, n)
     size = len(images)
     escaped = next((i for i, j in enumerate(images) if j >= size), None)
     if escaped is not None:
-        witness = (ctx.element_at(escaped), ctx.element_at(images[escaped]))
+        witness = (escaped, images[escaped])
         return VerifyReport(False, n, size, 0, False, "image escapes level", witness)
     if len(set(images)) != size:
         return VerifyReport(False, n, size, 0, False, "not injective", None)
@@ -305,10 +306,8 @@ def verify_automorphism(
     checked = 0
     for a, b in pairs:
         if images[law(a, b)] != law(images[a], images[b]):
-            witness = (ctx.element_at(a), ctx.element_at(b))
-            return VerifyReport(
-                False, n, size, checked, exhaustive, "homomorphism law fails", witness
-            )
+            failure = "homomorphism law fails"
+            return VerifyReport(False, n, size, checked, exhaustive, failure, (a, b))
         checked += 1
     return VerifyReport(True, n, size, checked, exhaustive)
 

@@ -2,7 +2,8 @@
 tuples, find a strongly embedded pair, build the shift-and-copy map from
 the witness, realize it as a word in the generator set, and verify that
 it maps one tuple to the other while preserving the element ordering;
-the map and every check act on enumeration indices only.
+the map and every check act on enumeration indices only, and an element
+is its index (see `central_product`).
 
 Order preservation is decided exactly. With B = gamma_n_order(l_i + 1) and
 B′ = gamma_n_order(l_j + 1), β's digit-weight form (`beta_images`)
@@ -37,11 +38,11 @@ from typing import Dict, Iterable, List, Tuple
 
 from .automorphisms import AutWord, Perm, alpha_word, index_images, word_to_json
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
-from .central_product import CPContext, CPElement
+from .central_product import CPContext
 from .errors import InputError, InsufficientFamilyError
 from .wqo import Embedding, Word, find_increasing_pair, last_appearance_order
 
-MemberTuple = Tuple[CPElement, ...]
+MemberTuple = Tuple[int, ...]
 
 
 @dataclass
@@ -227,9 +228,9 @@ def beta_level_images(bm: BetaMap, n: int) -> List[int]:
     return ctx.join_level(n, sums, [ctx.group.identity_index] * len(sums))
 
 
-def apply_beta(bm: BetaMap, x: CPElement) -> CPElement:
-    """The shift-and-copy map on one element, read from `beta_images`."""
-    return bm.ctx.element_at(beta_images(bm, [bm.ctx.index_of(x)])[0])
+def apply_beta(bm: BetaMap, x: int) -> int:
+    """The shift-and-copy map on one index, read from `beta_images`."""
+    return beta_images(bm, [x])[0]
 
 
 def min_word_levels(bm: BetaMap) -> Tuple[int, int]:
@@ -319,7 +320,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     randrange = random.Random(seed).randrange
     nf = normalize_family(fam)
     bm = build_beta(nf)
-    index_of, size = ctx.index_of, ctx.gamma_n_order
+    size = ctx.gamma_n_order
     failures: List[str] = []
     reports: Dict[str, dict] = {}
 
@@ -329,7 +330,7 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
             failures.append(name)
 
     # (a) the map sends the i-th member to the j-th, componentwise
-    mapped = sum(map(eq, beta_images(bm, map(index_of, bm.member_i)), map(index_of, bm.member_j)))
+    mapped = sum(map(eq, beta_images(bm, bm.member_i), bm.member_j))
     report("tuple_mapping", "components_ok", mapped, fam.arity)
 
     l, l_prime = min_word_levels(bm)

@@ -1,8 +1,8 @@
 """The central product of omega copies of G amalgamated over K.
 
 Elements are cosets of the subgroup of K-tuples with trivial coordinate
-product. The order is a nice enumeration, and an element is stored only as
-its position in it, the index |K|·s + rank(k) of the pair (s, k): s is the
+product. The order is a nice enumeration, and an element is its index in
+it, a plain int: the index |K|·s + rank(k) of the pair (s, k), s the
 base-r number (r = |G/K|) of the coordinates' coset digits and k in K the
 product of their K factors, held at coordinate 0. This module alone knows
 that layout: `make` encodes a tuple, `minimal_representative` decodes the
@@ -61,12 +61,12 @@ class CPContext:
             v = g.mul[self.minima[d]][k]
             self.rank_of[v], self.digit_of[v], self.k_of[v] = pos, d, k
         self.exponent = _lcm(*(g.element_order(a) for a in range(g.order)))
-        self.identity = CPElement(self, 0)
+        self.identity = 0
 
     # -- construction -----------------------------------------------------
 
-    def make(self, support: Support) -> "CPElement":
-        """The element of a finite-support tuple: the pair (s, k) with each
+    def make(self, support: Support) -> int:
+        """The index of a finite-support tuple: the pair (s, k) with each
         coordinate's coset digit in s and the product of the K factors in
         k. A coordinate above MAX_LITERAL_COORD is refused before any digit
         is read."""
@@ -80,32 +80,28 @@ class CPContext:
                 raise InputError(f"unknown element index {val}")
             s += digit_of[val] * place(coord)
             k = g.mul[k][k_of[val]]
-        return CPElement(self, self.index_of_pair(s, k))
-
-    def embed(self, elem: int, coord: int) -> "CPElement":
-        return self.make({coord: elem})
+        return self.index_of_pair(s, k)
 
     # -- group operations -------------------------------------------------
 
-    def representative(self, x: "CPElement") -> Dict[int, int]:
+    def representative(self, x: int) -> Dict[int, int]:
         """The minimal representative as a coordinate -> value dict."""
         return dict(self.minimal_representative(x))
 
-    def multiply(self, x: "CPElement", y: "CPElement") -> "CPElement":
-        self._check(x, y)
-        return CPElement(self, self.index_law(x.index, y.index))
+    def multiply(self, x: int, y: int) -> int:
+        return self.index_law(x, y)
 
     @cached_property
     def index_law(self) -> Callable[[int, int], int]:
-        """The group law on enumeration indices: index_law(index_of(x),
-        index_of(y)) is index_of(x·y). Above coordinate 0 the digits are
-        read in blocks of h coordinates, h >= 1 the largest with r^h <= 64
-        (r = len(minima)); two flat tables indexed by a block pair, of
-        max(r, 64)^2 entries at most, hold the block's product digits and
-        its K factor, which folds into the coordinate-0 value (K is
-        central). Built on first use, a coordinate at a time: the tables of
-        (j+1)-coordinate blocks extend those of j-coordinate blocks by a
-        top digit, with one group product per entry."""
+        """The group law on enumeration indices: index_law(x, y) is x·y.
+        Above coordinate 0 the digits are read in blocks of h coordinates,
+        h >= 1 the largest with r^h <= 64 (r = len(minima)); two flat
+        tables indexed by a block pair, of max(r, 64)^2 entries at most,
+        hold the block's product digits and its K factor, which folds into
+        the coordinate-0 value (K is central). Built on first use, a
+        coordinate at a time: the tables of (j+1)-coordinate blocks extend
+        those of j-coordinate blocks by a top digit, with one group product
+        per entry."""
         g, r, minima = self.group, len(self.minima), self.minima
         mul, order, e = g.mul, g.order, g.identity_index
         h = 1
@@ -145,13 +141,12 @@ class CPContext:
 
     # -- order: the enumeration index -------------------------------------
 
-    def minimal_representative(self, x: "CPElement") -> Tuple[Tuple[int, int], ...]:
+    def minimal_representative(self, x: int) -> Tuple[Tuple[int, int], ...]:
         """The reverse-lex minimum over the coset, as coordinate-sorted
         (coord, value) pairs without identity entries, decoded from the
         index: the coordinate-0 digit is the value's rank, each digit above
         it a position among the coset minima."""
-        self._check(x)
-        high, d0 = divmod(x.index, self.group.order)
+        high, d0 = divmod(x, self.group.order)
         rep = [(0, self.kg.element_order[d0])] if d0 else []
         radix, coord = len(self.minima), 1
         while high:
@@ -160,19 +155,6 @@ class CPContext:
                 rep.append((coord, self.minima[d]))
             coord += 1
         return tuple(rep)
-
-    def index_of(self, x: "CPElement") -> int:
-        """x's position in the enumeration, the index of its pair (s, k)
-        (see the layout below). The highest coordinate is the most
-        significant, so indices order elements reverse-lexicographically."""
-        self._check(x)
-        return x.index
-
-    def element_at(self, i: int) -> "CPElement":
-        """The element with enumeration index i (inverse of `index_of`)."""
-        if i < 0 or (i >= self.group.order and len(self.minima) == 1):
-            raise InputError(f"no element at index {i}")
-        return CPElement(self, i)
 
     # -- the layout: an index is the pair (s, k) ---------------------------
     #
@@ -239,18 +221,17 @@ class CPContext:
             images[j::nk] = [nk * t + rank_of[mul[k][f]] for t, f in zip(state, kfac)]
         return images
 
-    def compare(self, x: "CPElement", y: "CPElement") -> int:
+    def compare(self, x: int, y: int) -> int:
         """Reverse lexicographic comparison of minimal representatives
         (highest differing coordinate wins), read off the indices."""
-        ix, iy = self.index_of(x), self.index_of(y)
-        return (ix > iy) - (ix < iy)
+        return (x > y) - (x < y)
 
     # -- enumeration ------------------------------------------------------
 
-    def enumerate(self, count: int) -> List["CPElement"]:
-        """The elements at indices 0 .. count-1 (see `prefix_level`)."""
+    def enumerate(self, count: int) -> List[int]:
+        """The elements 0 .. count-1 (see `prefix_level`)."""
         self.prefix_level(count)
-        return list(map(self.element_at, range(count)))
+        return list(range(count))
 
     def prefix_level(self, count: int) -> int:
         """The least L whose level Γ_{≤L} holds the first `count` elements:
@@ -281,41 +262,9 @@ class CPContext:
             raise CapacityError(f"level {n} is above the cap of {MAX_COSETS} cosets")
         return self.gamma_n_order(n)
 
-    def all_cosets(self, n: int) -> List["CPElement"]:
+    def all_cosets(self, n: int) -> List[int]:
         """Every coset with support below n, in enumeration order."""
-        return [self.element_at(i) for i in range(self.level_size(n))]
-
-    def _check(self, *elems: "CPElement") -> None:
-        for e in elems:
-            if e.ctx is not self:
-                raise InputError("element belongs to a different context")
-
-
-class CPElement:
-    """A coset; immutable and hashable.
-
-    `index`, its position in the enumeration, identifies the element and is
-    its only stored form; `rep` decodes the minimal representative from it.
-    """
-
-    __slots__ = ("ctx", "index")
-
-    def __init__(self, ctx: CPContext, index: int):
-        self.ctx = ctx
-        self.index = index
-
-    @property
-    def rep(self) -> Tuple[Tuple[int, int], ...]:
-        return self.ctx.minimal_representative(self)
-
-    def __eq__(self, other):
-        return isinstance(other, CPElement) and self.ctx is other.ctx and self.index == other.index
-
-    def __hash__(self):
-        return hash(self.index)
-
-    def __repr__(self):
-        return f"CPElement({self.rep})"
+        return list(range(self.level_size(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +272,7 @@ class CPElement:
 # ---------------------------------------------------------------------------
 
 
-def parse_support(ctx: CPContext, text: str) -> CPElement:
+def parse_support(ctx: CPContext, text: str) -> int:
     text = text.strip()
     if text in ("", "-", "1"):
         return ctx.identity
@@ -340,7 +289,7 @@ def parse_support(ctx: CPContext, text: str) -> CPElement:
     return ctx.make(support)
 
 
-def format_support(ctx: CPContext, x: CPElement) -> str:
+def format_support(ctx: CPContext, x: int) -> str:
     rep = ctx.minimal_representative(x)
     if not rep:
         return "-"

@@ -203,11 +203,11 @@ def cmd_cp_enumerate(args) -> int:
     ctx = _context(args)
     lines = [
         {
-            "index": index,
+            "index": x,
             "support": [c for c, _ in ctx.minimal_representative(x)],
             "min_rep": format_support(ctx, x),
         }
-        for index, x in enumerate(ctx.enumerate(args.count))
+        for x in ctx.enumerate(args.count)
     ]
     _emit(args, "\n".join(json.dumps(line, sort_keys=True) for line in lines))
     return EXIT_OK

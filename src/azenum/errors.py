@@ -36,8 +36,9 @@ class FalsificationError(AzenumError):
 
 
 def parse_json(text: str, source: str):
-    """The JSON document in `text`; InputError naming `source` if malformed."""
+    """The JSON document in `text`; InputError naming `source` if malformed,
+    with an integer past int()'s digit limit or arrays nested too deep."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{source} is not JSON: {exc}") from None

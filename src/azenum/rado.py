@@ -16,7 +16,8 @@ from .errors import CapacityError, FalsificationError, InputError
 
 # The largest max_n that build_triples accepts: build_triples(11) takes
 # about 0.4 s and build_triples(12) about 2 s (Python 3.11, one core of
-# a shared 2-core x86-64 host).
+# a shared 2-core x86-64 host). check_obstruction, which tries every subset
+# of each c's n neighbours, takes as many triples as build_triples emits.
 MAX_TRIPLES_N = 12
 
 
@@ -296,7 +297,13 @@ def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
     Lemma: `violations` is always empty. After `_validate_triple`, c's
     prefix neighbourhood is exactly an induced n-cycle, and a proper subset
     of a chordless cycle induces only paths; the scan confirms it per triple.
-    """
+    CapacityError first, for more than MAX_TRIPLES_N - 3 triples or an n
+    above MAX_TRIPLES_N."""
+    if len(triples) > MAX_TRIPLES_N - 3:
+        raise CapacityError(f"{len(triples)} triples exceed the cap of {MAX_TRIPLES_N - 3}")
+    for t in triples:
+        if t.n > MAX_TRIPLES_N:
+            raise CapacityError(f"triple n = {t.n} exceeds the cap of {MAX_TRIPLES_N}")
     for t in triples:
         _validate_triple(t)
     checks = []

@@ -144,13 +144,19 @@ def power(table, a, n):
     return out
 
 
+def as_tuple(ctx, x):
+    """x as a coordinate -> value dict: an element (an index) gives its
+    minimal representative, a dict is a representative already."""
+    return dict(x) if isinstance(x, dict) else ctx.representative(x)
+
+
 def coset_members(ctx, x, width=None):
     """Every representative supported below `width` of the coset of x, an
     element or any representative of it as a coordinate -> value dict:
     x times each K-tuple whose coordinate product is one."""
     g = ctx.group
     e = g.identity_index
-    base = dict(getattr(x, "rep", x))
+    base = as_tuple(ctx, x)
     top = max(base, default=0)
     width = top + 1 if width is None else width
     assert width > top, "width must exceed the support"
@@ -187,7 +193,7 @@ def brute_cosets(ctx, n):
             v0 = mul[v][k]
             rep = ((0, v0), *higher) if v0 != e else higher
             x = ctx.make(dict(rep))
-            assert x.rep == rep
+            assert ctx.minimal_representative(x) == rep
             out.append(x)
     return out
 
@@ -210,17 +216,17 @@ def brute_product(ctx, x, y, width):
     """The minimal representative of x·y: the componentwise product of the
     two minimal representatives, then `brute_minimum`."""
     mul, e = ctx.group.mul, ctx.group.identity_index
-    prod = dict(x.rep)
-    for c, v in y.rep:
+    prod = ctx.representative(x)
+    for c, v in ctx.minimal_representative(y):
         prod[c] = mul[prod.get(c, e)][v]
     return brute_minimum(ctx, prod, width)
 
 
-def raw_perm(perm, x):
+def raw_perm(ctx, perm, x):
     """The tuple of x's minimal representative with the entry at j moved to
     perm[j], read from the permutation's (source, target) moves."""
     moves = dict(perm.moves)
-    return {moves.get(c, c): v for c, v in x.rep}
+    return {moves.get(c, c): v for c, v in ctx.minimal_representative(x)}
 
 
 def raw_ladder(ctx, coords, x):
@@ -228,7 +234,7 @@ def raw_ladder(ctx, coords, x):
     as a coordinate -> value dict) after the ladder on `coords`: window
     slot j takes the ordered product of every other slot's entry."""
     mul, e = ctx.group.mul, ctx.group.identity_index
-    out = dict(getattr(x, "rep", x))
+    out = as_tuple(ctx, x)
     vals = [out.get(c, e) for c in coords]
     for j, c in enumerate(coords):
         v = e
@@ -244,7 +250,7 @@ def oracle_apply_word(ctx, word, x):
     tuple action on the minimal representative, then `make` normalises it."""
     for gen in word.gens:
         if isinstance(gen, Perm):
-            x = ctx.make(raw_perm(gen, x))
+            x = ctx.make(raw_perm(ctx, gen, x))
         else:
             x = ctx.make(raw_ladder(ctx, gen.coords, x))
     return x
@@ -257,7 +263,7 @@ def oracle_apply_beta(bm, x):
     occurrence), higher positions shift by l_j - l_i."""
     l_i = len(bm.plan) - 1
     out = {}
-    for l, val in x.rep:
+    for l, val in bm.ctx.minimal_representative(x):
         if l <= l_i:
             for t in bm.plan[l]:
                 out[t] = val

@@ -66,8 +66,8 @@ def word(*gens):
 def test_transposition_moves_entry(c4k):
     g = c4k.group.index_of_name("g")
     swap = Perm.from_mapping({0: 1, 1: 0})
-    assert apply_word(c4k, word(swap), c4k.embed(g, 0)) == c4k.embed(g, 1)
-    assert apply_word(c4k, word(swap), c4k.embed(g, 2)) == c4k.embed(g, 2)
+    assert apply_word(c4k, word(swap), c4k.make({0: g})) == c4k.make({1: g})
+    assert apply_word(c4k, word(swap), c4k.make({2: g})) == c4k.make({2: g})
 
 
 def test_perm_rejects_non_bijection():
@@ -108,7 +108,7 @@ def test_beta_star_pinned_action(c4k):
     # a single entry at the first window slot fans out to all other slots
     g = c4k.group.index_of_name("g")
     bs = BetaStar(tuple(range(6)))  # exponent 4 => window size 6
-    img = apply_word(c4k, word(bs), c4k.embed(g, 0))
+    img = apply_word(c4k, word(bs), c4k.make({0: g}))
     assert img == c4k.make({c: g for c in range(1, 6)})
 
 
@@ -155,10 +155,11 @@ def test_generators_match_brute_force_action(name, level, gens):
     for gen in gens:
         for x in brute_cosets(ctx, level):
             if isinstance(gen, Perm):
-                image, raw = apply_perm(ctx, gen, x), raw_perm(gen, x)
+                image, raw = apply_perm(ctx, gen, x), raw_perm(ctx, gen, x)
             else:
                 image, raw = apply_beta_star(ctx, gen, x), raw_ladder(ctx, gen.coords, x)
-            assert image.rep == tuple(sorted(brute_minimum(ctx, raw, width=6).items()))
+            expected = tuple(sorted(brute_minimum(ctx, raw, width=6).items()))
+            assert ctx.minimal_representative(image) == expected
 
 
 def _mixed_word(rng, ctx, length, width):
@@ -196,9 +197,7 @@ def test_index_map_matches_element_oracle(name, level):
     domain = range(ctx.gamma_n_order(level))
     for w in words:
         images = index_images(ctx, w, domain)
-        assert images == [
-            ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))) for i in domain
-        ]
+        assert images == [oracle_apply_word(ctx, w, i) for i in domain]
         assert index_images(ctx, w.inverse(), images) == list(domain)
 
 
@@ -232,10 +231,10 @@ def test_index_map_on_beta_shaped_words(name):
     for _ in range(3):
         w, top = _beta_shaped_word(rng, ctx)
         assert sum(isinstance(g, BetaStar) for g in w.gens) == 3
-        xs = [ctx.index_of(ctx.embed(v, c)) for c in range(top + 1) for v in range(ctx.group.order)]
+        xs = [ctx.make({c: v}) for c in range(top + 1) for v in range(ctx.group.order)]
         xs += [rng.randrange(ctx.gamma_n_order(top + 2)) for _ in range(200)]
         for i, image in zip(xs, index_images(ctx, w, xs)):
-            assert image == ctx.index_of(oracle_apply_word(ctx, w, ctx.element_at(i))), i
+            assert image == oracle_apply_word(ctx, w, i), i
 
 
 # -- runs of consecutive digits ----------------------------------------------
@@ -326,7 +325,7 @@ def test_runs_merged_past_their_weights_fail_the_oracle(q8k, monkeypatch):
     xs = list(range(q8k.gamma_n_order(4)))
     swap, ladder = word(Perm.from_cycles([[0, 1]])), word(BetaStar(tuple(range(q8k.exponent + 2))))
     expected = {
-        w: [q8k.index_of(oracle_apply_word(q8k, w, q8k.element_at(i))) for i in xs]
+        w: [oracle_apply_word(q8k, w, i) for i in xs]
         for w in (swap, ladder)
     }
     assert all(index_images(q8k, w, xs) == images for w, images in expected.items())
@@ -441,7 +440,7 @@ def test_word_json_round_trip():
 def test_alpha_word_c2_example(c2k):
     g = 1
     w = alpha_word(c2k, [2, 3], i0=0, j0=1)
-    assert apply_word(c2k, w, c2k.embed(g, 0)) == c2k.make({0: g, 2: g, 3: g})
+    assert apply_word(c2k, w, c2k.make({0: g})) == c2k.make({0: g, 2: g, 3: g})
     # trivial-at-I-and-j0 inputs keep their own entry at i0
     assert apply_word(c2k, w, c2k.identity) == c2k.identity
 
@@ -449,11 +448,11 @@ def test_alpha_word_c2_example(c2k):
 def test_alpha_word_c4_example(c4k):
     g = c4k.group.index_of_name("g")
     w = alpha_word(c4k, [1, 2, 3, 4], i0=0, j0=5)
-    assert apply_word(c4k, w, c4k.embed(g, 0)) == c4k.make(
+    assert apply_word(c4k, w, c4k.make({0: g})) == c4k.make(
         {c: g for c in range(5)}
     )
     g2 = c4k.group.index_of_name("g2")
-    assert apply_word(c4k, w, c4k.embed(g2, 0)) == c4k.make(
+    assert apply_word(c4k, w, c4k.make({0: g2})) == c4k.make(
         {c: g2 for c in range(5)}
     )
     # I may be any iterable, read once
@@ -463,7 +462,7 @@ def test_alpha_word_c4_example(c4k):
 def test_alpha_word_two_blocks(c2k):
     g = 1
     w = alpha_word(c2k, [2, 3, 4, 5], i0=0, j0=1)
-    assert apply_word(c2k, w, c2k.embed(g, 0)) == c2k.make(
+    assert apply_word(c2k, w, c2k.make({0: g})) == c2k.make(
         {0: g, 2: g, 3: g, 4: g, 5: g}
     )
 
@@ -527,16 +526,15 @@ def test_double_beta_star_is_identity_word(c4k):
 def _fake_word(monkeypatch, ctx, table):
     """Make verify_automorphism see the map x -> table.get(x, x), as a
     table on enumeration indices."""
-    index = {ctx.index_of(x): ctx.index_of(y) for x, y in table.items()}
     monkeypatch.setattr(
         automorphisms,
         "level_images",
-        lambda _ctx, _w, n: [index.get(i, i) for i in range(ctx.level_size(n))],
+        lambda _ctx, _w, n: [table.get(i, i) for i in range(ctx.level_size(n))],
     )
 
 
 def _two_non_identity(ctx, level):
-    domain = [ctx.element_at(i) for i in range(ctx.gamma_n_order(level))]
+    domain = list(range(ctx.gamma_n_order(level)))
     a, b = [x for x in domain if x != ctx.identity][:2]
     return domain, a, b
 
@@ -553,13 +551,13 @@ def test_verify_reports_non_homomorphism(monkeypatch, name, level, exhaustive):
     assert not r.ok and r.failure == "homomorphism law fails"
     assert r.exhaustive is exhaustive and r.size == len(domain)
     # the witness is the first failing pair in the order pairs are checked:
-    # x-major over the domain in index order, or drawn as
-    # domain[rng.randrange(size)], the element at a drawn index
+    # x-major over the domain in index order, or each index drawn as
+    # rng.randrange(size)
     if exhaustive:
         pairs = [(x, y) for x in domain for y in domain]
     else:
         rng, size = random.Random(12), len(domain)
-        pairs = [(domain[rng.randrange(size)], domain[rng.randrange(size)]) for _ in range(5000)]
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(5000)]
     first = next(
         (i, (x, y)) for i, (x, y) in enumerate(pairs)
         if swap.get(ctx.multiply(x, y), ctx.multiply(x, y))
@@ -575,7 +573,7 @@ def test_verify_sampled_failure_is_pinned(monkeypatch):
     _, a, b = _two_non_identity(ctx, 4)
     _fake_word(monkeypatch, ctx, {a: b, b: a})
     r = verify_automorphism(ctx, word(), 4, sample_pairs=5000, rng=random.Random(12))
-    assert (r.pairs_checked, r.witness) == (5, (ctx.element_at(233), ctx.element_at(1)))
+    assert (r.pairs_checked, r.witness) == (5, (233, 1))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 100, 8192, 32768, 100_003, 131_072])
@@ -613,7 +611,7 @@ def test_verify_reports_non_injective(monkeypatch, name, level):
 
 def test_verify_reports_escaping_image(monkeypatch, c4k):
     _, a, _ = _two_non_identity(c4k, 2)
-    far = c4k.embed(c4k.group.index_of_name("g"), 2)
+    far = c4k.make({2: c4k.group.index_of_name("g")})
     _fake_word(monkeypatch, c4k, {a: far})
     r = verify_automorphism(c4k, word(), 2)
     assert (r.ok, r.failure, r.witness) == (False, "image escapes level", (a, far))

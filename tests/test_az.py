@@ -135,7 +135,7 @@ def test_build_beta_divisibility(q8k):
 def test_apply_beta_c4_fanout(c4k):
     bm = build_beta(normalize_family(c4_example_family(c4k)))
     for h in range(c4k.group.order):
-        assert apply_beta(bm, c4k.embed(h, 0)) == c4k.make(
+        assert apply_beta(bm, c4k.make({0: h})) == c4k.make(
             {c: h for c in range(5)}
         )
 
@@ -144,7 +144,7 @@ def test_apply_beta_tail_shift(c4k):
     bm = build_beta(normalize_family(c4_example_family(c4k)))
     g = c4k.group.index_of_name("g")
     # shift = l_j - l_i = 4
-    assert apply_beta(bm, c4k.embed(g, 7)) == c4k.embed(g, 11)
+    assert apply_beta(bm, c4k.make({7: g})) == c4k.make({11: g})
     assert apply_beta(bm, c4k.identity) == c4k.identity
 
 
@@ -208,7 +208,7 @@ def test_beta_index_map_matches_element_oracle(name, bm):
     far = [rng.randrange(ctx.gamma_n_order(bm.l_i + 40)) for _ in range(200)]
     xs = [*range(ctx.gamma_n_order(level + 1)), *far]
     for i, image in zip(xs, beta_images(bm, xs)):
-        assert image == ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))), i
+        assert image == oracle_apply_beta(bm, i), i
 
 
 # -- realization as a word ---------------------------------------------------
@@ -219,7 +219,7 @@ def test_beta_as_word_c4_example(c4k):
     word = beta_as_word(bm, 12, 6)
     for coord in range(7):
         for h in range(c4k.group.order):
-            x = c4k.embed(h, coord)
+            x = c4k.make({coord: h})
             assert apply_word(c4k, word, x) == apply_beta(bm, x)
 
 
@@ -231,8 +231,8 @@ def test_beta_as_word_scope_bound(c4k):
     disagreements = sum(
         1
         for coord in range(7, 13)
-        if apply_word(c4k, word, c4k.embed(g, coord))
-        != apply_beta(bm, c4k.embed(g, coord))
+        if apply_word(c4k, word, c4k.make({coord: g}))
+        != apply_beta(bm, c4k.make({coord: g}))
     )
     assert disagreements > 0
 
@@ -255,7 +255,7 @@ def test_beta_as_word_identity_case(q8k):
     # no off-image positions: a pure permutation suffices
     assert all(not hasattr(gen, "coords") for gen in word.gens)
     for coord in range(3):
-        x = q8k.embed(i, coord)
+        x = q8k.make({coord: i})
         assert apply_word(q8k, word, x) == x
 
 
@@ -365,7 +365,7 @@ def test_beta_increases_on_whole_level_of_golden_family(name):
     size = ctx.level_size(GOLDEN_LEVELS[name.split("_")[1]])
     images = beta_images(bm, range(size))
     assert all(a < b for a, b in zip(images, images[1:]))
-    assert images == [ctx.index_of(oracle_apply_beta(bm, ctx.element_at(i))) for i in range(size)]
+    assert images == [oracle_apply_beta(bm, i) for i in range(size)]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -451,7 +451,7 @@ def test_word_wrong_at_one_singleton_fails_word_agreement(c4k, monkeypatch):
     fam = c4_example_family(c4k)
     cert = run_az(fam, depth=100)
     assert cert.ok
-    bad = c4k.index_of(c4k.make({cert.levels[1]: c4k.group.index_of_name("g3")}))
+    bad = c4k.make({cert.levels[1]: c4k.group.index_of_name("g3")})
     real = az.index_images
 
     def off_at_bad(ctx, word, indices):

@@ -45,8 +45,7 @@ def test_k_square_tuple_is_identity(c4k):
 def test_embed_is_homomorphism_per_coordinate(c4k):
     g = c4k.group.index_of_name("g")
     g2 = c4k.group.index_of_name("g2")
-    prod = c4k.multiply(c4k.embed(g, 0), c4k.embed(g, 0))
-    assert prod == c4k.embed(g2, 0)
+    prod = c4k.multiply(c4k.make({0: g}), c4k.make({0: g}))
     assert prod == c4k.make({0: g2})
 
 
@@ -63,14 +62,14 @@ def test_inverse_identity(c4k):
 def test_embed_k_any_coordinate(c4k):
     g2 = c4k.group.index_of_name("g2")
     assert c4k.make({0: g2}) == c4k.make({1: g2})
-    assert c4k.embed(c4k.group.identity_index, 5) == c4k.identity
+    assert c4k.make({5: c4k.group.identity_index}) == c4k.identity
 
 
 def test_distinct_coordinate_images_commute(q8k):
     for a in range(8):
         for b in range(8):
-            x = q8k.embed(a, 0)
-            y = q8k.embed(b, 1)
+            x = q8k.make({0: a})
+            y = q8k.make({1: b})
             assert q8k.multiply(x, y) == q8k.multiply(y, x)
 
 
@@ -135,9 +134,9 @@ def test_greedy_minimum_equals_brute_force(name):
 
 def test_compare_examples(c4k):
     g = c4k.group.index_of_name("g")
-    assert c4k.compare(c4k.identity, c4k.embed(g, 0)) == -1
-    assert c4k.compare(c4k.embed(g, 0), c4k.embed(g, 1)) == -1
-    x = c4k.embed(g, 1)
+    assert c4k.compare(c4k.identity, c4k.make({0: g})) == -1
+    assert c4k.compare(c4k.make({0: g}), c4k.make({1: g})) == -1
+    x = c4k.make({1: g})
     assert c4k.compare(x, x) == 0
 
 
@@ -161,7 +160,7 @@ def test_multiply_matches_brute_force_product(name):
     for x in cosets:
         for y in cosets:
             expected = brute_product(ctx, x, y, width=3)
-            assert ctx.multiply(x, y).rep == tuple(sorted(expected.items()))
+            assert ctx.minimal_representative(ctx.multiply(x, y)) == tuple(sorted(expected.items()))
 
 
 # the least level whose coordinates 1.. fill a whole block of the index
@@ -181,9 +180,9 @@ def test_index_law_matches_brute_force_product(name):
     for x in cosets:
         for y in cosets:
             expected = ctx.make(brute_product(ctx, x, y, width=level))
-            assert law(ctx.index_of(x), ctx.index_of(y)) == ctx.index_of(expected)
+            assert law(x, y) == expected
     if name == "C2":
-        assert sorted(ctx.index_of(x) for x in cosets) == [0, 1]
+        assert sorted(cosets) == [0, 1]
 
 
 @pytest.mark.parametrize("name", ["Q8", "D4"])
@@ -195,9 +194,8 @@ def test_index_law_folds_across_blocks(name):
     size = ctx.gamma_n_order(7)
     for _ in range(400):
         i, j = rng.randrange(size), rng.randrange(size)
-        x, y = ctx.element_at(i), ctx.element_at(j)
-        expected = ctx.make(brute_product(ctx, x, y, width=7))
-        assert ctx.index_law(i, j) == ctx.index_of(expected)
+        expected = ctx.make(brute_product(ctx, i, j, width=7))
+        assert ctx.index_law(i, j) == expected
 
 
 def test_compare_total_order_on_random_triples(q8k):
@@ -243,7 +241,7 @@ def test_enumerate_c4_gamma2():
         ("g", "g"),
         ("g3", "g"),
     ]
-    assert [tuple(c for c, _ in x.rep) for x in ctx.enumerate(8)][4] == (1,)
+    assert [tuple(c for c, _ in ctx.minimal_representative(x)) for x in ctx.enumerate(8)][4] == (1,)
 
 
 def test_enumerate_matches_brute_force_sort():
@@ -274,7 +272,7 @@ def test_enumerate_c2_full_group():
     assert ctx.gamma_n_order(5) == 2
     v0, v1 = ctx.enumerate(2)
     assert v0 == ctx.identity
-    assert v1 == ctx.embed(1, 0)
+    assert v1 == ctx.make({0: 1})
     # Γ has two elements, so the enumeration ends after them
     with pytest.raises(InputError, match="2"):
         ctx.enumerate(3)
@@ -285,19 +283,15 @@ def test_index_round_trip(name):
     # decode the representative from the index, then encode it afresh
     ctx = make_ctx(name)
     for i in range(ctx.gamma_n_order(3)):
-        x = ctx.element_at(i)
-        assert ctx.index_of(ctx.make(ctx.representative(x))) == i
+        assert ctx.make(ctx.representative(i)) == i
 
 
 def test_element_at_rejects_out_of_range(c4k):
-    with pytest.raises(InputError):
-        c4k.element_at(-1)
-    far = c4k.element_at(10**6)
-    assert c4k.index_of(c4k.make(c4k.representative(far))) == 10**6
+    # an index far above every level round-trips through its representative
+    far = 10**6
+    assert c4k.make(c4k.representative(far)) == far
     c2 = make_ctx("C2")
-    assert c2.element_at(1) == c2.embed(1, 0)
-    with pytest.raises(InputError):
-        c2.element_at(2)
+    assert c2.make({0: 1}) == 1
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -308,7 +302,7 @@ def test_pair_codec_round_trip(name):
     ctx = make_ctx(name)
     r, e = len(ctx.minima), ctx.group.identity_index
     for i in range(ctx.gamma_n_order(4)):
-        rep = dict(ctx.minimal_representative(ctx.element_at(i)))
+        rep = dict(ctx.minimal_representative(i))
         s, k = sum(ctx.digit_of[v] * r**c for c, v in rep.items()), ctx.k_of[rep.get(0, e)]
         assert ctx.pair_of(i) == (s, k)
         assert ctx.index_of_pair(s, k) == i
@@ -331,7 +325,7 @@ def test_digit_sums_match_direct_digit_reading(name):
     for n, weights in cases:
         expected = []
         for s in range(r**n):
-            rep = dict(ctx.minimal_representative(ctx.element_at(ctx.index_of_pair(s, e))))
+            rep = dict(ctx.minimal_representative(ctx.index_of_pair(s, e)))
             expected.append(sum(ctx.digit_of[rep.get(c, e)] * w for c, w in enumerate(weights)))
         assert ctx.digit_sums(n, weights) == expected, (n, weights)
 
@@ -355,7 +349,7 @@ def test_make_coordinate_above_cap(q8k, coord):
 def test_support_before_next_level(q8k):
     # every coset with support in {0..n-1} appears before any needing n
     elems = q8k.enumerate(q8k.gamma_n_order(2))
-    assert all(max((c for c, _ in x.rep), default=0) <= 1 for x in elems)
+    assert all(max((c for c, _ in q8k.minimal_representative(x)), default=0) <= 1 for x in elems)
 
 
 def test_element_literals(c4k):

@@ -741,6 +741,35 @@ def test_rado_check_cycle_not_n_vertices(tmp_path, capsys, cycle, entries):
     assert err.startswith("falsified:") and f"4 distinct vertices in {entries} entries" in err
 
 
+def ladder_cycle_triple(h):
+    """A valid triple whose cycle has n = 2h vertices, h <= 12: the vertices
+    a_j = 4 + j, whose bits all lie below 4 so that no two are adjacent,
+    alternate with b_j = 2^a_j + 2^a_(j+1 mod h), which sees exactly a_j
+    and a_(j+1) among them; c is the cycle's characteristic mask."""
+    a = [4 + j for j in range(h)]
+    vertices = a + [(1 << a[j]) + (1 << a[(j + 1) % h]) for j in range(h)]
+    cycle = rado.is_induced_cycle(vertices)
+    triple = rado.Triple(2 * h, 0, max(cycle), sum(1 << v for v in cycle), cycle)
+    rado._validate_triple(triple)
+    return triple
+
+
+@pytest.mark.parametrize(
+    "triples, cap",
+    [([ladder_cycle_triple(7)], rado.MAX_TRIPLES_N),
+     (rado.build_triples(4) * 10, rado.MAX_TRIPLES_N - 3)],
+    ids=["n-14", "ten-triples"],
+)
+def test_rado_check_file_above_cap(tmp_path, capsys, triples, cap):
+    # a triple above MAX_TRIPLES_N, or more triples than build_triples emits,
+    # is refused before the obstruction scan and its per-pair report
+    path = tmp_path / "triples.json"
+    path.write_text(json.dumps({"triples": [t.to_json() for t in triples]}))
+    assert run_command(["rado", "check", "--file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"cap of {cap}" in err
+
+
 def test_rado_triples_verify_revalidates_emitted_triples(capsys, monkeypatch):
     # `--verify` re-checks the triples as emitted, so a c that to_json gets
     # wrong is falsified before anything is printed
@@ -757,26 +786,34 @@ def test_rado_triples_above_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+JSON_READERS = {
+    "group-file": ["group", "check", "--group", "{bad}"],
+    "qs-to-group": ["qs", "to-group", "--file", "{bad}"],
+    "amalgam-left": ["qs", "amalgam", "--left", "{bad}", "--right", "{qs}"],
+    "amalgam-right": ["qs", "amalgam", "--left", "{qs}", "--right", "{bad}"],
+    "word-inline": ["aut", "verify", "--group", "C4", "--word", "{doc}", "--level", "2"],
+    "word-file": ["aut", "verify", "--group", "C4", "--word", "{bad}", "--level", "2"],
+    "triples-file": ["rado", "check", "--file", "{bad}"],
+}
+# a syntax error; an integer of more digits than int() reads (4 300 by
+# default), which json raises as ValueError; and arrays nested past the
+# recursion limit, which it raises as RecursionError
+MALFORMED_JSON = {"syntax": "{not json", "long-integer": "1" * 4301,
+                  "deep-nesting": "[" * 100_000}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["group", "check", "--group", "{bad}"],
-        ["qs", "to-group", "--file", "{bad}"],
-        ["qs", "amalgam", "--left", "{bad}", "--right", "{qs}"],
-        ["qs", "amalgam", "--left", "{qs}", "--right", "{bad}"],
-        ["aut", "verify", "--group", "C4", "--word", "notjson", "--level", "2"],
-        ["aut", "verify", "--group", "C4", "--word", "{bad}", "--level", "2"],
-    ],
-    ids=["group-file", "qs-to-group", "amalgam-left", "amalgam-right",
-         "word-inline", "word-file"],
+    "argv, doc",
+    [pytest.param(argv, doc, id=reader if kind == "syntax" else f"{reader}-{kind}")
+     for kind, doc in MALFORMED_JSON.items() for reader, argv in JSON_READERS.items()],
 )
-def test_malformed_json_is_bad_input(tmp_path, capsys, argv):
+def test_malformed_json_is_bad_input(tmp_path, capsys, argv, doc):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(doc)
     _, out = run(capsys, "--json", "qs", "from-group", "--group", "C4")
     qs = tmp_path / "qs.json"
     qs.write_text(out)
-    argv = [a.format(bad=bad, qs=qs) for a in argv]
+    argv = [a.format(bad=bad, qs=qs, doc=doc) for a in argv]
     assert run_command(argv) == 2
     assert "is not JSON" in capsys.readouterr().err
 
