@@ -11,7 +11,8 @@ and K factor it computes once. A word acts on lists of enumeration indices
 of consecutive digits (`CPContext.digit_runs`) at a time, building no
 element; `apply_word` is its view on one index. `level_images` maps a
 level's indices range(size) by the same sums over the whole level;
-`verify_automorphism` checks the law on them.
+`verify_automorphism` checks the law on them through the level's tables
+(`CPContext.level_law`).
 """
 
 from __future__ import annotations
@@ -286,7 +287,10 @@ def verify_automorphism(
     pair (x-major over range(size)) when size^2 is at most `sample_pairs`,
     and otherwise on `sample_pairs` pairs from `_sampled_pairs`, each
     index rng.getrandbits(size.bit_length()) drawn again until below size,
-    as rng.randrange(size) draws it. A failing pair is returned as indices.
+    as rng.randrange(size) draws it. The law is `CPContext.level_law`,
+    given the two evaluations per pair as its budget: the level's tables
+    when building them costs fewer law calls, as for Q8 level 7, else the
+    index law, as for Q8 level 8. A failing pair is returned as indices.
     """
     images = level_images(ctx, word, n)
     size = len(images)
@@ -299,10 +303,10 @@ def verify_automorphism(
 
     exhaustive = size * size <= sample_pairs
     if exhaustive:
-        pairs = product(range(size), repeat=2)
+        count, pairs = size * size, product(range(size), repeat=2)
     else:
-        pairs = _sampled_pairs(rng or random.Random(0), size, sample_pairs)
-    law = ctx.index_law
+        count, pairs = sample_pairs, _sampled_pairs(rng or random.Random(0), size, sample_pairs)
+    law = ctx.level_law(n, 2 * count)
     checked = 0
     for a, b in pairs:
         if images[law(a, b)] != law(images[a], images[b]):

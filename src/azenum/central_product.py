@@ -14,10 +14,13 @@ the digits of every s and `join_level` maps pairs back to indices. The
 group law runs on indices (`CPContext.index_law`): above coordinate 0 the
 product's digits are read, a block of coordinates at a time, from tables of
 block products, whose K factors fold into coordinate 0 as K is central.
+`CPContext.level_law` is that law on one level, two table reads per
+product from tables of the level's low and high halves, built once.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import product
 from math import lcm as _lcm
@@ -31,9 +34,11 @@ Support = Mapping[int, int]
 # The largest level, in cosets, that verify_automorphism and all_cosets take
 # (`CPContext.level_size`): Q8 level 8 (131 072 cosets) fits and level 9
 # (524 288) does not. `aut verify --group Q8 --word [] --level 8` takes
-# 0.35-0.47 s and 28.4 MB peak (Python 3.11, in one process after start-up,
+# 0.15-0.16 s and 28.1 MB peak (Python 3.11, in one process after start-up,
 # on one core of a shared 2-core x86-64 host); a two-generator word (a
-# ladder and a transposition) 0.45-0.6 s and 28.6 MB.
+# ladder and a transposition) 0.18 s and 28.9 MB. Its law check runs on
+# `index_law`: level 8's `level_law` tables would take about 330 000 law
+# calls to build, more than the check's 200 000.
 MAX_COSETS = 1 << 18
 
 # The largest coordinate whose place value `CPContext.place` gives, hence
@@ -62,6 +67,8 @@ class CPContext:
             self.rank_of[v], self.digit_of[v], self.k_of[v] = pos, d, k
         self.exponent = _lcm(*(g.element_order(a) for a in range(g.order)))
         self.identity = 0
+        # per level n, the tables (high, low) of `level_law`
+        self.level_tables: Dict[int, Tuple[array, array]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -138,6 +145,43 @@ class CPContext:
             return out + rank_of[v]
 
         return law
+
+    def level_law(self, n: int, evaluations: int) -> Callable[[int, int], int]:
+        """`index_law` on the level-n indices, read from two tables built
+        once per level by meet in the middle; `index_law` itself when the
+        build would take more law calls than the `evaluations` it serves.
+
+        With m = n // 2, L = |K|·r^m and R = r^(n-m), a level-n index is
+        H·L + l with H < R and l < L. Three facts make the split exact:
+        elements of disjoint support commute, so a·b = (Ha·L)(Hb·L)·(la·lb)
+        with la·lb supported below coordinate m; an index H·L, with no
+        digit below m, carries the K factor 1, so H·L times an element of
+        index q < L has the index H·L + q; and K is central, so the high
+        product's K factor, the element j < |K| in H·L + j, joins the low
+        part. Hence law(a, b) = p + low[(la·L + lb)·|K| + p % L] for
+        p = high[Ha·R + Hb], the index of (Ha·L)(Hb·L), where low holds the
+        index of la·lb·j less j. The build takes R² + L² + L·|K| calls of
+        `index_law`, the last for a table of each low element times each
+        element of K; `level_tables[n]` keeps (high, low)."""
+        nk, r, m = len(self.k_list), len(self.minima), n // 2
+        nl, nh, law = nk * r**m, r ** (n - m), self.index_law  # L and R
+        if nh * nh + nl * (nl + nk) > evaluations:
+            return law
+        if n not in self.level_tables:
+            # the larger table first: built last, it raised the peak RSS of
+            # repeated level-7 checks by a further 0.5 MB (heap fragmentation)
+            high = array("i", (law(a * nl, b * nl) for a in range(nh) for b in range(nh)))
+            times_k = array("i", (law(q, j) for q in range(nl) for j in range(nk)))
+            lows = (law(a, b) * nk for a in range(nl) for b in range(nl))
+            low = array("i", (times_k[q + j] - j for q in lows for j in range(nk)))
+            self.level_tables[n] = high, low
+        high, low = self.level_tables[n]
+
+        def level(a: int, b: int) -> int:
+            p = high[a // nl * nh + b // nl]
+            return p + low[(a % nl * nl + b % nl) * nk + p % nl]
+
+        return level
 
     # -- order: the enumeration index -------------------------------------
 

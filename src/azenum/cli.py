@@ -120,8 +120,10 @@ def _one_based(embedding) -> list:
 
 
 def _load_word_arg(arg):
-    """Word JSON given inline or as a file path."""
-    doc = _read_json(arg) if os.path.exists(arg) else parse_json(arg, f"word {arg!r}")
+    """Word JSON given inline or as a file path; an error names at most the
+    first 40 characters of an inline word."""
+    shown = arg if len(arg) <= 40 else arg[:40] + "..."
+    doc = _read_json(arg) if os.path.exists(arg) else parse_json(arg, f"word {shown!r}")
     return word_from_json(doc)
 
 

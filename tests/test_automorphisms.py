@@ -593,11 +593,39 @@ def test_sampled_pairs_are_the_randrange_draws(monkeypatch, size):
     # returns 0, so every pair passes
     monkeypatch.setattr(automorphisms, "level_images", lambda _ctx, _w, _n: list(range(size)))
     calls = []
-    ctx = SimpleNamespace(index_law=lambda a, b: calls.append((a, b)) or 0)
+
+    def record(a, b):
+        calls.append((a, b))
+        return 0
+
+    ctx = SimpleNamespace(level_law=lambda _n, _evaluations: record)
     budget, rng = min(1500, size * size - 1), random.Random(size)
     r = verify_automorphism(ctx, word(), 1, sample_pairs=budget, rng=rng)
     assert r.ok and not r.exhaustive and r.pairs_checked == budget
     assert (calls[::2], rng.getstate()) == randrange_pairs(budget)
+
+
+def test_verify_keeps_level_8_on_the_index_law():
+    # Q8 level 8's tables would take about 330 000 law calls, more than the
+    # 200 000 evaluations of a 100 000-pair check, so none are built
+    ctx = make_ctx("Q8")
+    r = verify_automorphism(ctx, word(), 8, rng=random.Random(0))
+    assert r.ok and r.pairs_checked == 100_000 and not r.exhaustive
+    assert 8 not in ctx.level_tables
+
+
+def test_verify_reads_the_level_tables():
+    # one wrong entry of C4 level 4's low table, the product of index 2 (g
+    # at coordinate 0) with itself, fails the law under a transposition that
+    # moves coordinate 0 to 3, above the split: the images' product reads
+    # the high table and another low entry
+    ctx, swap = make_ctx("C4"), word(Perm.from_cycles([[0, 3]]))
+    assert verify_automorphism(ctx, swap, 4).ok
+    _, low = ctx.level_tables[4]
+    low_size = len(ctx.k_list) * len(ctx.minima) ** 2  # the indices below coordinate 2
+    low[(2 * low_size + 2) * len(ctx.k_list)] += 1
+    r = verify_automorphism(ctx, swap, 4)
+    assert (r.ok, r.failure, r.witness) == (False, "homomorphism law fails", (2, 2))
 
 
 @pytest.mark.parametrize("name, level", [("C4", 2), ("Q8", 4)])

@@ -404,6 +404,16 @@ def test_aut_verify_bad_word(capsys, word):
     assert "error:" in capsys.readouterr().err
 
 
+def test_aut_verify_long_inline_word_is_not_echoed(capsys):
+    # 100 000 "[" nest past the recursion limit: the error names the word
+    # by its first 40 characters, not the whole argument
+    argv = ["aut", "verify", "--group", "C4", "--word", "[" * 100_000, "--level", "2"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: word '" + "[" * 40 + "...' is not JSON")
+    assert len(err) < 200
+
+
 def test_aut_verify_level_above_cap(capsys):
     # Q8 level 12 would have about 33M cosets; refused before any is built
     argv = ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", "12"]
