@@ -11,8 +11,8 @@ and K factor it computes once. A word acts on lists of enumeration indices
 of consecutive digits (`CPContext.digit_runs`) at a time, building no
 element; `apply_word` is its view on one index. `level_images` maps a
 level's indices range(size) by the same sums over the whole level;
-`verify_automorphism` checks the law on them through the level's tables
-(`CPContext.level_law`).
+`verify_automorphism` checks the law on them through tables of the level's
+products, built for the check (`CPContext.level_law`).
 """
 
 from __future__ import annotations
@@ -288,9 +288,10 @@ def verify_automorphism(
     and otherwise on `sample_pairs` pairs from `_sampled_pairs`, each
     index rng.getrandbits(size.bit_length()) drawn again until below size,
     as rng.randrange(size) draws it. The law is `CPContext.level_law`,
-    given the two evaluations per pair as its budget: the level's tables
-    when building them costs fewer law calls, as for Q8 level 7, else the
-    index law, as for Q8 level 8. A failing pair is returned as indices.
+    given the two evaluations per pair: two reads of the level's tables,
+    built for this check, when they have no more entries than that, as
+    for Q8 level 7, else the index law, as for Q8 level 8. A failing pair
+    is returned as indices.
     """
     images = level_images(ctx, word, n)
     size = len(images)

@@ -15,7 +15,7 @@ group law runs on indices (`CPContext.index_law`): above coordinate 0 the
 product's digits are read, a block of coordinates at a time, from tables of
 block products, whose K factors fold into coordinate 0 as K is central.
 `CPContext.level_law` is that law on one level, two table reads per
-product from tables of the level's low and high halves, built once.
+product from tables of the level's low and high halves, built on each call.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import product
+from math import isqrt
 from math import lcm as _lcm
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -37,8 +38,8 @@ Support = Mapping[int, int]
 # 0.15-0.16 s and 28.1 MB peak (Python 3.11, in one process after start-up,
 # on one core of a shared 2-core x86-64 host); a two-generator word (a
 # ladder and a transposition) 0.18 s and 28.9 MB. Its law check runs on
-# `index_law`: level 8's `level_law` tables would take about 330 000 law
-# calls to build, more than the check's 200 000.
+# `index_law`: level 8's `level_law` tables would have 589 824 entries,
+# more than the check's 200 000 evaluations.
 MAX_COSETS = 1 << 18
 
 # The largest coordinate whose place value `CPContext.place` gives, hence
@@ -67,8 +68,6 @@ class CPContext:
             self.rank_of[v], self.digit_of[v], self.k_of[v] = pos, d, k
         self.exponent = _lcm(*(g.element_order(a) for a in range(g.order)))
         self.identity = 0
-        # per level n, the tables (high, low) of `level_law`
-        self.level_tables: Dict[int, Tuple[array, array]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -105,27 +104,15 @@ class CPContext:
         h >= 1 the largest with r^h <= 64 (r = len(minima)); two flat
         tables indexed by a block pair, of max(r, 64)^2 entries at most,
         hold the block's product digits and its K factor, which folds into
-        the coordinate-0 value (K is central). Built on first use, a
-        coordinate at a time: the tables of (j+1)-coordinate blocks extend
-        those of j-coordinate blocks by a top digit, with one group product
-        per entry."""
-        g, r, minima = self.group, len(self.minima), self.minima
-        mul, order, e = g.mul, g.order, g.identity_index
+        the coordinate-0 value (K is central). Built on first use from
+        `_block_products`."""
+        r, nk, k_list = len(self.minima), len(self.k_list), self.k_list
+        mul, order = self.group.mul, self.group.order
         h = 1
         while 1 < r and r ** (h + 1) <= 64:
             h += 1
-        digits, k_factor, width = [0], [e], 1
-        for _ in range(h):
-            # the block pair (a_top·width + a, b_top·width + b), in order
-            grown_d, grown_k = [], []
-            for ta, a in product(minima, range(width)):
-                row = slice(a * width, (a + 1) * width)
-                for tb in minima:
-                    v = mul[ta][tb]
-                    top, kv = self.digit_of[v] * width, self.k_of[v]
-                    grown_d += [top + d for d in digits[row]]
-                    grown_k += [mul[kv][k] for k in k_factor[row]]
-            digits, k_factor, width = grown_d, grown_k, width * r
+        blocks, width = self._block_products(h, nk), r**h
+        digits, k_factor = [p // nk for p in blocks], [k_list[p % nk] for p in blocks]
         ranked = self.kg.element_order
         low = [mul[p][q] for p in ranked for q in ranked]
         rank_of = self.rank_of
@@ -147,9 +134,12 @@ class CPContext:
         return law
 
     def level_law(self, n: int, evaluations: int) -> Callable[[int, int], int]:
-        """`index_law` on the level-n indices, read from two tables built
-        once per level by meet in the middle; `index_law` itself when the
-        build would take more law calls than the `evaluations` it serves.
+        """`index_law` on the level-n indices, for a caller that evaluates it
+        `evaluations` times: two reads of the tables `level_tables(n)`
+        builds, or `index_law` itself when the tables have more entries,
+        R² + L²·|K|, than `evaluations`. Both arguments of the returned law
+        must be below the level size; a larger one gives a wrong product
+        without an error.
 
         With m = n // 2, L = |K|·r^m and R = r^(n-m), a level-n index is
         H·L + l with H < R and l < L. Three facts make the split exact:
@@ -160,28 +150,66 @@ class CPContext:
         product's K factor, the element j < |K| in H·L + j, joins the low
         part. Hence law(a, b) = p + low[(la·L + lb)·|K| + p % L] for
         p = high[Ha·R + Hb], the index of (Ha·L)(Hb·L), where low holds the
-        index of la·lb·j less j. The build takes R² + L² + L·|K| calls of
-        `index_law`, the last for a table of each low element times each
-        element of K; `level_tables[n]` keeps (high, low)."""
+        index of la·lb·j less j.
+
+        A table entry costs about half what a read saves against
+        `index_law` (Q8 levels 6-8, Python 3.11: 85-105 ns against
+        175-255 ns), so with no more entries than evaluations the tables
+        pay for themselves within the call that builds them, and they hold
+        at most 4 bytes per evaluation: Q8 level 7, 98 304 entries against
+        the 200 000 evaluations of a 100 000-pair check, reads them, and
+        Q8 level 8, 589 824 entries, keeps `index_law`."""
         nk, r, m = len(self.k_list), len(self.minima), n // 2
-        nl, nh, law = nk * r**m, r ** (n - m), self.index_law  # L and R
-        if nh * nh + nl * (nl + nk) > evaluations:
-            return law
-        if n not in self.level_tables:
-            # the larger table first: built last, it raised the peak RSS of
-            # repeated level-7 checks by a further 0.5 MB (heap fragmentation)
-            high = array("i", (law(a * nl, b * nl) for a in range(nh) for b in range(nh)))
-            times_k = array("i", (law(q, j) for q in range(nl) for j in range(nk)))
-            lows = (law(a, b) * nk for a in range(nl) for b in range(nl))
-            low = array("i", (times_k[q + j] - j for q in lows for j in range(nk)))
-            self.level_tables[n] = high, low
-        high, low = self.level_tables[n]
+        nl, nh = nk * r**m, r ** (n - m)  # L and R
+        if nh * nh + nl * nl * nk > evaluations:
+            return self.index_law
+        high, low = self.level_tables(n)
 
         def level(a: int, b: int) -> int:
             p = high[a // nl * nh + b // nl]
             return p + low[(a % nl * nl + b % nl) * nk + p % nl]
 
         return level
+
+    def level_tables(self, n: int) -> Tuple[array, array]:
+        """The tables (high, low) of `level_law(n, ...)`, built anew on each
+        call from `_block_products`: high[Ha·R + Hb] is the index of
+        (Ha·L)(Hb·L), and low[(la·L + lb)·|K| + j] that of la·lb·j less j."""
+        k_list, nk, m = self.k_list, len(self.k_list), n // 2
+        mul, rank_of = self.group.mul, self.rank_of
+        high = self._block_products(n - m, nk * len(self.minima) ** m)
+        # K's products are the block products of no digits; times_j[j][i]
+        # takes the index of an element with K factor k_i to that of its
+        # product with k_j, less j
+        kr = [rank_of[mul[x][y]] for x in k_list for y in k_list]
+        times_j = [[kr[i * nk + j] - i - j for i in range(nk)] for j in range(nk)]
+        low = array("i", (p + add[p % nk] for p in self._block_products(m, 1, kr) for add in times_j))
+        return high, low
+
+    def _block_products(self, j: int, unit: int, table: Sequence[int] = (0,)) -> Sequence[int]:
+        """The products of pairs of elements on a block of coordinates, as
+        indices: `table` holds those of a base of w elements, the pair
+        (A, B) at A·w + B (by default the identity alone), and j times a
+        coordinate goes on top, whose digit has the place value w·unit, w
+        the number of elements below it. With t_a·t_b = minima[d]·k for the
+        top digits' minima, the product of (t_a, A) and (t_b, B) is that of
+        A and B with d on top and k folded into its K factor. Every place
+        value must be a multiple of |K|, so that an index modulo |K| is the
+        rank of its K factor."""
+        minima, k_list, nk, r = self.minima, self.k_list, len(self.k_list), len(self.minima)
+        mul, rank_of, width = self.group.mul, self.rank_of, isqrt(len(table))
+        for _ in range(j):
+            # per top pair (t_a, t_b), per rank i of A·B's K factor: the index's change
+            adds = []
+            for ta, tb in product(minima, repeat=2):
+                v = mul[ta][tb]
+                top, kv = self.digit_of[v] * width * unit, self.k_of[v]
+                adds.append([top + rank_of[mul[kv][k]] - i for i, k in enumerate(k_list)])
+            rows = [table[a * width : (a + 1) * width] for a in range(width)]
+            table = array("i", (p + add[p % nk] for da in range(r) for row in rows
+                                for add in adds[da * r : (da + 1) * r] for p in row))
+            width *= r
+        return table
 
     # -- order: the enumeration index -------------------------------------
 

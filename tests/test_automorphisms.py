@@ -605,25 +605,30 @@ def test_sampled_pairs_are_the_randrange_draws(monkeypatch, size):
     assert (calls[::2], rng.getstate()) == randrange_pairs(budget)
 
 
-def test_verify_keeps_level_8_on_the_index_law():
-    # Q8 level 8's tables would take about 330 000 law calls, more than the
-    # 200 000 evaluations of a 100 000-pair check, so none are built
-    ctx = make_ctx("Q8")
-    r = verify_automorphism(ctx, word(), 8, rng=random.Random(0))
+@pytest.mark.parametrize("level, builds", [(7, True), (8, False)])
+def test_verify_builds_level_tables_only_when_they_pay(monkeypatch, level, builds):
+    # Q8 level 7's tables have 98 304 entries, fewer than the 200 000
+    # evaluations of a 100 000-pair check; level 8's have 589 824, so its
+    # check keeps the index law and builds none
+    ctx, built = make_ctx("Q8"), []
+    build = ctx.level_tables
+    monkeypatch.setattr(ctx, "level_tables", lambda n: built.append(n) or build(n))
+    r = verify_automorphism(ctx, word(), level, rng=random.Random(0))
     assert r.ok and r.pairs_checked == 100_000 and not r.exhaustive
-    assert 8 not in ctx.level_tables
+    assert built == ([level] if builds else [])
 
 
-def test_verify_reads_the_level_tables():
+def test_verify_reads_the_level_tables(monkeypatch):
     # one wrong entry of C4 level 4's low table, the product of index 2 (g
     # at coordinate 0) with itself, fails the law under a transposition that
     # moves coordinate 0 to 3, above the split: the images' product reads
     # the high table and another low entry
     ctx, swap = make_ctx("C4"), word(Perm.from_cycles([[0, 3]]))
     assert verify_automorphism(ctx, swap, 4).ok
-    _, low = ctx.level_tables[4]
+    high, low = ctx.level_tables(4)
     low_size = len(ctx.k_list) * len(ctx.minima) ** 2  # the indices below coordinate 2
     low[(2 * low_size + 2) * len(ctx.k_list)] += 1
+    monkeypatch.setattr(ctx, "level_tables", lambda _n: (high, low))
     r = verify_automorphism(ctx, swap, 4)
     assert (r.ok, r.failure, r.witness) == (False, "homomorphism law fails", (2, 2))
 
