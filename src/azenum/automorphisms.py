@@ -5,14 +5,18 @@ element is its enumeration index (see `central_product`).
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
 to coordinate perm[j]. Each generator is stated once (`_window_action`),
 as weights on the coset digits it touches: a permutation's weighted digit
-sum moves its digits, a ladder's is its window configuration, whose shift
-and K factor it computes once. A word acts on lists of enumeration indices
+sum moves its digits, a ladder's is its window configuration. A ladder
+acts on a list of configurations at once, giving their shifts and K
+factors from a part that no coordinate enters (`_ladder_slots`): each
+slot's digit change and the K factor, computed a slot at a time over the
+distinct configurations. A word acts on lists of enumeration indices
 (`index_images`) by those sums on the pairs (s, k), a generator and a run
 of consecutive digits (`CPContext.digit_runs`) at a time, building no
 element; `apply_word` is its view on one index. `level_images` maps a
-level's indices range(size) by the same sums over the whole level;
-`verify_automorphism` checks the law on them through tables of the level's
-products, built for the check (`CPContext.level_law`).
+level's indices range(size) by the same sums over the whole level, every
+ladder of the word reading one whole window table. `verify_automorphism`
+checks the law on the images in one loop (`CPContext.law_check`), which
+reads tables of the level's products built for the check.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import product, repeat
 from operator import add
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -110,19 +115,22 @@ class AutWord:
 # ---------------------------------------------------------------------------
 
 
-def _window_action(ctx: CPContext, gen: AutGenerator) -> Tuple[Dict[int, int], Optional[Callable]]:
+def _window_action(
+    ctx: CPContext, gen: AutGenerator, slots: Optional[Callable] = None
+) -> Tuple[Dict[int, int], Optional[Callable]]:
     """The generator as (weights, act) on the pair (s, k): it reads the sum
     v of d_c(s)·weights[c] over the coordinates c it touches. A permutation
     weighs each move (src, tgt) r^tgt - r^src, so s + v has its digits
     moved; its act is None and k stays. A ladder weighs its window's j-th
-    coordinate r^j, so v is the window's configuration, and act(v) =
-    (shift, K factor) takes (s, k) to (s + shift, k·factor): each slot
-    gets the ordered product of the other slots' coset minima, keeps its
-    digit and folds its K factor into k, once per configuration, as act
-    remembers each result. That ignores the held-back k, which is right
-    because K is central: k would enter the m+1 other slots of a window on
-    coordinate 0, and k^(m+1) = k for the exponent m. InputError for a
-    ladder of other than exponent + 2 coordinates.
+    coordinate r^j, so v is the window's configuration, and act, on a list
+    of configurations, gives their lists (shifts, factors): (s, k) goes to
+    (s + shift, k·factor). The shift weighs each slot's digit change by its
+    coordinate's place; the changes and the K factors, which no coordinate
+    enters, are `slots` of the distinct configurations, by default
+    `_ladder_slots`. That ignores the held-back k, which is right because K
+    is central: k would enter the m+1 other slots of a window on coordinate
+    0, and k^(m+1) = k for the exponent m. InputError for a ladder of other
+    than exponent + 2 coordinates.
     """
     r, place = len(ctx.minima), ctx.place
     if isinstance(gen, Perm):
@@ -130,33 +138,53 @@ def _window_action(ctx: CPContext, gen: AutGenerator) -> Tuple[Dict[int, int], O
     if len(gen.coords) != ctx.exponent + 2:
         m, got = ctx.exponent + 2, len(gen.coords)
         raise InputError(f"ladder needs exponent+2 = {m} coordinates, got {got}")
-    mul, e, minima = ctx.group.mul, ctx.group.identity_index, ctx.minima
-    digit_of, k_of, places = ctx.digit_of, ctx.k_of, list(map(place, gen.coords))
-    memo: Dict[int, Tuple[int, int]] = {}
+    places, slots = list(map(place, gen.coords)), slots or partial(_ladder_slots, ctx)
 
-    def ladder(v: int) -> Tuple[int, int]:
-        if v in memo:
-            return memo[v]
-        ds = [v // r**j % r for j in range(len(places))]
-        vals, prefix, p, s = [minima[d] for d in ds], [], e, e
-        for u in vals:
-            prefix.append(p)
-            p = mul[p][u]
-        shift, k = 0, e
-        for j in reversed(range(len(vals))):
-            u, s = mul[prefix[j]][s], mul[vals[j]][s]
-            shift += (digit_of[u] - ds[j]) * places[j]
-            k = mul[k][k_of[u]]
-        memo[v] = shift, k
-        return shift, k
+    def act(configurations: Sequence[int]) -> Tuple[List[int], List[int]]:
+        distinct = list(dict.fromkeys(configurations))
+        changes, factors = slots(distinct)
+        shifts = [0] * len(distinct)
+        for p, change in zip(places, changes):
+            shifts = [t + c * p for t, c in zip(shifts, change)]
+        if len(distinct) == len(configurations):
+            return shifts, factors
+        at = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, configurations))
+        return list(map(shifts.__getitem__, at)), list(map(factors.__getitem__, at))
 
-    return {c: r**j for j, c in enumerate(gen.coords)}, ladder
+    return {c: r**j for j, c in enumerate(gen.coords)}, act
+
+
+def _ladder_slots(ctx: CPContext, configurations: Sequence[int]) -> Tuple[List[List[int]], List[int]]:
+    """A ladder window's action on a list of configurations, free of its
+    coordinates: per slot j, each configuration's digit change at j, and
+    each configuration's K factor. Slot j gets u_j = P_j·S_(j+1), the
+    ordered product of the coset minima of the slots below it (P_j) and
+    above it (S_(j+1)), keeps u_j's digit and folds its K factor into k. A
+    slot at a time over the whole list: the prefix products left to right,
+    then the suffix products right to left."""
+    mul, minima, digit_of, k_of = ctx.group.mul, ctx.minima, ctx.digit_of, ctx.k_of
+    r, e, count = len(minima), ctx.group.identity_index, len(configurations)
+    # per slot, each configuration's coset minimum there, and P_j
+    vals = [[minima[v // place % r] for v in configurations]
+            for place in map(r.__pow__, range(ctx.exponent + 2))]
+    prefixes = [[e] * count]
+    for m in vals[:-1]:
+        prefixes.append([mul[x][y] for x, y in zip(prefixes[-1], m)])
+    changes, factors, s = [], [e] * count, [e] * count
+    for m, p in zip(reversed(vals), reversed(prefixes)):
+        u = [mul[x][y] for x, y in zip(p, s)]
+        changes.append([digit_of[z] - digit_of[y] for z, y in zip(u, m)])
+        factors = [mul[k][k_of[z]] for k, z in zip(factors, u)]
+        s = [mul[x][y] for x, y in zip(m, s)]
+    changes.reverse()
+    return changes, factors
 
 
 def _word_kernel(ctx: CPContext, word: AutWord) -> Callable[[Iterable[int]], List[int]]:
     """The word on lists of indices, each generator's `_window_action` read as
     runs (`CPContext.digit_runs`): over the pairs (s, k) the reads sum to v, a
-    ladder maps v to its shift and K factor, and s gains v; CapacityError."""
+    ladder's act maps the list of v to shifts and K factors, and s gains v;
+    CapacityError."""
     ctx.place(max(word.max_coord(), 0))
     steps = [(ctx.digit_runs(w), act) for w, act in (_window_action(ctx, g) for g in word.gens)]
     mul = ctx.group.mul
@@ -168,8 +196,8 @@ def _word_kernel(ctx: CPContext, word: AutWord) -> Callable[[Iterable[int]], Lis
             for p, m, w in runs:
                 vs = [v + s // p % m * w for v, s in zip(vs, ss)]
             if act is not None:
-                acted = list(map(act, vs))
-                vs, ks = [v for v, _ in acted], [mul[k][f] for k, (_, f) in zip(ks, acted)]
+                vs, factors = act(vs)
+                ks = [mul[k][f] for k, f in zip(ks, factors)]
             ss = list(map(add, ss, vs))
         return ctx.indices_of_pairs(ss, ks)
 
@@ -189,9 +217,11 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
 
     A generator (`_window_action`) moves each level-n pair's s by its
     weighted digit sum v (`CPContext.digit_sums` lists v for every s), or
-    for a ladder by the shift of its act tabulated over the r^|W|
-    configurations v of its window W, which lies below n. The pairs go
-    back to indices through `CPContext.join_level`.
+    for a ladder by the shift its act gives on the whole window table, the
+    r^|W| configurations v of its window W, which lies below n. Every
+    ladder has exponent + 2 slots, so the table's coordinate-free part
+    (`_ladder_slots`) is built for the word's first ladder and read by the
+    others. The pairs go back to indices through `CPContext.join_level`.
     """
     if n < 1:
         raise InputError("level must be >= 1")
@@ -199,14 +229,23 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
         raise InputError("word touches coordinates at or above the level")
     ctx.level_size(n)  # CapacityError above MAX_COSETS
     mul, r, e = ctx.group.mul, len(ctx.minima), ctx.group.identity_index
-    state, kfac = array("l", range(r**n)), [e] * r**n
+    # kfac stays None, every K factor 1, until a ladder gives another
+    state, kfac, whole = array("l", range(r**n)), None, []
+
+    def whole_window(configurations: Sequence[int]) -> Tuple[List[List[int]], List[int]]:
+        # the same configurations, range(r^(exponent + 2)), for every ladder
+        if not whole:
+            whole.append(_ladder_slots(ctx, configurations))
+        return whole[0]
+
     for gen in word.gens:
-        weights, act = _window_action(ctx, gen)
+        weights, act = _window_action(ctx, gen, whole_window)
         sums = ctx.digit_sums(n, [weights.get(c, 0) for c in range(max(weights, default=-1) + 1)])
         vs = list(map(sums.__getitem__, state))
         if act is not None:
-            shift, factor = zip(*map(act, range(r ** len(weights))))
-            kfac = [mul[a][factor[v]] for a, v in zip(kfac, vs)]
+            shift, factor = act(range(r ** len(weights)))
+            if factor.count(e) < len(factor):
+                kfac = [mul[a][factor[v]] for a, v in zip(kfac or repeat(e), vs)]
             vs = map(shift.__getitem__, vs)
         state = array("l", map(add, state, vs))
     return ctx.join_level(n, state, kfac)
@@ -287,16 +326,16 @@ def verify_automorphism(
     pair (x-major over range(size)) when size^2 is at most `sample_pairs`,
     and otherwise on `sample_pairs` pairs from `_sampled_pairs`, each
     index rng.getrandbits(size.bit_length()) drawn again until below size,
-    as rng.randrange(size) draws it. The law is `CPContext.level_law`,
-    given the two evaluations per pair: two reads of the level's tables,
+    as rng.randrange(size) draws it. `CPContext.law_check` checks the
+    pairs, given two evaluations per pair: two reads of the level's tables,
     built for this check, when they have no more entries than that, as
     for Q8 level 7, else the index law, as for Q8 level 8. A failing pair
     is returned as indices.
     """
     images = level_images(ctx, word, n)
     size = len(images)
-    escaped = next((i for i, j in enumerate(images) if j >= size), None)
-    if escaped is not None:
+    if max(images) >= size:
+        escaped = next(i for i, j in enumerate(images) if j >= size)
         witness = (escaped, images[escaped])
         return VerifyReport(False, n, size, 0, False, "image escapes level", witness)
     if len(set(images)) != size:
@@ -307,13 +346,9 @@ def verify_automorphism(
         count, pairs = size * size, product(range(size), repeat=2)
     else:
         count, pairs = sample_pairs, _sampled_pairs(rng or random.Random(0), size, sample_pairs)
-    law = ctx.level_law(n, 2 * count)
-    checked = 0
-    for a, b in pairs:
-        if images[law(a, b)] != law(images[a], images[b]):
-            failure = "homomorphism law fails"
-            return VerifyReport(False, n, size, checked, exhaustive, failure, (a, b))
-        checked += 1
+    checked, witness = ctx.law_check(n, images, pairs, 2 * count)
+    if witness is not None:
+        return VerifyReport(False, n, size, checked, exhaustive, "homomorphism law fails", witness)
     return VerifyReport(True, n, size, checked, exhaustive)
 
 

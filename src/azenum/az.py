@@ -225,7 +225,7 @@ def beta_level_images(bm: BetaMap, n: int) -> List[int]:
     through."""
     ctx = bm.ctx
     sums = ctx.digit_sums(n, digit_weights(bm, n))
-    return ctx.join_level(n, sums, [ctx.group.identity_index] * len(sums))
+    return ctx.join_level(n, sums)
 
 
 def apply_beta(bm: BetaMap, x: int) -> int:

@@ -14,8 +14,9 @@ the digits of every s and `join_level` maps pairs back to indices. The
 group law runs on indices (`CPContext.index_law`): above coordinate 0 the
 product's digits are read, a block of coordinates at a time, from tables of
 block products, whose K factors fold into coordinate 0 as K is central.
-`CPContext.level_law` is that law on one level, two table reads per
-product from tables of the level's low and high halves, built on each call.
+`CPContext.law_check` checks a map's homomorphism law on pairs of one
+level in a single loop, reading each product in two table steps from
+tables of the level's low and high halves, built on each call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 from itertools import product
 from math import isqrt
 from math import lcm as _lcm
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
 from .groups import KGroupSpec
@@ -35,11 +36,11 @@ Support = Mapping[int, int]
 # The largest level, in cosets, that verify_automorphism and all_cosets take
 # (`CPContext.level_size`): Q8 level 8 (131 072 cosets) fits and level 9
 # (524 288) does not. `aut verify --group Q8 --word [] --level 8` takes
-# 0.15-0.16 s and 28.1 MB peak (Python 3.11, in one process after start-up,
-# on one core of a shared 2-core x86-64 host); a two-generator word (a
-# ladder and a transposition) 0.18 s and 28.9 MB. Its law check runs on
-# `index_law`: level 8's `level_law` tables would have 589 824 entries,
-# more than the check's 200 000 evaluations.
+# 0.14-0.15 s and 28.4 MB peak (Python 3.11, in one process after start-up,
+# on one core of a shared 2-core x86-64 host); a word of two ladders and a
+# transposition 0.17 s and 29.2 MB. Its law check runs on `index_law`:
+# level 8's `law_check` tables would have 589 824 entries, more than the
+# check's 200 000 evaluations.
 MAX_COSETS = 1 << 18
 
 # The largest coordinate whose place value `CPContext.place` gives, hence
@@ -133,24 +134,30 @@ class CPContext:
 
         return law
 
-    def level_law(self, n: int, evaluations: int) -> Callable[[int, int], int]:
-        """`index_law` on the level-n indices, for a caller that evaluates it
-        `evaluations` times: two reads of the tables `level_tables(n)`
-        builds, or `index_law` itself when the tables have more entries,
-        R² + L²·|K|, than `evaluations`. Both arguments of the returned law
-        must be below the level size; a larger one gives a wrong product
-        without an error.
+    def law_check(
+        self, n: int, images: Sequence[int], pairs: Iterable[Tuple[int, int]], evaluations: int
+    ) -> Tuple[int, Optional[Tuple[int, int]]]:
+        """The homomorphism law of a map on the level-n indices, given as the
+        list `images` of their images, on `pairs`, which the caller counts
+        as `evaluations` products: (checked, witness), witness the first
+        pair (a, b) with images[a·b] != images[a]·images[b] and checked the
+        number of pairs before it, or (the number of pairs, None). Every
+        index in a pair and every image must be below the level size; a
+        larger one gives a wrong product without an error.
 
-        With m = n // 2, L = |K|·r^m and R = r^(n-m), a level-n index is
-        H·L + l with H < R and l < L. Three facts make the split exact:
-        elements of disjoint support commute, so a·b = (Ha·L)(Hb·L)·(la·lb)
-        with la·lb supported below coordinate m; an index H·L, with no
-        digit below m, carries the K factor 1, so H·L times an element of
-        index q < L has the index H·L + q; and K is central, so the high
-        product's K factor, the element j < |K| in H·L + j, joins the low
-        part. Hence law(a, b) = p + low[(la·L + lb)·|K| + p % L] for
-        p = high[Ha·R + Hb], the index of (Ha·L)(Hb·L), where low holds the
-        index of la·lb·j less j.
+        The products are read from the tables `level_tables(n)` builds when
+        they have no more entries, R² + L²·|K|, than `evaluations`, and
+        otherwise from `index_law`. With m = n // 2, L = |K|·r^m and
+        R = r^(n-m), a level-n index is H·L + l with H < R and l < L. Three
+        facts make the split exact: elements of disjoint support commute,
+        so a·b = (Ha·L)(Hb·L)·(la·lb) with la·lb supported below coordinate
+        m; an index H·L, with no digit below m, carries the K factor 1, so
+        H·L times an element of index q < L has the index H·L + q; and K is
+        central, so the high product's K factor, the element j < |K| in
+        H·L + j, joins the low part. Hence a·b = p + low[(la·L + lb)·|K| +
+        p % L] for p = high[Ha·R + Hb], the index of (Ha·L)(Hb·L), where
+        low holds the index of la·lb·j less j, read inline: the loop runs
+        in this one frame.
 
         A table entry costs about half what a read saves against
         `index_law` (Q8 levels 6-8, Python 3.11: 85-105 ns against
@@ -161,18 +168,25 @@ class CPContext:
         Q8 level 8, 589 824 entries, keeps `index_law`."""
         nk, r, m = len(self.k_list), len(self.minima), n // 2
         nl, nh = nk * r**m, r ** (n - m)  # L and R
+        checked = 0
         if nh * nh + nl * nl * nk > evaluations:
-            return self.index_law
+            law = self.index_law
+            for checked, (a, b) in enumerate(pairs, 1):
+                if images[law(a, b)] != law(images[a], images[b]):
+                    return checked - 1, (a, b)
+            return checked, None
         high, low = self.level_tables(n)
-
-        def level(a: int, b: int) -> int:
+        for checked, (a, b) in enumerate(pairs, 1):
             p = high[a // nl * nh + b // nl]
-            return p + low[(a % nl * nl + b % nl) * nk + p % nl]
-
-        return level
+            ab = p + low[(a % nl * nl + b % nl) * nk + p % nl]
+            x, y = images[a], images[b]
+            p = high[x // nl * nh + y // nl]
+            if images[ab] != p + low[(x % nl * nl + y % nl) * nk + p % nl]:
+                return checked - 1, (a, b)
+        return checked, None
 
     def level_tables(self, n: int) -> Tuple[array, array]:
-        """The tables (high, low) of `level_law(n, ...)`, built anew on each
+        """The tables (high, low) of `law_check(n, ...)`, built anew on each
         call from `_block_products`: high[Ha·R + Hb] is the index of
         (Ha·L)(Hb·L), and low[(la·L + lb)·|K| + j] that of la·lb·j less j."""
         k_list, nk, m = self.k_list, len(self.k_list), n // 2
@@ -284,13 +298,17 @@ class CPContext:
             sums = [d * w + t for d in range(r) for t in sums]
         return sums * r ** (n - len(weights))
 
-    def join_level(self, n: int, state: Sequence[int], kfac: Sequence[int]) -> List[int]:
+    def join_level(self, n: int, state: Sequence[int], kfac: Optional[Sequence[int]] = None) -> List[int]:
         """Per level-n index, in order, with (s, k) its pair: the index of
-        the pair (state[s], k·kfac[s]); index s·|K| + j has k = k_list[j]."""
+        the pair (state[s], k·kfac[s]), k alone when kfac is None; index
+        s·|K| + j has k = k_list[j]."""
         nk, mul, rank_of = len(self.k_list), self.group.mul, self.rank_of
         images = [0] * (nk * len(state))
         for j, k in enumerate(self.k_list):
-            images[j::nk] = [nk * t + rank_of[mul[k][f]] for t, f in zip(state, kfac)]
+            if kfac is None:
+                images[j::nk] = [nk * t + j for t in state]
+            else:
+                images[j::nk] = [nk * t + rank_of[mul[k][f]] for t, f in zip(state, kfac)]
         return images
 
     def compare(self, x: int, y: int) -> int:

@@ -245,6 +245,26 @@ def raw_ladder(ctx, coords, x):
     return out
 
 
+def scalar_ladder(ctx, places, v):
+    """A ladder's action on one window configuration v (slot j's digit at
+    r^j), for a window whose coordinates have the place values `places`:
+    (shift, K factor), slot j taking the ordered product of the other
+    slots' coset minima, keeping its digit and giving up its K factor. One
+    configuration at a time: the reference for the list-form act."""
+    mul, e, minima, r = ctx.group.mul, ctx.group.identity_index, ctx.minima, len(ctx.minima)
+    ds = [v // r**j % r for j in range(len(places))]
+    vals, prefix, p, s = [minima[d] for d in ds], [], e, e
+    for u in vals:
+        prefix.append(p)
+        p = mul[p][u]
+    shift, k = 0, e
+    for j in reversed(range(len(vals))):
+        u, s = mul[prefix[j]][s], mul[vals[j]][s]
+        shift += (ctx.digit_of[u] - ds[j]) * places[j]
+        k = mul[k][ctx.k_of[u]]
+    return shift, k
+
+
 def oracle_apply_word(ctx, word, x):
     """The word's action on elements, one generator at a time: the raw
     tuple action on the minimal representative, then `make` normalises it."""

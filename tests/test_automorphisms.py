@@ -33,6 +33,7 @@ from oracles import (
     oracle_group,
     raw_ladder,
     raw_perm,
+    scalar_ladder,
 )
 
 
@@ -137,6 +138,24 @@ def test_beta_star_is_automorphism(c4k, q8k):
     assert r.ok and r.exhaustive and r.size == 128
     r = verify_automorphism(q8k, word(BetaStar((0, 2, 3, 1, 5, 4))), 6)
     assert r.ok
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "C6"])
+def test_ladder_act_matches_the_scalar_ladder(name):
+    # the list-form act against `scalar_ladder`, on a window of scattered
+    # coordinates: every configuration in order, then shuffled draws with
+    # repeats (the case of a list of indices); C6's K factors do not cancel
+    ctx = CPContext(make_kgroup(*oracle_group(name)))
+    rng, r, size = random.Random(29), len(ctx.minima), ctx.exponent + 2
+    coords = tuple(rng.sample(range(size + 3), size))
+    _, act = automorphisms._window_action(ctx, BetaStar(coords))
+    places = [ctx.place(c) for c in coords]
+    every = range(r**size)
+    assert list(zip(*act(every))) == [scalar_ladder(ctx, places, v) for v in every]
+    drawn = [rng.randrange(r**size) for _ in range(300)]
+    drawn += rng.choices(drawn, k=200)
+    rng.shuffle(drawn)
+    assert list(zip(*act(drawn))) == [scalar_ladder(ctx, places, v) for v in drawn]
 
 
 @pytest.mark.parametrize(
@@ -589,20 +608,20 @@ def test_sampled_pairs_are_the_randrange_draws(monkeypatch, size):
     rng = random.Random(size)
     drawn = list(automorphisms._sampled_pairs(rng, size, 1500))
     assert (drawn, rng.getstate()) == randrange_pairs(1500)
-    # identity images and a stand-in law that records its arguments and
-    # returns 0, so every pair passes
+    # identity images and a stand-in law check that records the pairs it
+    # is given and passes them all
     monkeypatch.setattr(automorphisms, "level_images", lambda _ctx, _w, _n: list(range(size)))
     calls = []
 
-    def record(a, b):
-        calls.append((a, b))
-        return 0
+    def record(_n, _images, pairs, _evaluations):
+        calls.extend(pairs)
+        return len(calls), None
 
-    ctx = SimpleNamespace(level_law=lambda _n, _evaluations: record)
+    ctx = SimpleNamespace(law_check=record)
     budget, rng = min(1500, size * size - 1), random.Random(size)
     r = verify_automorphism(ctx, word(), 1, sample_pairs=budget, rng=rng)
     assert r.ok and not r.exhaustive and r.pairs_checked == budget
-    assert (calls[::2], rng.getstate()) == randrange_pairs(budget)
+    assert (calls, rng.getstate()) == randrange_pairs(budget)
 
 
 @pytest.mark.parametrize("level, builds", [(7, True), (8, False)])

@@ -163,10 +163,35 @@ def test_multiply_matches_brute_force_product(name):
             assert ctx.minimal_representative(ctx.multiply(x, y)) == tuple(sorted(expected.items()))
 
 
-# the least level whose coordinates 1.. fill a whole block of the index
-# law's tables (blocks of 4 coordinates for C4, 2 for Q8, D4 and C2xC2), so
-# every table entry is read; C2 has K = G and Γ is all of level 1
+# levels whose every ordered pair fits a quick brute-force check: the index
+# law reads coordinates 1.. in blocks of 6 for C4 (r = 2) and 3 for Q8, D4
+# and C2xC2 (r = 4), so C4 level 5 reads 4 coordinates of one block and the
+# others 2 of one; `test_block_products_match_brute_force_product` checks
+# every table entry; C2 has K = G and Γ is all of level 1
 LAW_LEVELS = {"C4": 5, "Q8": 3, "D4": 3, "C2xC2": 3, "C2": 3}
+
+
+def block_height(ctx):
+    # the index law's block of coordinates: h >= 1 the largest with r^h <= 64
+    r = len(ctx.minima)
+    return max((h for h in range(1, 7) if r**h <= 64), default=1) if r > 1 else 1
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_block_products_match_brute_force_product(name):
+    # every entry of the index law's block table: the pair (A, B) of
+    # elements with digits A and B on h coordinates and K factor 1 holds
+    # the digits and the K factor of the brute-force product A·B
+    ctx = make_ctx(name)
+    h, nk = block_height(ctx), len(ctx.k_list)
+    assert (h, len(ctx.minima)) in {(6, 2), (3, 4), (1, 1)}
+    blocks, width = ctx._block_products(h, nk), len(ctx.minima) ** h
+    assert len(blocks) == width * width
+    for a in range(width):
+        for b in range(width):
+            p = blocks[a * width + b]
+            expected = ctx.make(brute_product(ctx, a * nk, b * nk, width=h))
+            assert (p // nk, ctx.k_list[p % nk]) == ctx.pair_of(expected), (a, b)
 
 
 @pytest.mark.parametrize("name", sorted(LAW_LEVELS), ids=lambda name: f"{name}-make_kgroup")
@@ -187,8 +212,8 @@ def test_index_law_matches_brute_force_product(name):
 
 @pytest.mark.parametrize("name", ["Q8", "D4"])
 def test_index_law_folds_across_blocks(name):
-    # seeded pairs of level 7: three blocks of two coordinates each, whose
-    # K factors all fold into coordinate 0
+    # seeded pairs of level 7: coordinates 1-6 are two blocks of three
+    # coordinates each, whose K factors both fold into coordinate 0
     ctx = make_ctx(name)
     rng = random.Random(13)
     size = ctx.gamma_n_order(7)
@@ -198,29 +223,62 @@ def test_index_law_folds_across_blocks(name):
         assert ctx.index_law(i, j) == expected
 
 
+class IdentityReads:
+    """The identity map on indices as the image list of `law_check`,
+    recording every index read: per pair (a, b) the check reads a, b and
+    its product a·b, so the products it computes show among the reads."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __getitem__(self, x):
+        self.reads.append(x)
+        return x
+
+
+def law_check_products(monkeypatch, ctx, n, pairs, evaluations):
+    """Per pair, sorted, the three indices `law_check` reads on the identity
+    map, and whether it built the level tables."""
+    images, built, build = IdentityReads(), [], ctx.level_tables
+    monkeypatch.setattr(ctx, "level_tables", lambda n: built.append(n) or build(n))
+    assert ctx.law_check(n, images, pairs, evaluations) == (len(pairs), None)
+    reads = images.reads
+    return [sorted(reads[i : i + 3]) for i in range(0, len(reads), 3)], built == [n]
+
+
 @pytest.mark.parametrize("name", catalog_names())
-def test_level_law_matches_index_law_on_small_levels(name):
+def test_level_law_matches_index_law_on_small_levels(monkeypatch, name):
     # every ordered pair of every level of at most 2^9 elements, read from
-    # the level's tables, which an unbounded budget always reads
+    # the level's tables, which an unbounded budget always builds
     ctx = make_ctx(name)
     for n in range(1, 10):
         size = ctx.gamma_n_order(n)
         if size > 1 << 9:
             break
-        xs = [x for x in range(size) for _ in range(size)]
-        ys = list(range(size)) * size
-        law = ctx.level_law(n, 1 << 30)
-        assert law is not ctx.index_law
-        assert list(map(law, xs, ys)) == list(map(ctx.index_law, xs, ys)), n
+        pairs = [(x, y) for x in range(size) for y in range(size)]
+        products, built = law_check_products(monkeypatch, ctx, n, pairs, 1 << 30)
+        assert built
+        assert products == [sorted((x, y, ctx.index_law(x, y))) for x, y in pairs], n
 
 
-def test_level_law_on_drawn_pairs_at_q8_level_7():
+def test_level_law_on_drawn_pairs_at_q8_level_7(monkeypatch):
     # the tables `aut verify` reads at the benchmark's level, on seeded pairs
     ctx = make_ctx("Q8")
-    law, size, rng = ctx.level_law(7, 200_000), ctx.gamma_n_order(7), random.Random(28)
-    assert law is not ctx.index_law
+    size, rng = ctx.gamma_n_order(7), random.Random(28)
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(20_000)]
-    assert [law(a, b) for a, b in pairs] == [ctx.index_law(a, b) for a, b in pairs]
+    products, built = law_check_products(monkeypatch, ctx, 7, pairs, 200_000)
+    assert built
+    assert products == [sorted((a, b, ctx.index_law(a, b))) for a, b in pairs]
+
+
+def test_law_check_without_tables_reads_the_index_law(monkeypatch):
+    # a budget below the tables' entries keeps the index law: the same
+    # products, and no tables built
+    ctx = make_ctx("Q8")
+    pairs = [(x, y) for x in range(0, 512, 7) for y in range(0, 512, 5)]
+    products, built = law_check_products(monkeypatch, ctx, 4, pairs, 0)
+    assert not built
+    assert products == [sorted((x, y, ctx.index_law(x, y))) for x, y in pairs]
 
 
 def test_compare_total_order_on_random_triples(q8k):

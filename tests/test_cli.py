@@ -414,6 +414,27 @@ def test_aut_verify_long_inline_word_is_not_echoed(capsys):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["aut", "verify", "--group", "x" * 100_000, "--word", "[]", "--level", "2"],
+         "error: '" + "x" * 40 + "...' is neither a catalog group"),
+        (["aut", "alpha", "--group", "Q8", "--coords", "1," * 50_000 + "z", "--i0", "0",
+          "--j0", "5"], "error: --coords must be comma-separated integers: '" + "1," * 20 + "...'"),
+    ],
+    ids=["group", "coords"],
+)
+def test_long_group_and_coords_are_not_echoed(capsys, argv, shown):
+    # an unknown 100 000-character --group, and --coords of 100 001
+    # characters that are not integers: the error names each by its first
+    # 40 characters
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(shown)
+    assert len(err) < 200
+
+
 def test_aut_verify_level_above_cap(capsys):
     # Q8 level 12 would have about 33M cosets; refused before any is built
     argv = ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", "12"]
