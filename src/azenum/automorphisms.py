@@ -3,20 +3,21 @@ and the self-inverse ladder maps, plus words in them and verification. An
 element is its enumeration index (see `central_product`).
 
 A `Perm` stores the "moves" convention: the value at coordinate j is moved
-to coordinate perm[j]. Each generator is stated once (`_window_action`),
-as weights on the coset digits it touches: a permutation's weighted digit
-sum moves its digits, a ladder's is its window configuration. A ladder
-acts on a list of configurations at once, giving their shifts and K
-factors from a part that no coordinate enters (`_ladder_slots`): each
-slot's digit change and the K factor, computed a slot at a time over the
-distinct configurations. A word acts on lists of enumeration indices
-(`index_images`) by those sums on the pairs (s, k), a generator and a run
-of consecutive digits (`CPContext.digit_runs`) at a time, building no
-element; `apply_word` is its view on one index. `level_images` maps a
-level's indices range(size) by the same sums over the whole level, every
-ladder of the word reading one whole window table. `verify_automorphism`
-checks the law on the images in one loop (`CPContext.law_check`), which
-reads tables of the level's products built for the check.
+to coordinate perm[j]. Each generator is stated once, as data
+(`_window_action`): weights on the coset digits it touches, and for a
+ladder the place values of its coordinates. A permutation's weighted digit
+sum moves its digits; a ladder's is its window configuration, and a list of
+configurations goes to their shifts and K factors through a part that no
+coordinate enters (`_ladder_slots`, each slot's digit change and the K
+factor, a slot at a time over the list) and the places (`_ladder_act`). A
+word acts on lists of enumeration indices (`index_images`) by those sums on
+the pairs (s, k), a generator and a run of consecutive digits
+(`CPContext.digit_runs`) at a time, building no element; `apply_word` is
+its view on one index. `level_images` maps a level's indices range(size)
+by the same sums over the whole level, every ladder of the word reading the
+slots of one whole window table. `verify_automorphism` checks the law on
+the images in one loop (`CPContext.law_check`), which reads tables of the
+level's products built for the check.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from itertools import product, repeat
 from operator import add
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .central_product import CPContext
 from .errors import InputError
@@ -115,22 +115,16 @@ class AutWord:
 # ---------------------------------------------------------------------------
 
 
-def _window_action(
-    ctx: CPContext, gen: AutGenerator, slots: Optional[Callable] = None
-) -> Tuple[Dict[int, int], Optional[Callable]]:
-    """The generator as (weights, act) on the pair (s, k): it reads the sum
-    v of d_c(s)·weights[c] over the coordinates c it touches. A permutation
-    weighs each move (src, tgt) r^tgt - r^src, so s + v has its digits
-    moved; its act is None and k stays. A ladder weighs its window's j-th
-    coordinate r^j, so v is the window's configuration, and act, on a list
-    of configurations, gives their lists (shifts, factors): (s, k) goes to
-    (s + shift, k·factor). The shift weighs each slot's digit change by its
-    coordinate's place; the changes and the K factors, which no coordinate
-    enters, are `slots` of the distinct configurations, by default
-    `_ladder_slots`. That ignores the held-back k, which is right because K
-    is central: k would enter the m+1 other slots of a window on coordinate
-    0, and k^(m+1) = k for the exponent m. InputError for a ladder of other
-    than exponent + 2 coordinates.
+def _window_action(ctx: CPContext, gen: AutGenerator) -> Tuple[Dict[int, int], Optional[List[int]]]:
+    """The generator as (weights, places) on the pair (s, k): it reads the
+    sum v of d_c(s)·weights[c] over the coordinates c it touches. A
+    permutation weighs each move (src, tgt) r^tgt - r^src, so s + v has its
+    digits moved; its places are None and k stays. A ladder weighs its
+    window's j-th coordinate r^j, so v is the window's configuration, and
+    places lists its coordinates' place values: on a list of configurations
+    `_ladder_act` of their `_ladder_slots` gives the lists (shifts, factors),
+    and (s, k) goes to (s + shift, k·factor). InputError for a ladder of
+    other than exponent + 2 coordinates.
     """
     r, place = len(ctx.minima), ctx.place
     if isinstance(gen, Perm):
@@ -138,20 +132,7 @@ def _window_action(
     if len(gen.coords) != ctx.exponent + 2:
         m, got = ctx.exponent + 2, len(gen.coords)
         raise InputError(f"ladder needs exponent+2 = {m} coordinates, got {got}")
-    places, slots = list(map(place, gen.coords)), slots or partial(_ladder_slots, ctx)
-
-    def act(configurations: Sequence[int]) -> Tuple[List[int], List[int]]:
-        distinct = list(dict.fromkeys(configurations))
-        changes, factors = slots(distinct)
-        shifts = [0] * len(distinct)
-        for p, change in zip(places, changes):
-            shifts = [t + c * p for t, c in zip(shifts, change)]
-        if len(distinct) == len(configurations):
-            return shifts, factors
-        at = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, configurations))
-        return list(map(shifts.__getitem__, at)), list(map(factors.__getitem__, at))
-
-    return {c: r**j for j, c in enumerate(gen.coords)}, act
+    return {c: r**j for j, c in enumerate(gen.coords)}, list(map(place, gen.coords))
 
 
 def _ladder_slots(ctx: CPContext, configurations: Sequence[int]) -> Tuple[List[List[int]], List[int]]:
@@ -161,7 +142,9 @@ def _ladder_slots(ctx: CPContext, configurations: Sequence[int]) -> Tuple[List[L
     ordered product of the coset minima of the slots below it (P_j) and
     above it (S_(j+1)), keeps u_j's digit and folds its K factor into k. A
     slot at a time over the whole list: the prefix products left to right,
-    then the suffix products right to left."""
+    then the suffix products right to left. The held-back k is left out,
+    which is right because K is central: k would enter the m+1 other slots
+    of a window on coordinate 0, and k^(m+1) = k for the exponent m."""
     mul, minima, digit_of, k_of = ctx.group.mul, ctx.minima, ctx.digit_of, ctx.k_of
     r, e, count = len(minima), ctx.group.identity_index, len(configurations)
     # per slot, each configuration's coset minimum there, and P_j
@@ -180,34 +163,40 @@ def _ladder_slots(ctx: CPContext, configurations: Sequence[int]) -> Tuple[List[L
     return changes, factors
 
 
-def _word_kernel(ctx: CPContext, word: AutWord) -> Callable[[Iterable[int]], List[int]]:
-    """The word on lists of indices, each generator's `_window_action` read as
-    runs (`CPContext.digit_runs`): over the pairs (s, k) the reads sum to v, a
-    ladder's act maps the list of v to shifts and K factors, and s gains v;
-    CapacityError."""
-    ctx.place(max(word.max_coord(), 0))
-    steps = [(ctx.digit_runs(w), act) for w, act in (_window_action(ctx, g) for g in word.gens)]
-    mul = ctx.group.mul
-
-    def images(indices: Iterable[int]) -> List[int]:
-        ss, ks = ctx.pairs_of(indices)
-        for runs, act in steps:
-            vs = [0] * len(ss)
-            for p, m, w in runs:
-                vs = [v + s // p % m * w for v, s in zip(vs, ss)]
-            if act is not None:
-                vs, factors = act(vs)
-                ks = [mul[k][f] for k, f in zip(ks, factors)]
-            ss = list(map(add, ss, vs))
-        return ctx.indices_of_pairs(ss, ks)
-
-    return images
+def _ladder_act(slots: tuple, places: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """A ladder's (shifts, factors) on the configurations of `slots`, their
+    `_ladder_slots`: each slot's digit change weighed by the place value of
+    its coordinate."""
+    changes, factors = slots
+    shifts = [0] * len(factors)
+    for p, change in zip(places, changes):
+        shifts = [t + c * p for t, c in zip(shifts, change)]
+    return shifts, factors
 
 
 def index_images(ctx: CPContext, word: AutWord, indices: Iterable[int]) -> List[int]:
-    """The word's action on a list of enumeration indices, a generator at a
-    time, built without elements."""
-    return _word_kernel(ctx, word)(indices)
+    """The word's action on a list of enumeration indices, built without
+    elements; CapacityError. On the list's pairs (s, k) a generator at a
+    time, its `_window_action` read as runs (`CPContext.digit_runs`) sums to
+    v; s gains v, or for a ladder the shift `_ladder_act` gives on the
+    distinct v, and k its K factor."""
+    ctx.place(max(word.max_coord(), 0))
+    steps = [(ctx.digit_runs(w), places) for w, places in (_window_action(ctx, g) for g in word.gens)]
+    mul, (ss, ks) = ctx.group.mul, ctx.pairs_of(indices)
+    for runs, places in steps:
+        vs = [0] * len(ss)
+        for p, m, w in runs:
+            vs = [v + s // p % m * w for v, s in zip(vs, ss)]
+        if places is not None:
+            distinct = list(dict.fromkeys(vs))
+            shifts, factors = _ladder_act(_ladder_slots(ctx, distinct), places)
+            if len(distinct) < len(vs):
+                at = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, vs))
+                shifts, factors = list(map(shifts.__getitem__, at)), list(map(factors.__getitem__, at))
+            ks = [mul[k][f] for k, f in zip(ks, factors)]
+            vs = shifts
+        ss = list(map(add, ss, vs))
+    return ctx.indices_of_pairs(ss, ks)
 
 
 def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
@@ -217,11 +206,11 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
 
     A generator (`_window_action`) moves each level-n pair's s by its
     weighted digit sum v (`CPContext.digit_sums` lists v for every s), or
-    for a ladder by the shift its act gives on the whole window table, the
-    r^|W| configurations v of its window W, which lies below n. Every
-    ladder has exponent + 2 slots, so the table's coordinate-free part
-    (`_ladder_slots`) is built for the word's first ladder and read by the
-    others. The pairs go back to indices through `CPContext.join_level`.
+    for a ladder by its shift on the whole window table, the r^|W|
+    configurations v of its window W, which lies below n. Every ladder has
+    exponent + 2 slots, so the table's `_ladder_slots` are built at the
+    word's first ladder and read by the others. The pairs go back to
+    indices through `CPContext.join_level`.
     """
     if n < 1:
         raise InputError("level must be >= 1")
@@ -230,20 +219,14 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
     ctx.level_size(n)  # CapacityError above MAX_COSETS
     mul, r, e = ctx.group.mul, len(ctx.minima), ctx.group.identity_index
     # kfac stays None, every K factor 1, until a ladder gives another
-    state, kfac, whole = array("l", range(r**n)), None, []
-
-    def whole_window(configurations: Sequence[int]) -> Tuple[List[List[int]], List[int]]:
-        # the same configurations, range(r^(exponent + 2)), for every ladder
-        if not whole:
-            whole.append(_ladder_slots(ctx, configurations))
-        return whole[0]
-
+    state, kfac, slots = array("l", range(r**n)), None, None
     for gen in word.gens:
-        weights, act = _window_action(ctx, gen, whole_window)
+        weights, places = _window_action(ctx, gen)
         sums = ctx.digit_sums(n, [weights.get(c, 0) for c in range(max(weights, default=-1) + 1)])
         vs = list(map(sums.__getitem__, state))
-        if act is not None:
-            shift, factor = act(range(r ** len(weights)))
+        if places is not None:
+            slots = slots or _ladder_slots(ctx, range(r ** len(places)))
+            shift, factor = _ladder_act(slots, places)
             if factor.count(e) < len(factor):
                 kfac = [mul[a][factor[v]] for a, v in zip(kfac or repeat(e), vs)]
             vs = map(shift.__getitem__, vs)
@@ -308,12 +291,12 @@ class VerifyReport:
     witness: Optional[tuple] = None
 
 
+# the pair budget of the homomorphism law check
+SAMPLE_PAIRS = 100_000
+
+
 def verify_automorphism(
-    ctx: CPContext,
-    word: AutWord,
-    n: int,
-    sample_pairs: int = 100_000,
-    rng: Optional[random.Random] = None,
+    ctx: CPContext, word: AutWord, n: int, rng: Optional[random.Random] = None
 ) -> VerifyReport:
     """Check that the word acts as an automorphism of the level-n subgroup.
 
@@ -323,8 +306,8 @@ def verify_automorphism(
     level's digit vectors. An image at or above size escapes the level.
     Bijectivity is exhaustive; the homomorphism law,
     images[law(a, b)] == law(images[a], images[b]), is checked on every
-    pair (x-major over range(size)) when size^2 is at most `sample_pairs`,
-    and otherwise on `sample_pairs` pairs from `_sampled_pairs`, each
+    pair (x-major over range(size)) when size^2 is at most `SAMPLE_PAIRS`,
+    and otherwise on `SAMPLE_PAIRS` pairs from `_sampled_pairs`, each
     index rng.getrandbits(size.bit_length()) drawn again until below size,
     as rng.randrange(size) draws it. `CPContext.law_check` checks the
     pairs, given two evaluations per pair: two reads of the level's tables,
@@ -341,11 +324,11 @@ def verify_automorphism(
     if len(set(images)) != size:
         return VerifyReport(False, n, size, 0, False, "not injective", None)
 
-    exhaustive = size * size <= sample_pairs
+    exhaustive = size * size <= SAMPLE_PAIRS
     if exhaustive:
         count, pairs = size * size, product(range(size), repeat=2)
     else:
-        count, pairs = sample_pairs, _sampled_pairs(rng or random.Random(0), size, sample_pairs)
+        count, pairs = SAMPLE_PAIRS, _sampled_pairs(rng or random.Random(0), size, SAMPLE_PAIRS)
     checked, witness = ctx.law_check(n, images, pairs, 2 * count)
     if witness is not None:
         return VerifyReport(False, n, size, checked, exhaustive, "homomorphism law fails", witness)

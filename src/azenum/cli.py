@@ -81,7 +81,7 @@ def _shown(arg: str) -> str:
 
 def _group(args):
     """(table, analysis, k) of `--group`, a catalog name or a group JSON
-    file; `--k` (element names or indices) overrides the file's K."""
+    file; `--k`, one or more element names or indices, overrides its K."""
     if args.group in catalog_names():
         table, analysis, k = catalog_group(args.group)
     elif os.path.exists(args.group):
@@ -91,8 +91,10 @@ def _group(args):
             f"{_shown(args.group)!r} is neither a catalog group ({', '.join(catalog_names())}) "
             "nor an existing file"
         )
-    if getattr(args, "k", None):
+    if getattr(args, "k", None) is not None:
         items = [item.strip() for item in args.k.split(",")]
+        if items == [""]:
+            raise InputError("--k names no element")
         k = [int(x) if x.isdecimal() else table.index_of_name(x) for x in items]
     return table, analysis, k
 

@@ -24,6 +24,7 @@ from azenum.groups import (
     catalog_group,
     catalog_names,
     make_kgroup,
+    validate_and_analyze,
 )
 from oracles import (
     brute_cosets,
@@ -142,14 +143,19 @@ def test_beta_star_is_automorphism(c4k, q8k):
 
 @pytest.mark.parametrize("name", [*catalog_names(), "C6"])
 def test_ladder_act_matches_the_scalar_ladder(name):
-    # the list-form act against `scalar_ladder`, on a window of scattered
-    # coordinates: every configuration in order, then shuffled draws with
-    # repeats (the case of a list of indices); C6's K factors do not cancel
+    # the list form, `_ladder_act` of `_ladder_slots` with the places that
+    # `_window_action` gives, against `scalar_ladder`, on a window of
+    # scattered coordinates: every configuration in order, then shuffled
+    # draws with repeats; C6's K factors do not cancel
     ctx = CPContext(make_kgroup(*oracle_group(name)))
     rng, r, size = random.Random(29), len(ctx.minima), ctx.exponent + 2
     coords = tuple(rng.sample(range(size + 3), size))
-    _, act = automorphisms._window_action(ctx, BetaStar(coords))
-    places = [ctx.place(c) for c in coords]
+    _, places = automorphisms._window_action(ctx, BetaStar(coords))
+    assert places == [ctx.place(c) for c in coords]
+
+    def act(vs):
+        return automorphisms._ladder_act(automorphisms._ladder_slots(ctx, vs), places)
+
     every = range(r**size)
     assert list(zip(*act(every))) == [scalar_ladder(ctx, places, v) for v in every]
     drawn = [rng.randrange(r**size) for _ in range(300)]
@@ -509,26 +515,29 @@ def test_verify_rejects_out_of_range_word(c4k):
         verify_automorphism(c4k, word(Perm.from_mapping({0: 6, 6: 0})), 4)
 
 
-def test_verify_sampled_path(q8k):
+def test_verify_sampled_path(monkeypatch, q8k):
     # level 4: 512 elements, 512^2 pairs exceeds the pair budget
     w = word(Perm.from_cycles([[0, 1, 2]]))
-    r = verify_automorphism(q8k, w, 4, sample_pairs=500, rng=random.Random(5))
+    monkeypatch.setattr(automorphisms, "SAMPLE_PAIRS", 500)
+    r = verify_automorphism(q8k, w, 4, rng=random.Random(5))
     assert r.ok and not r.exhaustive and r.pairs_checked == 500
 
 
 @pytest.mark.parametrize(
     "level, budget, exhaustive, checked",
     [
-        (7, {}, True, 65536),
-        (2, {"sample_pairs": 63}, False, 63),
-        (2, {"sample_pairs": 64}, True, 64),
+        (7, None, True, 65536),
+        (2, 63, False, 63),
+        (2, 64, True, 64),
     ],
     ids=["C4-level-7-default", "C4-level-2-below", "C4-level-2-at"],
 )
-def test_verify_pair_budget(c4k, level, budget, exhaustive, checked):
-    # every pair exactly when size^2 <= sample_pairs: C4 level 7 has 256
+def test_verify_pair_budget(monkeypatch, c4k, level, budget, exhaustive, checked):
+    # every pair exactly when size^2 <= SAMPLE_PAIRS: C4 level 7 has 256
     # cosets (65 536 pairs <= 100 000), level 2 has 8 (64 pairs)
-    r = verify_automorphism(c4k, word(), level, rng=random.Random(3), **budget)
+    if budget is not None:
+        monkeypatch.setattr(automorphisms, "SAMPLE_PAIRS", budget)
+    r = verify_automorphism(c4k, word(), level, rng=random.Random(3))
     assert r.ok and (r.exhaustive, r.pairs_checked) == (exhaustive, checked)
 
 
@@ -566,7 +575,8 @@ def test_verify_reports_non_homomorphism(monkeypatch, name, level, exhaustive):
     domain, a, b = _two_non_identity(ctx, level)
     swap = {a: b, b: a}
     _fake_word(monkeypatch, ctx, swap)
-    r = verify_automorphism(ctx, word(), level, sample_pairs=5000, rng=random.Random(12))
+    monkeypatch.setattr(automorphisms, "SAMPLE_PAIRS", 5000)
+    r = verify_automorphism(ctx, word(), level, rng=random.Random(12))
     assert not r.ok and r.failure == "homomorphism law fails"
     assert r.exhaustive is exhaustive and r.size == len(domain)
     # the witness is the first failing pair in the order pairs are checked:
@@ -591,7 +601,8 @@ def test_verify_sampled_failure_is_pinned(monkeypatch):
     ctx = make_ctx("Q8")
     _, a, b = _two_non_identity(ctx, 4)
     _fake_word(monkeypatch, ctx, {a: b, b: a})
-    r = verify_automorphism(ctx, word(), 4, sample_pairs=5000, rng=random.Random(12))
+    monkeypatch.setattr(automorphisms, "SAMPLE_PAIRS", 5000)
+    r = verify_automorphism(ctx, word(), 4, rng=random.Random(12))
     assert (r.pairs_checked, r.witness) == (5, (233, 1))
 
 
@@ -619,7 +630,8 @@ def test_sampled_pairs_are_the_randrange_draws(monkeypatch, size):
 
     ctx = SimpleNamespace(law_check=record)
     budget, rng = min(1500, size * size - 1), random.Random(size)
-    r = verify_automorphism(ctx, word(), 1, sample_pairs=budget, rng=rng)
+    monkeypatch.setattr(automorphisms, "SAMPLE_PAIRS", budget)
+    r = verify_automorphism(ctx, word(), 1, rng=rng)
     assert r.ok and not r.exhaustive and r.pairs_checked == budget
     assert (calls, rng.getstate()) == randrange_pairs(budget)
 
@@ -635,6 +647,21 @@ def test_verify_builds_level_tables_only_when_they_pay(monkeypatch, level, build
     r = verify_automorphism(ctx, word(), level, rng=random.Random(0))
     assert r.ok and r.pairs_checked == 100_000 and not r.exhaustive
     assert built == ([level] if builds else [])
+
+
+def test_verify_keeps_the_index_law_when_k_is_g(monkeypatch):
+    # C2^5 with K = G: r = 1, so the tables would have |K|^3 = 32 768
+    # entries at any level, against the 2 048 evaluations of the 1 024-pair
+    # exhaustive check of level 1; the budget bounds their memory too
+    table, analysis = validate_and_analyze([[a ^ b for b in range(32)] for a in range(32)])
+    ctx = CPContext(make_kgroup(table, analysis, list(range(32))))
+
+    def refuse(n):
+        raise AssertionError(f"level_tables({n}) built")
+
+    monkeypatch.setattr(ctx, "level_tables", refuse)
+    r = verify_automorphism(ctx, word(), 1)
+    assert r.ok and r.exhaustive and (r.size, r.pairs_checked) == (32, 1024)
 
 
 def test_verify_reads_the_level_tables(monkeypatch):

@@ -947,6 +947,10 @@ def malformed_grid(tmp_path):
         for argv in (["group", "check"], ["cp", "enumerate", "--count=2"],
                      ["qs", "from-group"]):
             grid.append([*argv, f"--group={path}"])
+    no_k = tmp_path / "group-no-k.json"
+    no_k.write_text(json.dumps({"mul": C2_MUL}))
+    for argv in (["group", "check"], ["cp", "enumerate", "--count=2"]):
+        grid.append([*argv, f"--group={no_k}", "--k="])
     for i, doc in enumerate(BAD_TRIPLES_DOCS):
         path = tmp_path / f"triples-{i}.json"
         path.write_text(json.dumps(doc))
@@ -968,7 +972,8 @@ def test_malformed_grid_never_raises(tmp_path, capsys):
         except BaseException as exc:  # a traceback, or argparse rejecting the grid
             failures.append((argv, repr(exc)))
         else:
-            if code not in (0, 1, 2, 3):
+            # an empty --k names no element: bad input, not the default K
+            if code not in (0, 1, 2, 3) or ("--k=" in argv and code != 2):
                 failures.append((argv, code))
     capsys.readouterr()
     assert not failures
