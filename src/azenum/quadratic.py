@@ -31,6 +31,9 @@ EXHAUSTIVE_CAP = 20
 # images of up to 2 dimV bits: two dimU-2 factors of dimV 1024 give 0.7 MB
 # in 0.07 s, of dimV 2048 2.6 MB in 0.11 s, of dimV 4096 10 MB in 0.3 s
 # (wall time with interpreter start; Python 3.11, shared 2-core x86-64 host).
+# The cap also holds for the amalgam itself, whose dimV gains dimU1' * dimU2'
+# tensor coordinates: free_amalgam refuses more than MAX_DIM_V, as two dimU-40
+# factors of dimV 1 would otherwise give dimV 1602 and 10 MB of output.
 MAX_DIM_V = 1024
 
 
@@ -280,6 +283,8 @@ def free_amalgam(
     a1, a2 = qs1.dim_v - dv0, qs2.dim_v - dv0
     dim_u = du0 + p + q
     tensor = dv0 + a1 + a2
+    if tensor + p * q > MAX_DIM_V:
+        raise CapacityError(f"the amalgam's dimV {tensor + p * q} exceeds cap {MAX_DIM_V}")
     q_basis = [0] * dim_u
     gamma = [[0] * dim_u for _ in range(dim_u)]
     for i in range(p):

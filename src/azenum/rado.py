@@ -2,6 +2,15 @@
 bit-predicate presentation of the random graph: for each n, a vertex b_n
 whose prefix contains an induced n-cycle and a minimal vertex c_n seeing
 exactly that cycle, with the short-cycle obstruction checked exhaustively.
+
+Lemma (the cycle search rests on it). Let B = v.bit_length(). Within
+{0..v}, each u in [B, v] has exactly its own bits as neighbours, all in
+the core [0, B): its bits lie below B, and no w <= v has bit u set. So
+the vertices of [B, v] are pairwise non-adjacent, and the induced
+n-cycles with maximum v are exactly the sets T | X where T within the
+core induces k = n - |T| >= 1 disjoint paths and X holds k vertices of
+[B, v], v among them, each seeing (x & T) exactly two path ends, so that
+together they link the paths into one ring.
 """
 
 from __future__ import annotations
@@ -9,15 +18,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, permutations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, FalsificationError, InputError
 
-# The largest max_n that build_triples accepts: build_triples(11) takes
-# about 0.4 s and build_triples(12) about 2 s (Python 3.11, one core of
-# a shared 2-core x86-64 host). check_obstruction, which tries every subset
-# of each c's n neighbours, takes as many triples as build_triples emits.
+# The largest max_n that build_triples accepts: a cold build_triples(11)
+# takes about 55 ms and build_triples(12) about 75 ms (Python 3.11, one
+# core of a shared 2-core x86-64 host). check_obstruction, which tries
+# every subset of each c's n neighbours, takes as many triples as
+# build_triples emits.
 MAX_TRIPLES_N = 12
 
 
@@ -83,81 +93,69 @@ def _cycle_of(mask: int) -> Tuple[int, ...]:
     return cycle
 
 
-def _levels(n: int, start: int) -> Iterator[Tuple[int, Sequence[int]]]:
+def _levels(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
     """(v, masks) for v = start, start + 1, ...: the characteristic masks
     of the induced n-cycles whose maximum vertex is v, ascending.
 
-    One neighbour-mask table grows by a vertex per level: adding v sets
-    bit v on each of v's bit-neighbours, and v's own neighbours below it
-    are the bits of v.
+    By the lemma, the levels of one bit length B share the path forests
+    T of the core [0, B) (`_core_forests`). Level v is the top connector
+    of each ring of T with a pair v & T; the ring's other pairs take one
+    large vertex each from `fits`, which holds, per pair, the bits 1 << x
+    of the x in [B, v) that see exactly that pair of T.
     """
-    nbrs: List[int] = []
-    for v in count():
-        if v >= start:
-            yield v, _level_masks(n, v, nbrs)
-        nbrs.append(v)
-        for w in _bits(v):
-            nbrs[w] |= 1 << v
+    for core in count(start.bit_length()):
+        forests = _core_forests(n, core)
+        fits = [{pair: [] for pair in rings} for _, rings in forests]
+        low = max(start, 1 << core >> 1)
+        for v in range(core, 1 << core):  # below low, only fill fits
+            masks: List[int] = []
+            for (t, rings), fit in zip(forests, fits):
+                pair = v & t
+                if pair in rings:
+                    if v >= low:
+                        top = t | 1 << v
+                        for rest in rings[pair]:
+                            masks += [top | sum(xs) for xs in product(*map(fit.get, rest))]
+                    fit[pair].append(1 << v)
+            if v >= low:
+                masks.sort()
+                yield v, masks
 
 
-def _level_masks(n: int, v: int, nbrs: List[int]) -> List[int]:
-    """The masks of the induced n-cycles with maximum vertex v, ascending;
-    nbrs[w] is the neighbour mask of w within {0..v-1}.
-
-    Such a cycle is v plus an induced path whose two endpoints are the
-    only path vertices in N(v), the bits of v.  Each path is walked once,
-    from its lower endpoint w: the interior avoids N(v) and every
-    neighbour of an earlier path vertex, and the path closes only at a
-    vertex of N(v) above w.
-
-    Step candidates u with one key nbrs[u] & ~forbidden share a subtree,
-    searched once per node: each u neighbours the last path vertex, so is
-    already in forbidden, and its step set is key & ~v, its forbidden set
-    forbidden | key and its closing set closing & ~key.  Their masks differ
-    only in u's own bit.
-    """
-    if v & (v - 1) == 0:  # fewer than two neighbours below v
-        return []
-    last_interior = n - 3  # path vertices before the last interior one
-
-    def extend(key: int, length: int, forbidden: int, closing: int) -> List[int]:
-        # the masks of the path's continuations after a vertex with this key
-        forbidden |= key
-        closing &= ~key
-        if not closing:  # every closing vertex already sees the path
-            return []
-        step = key & ~v
-        found: List[int] = []
-        if length == last_interior:
-            # look one step ahead: keep u only if a closing vertex sees it
-            while step:
-                low = step & -step
-                step ^= low
-                ends = nbrs[low.bit_length() - 1] & closing
-                while ends:
-                    end = ends & -ends
-                    ends ^= end
-                    found.append(low | end)
-            return found
-        subtrees: Dict[int, List[int]] = {}
-        while step:
-            low = step & -step
-            step ^= low
-            sub_key = nbrs[low.bit_length() - 1] & ~forbidden
-            sub = subtrees.get(sub_key)
-            if sub is None:
-                sub = subtrees[sub_key] = extend(sub_key, length + 1, forbidden, closing)
-            if sub:
-                found += [m | low for m in sub]
-        return found
-
-    masks: List[int] = []
-    for w in _bits(v & ~(1 << (v.bit_length() - 1))):  # no start at the top bit
-        low = 1 << w
-        head = low | 1 << v
-        masks += [m | head for m in extend(nbrs[w], 1, low, v & ~((low << 1) - 1))]
-    masks.sort()
-    return masks
+@lru_cache(maxsize=None)
+def _core_forests(n: int, core: int) -> List[Tuple[int, Dict[int, set]]]:
+    """(T, rings) for each T within the core [0, core) that induces k =
+    n - |T| disjoint paths. A ring is k pairs, the masks of the two path
+    ends that each of k connectors sees, linking the paths into one
+    cycle; a one-vertex path offers its vertex as both ends. rings maps
+    each pair to the rest of each ring that holds it."""
+    nbrs = [sum(1 << w for w in range(core) if (u >> w | w >> u) & 1) for u in range(core)]
+    forests = []
+    for t in range(1 << core):
+        if not n <= 2 * t.bit_count() < 2 * n or any(
+            (nbrs[u] & t).bit_count() > 2 for u in _bits(t)
+        ):  # not 1 <= k <= |T|, or a vertex of degree 3
+            continue
+        ends, seen = [], 0
+        for u in _bits(t):
+            if (nbrs[u] & t).bit_count() < 2 and not seen >> u & 1:  # walk a path from u
+                step = 1 << u
+                while step:
+                    seen |= step
+                    end = step.bit_length() - 1
+                    step = nbrs[end] & t & ~seen
+                ends.append((u, end))
+        if seen != t or len(ends) + t.bit_count() != n:  # a cycle, or not k paths
+            continue
+        rings: Dict[int, set] = {}
+        for order in permutations(ends[1:]):
+            for turned in product(*[{e, e[::-1]} for e in order]):
+                flat = sum(turned, ends[0])  # the ends in ring order
+                ring = sorted(1 << a | 1 << b for a, b in zip(flat[1::2], flat[2::2] + flat[:1]))
+                for i, pair in enumerate(ring):
+                    rings.setdefault(pair, set()).add(tuple(ring[:i] + ring[i + 1 :]))
+        forests.append((t, rings))
+    return forests
 
 
 @lru_cache(maxsize=None)

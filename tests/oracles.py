@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import count, product
 
 from azenum.automorphisms import Perm
 from azenum.groups import _generating_sequence, catalog_group, validate_and_analyze
@@ -421,6 +421,70 @@ def rado_level_masks(n, v_max):
 
     for w in bits(nbr_top):
         extend(w, 2, 1 << w, 1 << w)
+    return sorted(masks)
+
+
+def rado_dfs_levels(n, start):
+    """(v, masks) for v = start, start + 1, ...: the sorted masks of the
+    induced n-cycles whose maximum vertex is v, by a memoised path search
+    over the whole prefix, a second reference beside `rado_level_masks`.
+
+    One neighbour-mask table grows by a vertex per level: adding v sets
+    bit v on each of v's bit-neighbours, and v's own neighbours below it
+    are the bits of v. A cycle with maximum v is v plus an induced path
+    whose two endpoints are the only path vertices in N(v), the bits of
+    v. Each path is walked once, from its lower endpoint w: the interior
+    avoids N(v) and every neighbour of an earlier path vertex, and the
+    path closes only at a vertex of N(v) above w. Step candidates with
+    one key nbrs[u] & ~forbidden share a subtree, searched once per node.
+    """
+    nbrs = []
+    for v in count():
+        if v >= start:
+            yield v, _dfs_level_masks(n, v, nbrs)
+        nbrs.append(v)
+        for w in _low_bits(v):
+            nbrs[w] |= 1 << v
+
+
+def _low_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _dfs_level_masks(n, v, nbrs):
+    if v & (v - 1) == 0:  # fewer than two neighbours below v
+        return []
+    last_interior = n - 3  # path vertices before the last interior one
+
+    def extend(key, length, forbidden, closing):
+        # the masks of the path's continuations after a vertex with this key
+        forbidden |= key
+        closing &= ~key
+        if not closing:  # every closing vertex already sees the path
+            return []
+        step = key & ~v
+        found = []
+        if length == last_interior:
+            # look one step ahead: keep u only if a closing vertex sees it
+            for u in _low_bits(step):
+                found += [1 << u | 1 << end for end in _low_bits(nbrs[u] & closing)]
+            return found
+        subtrees = {}
+        for u in _low_bits(step):
+            sub_key = nbrs[u] & ~forbidden
+            if sub_key not in subtrees:
+                subtrees[sub_key] = extend(sub_key, length + 1, forbidden, closing)
+            found += [m | 1 << u for m in subtrees[sub_key]]
+        return found
+
+    masks = []
+    for w in _low_bits(v & ~(1 << (v.bit_length() - 1))):  # no start at the top bit
+        low = 1 << w
+        head = low | 1 << v
+        masks += [m | head for m in extend(nbrs[w], 1, low, v & ~((low << 1) - 1))]
     return sorted(masks)
 
 

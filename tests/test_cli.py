@@ -9,7 +9,7 @@ from azenum import cli, rado
 from azenum.central_product import MAX_COSETS, MAX_LITERAL_COORD
 from azenum.cli import run_command
 from azenum.groups import catalog_group, catalog_names, group_to_json
-from azenum.quadratic import group_from_qs
+from azenum.quadratic import MAX_DIM_V, group_from_qs
 from oracles import random_nondegenerate_qs
 
 
@@ -227,6 +227,26 @@ def test_qs_amalgam_morphism_check_above_cap(tmp_path, capsys):
     assert run_command(["--verify"] + argv) == 2
     assert time.perf_counter() - start < 1
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims, code", [((32, 32), 2), ((31, 32), 0)])
+def test_qs_amalgam_dim_v_cap(tmp_path, capsys, dims, code):
+    # factors of dimV 1 over the trivial structure: the amalgam has dimV
+    # 1 + 1 + dimU1 * dimU2, which is 1026 past MAX_DIM_V and 994 within it
+    paths = []
+    for side, dim in zip(("left", "right"), dims):
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(
+            {"dimU": dim, "dimV": 1, "Q": ["1"] * dim, "gamma": [["0"] * dim] * dim}
+        ))
+        paths.append(f"--{side}={path}")
+    assert run_command(["--json", "qs", "amalgam", *paths]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error: ") and "1026 exceeds cap 1024" in err
+        assert not out
+    else:
+        assert json.loads(out)["qs"]["dimV"] == 994 <= MAX_DIM_V
 
 
 # -- cp ----------------------------------------------------------------------

@@ -121,6 +121,7 @@ def cases():
         ]
     out["rado_triples_8"] = ["--json", "rado", "triples", "--max-n", "8"]
     out["rado_triples_11"] = ["--json", "rado", "triples", "--max-n", "11"]
+    out["rado_triples_12"] = ["--json", "rado", "triples", "--max-n", "12"]
     for name in WQO_STREAMS:
         for mode in ("star", "higman"):
             out[f"wqo_pair_{name}_{mode}"] = [

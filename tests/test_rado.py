@@ -2,6 +2,8 @@ import random
 from itertools import combinations, count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azenum.errors import CapacityError, InputError
 from azenum.rado import (
@@ -17,7 +19,7 @@ from azenum.rado import (
     neighborhood_in_prefix,
     triple_from_json,
 )
-from oracles import rado_level_masks, rado_triples
+from oracles import rado_dfs_levels, rado_level_masks, rado_triples
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -98,6 +100,43 @@ def test_level_masks_match_oracle(n):
     levels = _levels(n, n - 1)
     for v in range(n - 1, max(first, 130) + 1):
         assert next(levels) == (v, rado_level_masks(n, v))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_levels_match_path_search(n):
+    # every level from n - 1 to the first one holding an n-cycle, against
+    # the memoised path search over the whole prefix
+    first, _ = _first_level(n)
+    levels, reference = _levels(n, n - 1), rado_dfs_levels(n, n - 1)
+    for _ in range(n - 1, first + 1):
+        assert next(levels) == next(reference)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_large_vertices_see_only_their_bits(data):
+    # the search's lemma: within {0..v}, each u in [B, v] for B = v's bit
+    # length has exactly its own bits as neighbours, so no two such u meet
+    v = data.draw(st.integers(1, 1 << 12))
+    core = v.bit_length()
+    u, w = (data.draw(st.integers(core, v)) for _ in range(2))
+    hood = {x for x in range(v + 1) if x != u and adjacent(u, x)}
+    assert hood == {b for b in range(core) if (u >> b) & 1}
+    assert u == w or not adjacent(u, w)
+
+
+@pytest.mark.parametrize(
+    "n, first, size, least",
+    [(9, 272, 33024, [1, 3, 4, 5, 6, 8, 48, 96, 272]),
+     (10, 144, 8192, [3, 4, 5, 6, 7, 48, 72, 96, 136, 144]),
+     (11, 272, 24576, [3, 4, 5, 6, 7, 8, 80, 96, 136, 160, 272]),
+     (12, 528, 24576, [3, 4, 5, 6, 7, 8, 9, 96, 144, 192, 288, 528])],
+)
+def test_first_level_pinned(n, first, size, least):
+    # L_n, its mask count and its least cycle, as the path search found them
+    level, masks = _first_level(n)
+    assert (level, len(masks)) == (first, size)
+    assert [u for u in range(level + 1) if (masks[0] >> u) & 1] == least
 
 
 def test_first_level_n8_matches_oracle():
