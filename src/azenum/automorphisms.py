@@ -231,7 +231,7 @@ def level_images(ctx: CPContext, word: AutWord, n: int) -> List[int]:
                 kfac = [mul[a][factor[v]] for a, v in zip(kfac or repeat(e), vs)]
             vs = map(shift.__getitem__, vs)
         state = array("l", map(add, state, vs))
-    return ctx.join_level(n, state, kfac)
+    return ctx.join_level(state, kfac)
 
 
 def apply_word(ctx: CPContext, word: AutWord, x: int) -> int:

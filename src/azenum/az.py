@@ -40,7 +40,7 @@ from .automorphisms import AutWord, Perm, alpha_word, index_images, word_to_json
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
 from .central_product import CPContext
 from .errors import InputError, InsufficientFamilyError
-from .wqo import Embedding, Word, find_increasing_pair, last_appearance_order
+from .wqo import Embedding, Word, capped_words, find_increasing_pair, last_appearance_order
 
 MemberTuple = Tuple[int, ...]
 
@@ -148,7 +148,7 @@ class BetaMap:
 def build_beta(nf: NormalizedFamily) -> BetaMap:
     """Find a strongly embedded pair among the normalized words and read
     off the per-letter copy data from the witness."""
-    result = find_increasing_pair(nf.words, "star")
+    result = find_increasing_pair(capped_words(nf.words), "star")
     if result is None:
         raise InsufficientFamilyError(
             "no strongly embedded pair in the bucket; supply more members"
@@ -225,7 +225,7 @@ def beta_level_images(bm: BetaMap, n: int) -> List[int]:
     through."""
     ctx = bm.ctx
     sums = ctx.digit_sums(n, digit_weights(bm, n))
-    return ctx.join_level(n, sums)
+    return ctx.join_level(sums)
 
 
 def apply_beta(bm: BetaMap, x: int) -> int:

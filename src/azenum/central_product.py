@@ -296,10 +296,10 @@ class CPContext:
             sums = [d * w + t for d in range(r) for t in sums]
         return sums * r ** (n - len(weights))
 
-    def join_level(self, n: int, state: Sequence[int], kfac: Optional[Sequence[int]] = None) -> List[int]:
-        """Per level-n index, in order, with (s, k) its pair: the index of
-        the pair (state[s], k·kfac[s]), k alone when kfac is None; index
-        s·|K| + j has k = k_list[j]."""
+    def join_level(self, state: Sequence[int], kfac: Optional[Sequence[int]] = None) -> List[int]:
+        """Per index below len(state)·|K|, in order, with (s, k) its pair:
+        the index of the pair (state[s], k·kfac[s]), k alone when kfac is
+        None; index s·|K| + j has k = k_list[j]."""
         nk, mul, rank_of = len(self.k_list), self.group.mul, self.rank_of
         images = [0] * (nk * len(state))
         for j, k in enumerate(self.k_list):

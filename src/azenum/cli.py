@@ -49,6 +49,7 @@ from .quadratic import (
 )
 from .rado import build_triples, check_obstruction, triple_from_json
 from .wqo import (
+    capped_words,
     find_increasing_pair,
     format_word,
     is_star_embedded,
@@ -316,7 +317,7 @@ def cmd_wqo_star(args) -> int:
 
 def cmd_wqo_pair(args) -> int:
     with open(args.file) as fh:
-        words = [parse_word(line) for line in fh]
+        words = capped_words(parse_word(line) for line in fh)
     result = find_increasing_pair(words, mode=args.mode)
     if result is None:
         _emit(args, {"found": False}, "no increasing pair")

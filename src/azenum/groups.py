@@ -6,7 +6,7 @@ Elements are indices 0..order-1 into the table; names are cosmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
@@ -167,16 +167,10 @@ def subgroup_closure(table: GroupTable, generators) -> FrozenSet[int]:
 
 
 def is_subgroup(table: GroupTable, subset) -> bool:
+    """Nonempty and closed under the product, which in a finite group
+    implies the rest: each a's powers, the identity and a^-1 among them."""
     s = set(subset)
-    if table.identity_index not in s:
-        return False
-    for a in s:
-        if table.inverse[a] not in s:
-            return False
-        for b in s:
-            if table.mul[a][b] not in s:
-                return False
-    return True
+    return bool(s) and all(table.mul[a][b] in s for a in s for b in s)
 
 
 def is_class_csw(table: GroupTable, analysis: GroupAnalysis) -> bool:
@@ -192,11 +186,7 @@ def validate_k(table: GroupTable, analysis: GroupAnalysis, k) -> bool:
     for a in ks:
         if not isinstance(a, int) or not 0 <= a < table.order:
             raise InputError(f"K index {a!r} out of range")
-    if not is_subgroup(table, ks):
-        return False
-    if not set(analysis.commutator_subgroup) <= ks:
-        return False
-    return ks <= set(analysis.center)
+    return is_subgroup(table, ks) and set(analysis.commutator_subgroup) <= ks <= set(analysis.center)
 
 
 def rank(table: GroupTable) -> int:
@@ -262,10 +252,10 @@ def _generating_sequence(table: GroupTable) -> List[int]:
 def _table_from_rule(elems, op, names, name):
     index = {e: i for i, e in enumerate(elems)}
     mul = [[index[op(a, b)] for b in elems] for a in elems]
-    table, analysis = validate_and_analyze(mul, names, name=name)
-    return table, analysis
+    return validate_and_analyze(mul, names, name=name)
 
 
+@cache
 def _build_catalog():
     cat = {}
 
@@ -321,23 +311,16 @@ def _build_catalog():
     return cat
 
 
-_CATALOG = None
-
-
 def catalog_names() -> List[str]:
-    return ["C2", "C4", "C2xC2", "Q8", "D4"]
+    return list(_build_catalog())
 
 
 def catalog_group(name: str) -> Tuple[GroupTable, GroupAnalysis, List[int]]:
     """Bundled group with its analysis and default K indices."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
     try:
-        entry = _CATALOG[name]
+        return _build_catalog()[name]
     except KeyError:
         raise InputError(f"unknown catalog group {name!r}")
-    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,18 @@ n-cycles with maximum v are exactly the sets T | X where T within the
 core induces k = n - |T| >= 1 disjoint paths and X holds k vertices of
 [B, v], v among them, each seeing (x & T) exactly two path ends, so that
 together they link the paths into one ring.
+
+Neighbourhood lemma: for c > top, every vertex of {0..top} lies below c,
+so c's neighbours there are its bits up to top (`neighborhood_in_prefix`).
+Induced cycles are decided on positional neighbour masks (bit j for the
+j-th vertex, `_neighbour_masks`): a set is one chordless cycle iff the walk
+from its least vertex covers it, each vertex seeing two others (`_ring`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, combinations, count, permutations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -41,43 +47,44 @@ def adjacent(u: int, v: int) -> bool:
 
 
 def neighborhood_in_prefix(c: int, top: int) -> FrozenSet[int]:
-    """Neighbors of c among {0..top}, read off the bits of c below the cut
-    (plus an explicit scan of the larger vertices, when any exist)."""
-    hood = {v for v in _bits(c) if v <= top}
-    for v in range(c + 1, top + 1):
-        if (v >> c) & 1:
-            hood.add(v)
-    return frozenset(hood)
+    """Neighbours of c among {0..top}, for c > top: the bits of c up to top,
+    as every prefix vertex lies below c. InputError when c <= top."""
+    if c <= top:
+        raise InputError(f"c = {c} lies inside the prefix {{0..{top}}}")
+    return frozenset(v for v in _bits(c) if v <= top)
 
 
 def is_induced_cycle(vertices: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """If the vertex set induces a single chordless cycle, return it in
-    traversal order (started at the minimum); otherwise None."""
+    traversal order, started at the minimum and stepping first to its
+    neighbour that comes first in `vertices`; otherwise None."""
     vs = list(dict.fromkeys(vertices))
-    n = len(vs)
-    if n < 3:
+    if not vs:
         return None
-    degree: Dict[int, List[int]] = {v: [] for v in vs}
-    edges = 0
-    for a, b in combinations(vs, 2):
-        if adjacent(a, b):
-            degree[a].append(b)
-            degree[b].append(a)
-            edges += 1
-    if edges != n or any(len(nb) != 2 for nb in degree.values()):
-        return None
-    # connected 2-regular graph with n edges = one cycle
-    start = min(vs)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        a, b = degree[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order) if len(order) == n else None
+    return _ring(vs, _neighbour_masks(vs), (1 << len(vs)) - 1, 1 << vs.index(min(vs)))
+
+
+def _neighbour_masks(vs: Sequence[int]) -> List[int]:
+    """Per vertex of vs, its positional neighbour mask: bit j for each
+    vs[j] adjacent to it (never its own bit, as v >> v is 0)."""
+    return [sum(1 << j for j, w in enumerate(vs) if (v >> w | w >> v) & 1) for v in vs]
+
+
+def _ring(vs: Sequence[int], nbrs: Sequence[int], within: int, step: int) -> Optional[Tuple[int, ...]]:
+    """The mask test: the vs[j] for the bits j of `within`, in traversal
+    order from the bit `step` and first to its lower-positioned neighbour,
+    when under the masks nbrs each sees exactly two others (checked as the
+    walk reaches it) and the walk covers them all; otherwise None."""
+    order, seen = [], 0
+    while step:
+        j = step.bit_length() - 1
+        if (nbrs[j] & within).bit_count() != 2:
+            return None
+        seen |= step
+        order.append(vs[j])
+        step = nbrs[j] & within & ~seen
+        step &= -step  # at the start, the lower of its two neighbours
+    return tuple(order) if seen == within else None
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -129,7 +136,7 @@ def _core_forests(n: int, core: int) -> List[Tuple[int, Dict[int, set]]]:
     ends that each of k connectors sees, linking the paths into one
     cycle; a one-vertex path offers its vertex as both ends. rings maps
     each pair to the rest of each ring that holds it."""
-    nbrs = [sum(1 << w for w in range(core) if (u >> w | w >> u) & 1) for u in range(core)]
+    nbrs = _neighbour_masks(range(core))
     forests = []
     for t in range(1 << core):
         if not n <= 2 * t.bit_count() < 2 * n or any(
@@ -178,10 +185,10 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
     """The minimal vertex c whose neighborhood within {0..b} is exactly an
     induced n-cycle, together with that cycle.
 
-    Any c > b sees precisely the prefix vertices named by its low bits, so
-    the minimum is the smallest cycle characteristic mask exceeding b; if
-    every mask is <= b the explicit witness mask + 2^(b+1) still qualifies
-    (and beats nothing, since qualifying masks are < 2^(b+1)).
+    By the neighbourhood lemma, the minimum is the smallest cycle
+    characteristic mask exceeding b; if every mask is <= b the explicit
+    witness mask + 2^(b+1) still qualifies (and beats nothing, since
+    qualifying masks are < 2^(b+1)).
 
     Masks at level v lie in [2^v, 2^(v+1)), so after the memoised first
     level the scan walks v upward from the first level whose masks can
@@ -209,13 +216,7 @@ class Triple:
     cycle: Tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "cycle": list(self.cycle),
-        }
+        return {**asdict(self), "cycle": list(self.cycle)}
 
 
 def triple_from_json(doc: dict) -> Triple:
@@ -255,12 +256,11 @@ def _validate_triple(t: Triple) -> None:
     if len(t.cycle) != t.n or len(set(t.cycle)) != t.n:
         found = f"{len(set(t.cycle))} distinct vertices in {len(t.cycle)} entries"
         raise FalsificationError(f"stored cycle has {found}, not n = {t.n}", t)
-    cycle = is_induced_cycle(t.cycle)
-    if cycle is None:
+    if is_induced_cycle(t.cycle) is None:
         raise FalsificationError("stored cycle is not an induced cycle", t)
     if max(t.cycle) > t.b:
         raise FalsificationError("cycle exceeds the prefix", t)
-    if t.c <= t.b:  # also keeps the scan above c inside the prefix empty
+    if t.c <= t.b:
         raise FalsificationError("c lies inside the prefix", t)
     if neighborhood_in_prefix(t.c, t.b) != frozenset(t.cycle):
         raise FalsificationError("c's prefix neighborhood is not the cycle", t)
@@ -306,28 +306,19 @@ def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
         _validate_triple(t)
     checks = []
     violations = []
-    no_short_cycle: Dict[Tuple[int, int], bool] = {}
     for t in triples:
-        neighbors = sorted(neighborhood_in_prefix(t.c, t.b))
+        hood = sorted(neighborhood_in_prefix(t.c, t.b))
+        nbrs, bits = _neighbour_masks(hood), [1 << j for j in range(len(hood))]
         for i in range(3, t.n):
-            bad = [
-                sub
-                for sub in combinations(neighbors, i)
-                if is_induced_cycle(sub) is not None
-            ]
+            # bits ascend, so sub[0] is the subset's least vertex
+            bad = [sub for sub in combinations(bits, i) if _ring(hood, nbrs, sum(sub), sub[0]) is not None]
             checks.append({"n": t.n, "i": i, "candidates_violating": len(bad)})
-            no_short_cycle[(t.n, i)] = not bad
             if bad:
-                violations.append({"n": t.n, "i": i, "witness": list(bad[0])})
-    pairs = []
-    for p, small in enumerate(triples):
-        for large in triples[p + 1 :]:
-            pairs.append(
-                {
-                    "from_n": small.n,
-                    "to_n": large.n,
-                    "obstructed": bool(no_short_cycle.get((large.n, small.n), True)),
-                }
-            )
+                violations.append({"n": t.n, "i": i, "witness": [hood[j] for j in _bits(sum(bad[0]))]})
+    clean = {(c["n"], c["i"]): not c["candidates_violating"] for c in checks}
+    pairs = [
+        {"from_n": small.n, "to_n": large.n, "obstructed": clean.get((large.n, small.n), True)}
+        for small, large in combinations(triples, 2)
+    ]
     return ObstructionReport(checks, pairs, violations)
 

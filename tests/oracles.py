@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
-from itertools import count, product
+from itertools import combinations, count, product
 
 from azenum.automorphisms import Perm
 from azenum.groups import _generating_sequence, catalog_group, validate_and_analyze
 from azenum.quadratic import QuadraticStructure, QSMorphism, bits_of, is_nondegenerate
+from azenum.rado import adjacent
 
 
 def brute_star(w1, w2):
@@ -486,6 +487,54 @@ def _dfs_level_masks(n, v, nbrs):
         head = low | 1 << v
         masks += [m | head for m in extend(nbrs[w], 1, low, v & ~((low << 1) - 1))]
     return sorted(masks)
+
+
+def rado_induced_cycle(vertices):
+    """The induced-cycle test as first written, the reference for
+    `is_induced_cycle`: adjacency lists from every pair, an edge count, and
+    a walk from the minimum that steps first to the neighbour listed first."""
+    vs = list(dict.fromkeys(vertices))
+    n = len(vs)
+    if n < 3:
+        return None
+    degree = {v: [] for v in vs}
+    edges = 0
+    for a, b in combinations(vs, 2):
+        if adjacent(a, b):
+            degree[a].append(b)
+            degree[b].append(a)
+            edges += 1
+    if edges != n or any(len(nb) != 2 for nb in degree.values()):
+        return None
+    start = min(vs)
+    order = [start]
+    prev, cur = None, start
+    while True:
+        a, b = degree[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        order.append(nxt)
+        prev, cur = cur, nxt
+    return tuple(order) if len(order) == n else None
+
+
+def rado_obstruction_checks(triples):
+    """`check_obstruction`'s checks and violations by the reference scan:
+    every i-subset of c's prefix neighbourhood, for 2 < i < n, through
+    `rado_induced_cycle`. The neighbourhood is scanned vertex by vertex
+    through `adjacent` up to min(b, c's bit length): each prefix vertex v
+    lies below c (asserted), so it sees c only through bit v of c."""
+    checks, violations = [], []
+    for t in triples:
+        assert t.b < t.c
+        hood = [v for v in range(min(t.b, t.c.bit_length()) + 1) if adjacent(v, t.c)]
+        for i in range(3, t.n):
+            bad = [sub for sub in combinations(hood, i) if rado_induced_cycle(sub) is not None]
+            checks.append({"n": t.n, "i": i, "candidates_violating": len(bad)})
+            if bad:
+                violations.append({"n": t.n, "i": i, "witness": list(bad[0])})
+    return checks, violations
 
 
 def rado_triples(max_n):

@@ -10,6 +10,7 @@ from azenum.central_product import MAX_COSETS, MAX_LITERAL_COORD
 from azenum.cli import run_command
 from azenum.groups import catalog_group, catalog_names, group_to_json
 from azenum.quadratic import MAX_DIM_V, group_from_qs
+from azenum.wqo import MAX_PAIR_LETTERS, MAX_PAIR_WORDS
 from oracles import random_nondegenerate_qs
 
 
@@ -572,6 +573,31 @@ def test_wqo_pair_not_found(tmp_path, capsys):
     assert code == 1
 
 
+def at_pair_caps(extra_words=0, extra_letters=0):
+    """Equal words, so that the first two are a pair in either order, at
+    MAX_PAIR_WORDS words and MAX_PAIR_LETTERS letters in all, plus extra
+    one-letter words and extra letters on the last word."""
+    per, rest = divmod(MAX_PAIR_LETTERS, MAX_PAIR_WORDS)
+    words = [["a"] * per for _ in range(MAX_PAIR_WORDS)] + [["a"]] * extra_words
+    words[MAX_PAIR_WORDS - 1] = ["a"] * (per + rest + extra_letters)
+    return "".join(",".join(w) + "\n" for w in words)
+
+
+@pytest.mark.parametrize("mode", ["star", "higman"])
+@pytest.mark.parametrize("extra, code", [((0, 0), 0), ((1, 0), 2), ((0, 1), 2)],
+                         ids=["at-cap", "word-past-cap", "letter-past-cap"])
+def test_wqo_pair_stream_cap(tmp_path, capsys, mode, extra, code):
+    # decided before the scan: past either cap, exit 2 with a capacity error
+    stream = tmp_path / "words.txt"
+    stream.write_text(at_pair_caps(*extra))
+    assert run_command(["wqo", "pair", "--file", str(stream), "--mode", mode]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("pair (0,1) ")
+    else:
+        assert err.startswith("error: a pair search takes at most")
+
+
 # -- az ----------------------------------------------------------------------
 
 
@@ -652,6 +678,26 @@ def test_az_run_tuple_coordinate_above_cap(tmp_path, capsys):
     tuples.write_text(f"0:g\n{MAX_LITERAL_COORD + 1}:g\n")
     assert run_command(["az", "run", "--group", "C4", "--tuples", str(tuples)]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+# equal members: at the word cap, one member past it, and members of
+# MAX_LITERAL_COORD + 1 letters each, one member more than MAX_PAIR_LETTERS holds
+AZ_CAP_FAMILIES = {
+    "at-cap": (MAX_PAIR_WORDS, "0:g", 0),
+    "word-past-cap": (MAX_PAIR_WORDS + 1, "0:g", 2),
+    "letter-past-cap": (MAX_PAIR_LETTERS // (MAX_LITERAL_COORD + 1) + 1,
+                        f"{MAX_LITERAL_COORD}:g", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AZ_CAP_FAMILIES))
+def test_az_run_pair_search_cap(tmp_path, capsys, name):
+    count, member, code = AZ_CAP_FAMILIES[name]
+    tuples = tmp_path / "family.txt"
+    tuples.write_text(f"{member}\n" * count)
+    assert run_command(["az", "run", "--group", "C4", "--tuples", str(tuples)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: a pair search takes at most")
 
 
 def test_az_run_mixed_arity(tmp_path, capsys):
@@ -918,7 +964,9 @@ def malformed_grid(tmp_path):
     every JSON document reader: group files, quadratic-structure documents
     in `qs to-group` and each `qs amalgam` slot, and `rado check` triples.
     Values go in as `--opt=value`, so argparse reads a leading '-' as part
-    of the value. The `az run` rows read a family of two equal members."""
+    of the value. The `az run` rows read a family of two equal members.
+    Each row is (argv, code): code pins the exit code of an error path no
+    other test reaches, and is None where any documented code will do."""
     literals = ["", "-", "1", ",", ":", "0:", ":{n}", "0:{n},", "x:{n}", "-1:{n}",
                 "0:{n},0:{n}", "1.5:{n}", "\u00b2:{n}", "0:nope", "0:{n},3:{n}",
                 " 2 : {n} ", f"{MAX_LITERAL_COORD + 1}:{{n}}", "99999999999:{n}"]
@@ -981,19 +1029,57 @@ def malformed_grid(tmp_path):
     for n in small + ["4", "12"]:
         grid.append(["rado", "triples", f"--max-n={n}"])
         grid.append(["rado", "check", f"--max-n={n}"])
-    return grid
+    return [(argv, None) for argv in grid] + pinned_rows(tmp_path)
+
+
+PINNED_GROUP_DOCS = {"mul-empty": {"mul": []}, "mul-ragged": {"mul": [[0, 1], [1]]},
+                     "no-inverse": {"mul": [[0, 1], [1, 1]]},
+                     "order-257": {"mul": [[0] * 257] * 257}}
+PINNED_QS_DOCS = {
+    "bit-2": {"dimU": 1, "dimV": 1, "Q": ["2"], "gamma": [["0"]]},
+    "gamma-asymmetric": {"dimU": 2, "dimV": 1, "Q": ["1", "1"], "gamma": [["0", "1"], ["0", "0"]]},
+    "gamma-diagonal": {"dimU": 1, "dimV": 1, "Q": ["1"], "gamma": [["1"]]},
+    "Q-degenerate": {"dimU": 1, "dimV": 1, "Q": ["0"], "gamma": [["0"]]},
+}
+
+
+def pinned_rows(tmp_path):
+    """The grid's rows with a pinned exit code: bad group tables, a group
+    file with no K, bad or degenerate quadratic structures, a degenerate
+    amalgam factor under --verify (falsified, 1) and blank tuple files."""
+    rows = []
+    for name, doc in PINNED_GROUP_DOCS.items():
+        path = tmp_path / f"pinned-{name}.json"
+        path.write_text(json.dumps(doc))
+        rows.append((["group", "check", f"--group={path}"], 2))
+    no_k = tmp_path / "pinned-no-k.json"
+    no_k.write_text(json.dumps({"mul": C2_MUL}))
+    rows.append((["cp", "enumerate", "--count=2", f"--group={no_k}"], 2))
+    for name, doc in PINNED_QS_DOCS.items():
+        path = tmp_path / f"pinned-qs-{name}.json"
+        path.write_text(json.dumps(doc))
+        rows.append((["qs", "to-group", f"--file={path}"], 2))
+    good = tmp_path / "pinned-qs-c4.json"
+    good.write_text(json.dumps({"dimU": 1, "dimV": 1, "Q": ["1"], "gamma": [["0"]]}))
+    degenerate = tmp_path / "pinned-qs-Q-degenerate.json"
+    rows.append((["--verify", "qs", "amalgam", f"--left={degenerate}", f"--right={good}"], 1))
+    blank = tmp_path / "pinned-blank.txt"
+    blank.write_text("\n  \n\n")
+    for group in catalog_names():
+        rows.append((["az", "run", "--group", group, f"--tuples={blank}"], 2))
+    return rows
 
 
 def test_malformed_grid_never_raises(tmp_path, capsys):
     failures = []
-    for argv in malformed_grid(tmp_path):
+    for argv, pinned in malformed_grid(tmp_path):
         try:
             code = run_command(argv)
         except BaseException as exc:  # a traceback, or argparse rejecting the grid
             failures.append((argv, repr(exc)))
         else:
             # an empty --k names no element: bad input, not the default K
-            if code not in (0, 1, 2, 3) or ("--k=" in argv and code != 2):
+            if code not in (0, 1, 2, 3) or ("--k=" in argv and code != 2) or pinned not in (None, code):
                 failures.append((argv, code))
     capsys.readouterr()
     assert not failures

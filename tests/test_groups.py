@@ -9,6 +9,7 @@ from azenum.groups import (
     group_from_json,
     group_to_json,
     is_class_csw,
+    is_subgroup,
     make_kgroup,
     rank,
     subgroup_closure,
@@ -74,6 +75,17 @@ def test_validate_k():
     assert validate_k(c4, ac4, [0])
     with pytest.raises(InputError):
         validate_k(c4, ac4, [99])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_is_subgroup_matches_definition(name):
+    # every subset, against the identity, inverse and product conditions
+    table = catalog_group(name)[0]
+    for bits in range(1 << table.order):
+        s = {a for a in range(table.order) if bits >> a & 1}
+        want = (table.identity_index in s and all(table.inverse[a] in s for a in s)
+                and all(table.mul[a][b] in s for a in s for b in s))
+        assert is_subgroup(table, s) == want, s
 
 
 def brute_rank(table):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, count
+from itertools import combinations, count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,13 @@ from azenum.rado import (
     neighborhood_in_prefix,
     triple_from_json,
 )
-from oracles import rado_dfs_levels, rado_level_masks, rado_triples
+from oracles import (
+    rado_dfs_levels,
+    rado_induced_cycle,
+    rado_level_masks,
+    rado_obstruction_checks,
+    rado_triples,
+)
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -80,6 +86,34 @@ def test_induced_cycle_matches_definition_random():
                 want = True
                 break
         assert (got is not None) == want
+
+
+def _shuffled_cycles(rng):
+    # induced n-cycles from the first levels, n = 4..8, each shuffled and
+    # every third one with a vertex repeated somewhere in the list
+    for n in range(4, 9):
+        for _, masks in islice(_levels(n, n - 1), 100):
+            for mask in masks[:: max(1, len(masks) // 30)]:
+                vs = [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+                rng.shuffle(vs)
+                if rng.randrange(3) == 0:
+                    vs.insert(rng.randrange(len(vs) + 1), rng.choice(vs))
+                yield vs
+
+
+def test_induced_cycle_matches_reference_copy():
+    # the mask test returns the reference's tuple, direction included, on
+    # shuffled cycles (with and without a repeat) and on random vertex lists
+    rng = random.Random(53)
+    cycles = list(_shuffled_cycles(rng))
+    assert len(cycles) > 6000
+    assert any(len(set(vs)) < len(vs) for vs in cycles)
+    for vs in cycles:
+        got = is_induced_cycle(vs)
+        assert got is not None and got == rado_induced_cycle(vs), vs
+    for _ in range(5000):
+        vs = [rng.randrange(64) for _ in range(rng.randint(0, 8))]
+        assert is_induced_cycle(vs) == rado_induced_cycle(vs), vs
 
 
 def _cycle_orders(vs):
@@ -235,6 +269,22 @@ def test_obstruction_report_clean_to_8():
     assert not report.violations
     assert all(p["obstructed"] for p in report.pair_certificates)
     assert len(report.pair_certificates) == 10  # C(5,2) ordered pairs
+
+
+@pytest.mark.parametrize("max_n", [8, 12])
+def test_obstruction_matches_reference_scan(max_n):
+    triples = build_triples(max_n)
+    report = check_obstruction(triples)
+    assert (report.checks, report.violations) == rado_obstruction_checks(triples)
+
+
+def test_neighborhood_in_prefix_needs_c_above_the_prefix():
+    assert neighborhood_in_prefix(39, 5) == {0, 1, 2, 5}
+    assert neighborhood_in_prefix(39, 4) == {0, 1, 2}
+    assert neighborhood_in_prefix((1 << 40) + 39, 10**12) == {0, 1, 2, 5, 40}
+    for c, top in [(5, 5), (3, 10**12), (0, 0)]:
+        with pytest.raises(InputError):
+            neighborhood_in_prefix(c, top)
 
 
 def test_obstruction_n4_no_triangle():

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from azenum.errors import InputError
+from azenum.errors import CapacityError, InputError
 from azenum.wqo import (
+    MAX_PAIR_LETTERS,
+    MAX_PAIR_WORDS,
     Embedding,
     Word,
     block_split,
+    capped_words,
     column_word,
     decode_column_embedding,
     find_increasing_pair,
@@ -374,6 +377,19 @@ def test_star_pair_terminates_on_random_streams():
         capped = itertools.islice(stream(), 2000)
         r = find_increasing_pair(capped, "star")
         assert r is not None and r.i < r.j
+
+
+def test_capped_words_reads_one_word_past_the_cap():
+    # an endless stream is refused after MAX_PAIR_WORDS + 1 reads
+    seen = []
+    endless = (seen.append(1) or w("a") for _ in itertools.count())
+    with pytest.raises(CapacityError):
+        capped_words(endless)
+    assert len(seen) == MAX_PAIR_WORDS + 1
+    at_cap = [Word(("a",) * (MAX_PAIR_LETTERS // MAX_PAIR_WORDS))] * MAX_PAIR_WORDS
+    assert capped_words(iter(at_cap)) == at_cap
+    with pytest.raises(CapacityError):
+        capped_words([Word(("a",) * (MAX_PAIR_LETTERS + 1))])
 
 
 def test_higman_pair_frontier_is_antichain():
