@@ -1,7 +1,13 @@
 """Command-line surface: argparse dispatch, file ingestion, JSON emission.
 
-Exit codes: 0 success, 1 property falsified / nothing found, 2 bad input,
-3 insufficient input (normal for short tuple families).
+Each command returns (doc, text, ok): `doc` a JSON-able value or an already
+joined string, `text` its text-mode line or None, and `ok` the verdict;
+`run_command` alone prints them and picks the exit code.
+
+Exit codes: 0 success; 1 either a printed document whose verdict is false
+(a property falsified, nothing found) or a `--verify` re-check that failed,
+with nothing printed; 2 bad input; 3 insufficient input (normal for short
+tuple families).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .az import TupleFamily, run_az
 from .central_product import CPContext, format_support, parse_support
 from .errors import (
     AzenumError,
+    CapacityError,
     FalsificationError,
     InputError,
     InsufficientFamilyError,
@@ -49,6 +56,7 @@ from .quadratic import (
 )
 from .rado import build_triples, check_obstruction, triple_from_json
 from .wqo import (
+    MAX_PAIR_WORDS,
     capped_words,
     find_increasing_pair,
     format_word,
@@ -111,19 +119,6 @@ def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _emit(args, doc, text=None) -> None:
-    """Print `text`, or with `--json` or no text the payload: `doc`, as JSON
-    unless it is a string. `--emit` writes the payload to a file too."""
-    payload = doc if isinstance(doc, str) else _dump(doc)
-    if getattr(args, "emit", None):
-        with open(args.emit, "w") as fh:
-            fh.write(payload + "\n")
-    if args.json or text is None:
-        print(payload)
-    else:
-        print(text)
-
-
 def _one_based(embedding) -> list:
     return [i + 1 for i in embedding.image]
 
@@ -140,7 +135,7 @@ def _load_word_arg(arg):
 # ---------------------------------------------------------------------------
 
 
-def cmd_group_check(args) -> int:
+def cmd_group_check(args):
     table, analysis, k = _group(args)
     names = table.element_names
     doc = {
@@ -150,22 +145,19 @@ def cmd_group_check(args) -> int:
         "center": [names[x] for x in analysis.center],
         "commutator_subgroup": [names[x] for x in analysis.commutator_subgroup],
         "involutions": [names[x] for x in analysis.involutions],
-        "class_ok": is_class_csw(table, analysis),
+        "class_ok": is_class_csw(analysis),
     }
     if k is not None:
         # validate_k rejects out-of-range indices before they are named
         doc["k_valid"] = validate_k(table, analysis, k)
         doc["k"] = [names[x] for x in sorted(k)]
-    _emit(args, doc)
-    ok = doc["class_ok"] and doc.get("k_valid", True)
-    return EXIT_OK if ok else EXIT_FALSIFIED
+    return doc, None, doc["class_ok"] and doc.get("k_valid", True)
 
 
-def cmd_group_rank(args) -> int:
+def cmd_group_rank(args):
     table, _, _ = _group(args)
     r = rank(table)
-    _emit(args, {"name": table.name, "rank": r}, f"rank {r}")
-    return EXIT_OK
+    return {"name": table.name, "rank": r}, f"rank {r}", True
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +165,18 @@ def cmd_group_rank(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_qs_from_group(args) -> int:
+def cmd_qs_from_group(args):
     table, analysis, _ = _group(args)
-    _emit(args, qs_to_json(qs_from_group(table, analysis)))
-    return EXIT_OK
+    return qs_to_json(qs_from_group(table, analysis)), None, True
 
 
-def cmd_qs_to_group(args) -> int:
+def cmd_qs_to_group(args):
     qs = qs_from_json(_read_json(args.file))
     table, _ = group_from_qs(qs, name=args.name)
-    _emit(args, group_to_json(table))
-    return EXIT_OK
+    return group_to_json(table), None, True
 
 
-def cmd_qs_amalgam(args) -> int:
+def cmd_qs_amalgam(args):
     # without --common the factors share the trivial structure
     left, right, common = (
         qs_from_json(_read_json(path)) if path else QuadraticStructure(0, 0, (), ())
@@ -200,8 +190,7 @@ def cmd_qs_amalgam(args) -> int:
     }
     if args.verify and not is_nondegenerate(result.qs):
         raise FalsificationError("amalgam is degenerate")
-    _emit(args, doc)
-    return EXIT_OK
+    return doc, None, True
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +198,7 @@ def cmd_qs_amalgam(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_cp_enumerate(args) -> int:
+def cmd_cp_enumerate(args):
     ctx = _context(args)
     lines = [
         {
@@ -219,23 +208,20 @@ def cmd_cp_enumerate(args) -> int:
         }
         for x in ctx.enumerate(args.count)
     ]
-    _emit(args, "\n".join(json.dumps(line, sort_keys=True) for line in lines))
-    return EXIT_OK
+    return "\n".join(json.dumps(line, sort_keys=True) for line in lines), None, True
 
 
-def cmd_cp_compare(args) -> int:
+def cmd_cp_compare(args):
     ctx = _context(args)
     c = ctx.compare(parse_support(ctx, args.x), parse_support(ctx, args.y))
-    _emit(args, {"compare": c}, {-1: "lt", 0: "eq", 1: "gt"}[c])
-    return EXIT_OK
+    return {"compare": c}, {-1: "lt", 0: "eq", 1: "gt"}[c], True
 
 
-def cmd_cp_mul(args) -> int:
+def cmd_cp_mul(args):
     ctx = _context(args)
     product = ctx.multiply(parse_support(ctx, args.x), parse_support(ctx, args.y))
     literal = format_support(ctx, product)
-    _emit(args, {"product": literal}, literal)
-    return EXIT_OK
+    return {"product": literal}, literal, True
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +229,18 @@ def cmd_cp_mul(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_aut_apply(args) -> int:
+def cmd_aut_apply(args):
     ctx = _context(args)
     word = _load_word_arg(args.word)
     image = apply_word(ctx, word, parse_support(ctx, args.element))
     literal = format_support(ctx, image)
-    _emit(args, {"image": literal}, literal)
-    return EXIT_OK
+    return {"image": literal}, literal, True
 
 
-def cmd_aut_verify(args) -> int:
+def cmd_aut_verify(args):
     ctx = _context(args)
     word = _load_word_arg(args.word)
-    report = verify_automorphism(
-        ctx, word, args.level, rng=random.Random(args.seed)
-    )
+    report = verify_automorphism(ctx, word, args.level, rng=random.Random(args.seed))
     doc = {
         "ok": report.ok,
         "level": report.level,
@@ -267,11 +250,10 @@ def cmd_aut_verify(args) -> int:
     }
     if report.failure:
         doc["failure"] = report.failure
-    _emit(args, doc)
-    return EXIT_OK if report.ok else EXIT_FALSIFIED
+    return doc, None, report.ok
 
 
-def cmd_aut_alpha(args) -> int:
+def cmd_aut_alpha(args):
     ctx = _context(args)
     try:
         coords = [int(c) for c in args.coords.split(",") if c.strip() != ""]
@@ -283,8 +265,7 @@ def cmd_aut_alpha(args) -> int:
         report = verify_automorphism(ctx, word, level, rng=random.Random(args.seed))
         if not report.ok:
             raise FalsificationError(f"word fails verification: {report.failure}")
-    _emit(args, word_to_json(word))
-    return EXIT_OK
+    return word_to_json(word), None, True
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +273,23 @@ def cmd_aut_alpha(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _embedding_result(args, embedding) -> int:
+def cmd_wqo_embed(args):
+    """`wqo subword` and `wqo star`: `args.decide` is is_subword or
+    is_star_embedded."""
+    embedding = args.decide(parse_word(args.w1), parse_word(args.w2))
     if embedding is None:
-        _emit(args, {"embedded": False}, "no embedding")
-        return EXIT_FALSIFIED
+        return {"embedded": False}, "no embedding", False
     positions = _one_based(embedding)
-    _emit(
-        args,
-        {"embedded": True, "positions": positions},
-        "embedding ({})".format(",".join(str(p) for p in positions)),
-    )
-    return EXIT_OK
+    text = "embedding ({})".format(",".join(str(p) for p in positions))
+    return {"embedded": True, "positions": positions}, text, True
 
 
-def cmd_wqo_subword(args) -> int:
-    return _embedding_result(args, is_subword(parse_word(args.w1), parse_word(args.w2)))
-
-
-def cmd_wqo_star(args) -> int:
-    return _embedding_result(
-        args, is_star_embedded(parse_word(args.w1), parse_word(args.w2))
-    )
-
-
-def cmd_wqo_pair(args) -> int:
+def cmd_wqo_pair(args):
     with open(args.file) as fh:
         words = capped_words(parse_word(line) for line in fh)
     result = find_increasing_pair(words, mode=args.mode)
     if result is None:
-        _emit(args, {"found": False}, "no increasing pair")
-        return EXIT_FALSIFIED
+        return {"found": False}, "no increasing pair", False
     doc = {
         "found": True,
         "i": result.i,
@@ -330,8 +298,7 @@ def cmd_wqo_pair(args) -> int:
         "w2": format_word(words[result.j]),
         "positions": _one_based(result.embedding),
     }
-    _emit(args, doc, f"pair ({result.i},{result.j}) positions {doc['positions']}")
-    return EXIT_OK
+    return doc, f"pair ({result.i},{result.j}) positions {doc['positions']}", True
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +307,23 @@ def cmd_wqo_pair(args) -> int:
 
 
 def _load_tuples(ctx: CPContext, path: str):
+    """The family of the file's non-blank lines; CapacityError on the line
+    past MAX_PAIR_WORDS, before it or any later line is parsed."""
     members = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            members.append(
-                tuple(parse_support(ctx, part) for part in line.split(";"))
-            )
+        for line in filter(None, map(str.strip, fh)):
+            if len(members) == MAX_PAIR_WORDS:
+                raise CapacityError(
+                    f"a pair search takes at most {MAX_PAIR_WORDS} words, "
+                    "one per tuple-file line"
+                )
+            members.append(tuple(parse_support(ctx, part) for part in line.split(";")))
     if not members:
         raise InputError("tuple file is empty")
     return TupleFamily(ctx, len(members[0]), members)
 
 
-def cmd_az_run(args) -> int:
+def cmd_az_run(args):
     ctx = _context(args)
     fam = _load_tuples(ctx, args.tuples)
     cert = run_az(fam, depth=args.depth, seed=args.seed)
@@ -363,8 +332,7 @@ def cmd_az_run(args) -> int:
         again = run_az(fam, depth=args.depth, seed=args.seed).to_json()
         if _dump(again) != _dump(doc):
             raise FalsificationError("certificate is not deterministic")
-    _emit(args, doc)
-    return EXIT_OK if cert.ok else EXIT_FALSIFIED
+    return doc, None, cert.ok
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +340,15 @@ def cmd_az_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rado_triples(args) -> int:
+def cmd_rado_triples(args):
     triples = build_triples(args.max_n)
     report = check_obstruction(triples)
-    doc = {
-        "triples": [t.to_json() for t in triples],
-        "obstruction": report.to_json(),
-    }
+    doc = {"triples": [t.to_json() for t in triples], "obstruction": report.to_json()}
     if args.verify:
-        _check_triples(doc, "the emitted triples")
-    _emit(args, doc)
-    return EXIT_OK if report.ok else EXIT_FALSIFIED
+        again = _check_triples(doc, "the emitted triples").to_json()
+        if again != doc["obstruction"]:
+            raise FalsificationError("the emitted triples re-check to another report")
+    return doc, None, report.ok
 
 
 def _check_triples(doc, source: str):
@@ -392,13 +358,12 @@ def _check_triples(doc, source: str):
     return check_obstruction([triple_from_json(d) for d in doc["triples"]])
 
 
-def cmd_rado_check(args) -> int:
+def cmd_rado_check(args):
     if args.file:
         report = _check_triples(_read_json(args.file), args.file)
     else:
         report = check_obstruction(build_triples(args.max_n))
-    _emit(args, report.to_json())
-    return EXIT_OK if report.ok else EXIT_FALSIFIED
+    return report.to_json(), None, report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aut_alpha)
 
     wqo = sub.add_parser("wqo").add_subparsers(dest="sub", required=True)
-    for verb, func in (("subword", cmd_wqo_subword), ("star", cmd_wqo_star)):
+    for verb, decide in (("subword", is_subword), ("star", is_star_embedded)):
         p = wqo.add_parser(verb)
         p.add_argument("--w1", required=True, help="comma-separated letters")
         p.add_argument("--w2", required=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_wqo_embed, decide=decide)
     p = wqo.add_parser("pair")
     p.add_argument("--file", required=True, help="one word per line")
     p.add_argument("--mode", choices=["higman", "star"], default="star")
@@ -509,10 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line: print its text line, or with `--json` or no
+    text line its payload, written first to the `--emit` file if given,
+    and exit 0 on a true verdict and 1 on a false one."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, text, ok = args.func(args)
+        payload = doc if isinstance(doc, str) else _dump(doc)
+        if getattr(args, "emit", None):
+            with open(args.emit, "w") as fh:
+                fh.write(payload + "\n")
+        print(payload if args.json or text is None else text)
+        return EXIT_OK if ok else EXIT_FALSIFIED
     except InsufficientFamilyError as exc:
         print(f"insufficient input: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT

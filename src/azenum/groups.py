@@ -173,7 +173,7 @@ def is_subgroup(table: GroupTable, subset) -> bool:
     return bool(s) and all(table.mul[a][b] in s for a in s for b in s)
 
 
-def is_class_csw(table: GroupTable, analysis: GroupAnalysis) -> bool:
+def is_class_csw(analysis: GroupAnalysis) -> bool:
     """Exponent divides 4 and every involution is central."""
     if 4 % analysis.exponent != 0:
         return False

@@ -152,7 +152,7 @@ def _subset_products(g: GroupTable, basis: List[int]) -> List[int]:
 
 def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> QuadraticStructure:
     """The structure (G/V, V; squaring) for a class group."""
-    if not is_class_csw(table, analysis):
+    if not is_class_csw(analysis):
         raise InputError(f"group {table.name} is not exponent-4 with central involutions")
     g = table
     e = g.identity_index

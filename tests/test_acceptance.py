@@ -72,7 +72,7 @@ def test_criterion_1_round_trip(capsys):
     def body():
         for name in catalog_names():
             table, analysis, _ = catalog_group(name)
-            if not is_class_csw(table, analysis) or table.order > 32:
+            if not is_class_csw(analysis) or table.order > 32:
                 continue
             rebuilt, _ = group_from_qs(qs_from_group(table, analysis))
             assert find_isomorphism(table, rebuilt) is not None, name

@@ -32,10 +32,13 @@ def test_group_check_catalog(capsys):
 
 
 def test_group_check_outside_class(capsys):
-    # D4 has non-central involutions
-    code, out = run(capsys, "--json", "group", "check", "--group", "D4")
-    assert code == 1
-    assert json.loads(out)["class_ok"] is False
+    # D4 has non-central involutions: the document is printed in text mode
+    # and with --json alike, with the false verdict, and the command exits 1
+    for mode in ([], ["--json"]):
+        code, out = run(capsys, *mode, "group", "check", "--group", "D4")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["name"] == "D4" and doc["class_ok"] is False
 
 
 def test_group_check_unknown(capsys):
@@ -531,8 +534,10 @@ def test_wqo_star_example(capsys):
 def test_wqo_subword_and_miss(capsys):
     code, out = run(capsys, "wqo", "subword", "--w1", "a,b", "--w2", "a,c,b")
     assert code == 0 and out.strip() == "embedding (1,3)"
-    code, _ = run(capsys, "wqo", "star", "--w1", "b,a", "--w2", "a,a,b")
-    assert code == 1
+    code, out = run(capsys, "wqo", "star", "--w1", "b,a", "--w2", "a,a,b")
+    assert code == 1 and out == "no embedding\n"
+    code, out = run(capsys, "--json", "wqo", "star", "--w1", "b,a", "--w2", "a,a,b")
+    assert code == 1 and json.loads(out) == {"embedded": False}
 
 
 def test_wqo_pair_from_file(tmp_path, capsys):
@@ -569,8 +574,10 @@ def test_wqo_pair_blank_line_is_empty_word(tmp_path, capsys, mode):
 def test_wqo_pair_not_found(tmp_path, capsys):
     stream = tmp_path / "words.txt"
     stream.write_text("a,b\nb,a\n")
-    code, _ = run(capsys, "wqo", "pair", "--file", str(stream))
-    assert code == 1
+    code, out = run(capsys, "wqo", "pair", "--file", str(stream))
+    assert code == 1 and out == "no increasing pair\n"
+    code, out = run(capsys, "--json", "wqo", "pair", "--file", str(stream))
+    assert code == 1 and json.loads(out) == {"found": False}
 
 
 def at_pair_caps(extra_words=0, extra_letters=0):
@@ -680,21 +687,25 @@ def test_az_run_tuple_coordinate_above_cap(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-# equal members: at the word cap, one member past it, and members of
-# MAX_LITERAL_COORD + 1 letters each, one member more than MAX_PAIR_LETTERS holds
+# equal members: at the word cap, one member past it, members of
+# MAX_LITERAL_COORD + 1 letters each, one member more than MAX_PAIR_LETTERS
+# holds, and one member past the word cap before a malformed line, which the
+# cap refuses before it is read
 AZ_CAP_FAMILIES = {
-    "at-cap": (MAX_PAIR_WORDS, "0:g", 0),
-    "word-past-cap": (MAX_PAIR_WORDS + 1, "0:g", 2),
-    "letter-past-cap": (MAX_PAIR_LETTERS // (MAX_LITERAL_COORD + 1) + 1,
-                        f"{MAX_LITERAL_COORD}:g", 2),
+    "at-cap": ("0:g\n" * MAX_PAIR_WORDS, 0),
+    "word-past-cap": ("0:g\n" * (MAX_PAIR_WORDS + 1), 2),
+    "letter-past-cap": (
+        f"{MAX_LITERAL_COORD}:g\n" * (MAX_PAIR_LETTERS // (MAX_LITERAL_COORD + 1) + 1), 2
+    ),
+    "malformed-past-cap": ("0:g\n" * (MAX_PAIR_WORDS + 1) + "0:nosuch\n", 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(AZ_CAP_FAMILIES))
 def test_az_run_pair_search_cap(tmp_path, capsys, name):
-    count, member, code = AZ_CAP_FAMILIES[name]
+    text, code = AZ_CAP_FAMILIES[name]
     tuples = tmp_path / "family.txt"
-    tuples.write_text(f"{member}\n" * count)
+    tuples.write_text(text)
     assert run_command(["az", "run", "--group", "C4", "--tuples", str(tuples)]) == code
     if code == 2:
         assert capsys.readouterr().err.startswith("error: a pair search takes at most")
@@ -876,6 +887,36 @@ def test_rado_triples_verify_revalidates_emitted_triples(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("falsified:")
+
+
+def test_rado_triples_verify_compares_the_rechecked_report(capsys, monkeypatch):
+    # `--verify` compares the re-checked obstruction report with the emitted
+    # one, so a first report short of one `checks` row is falsified before
+    # anything is printed
+    real, calls = cli.check_obstruction, []
+
+    def first_drops_a_row(triples):
+        report = real(triples)
+        if not calls:
+            report.checks.pop()
+        calls.append(len(triples))
+        return report
+
+    monkeypatch.setattr(cli, "check_obstruction", first_drops_a_row)
+    assert run_command(["--verify", "rado", "triples", "--max-n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert calls == [2, 2]
+    assert out == ""
+    assert err.startswith("falsified:")
+
+
+def test_emit_to_a_directory_is_bad_input(tmp_path, capsys):
+    # the `--emit` file is written before anything is printed, so a write
+    # that fails prints nothing on stdout
+    assert run_command(["rado", "triples", "--max-n", "4", "--emit", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_rado_triples_above_cap(capsys):

@@ -54,8 +54,8 @@ def test_missing_identity_rejected():
 
 def test_class_csw_membership():
     for name, expect in [("Q8", True), ("D4", False), ("C2", True), ("C4", True), ("C2xC2", True)]:
-        table, analysis, _ = catalog_group(name)
-        assert is_class_csw(table, analysis) == expect, name
+        _, analysis, _ = catalog_group(name)
+        assert is_class_csw(analysis) == expect, name
 
 
 def test_d4_noncentral_involution_witness():
