@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -177,25 +177,25 @@ def _ladder_act(slots: tuple, places: Sequence[int]) -> Tuple[List[int], List[in
 def index_images(ctx: CPContext, word: AutWord, indices: Iterable[int]) -> List[int]:
     """The word's action on a list of enumeration indices, built without
     elements; CapacityError. On the list's pairs (s, k) a generator at a
-    time, its `_window_action` read as runs (`CPContext.digit_runs`) sums to
-    v; s gains v, or for a ladder the shift `_ladder_act` gives on the
-    distinct v, and k its K factor."""
+    time, its `_window_action` read as runs (`CPContext.digit_runs`): a
+    permutation adds the weighted digits to s in the pass that reads them, a
+    ladder sums them to v, and s gains the shift `_ladder_act` gives on the
+    distinct v, and k its K factor when one is not 1."""
     ctx.place(max(word.max_coord(), 0))
     steps = [(ctx.digit_runs(w), places) for w, places in (_window_action(ctx, g) for g in word.gens)]
-    mul, (ss, ks) = ctx.group.mul, ctx.pairs_of(indices)
+    mul, e, (ss, ks) = ctx.group.mul, ctx.group.identity_index, ctx.pairs_of(indices)
     for runs, places in steps:
-        vs = [0] * len(ss)
+        vs = ss if places is None else repeat(0)
         for p, m, w in runs:
             vs = [v + s // p % m * w for v, s in zip(vs, ss)]
         if places is not None:
-            distinct = list(dict.fromkeys(vs))
+            distinct = list(set(vs))
             shifts, factors = _ladder_act(_ladder_slots(ctx, distinct), places)
-            if len(distinct) < len(vs):
-                at = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, vs))
-                shifts, factors = list(map(shifts.__getitem__, at)), list(map(factors.__getitem__, at))
-            ks = [mul[k][f] for k, f in zip(ks, factors)]
-            vs = shifts
-        ss = list(map(add, ss, vs))
+            if factors.count(e) < len(factors):
+                factor_of = dict(zip(distinct, factors))
+                ks = [mul[k][factor_of[v]] for k, v in zip(ks, vs)]
+            vs = list(map(add, ss, map(dict(zip(distinct, shifts)).__getitem__, vs)))
+        ss = vs
     return ctx.indices_of_pairs(ss, ks)
 
 
@@ -335,20 +335,22 @@ def verify_automorphism(
     return VerifyReport(True, n, size, checked, exhaustive)
 
 
+def _draws(getrandbits, n: int) -> Iterator[int]:
+    """Indices below n without end, each drawn by the rejection loop of
+    random.Random.randrange(n): getrandbits(n.bit_length()) until below n.
+    So the draws and the end state are randrange's, without its two Python
+    calls per index."""
+    bits = n.bit_length()
+    while True:
+        x = getrandbits(bits)
+        if x < n:
+            yield x
+
+
 def _sampled_pairs(rng: random.Random, size: int, count: int) -> Iterator[Tuple[int, int]]:
-    """`count` pairs of indices below size, each drawn by the rejection loop
-    of random.Random.randrange(size): getrandbits(size.bit_length()) until
-    below size. So the draws and the end state are randrange's, without its
-    two Python calls per index."""
-    getrandbits, bits = rng.getrandbits, size.bit_length()
-    for _ in range(count):
-        a = getrandbits(bits)
-        while a >= size:
-            a = getrandbits(bits)
-        b = getrandbits(bits)
-        while b >= size:
-            b = getrandbits(bits)
-        yield a, b
+    """`count` pairs of consecutive `_draws` below size."""
+    draws = _draws(rng.getrandbits, size)
+    return islice(zip(draws, draws), count)
 
 
 # ---------------------------------------------------------------------------

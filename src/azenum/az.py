@@ -36,7 +36,7 @@ from functools import cached_property
 from operator import eq, lt
 from typing import Dict, Iterable, List, Tuple
 
-from .automorphisms import AutWord, Perm, alpha_word, index_images, word_to_json
+from .automorphisms import AutWord, Perm, _draws, alpha_word, index_images, word_to_json
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
 from .central_product import CPContext
 from .errors import InputError, InsufficientFamilyError
@@ -60,13 +60,14 @@ class TupleFamily:
 def letter_word(ctx: CPContext, member: MemberTuple) -> Word:
     """The member as a finite word over n-tuples of group elements: the
     i-th letter collects the i-th entries of the components' canonical
-    minimal representatives, truncated at the last nontrivial index."""
-    e = ctx.group.identity_index
-    reps = [dict(ctx.minimal_representative(comp)) for comp in member]
-    top = max((c for rep in reps for c in rep), default=-1)
-    return Word(
-        tuple(tuple(rep.get(i, e) for rep in reps) for i in range(top + 1))
-    )
+    minimal representatives (a column each), cut at the last nontrivial index."""
+    reps = [ctx.minimal_representative(comp) for comp in member]
+    length = max((rep[-1][0] + 1 for rep in reps if rep), default=0)
+    columns = [[ctx.group.identity_index] * length for _ in reps]
+    for column, rep in zip(columns, reps):
+        for c, v in rep:
+            column[c] = v
+    return Word(tuple(zip(*columns)))
 
 
 @dataclass
@@ -313,13 +314,11 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
     (a) tuple mapping, (b) order preservation, on the whole level Γ_{≤L}
     holding `depth` elements and decided exactly by the lemma above, (c) the
     block identity of the index law at each coordinate in (l_i, l'], (d)
-    agreement with the emitted word on every singleton within l' and on 50
-    seeded indices, each in Γ_{≤t} for a t drawn from 0..l', on the lists
-    `index_images` and `beta_images`."""
+    agreement of the emitted word's `index_images` with `beta_images` on
+    every singleton within l' and on 50 x in Γ_{≤t}, t < l' + 1, t and then x
+    drawn as Random(seed).randrange draws them (`automorphisms._draws`)."""
     ctx = fam.ctx
-    randrange = random.Random(seed).randrange
-    nf = normalize_family(fam)
-    bm = build_beta(nf)
+    bm = build_beta(normalize_family(fam))
     size = ctx.gamma_n_order
     failures: List[str] = []
     reports: Dict[str, dict] = {}
@@ -355,9 +354,12 @@ def run_az(fam: TupleFamily, depth: int = 500, seed: int = 0) -> Certificate:
 
     # (d) the emitted word agrees on everything supported within l'
     word = beta_as_word(bm, l, l_prime)
-    places, values = map(ctx.place, range(l_prime + 1)), range(ctx.group.order)
-    xs = [ctx.index_of_pair(ctx.digit_of[v] * p, ctx.k_of[v]) for p in places for v in values]
-    xs += [randrange(size(randrange(l_prime + 1) + 1)) for _ in range(50)]
+    places = list(map(ctx.place, range(l_prime + 1)))
+    xs = ctx.indices_of_pairs([d * p for p in places for d in ctx.digit_of], ctx.k_of * len(places))
+    getrandbits = random.Random(seed).getrandbits
+    levels = [_draws(getrandbits, size(t + 1)) for t in range(l_prime + 1)]
+    pick = _draws(getrandbits, len(levels))
+    xs += [next(levels[next(pick)]) for _ in range(50)]
     agree = sum(map(eq, index_images(ctx, word, xs), beta_images(bm, xs)))
     report("word_agreement", "agree", agree, len(xs))
 

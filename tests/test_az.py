@@ -465,6 +465,35 @@ def test_word_wrong_at_one_singleton_fails_word_agreement(c4k, monkeypatch):
     assert report["agree"] == report["of"] - 1
 
 
+@pytest.mark.parametrize("name", ["Q8", "C6"])
+def test_word_agreement_draws_are_the_randrange_draws(name, monkeypatch):
+    # the last 50 indices word agreement checks are t = randrange(l' + 1)
+    # and then randrange(|Γ_{≤t}|), drawn 50 times from random.Random(seed);
+    # the certificate holds only counts, so the golden corpus cannot see the
+    # stream. C6 over K = {1, g^3} has r = 3, so no level size 2·3^(t+1) is
+    # a power of two and the rejection loops redraw
+    ctx = CPContext(make_kgroup(*oracle_group(name)))
+    fam = random_az_family(ctx, random.Random(f"draws-{name}"), 2, 9)
+    real, seen = az.index_images, []
+
+    def record(ctx, word, indices):
+        seen.append(list(indices))
+        return real(ctx, word, seen[-1])
+
+    monkeypatch.setattr(az, "index_images", record)
+    for seed in (1, 2, 3):
+        cert = run_az(fam, depth=60, seed=seed)
+        assert cert.ok, cert.failures
+        rng, top = random.Random(seed), cert.levels[1] + 1
+        expected = [rng.randrange(ctx.gamma_n_order(rng.randrange(top) + 1)) for _ in range(50)]
+        [xs] = seen
+        assert xs[-50:] == expected
+        assert len(xs) == top * ctx.group.order + 50
+        seen.clear()
+    if name == "C6":
+        assert all(n & (n - 1) for n in map(ctx.gamma_n_order, range(1, top + 1)))
+
+
 def test_swapped_witness_positions_fail_order_preservation(q8k, monkeypatch):
     # the level check covers Γ_{≤3} only, so with l_i >= 4 the decision on
     # the plan must catch a β whose two highest witness positions are swapped

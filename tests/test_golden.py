@@ -194,6 +194,14 @@ def test_golden(name):
         )
 
 
+@pytest.mark.parametrize("name", sorted(name for name in cases() if name.startswith("az_run_")))
+def test_az_run_is_the_same_when_run_twice_in_one_process(name):
+    """Two `az run`s in one process give the golden bytes: no state that a
+    run leaves behind reaches a certificate."""
+    expected = gzip.decompress(golden_path(name).read_bytes())
+    assert run_case(cases()[name]) == run_case(cases()[name]) == expected
+
+
 def test_every_golden_file_is_a_case():
     assert sorted(p.name for p in GOLDEN.glob("*.out.gz")) == sorted(
         golden_path(name).name for name in cases()
