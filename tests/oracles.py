@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, count, product
 
 from azenum.automorphisms import Perm
+from azenum.errors import InputError
 from azenum.groups import _generating_sequence, catalog_group, validate_and_analyze
 from azenum.quadratic import QuadraticStructure, QSMorphism, bits_of, is_nondegenerate
 from azenum.rado import adjacent
+from azenum.wqo import PairResult, is_star_embedded, is_subword, last_appearance_order
 
 
 def brute_star(w1, w2):
@@ -643,3 +646,33 @@ def coordinate_inclusion(qs0: QuadraticStructure) -> QSMorphism:
         tuple(1 << i for i in range(qs0.dim_u)),
         tuple(1 << i for i in range(qs0.dim_v)),
     )
+
+
+def count_group_pair(words, mode):
+    """The reference for `find_increasing_pair`: each earlier word is
+    decided by its own call of `is_subword` or `is_star_embedded`, in
+    groups by last-appearance order (strong mode) and letter counts,
+    skipping groups whose counts the newcomer's do not dominate."""
+    if mode not in ("higman", "star"):
+        raise InputError(f"unknown mode {mode!r}")
+    strong = mode == "star"
+    below = is_star_embedded if strong else is_subword
+    buckets = {}
+    for j, w in enumerate(words):
+        counts = Counter(w.letters)
+        groups = buckets.setdefault(last_appearance_order(w) if strong else None, {})
+        best = None
+        for group_counts, group in groups.items():
+            if any(counts[letter] < n for letter, n in group_counts):
+                continue
+            for i, earlier in group:
+                if best is not None and i >= best.i:
+                    break
+                emb = below(earlier, w)
+                if emb is not None:
+                    best = PairResult(i, j, emb)
+                    break
+        if best is not None:
+            return best
+        groups.setdefault(frozenset(counts.items()), []).append((j, w))
+    return None

@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azenum.errors import CapacityError, InputError
 from azenum.wqo import (
@@ -9,6 +12,7 @@ from azenum.wqo import (
     MAX_PAIR_WORDS,
     Embedding,
     Word,
+    _Group,
     block_split,
     capped_words,
     column_word,
@@ -21,7 +25,14 @@ from azenum.wqo import (
     parse_word,
     rightmost_embedding,
 )
-from oracles import brute_covers, brute_star, brute_subword, dp_star, star_subwords
+from oracles import (
+    brute_covers,
+    brute_star,
+    brute_subword,
+    count_group_pair,
+    dp_star,
+    star_subwords,
+)
 
 
 def w(text):
@@ -358,6 +369,55 @@ def test_higman_pair_is_first_pair_by_brute_force():
         assert (r.i, r.j) == want, words
         assert r.embedding.image == brute_subword(words[r.i], words[r.j]), words
     assert found > 500
+
+
+# one-letter strings, tuples (which the az pipeline's letters are) and a
+# nested tuple; short words, the empty one included, so that streams often
+# hold a pair and letter sets often nest
+LETTERS = st.sampled_from(["a", "b", ("a",), ("a", "b"), (("b",), 0)])
+STREAMS = st.lists(st.lists(LETTERS, max_size=5).map(lambda x: Word(tuple(x))), max_size=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(words=STREAMS, mode=st.sampled_from(["higman", "star"]))
+def test_pair_equals_count_group_reference(words, mode):
+    assert find_increasing_pair(words, mode) == count_group_pair(words, mode)
+
+
+def test_packed_hits_equal_brute_subword_exhaustive():
+    # every word up to length 4 over {a, b}, packed into one group in two
+    # batches, against every such newcomer: the hits are exactly the
+    # subwords, in ascending i
+    words = list(all_words("ab", 4))
+    group = _Group()
+    half = len(words) // 2
+    for batch in (range(half), range(half, len(words))):
+        group.pending += [(k, words[k]) for k in batch]
+        for w2 in words:
+            hits = [k for k, _ in group.hits(w2.letters)]
+            want = [k for k in range(batch.stop) if brute_subword(words[k], w2) is not None]
+            assert hits == want, w2
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 4, 5])
+def test_pair_search_memory_at_the_letter_cap(copies):
+    # permutations of MAX_PAIR_LETTERS // copies distinct letters share one
+    # letter set, so deletion mode packs all but the last of them: the masks
+    # come near the MAX_PAIR_* bound of 20.3 MiB at three copies
+    rng = random.Random(copies)
+    letters = list(range(MAX_PAIR_LETTERS // copies))
+    words = []
+    for _ in range(copies):
+        rng.shuffle(letters)
+        words.append(Word(tuple(letters)))
+    for mode in ("higman", "star"):
+        tracemalloc.start()
+        try:
+            assert find_increasing_pair(words, mode) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (mode, peak)
 
 
 def test_pair_not_found_on_exhausted_stream():
