@@ -1,7 +1,7 @@
 """Adversarial triples against the natural-number enumeration of the
 bit-predicate presentation of the random graph: for each n, a vertex b_n
-whose prefix contains an induced n-cycle and a minimal vertex c_n seeing
-exactly that cycle, with the short-cycle obstruction checked exhaustively.
+whose prefix contains an induced n-cycle and a minimal vertex c_n whose
+whole lower neighbourhood is exactly that cycle.
 
 Lemma (the cycle search rests on it). Let B = v.bit_length(). Within
 {0..v}, each u in [B, v] has exactly its own bits as neighbours, all in
@@ -12,11 +12,22 @@ core induces k = n - |T| >= 1 disjoint paths and X holds k vertices of
 [B, v], v among them, each seeing (x & T) exactly two path ends, so that
 together they link the paths into one ring.
 
-Neighbourhood lemma: for c > top, every vertex of {0..top} lies below c,
-so c's neighbours there are its bits up to top (`neighborhood_in_prefix`).
+Neighbourhood lemma: c's neighbours below c are exactly its bits, and for
+c > top those up to top are its neighbours in {0..top}
+(`neighborhood_in_prefix`). A valid triple has its cycle within {0..b}
+and c in (b, 2^(b+1)), so c's whole lower neighbourhood is its cycle.
 Induced cycles are decided on positional neighbour masks (bit j for the
 j-th vertex, `_neighbour_masks`): a set is one chordless cycle iff the walk
 from its least vertex covers it, each vertex seeing two others (`_ring`).
+
+Pair lemma (the paper's condition with a_i = c_small and a_j = c_large):
+for valid triples of different n, no automorphism alpha has
+alpha(c_small) = c_large and alpha(a) < c_large for every a < c_small, so
+the natural enumeration is not nice along (c_n). Such an alpha would map
+c_small's lower neighbourhood, an induced n_small-cycle, onto an induced
+cycle within c_large's lower neighbourhood, an induced n_large-cycle; a
+proper subset of a chordless cycle induces only paths, so the image is
+the whole cycle and n_small = n_large (`check_obstruction`).
 """
 
 from __future__ import annotations
@@ -29,11 +40,10 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from .errors import CapacityError, FalsificationError, InputError
 
-# The largest max_n that build_triples accepts: a cold build_triples(11)
-# takes about 55 ms and build_triples(12) about 75 ms (Python 3.11, one
-# core of a shared 2-core x86-64 host). check_obstruction, which tries
-# every subset of each c's n neighbours, takes as many triples as
-# build_triples emits.
+# The largest max_n that build_triples accepts; it bounds the core search.
+# A cold build_triples(11) takes about 55 ms and build_triples(12) about
+# 75 ms (Python 3.11, one core of a shared 2-core x86-64 host), while one
+# n = 13 step, first_cycle_bound(13, c_12 + 1), was killed before it ended.
 MAX_TRIPLES_N = 12
 
 
@@ -182,17 +192,16 @@ def first_cycle_bound(n: int, start: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
-    """The minimal vertex c whose neighborhood within {0..b} is exactly an
-    induced n-cycle, together with that cycle.
+    """The minimal vertex c > b whose whole lower neighbourhood is an
+    induced n-cycle within {0..b}, together with that cycle.
 
-    By the neighbourhood lemma, the minimum is the smallest cycle
-    characteristic mask exceeding b; if every mask is <= b the explicit
-    witness mask + 2^(b+1) still qualifies (and beats nothing, since
-    qualifying masks are < 2^(b+1)).
-
-    Masks at level v lie in [2^v, 2^(v+1)), so after the memoised first
-    level the scan walks v upward from the first level whose masks can
-    exceed b.  InputError when {0..b} holds no induced n-cycle.
+    By the neighbourhood lemma these c are the cycle characteristic masks
+    in (b, 2^(b+1)). Masks at level v lie in [2^v, 2^(v+1)), so after the
+    memoised first level L the scan walks v upward from the first level
+    whose masks can exceed b, up to b. Moving a cycle's maximum L to
+    L + 2^y (y >= L) keeps it an induced n-cycle, so such a mask exists
+    unless 2^L <= b < 2^L + L, where a level in (L, 2^L] would give one.
+    InputError when {0..b} holds no induced n-cycle, or no mask is found.
     """
     first, first_masks = _first_level(n)
     if first > b:
@@ -204,13 +213,12 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
         at = bisect_right(masks, b)
         if at < len(masks):
             return masks[at], _cycle_of(masks[at])
-    return first_masks[0] + (1 << (b + 1)), _cycle_of(first_masks[0])
+    raise InputError(f"no vertex above {b} sees exactly an induced {n}-cycle below itself")
 
 
 @dataclass(frozen=True)
 class Triple:
     n: int
-    a: int
     b: int
     c: int
     cycle: Tuple[int, ...]
@@ -220,22 +228,23 @@ class Triple:
 
 
 def triple_from_json(doc: dict) -> Triple:
-    """The triple of a `Triple.to_json` object; InputError unless n, a, b
-    and c are non-negative integers and cycle is a list of them."""
-    keys = ("n", "a", "b", "c", "cycle")
+    """The triple of a `Triple.to_json` object; InputError unless n, b and
+    c are non-negative integers and cycle is a list of them. Other keys
+    are ignored."""
+    keys = ("n", "b", "c", "cycle")
     if isinstance(doc, dict) and all(k in doc for k in keys):
-        n, a, b, c, cycle = (doc[k] for k in keys)
+        n, b, c, cycle = (doc[k] for k in keys)
         if isinstance(cycle, list) and all(
-            type(x) is int and x >= 0 for x in (n, a, b, c, *cycle)
+            type(x) is int and x >= 0 for x in (n, b, c, *cycle)
         ):
-            return Triple(n, a, b, c, tuple(cycle))
-    raise InputError(f"not a triple (integers n, a, b, c >= 0 and a cycle list): {doc!r}")
+            return Triple(n, b, c, tuple(cycle))
+    raise InputError(f"not a triple (integers n, b, c >= 0 and a cycle list): {doc!r}")
 
 
 def build_triples(max_n: int) -> List[Triple]:
     """Triples for n = 4..max_n; each b_n is the first vertex after the
     previous c whose prefix holds an induced n-cycle, and c_n is the
-    minimal vertex adjacent to exactly that cycle within the prefix."""
+    minimal vertex whose lower neighbourhood is exactly that cycle."""
     if max_n < 4:
         raise InputError("max_n must be at least 4")
     if max_n > MAX_TRIPLES_N:
@@ -245,7 +254,7 @@ def build_triples(max_n: int) -> List[Triple]:
     for n in range(4, max_n + 1):
         b, _ = first_cycle_bound(n, c_prev + 1)
         c, cycle = minimal_exact_vertex(n, b)
-        triple = Triple(n, 0, b, c, cycle)
+        triple = Triple(n, b, c, cycle)
         _validate_triple(triple)
         triples.append(triple)
         c_prev = c
@@ -253,6 +262,8 @@ def build_triples(max_n: int) -> List[Triple]:
 
 
 def _validate_triple(t: Triple) -> None:
+    """FalsificationError unless the cycle is an induced n-cycle within
+    {0..b} and c's whole lower neighbourhood, its bits, is that cycle."""
     if len(t.cycle) != t.n or len(set(t.cycle)) != t.n:
         found = f"{len(set(t.cycle))} distinct vertices in {len(t.cycle)} entries"
         raise FalsificationError(f"stored cycle has {found}, not n = {t.n}", t)
@@ -262,13 +273,14 @@ def _validate_triple(t: Triple) -> None:
         raise FalsificationError("cycle exceeds the prefix", t)
     if t.c <= t.b:
         raise FalsificationError("c lies inside the prefix", t)
+    if t.c.bit_length() > t.b + 1:
+        raise FalsificationError("c sees a vertex between the prefix and c", t)
     if neighborhood_in_prefix(t.c, t.b) != frozenset(t.cycle):
         raise FalsificationError("c's prefix neighborhood is not the cycle", t)
 
 
 @dataclass
 class ObstructionReport:
-    checks: List[dict]
     pair_certificates: List[dict]
     violations: List[dict]
 
@@ -277,26 +289,18 @@ class ObstructionReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": self.checks,
-            "pairs": self.pair_certificates,
-            "violations": self.violations,
-        }
+        return {"ok": self.ok, "pairs": self.pair_certificates, "violations": self.violations}
 
 
 def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
-    """For every triple and every 2 < i < n: confirm exhaustively that no
-    induced i-cycle within the prefix has all vertices adjacent to c.
+    """Validate every triple, then certify each pair of them obstructed
+    by the pair lemma: `violations` stays empty, as triples that the
+    lemma does not cover (an invalid one, or two of one n) are falsified
+    (FalsificationError) first.
 
-    Consequently no adjacency-and-order-preserving map of initial segments
-    can send a shorter triple onto a longer one, reported per pair.
-
-    Lemma: `violations` is always empty. After `_validate_triple`, c's
-    prefix neighbourhood is exactly an induced n-cycle, and a proper subset
-    of a chordless cycle induces only paths; the scan confirms it per triple.
     CapacityError first, for more than MAX_TRIPLES_N - 3 triples or an n
-    above MAX_TRIPLES_N."""
+    above MAX_TRIPLES_N: build_triples never emits more, and the caps
+    bound what a triples file may ask for."""
     if len(triples) > MAX_TRIPLES_N - 3:
         raise CapacityError(f"{len(triples)} triples exceed the cap of {MAX_TRIPLES_N - 3}")
     for t in triples:
@@ -304,21 +308,10 @@ def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
             raise CapacityError(f"triple n = {t.n} exceeds the cap of {MAX_TRIPLES_N}")
     for t in triples:
         _validate_triple(t)
-    checks = []
-    violations = []
-    for t in triples:
-        hood = sorted(neighborhood_in_prefix(t.c, t.b))
-        nbrs, bits = _neighbour_masks(hood), [1 << j for j in range(len(hood))]
-        for i in range(3, t.n):
-            # bits ascend, so sub[0] is the subset's least vertex
-            bad = [sub for sub in combinations(bits, i) if _ring(hood, nbrs, sum(sub), sub[0]) is not None]
-            checks.append({"n": t.n, "i": i, "candidates_violating": len(bad)})
-            if bad:
-                violations.append({"n": t.n, "i": i, "witness": [hood[j] for j in _bits(sum(bad[0]))]})
-    clean = {(c["n"], c["i"]): not c["candidates_violating"] for c in checks}
+    if len({t.n for t in triples}) < len(triples):
+        raise FalsificationError("two triples share an n, so the pair lemma does not apply")
     pairs = [
-        {"from_n": small.n, "to_n": large.n, "obstructed": clean.get((large.n, small.n), True)}
+        {"from_n": small.n, "to_n": large.n, "obstructed": True}
         for small, large in combinations(triples, 2)
     ]
-    return ObstructionReport(checks, pairs, violations)
-
+    return ObstructionReport(pairs, [])

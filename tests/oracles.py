@@ -523,28 +523,28 @@ def rado_induced_cycle(vertices):
 
 
 def rado_obstruction_checks(triples):
-    """`check_obstruction`'s checks and violations by the reference scan:
-    every i-subset of c's prefix neighbourhood, for 2 < i < n, through
-    `rado_induced_cycle`. The neighbourhood is scanned vertex by vertex
-    through `adjacent` up to min(b, c's bit length): each prefix vertex v
-    lies below c (asserted), so it sees c only through bit v of c."""
-    checks, violations = [], []
+    """The pair lemma's reference scan: for each triple, every i-subset
+    of c's whole lower neighbourhood, for 2 < i < n, through
+    `rado_induced_cycle`; a violation per (n, i) that has one, with the
+    first such cycle as its witness. The neighbourhood is scanned vertex
+    by vertex through `adjacent` below c's bit length: each such v lies
+    below c, so it sees c through bit v of c."""
+    violations = []
     for t in triples:
-        assert t.b < t.c
-        hood = [v for v in range(min(t.b, t.c.bit_length()) + 1) if adjacent(v, t.c)]
+        hood = [v for v in range(t.c.bit_length()) if adjacent(v, t.c)]
         for i in range(3, t.n):
-            bad = [sub for sub in combinations(hood, i) if rado_induced_cycle(sub) is not None]
-            checks.append({"n": t.n, "i": i, "candidates_violating": len(bad)})
-            if bad:
-                violations.append({"n": t.n, "i": i, "witness": list(bad[0])})
-    return checks, violations
+            bad = (rado_induced_cycle(sub) for sub in combinations(hood, i))
+            witness = next((cycle for cycle in bad if cycle is not None), None)
+            if witness is not None:
+                violations.append({"n": t.n, "i": i, "witness": witness})
+    return violations
 
 
 def rado_triples(max_n):
     """(n, b, c, sorted cycle) for n = 4..max_n by a level-by-level scan of
     `rado_level_masks`: b is the first prefix after the previous c holding
-    an induced n-cycle, c the least mask above b (or the first level's
-    least mask plus 2^(b+1) when no mask exceeds b)."""
+    an induced n-cycle, c the least mask above b among the levels up to b,
+    and the cycle c's bits."""
     out = []
     c_prev = 0
     for n in range(4, max_n + 1):
@@ -552,16 +552,13 @@ def rado_triples(max_n):
         while not rado_level_masks(n, first):
             first += 1
         b = max(c_prev + 1, first)
-        c = None
-        for v in range(max(n - 1, (b + 1).bit_length() - 1), b + 1):
-            above = [m for m in rado_level_masks(n, v) if m > b]
-            if above:
-                c = above[0]
-                break
-        if c is None:
-            c = rado_level_masks(n, first)[0] + (1 << (b + 1))
-        cycle = [i for i in range(min(b + 1, c.bit_length())) if (c >> i) & 1]
-        out.append((n, b, c, cycle))
+        c = next(
+            m
+            for v in range(max(n - 1, (b + 1).bit_length() - 1), b + 1)
+            for m in rado_level_masks(n, v)
+            if m > b
+        )
+        out.append((n, b, c, [i for i in range(c.bit_length()) if (c >> i) & 1]))
         c_prev = c
     return out
 

@@ -1,9 +1,13 @@
 import json
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azenum import cli, rado
 from azenum.central_product import MAX_COSETS, MAX_LITERAL_COORD
@@ -793,17 +797,17 @@ def test_rado_triples_and_check(tmp_path, capsys):
     "content",
     [
         "{not json",
-        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": [0, 1, 2, 5]}]}',
-        '{"triples": [{"n": 4, "a": 0, "b": "5", "c": 39, "cycle": [0, 1, 2, 5]}]}',
-        '{"triples": [{"n": 4, "a": 0, "b": 5, "c": 39, "cycle": 5}]}',
-        '{"triples": [{"n": 4, "a": 0, "b": 5, "c": 39, "cycle": [0, 1.5]}]}',
+        '{"triples": [{"n": 4, "b": 5, "cycle": [0, 1, 2, 5]}]}',
+        '{"triples": [{"n": 4, "b": "5", "c": 39, "cycle": [0, 1, 2, 5]}]}',
+        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": 5}]}',
+        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": [0, 1.5]}]}',
         '{"triples": [7]}',
         '{"triples": 7}',
         "[]",
-        '{"triples": [{"n": 4, "a": 0, "b": 5, "c": 39, "cycle": [-1, 1, 2, 5]}]}',
-        '{"triples": [{"n": 4, "a": 0, "b": -5, "c": 39, "cycle": [0, 1, 2, 5]}]}',
+        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": [-1, 1, 2, 5]}]}',
+        '{"triples": [{"n": 4, "b": -5, "c": 39, "cycle": [0, 1, 2, 5]}]}',
     ],
-    ids=["json", "missing-a", "str-b", "int-cycle", "float-vertex",
+    ids=["json", "missing-c", "str-b", "int-cycle", "float-vertex",
          "not-object", "not-list", "no-triples", "negative-vertex", "negative-b"],
 )
 def test_rado_check_bad_file(tmp_path, capsys, content):
@@ -829,7 +833,7 @@ def test_rado_check_bad_file(tmp_path, capsys, content):
 def test_rado_check_falsified_triple(tmp_path, capsys, triple, message):
     # each a well-formed triple of n = 4 that one check of the file rejects
     path = tmp_path / "triples.json"
-    path.write_text(json.dumps({"triples": [{"n": 4, "a": 0, **triple}]}))
+    path.write_text(json.dumps({"triples": [{"n": 4, **triple}]}))
     assert run_command(["--json", "rado", "check", "--file", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -838,15 +842,65 @@ def test_rado_check_falsified_triple(tmp_path, capsys, triple, message):
 
 @pytest.mark.parametrize("cycle, entries", [([0, 1, 2, 5], 4), ([0, 1, 2, 5, 5], 5)])
 def test_rado_check_cycle_not_n_vertices(tmp_path, capsys, cycle, entries):
-    # n = 5 with a 4-cycle: falsified before the obstruction check, which
-    # would report the triple's own 4-cycle as a violation at i = 4
+    # n = 5 with a 4-cycle: falsified before any other check, as the pair
+    # lemma needs each c's lower neighbourhood to be a cycle of its own n
     path = tmp_path / "triples.json"
-    triple = {"n": 5, "a": 0, "b": 5, "c": 39, "cycle": cycle}
+    triple = {"n": 5, "b": 5, "c": 39, "cycle": cycle}
     path.write_text(json.dumps({"triples": [triple]}))
     assert run_command(["--json", "rado", "check", "--file", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("falsified:") and f"4 distinct vertices in {entries} entries" in err
+
+
+@pytest.mark.parametrize("bit", [4097, 41], ids=["bit-4097", "bit-b-plus-1"])
+def test_rado_check_refuses_a_c_that_sees_past_the_prefix(tmp_path, capsys, bit):
+    # the n = 5 triple's c gains a bit above b = 40: with bit 4097 it sees
+    # the induced 4-cycle (0, 4097, 12, 3), with bit 41 the triangle
+    # (0, 3, 41), so the pair claim from n = 4 would rest on nothing
+    path = tmp_path / "triples.json"
+    assert run_command(["rado", "triples", "--max-n", "5", "--emit", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["triples"][1]["b"] == 40
+    doc["triples"][1]["c"] += 1 << bit
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_command(["rado", "check", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "falsified: c sees a vertex between the prefix and c\n"
+
+
+def test_rado_check_refuses_two_triples_of_one_n(tmp_path, capsys):
+    # the identity sends a c onto itself, so a pair of one n has no claim
+    path = tmp_path / "triples.json"
+    path.write_text(json.dumps({"triples": [t.to_json() for t in rado.build_triples(4) * 2]}))
+    assert run_command(["rado", "check", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("falsified:") and "share an n" in err
+
+
+TRIPLES_7 = rado.build_triples(7)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_rado_check_refuses_any_bit_outside_the_cycle(tmp_path_factory, data):
+    # a valid triple whose c gains a bit outside its cycle, below b or above
+    # it, up to bit 12,000 (json reads at most 4,300 digits), is falsified
+    k = data.draw(st.integers(0, len(TRIPLES_7) - 1))
+    doc = {"triples": [t.to_json() for t in TRIPLES_7]}
+    cycle = doc["triples"][k]["cycle"]
+    bit = data.draw(st.one_of(st.integers(0, 64), st.integers(0, 12_000)).filter(
+        lambda x: x not in cycle))
+    doc["triples"][k]["c"] += 1 << bit
+    path = tmp_path_factory.mktemp("triples") / "triples.json"
+    path.write_text(json.dumps(doc))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(["rado", "check", "--file", str(path)])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("falsified: c")
 
 
 def ladder_cycle_triple(h):
@@ -857,7 +911,7 @@ def ladder_cycle_triple(h):
     a = [4 + j for j in range(h)]
     vertices = a + [(1 << a[j]) + (1 << a[(j + 1) % h]) for j in range(h)]
     cycle = rado.is_induced_cycle(vertices)
-    triple = rado.Triple(2 * h, 0, max(cycle), sum(1 << v for v in cycle), cycle)
+    triple = rado.Triple(2 * h, max(cycle), sum(1 << v for v in cycle), cycle)
     rado._validate_triple(triple)
     return triple
 
@@ -870,7 +924,7 @@ def ladder_cycle_triple(h):
 )
 def test_rado_check_file_above_cap(tmp_path, capsys, triples, cap):
     # a triple above MAX_TRIPLES_N, or more triples than build_triples emits,
-    # is refused before the obstruction scan and its per-pair report
+    # is refused before validation and its per-pair report
     path = tmp_path / "triples.json"
     path.write_text(json.dumps({"triples": [t.to_json() for t in triples]}))
     assert run_command(["rado", "check", "--file", str(path)]) == 2
@@ -891,14 +945,14 @@ def test_rado_triples_verify_revalidates_emitted_triples(capsys, monkeypatch):
 
 def test_rado_triples_verify_compares_the_rechecked_report(capsys, monkeypatch):
     # `--verify` compares the re-checked obstruction report with the emitted
-    # one, so a first report short of one `checks` row is falsified before
+    # one, so a first report short of one `pairs` row is falsified before
     # anything is printed
     real, calls = cli.check_obstruction, []
 
     def first_drops_a_row(triples):
         report = real(triples)
         if not calls:
-            report.checks.pop()
+            report.pair_certificates.pop()
         calls.append(len(triples))
         return report
 
@@ -990,11 +1044,11 @@ BAD_GROUP_DOCS = [3, [], {}, {"mul": 3}, {"mul": [3]}, {"mul": [[True]]},
                   {"mul": C2_MUL, "order": 3}, {"mul": C2_MUL, "elements": ["a"]},
                   {"mul": C2_MUL, "elements": [[1], [2]]},
                   {"mul": C2_MUL, "elements": "ab"}, {"mul": C2_MUL, "elements": [1, 2]}]
-TRIPLE = {"n": 4, "a": 0, "b": 10, "c": 11, "cycle": [0, 1, 2, 3]}
+TRIPLE = {"n": 4, "b": 10, "c": 11, "cycle": [0, 1, 2, 3]}
 BAD_TRIPLES_DOCS = [3, {}, {"triples": 3}, {"triples": [3]}, {"triples": [{}]},
                     {"triples": [{**TRIPLE, "cycle": "ab"}]},
                     {"triples": [{**TRIPLE, "cycle": [0, 1, 2, True]}]},
-                    {"triples": [{**TRIPLE, "n": 4.0}]}, {"triples": [{**TRIPLE, "a": -1}]},
+                    {"triples": [{**TRIPLE, "n": 4.0}]}, {"triples": [{**TRIPLE, "c": -1}]},
                     {"triples": [{**TRIPLE, "n": 99, "b": 10**8, "c": 10**8 + 1}]}]
 
 

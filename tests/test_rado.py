@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azenum.errors import CapacityError, InputError
+from azenum import rado
+from azenum.errors import CapacityError, FalsificationError, InputError
 from azenum.rado import (
     MAX_TRIPLES_N,
+    Triple,
     _first_level,
     _levels,
     adjacent,
@@ -203,7 +205,7 @@ def test_build_triples_capped():
 
 def test_build_triples_n4_oracle():
     t = build_triples(4)[0]
-    assert (t.a, t.b, t.c) == (0, 5, 39)
+    assert (t.b, t.c) == (5, 39)
     assert set(t.cycle) == {0, 1, 2, 5}
     assert t.c == (1 << 0) + (1 << 1) + (1 << 2) + (1 << 5)
 
@@ -213,11 +215,10 @@ def test_triples_invariants_to_8():
     assert [t.n for t in triples] == [4, 5, 6, 7, 8]
     prev_c = 0
     for t in triples:
-        assert t.a == 0
         assert is_induced_cycle(t.cycle) is not None
         assert len(t.cycle) == t.n
         assert max(t.cycle) <= t.b
-        assert neighborhood_in_prefix(t.c, t.b) == frozenset(t.cycle)
+        assert t.c == sum(1 << v for v in t.cycle)  # c's lower neighbourhood
         assert prev_c < t.b < t.c
         prev_c = t.c
 
@@ -231,14 +232,9 @@ def test_minimal_exact_vertex_is_minimal_n4():
 
 
 def _least_mask_above(n, b):
-    # the least induced n-cycle mask above b among levels up to b, or the
-    # first level's least mask plus 2^(b+1) when there is none
+    # the least induced n-cycle mask above b among levels up to b
     first = next(v for v in count(n - 1) if rado_level_masks(n, v))
-    for v in range(first, b + 1):
-        above = [m for m in rado_level_masks(n, v) if m > b]
-        if above:
-            return above[0]
-    return rado_level_masks(n, first)[0] + (1 << (b + 1))
+    return next(m for v in range(first, b + 1) for m in rado_level_masks(n, v) if m > b)
 
 
 @pytest.mark.parametrize(
@@ -253,6 +249,28 @@ def test_minimal_exact_vertex_matches_level_masks(n, bs):
         c, cycle = minimal_exact_vertex(n, b)
         assert c == _least_mask_above(n, b), b
         assert sorted(cycle) == [v for v in range(b + 1) if (c >> v) & 1]
+
+
+@pytest.mark.parametrize("n", range(4, MAX_TRIPLES_N + 1))
+def test_second_cycle_level_is_at_most_2_to_the_first(n):
+    # the window 2^L <= b < 2^L + L of minimal_exact_vertex's docstring: a
+    # level v in (L, 2^L] lies within [b.bit_length(), b] for every such b,
+    # so its masks lie in (b, 2^(b+1)) and c exists up to MAX_TRIPLES_N
+    first, _ = _first_level(n)
+    v = next(v for v, masks in _levels(n, first + 1) if masks)
+    assert v <= 1 << first
+    for b in (1 << first, (1 << first) + first - 1):
+        c, cycle = minimal_exact_vertex(n, b)
+        assert c > b and c.bit_length() <= b + 1 and c == sum(1 << u for u in cycle)
+
+
+def test_minimal_exact_vertex_without_a_mask_is_bad_input(monkeypatch):
+    # no level after the first holds a cycle, and b is past every mask of
+    # the first: no c above b has its lower neighbourhood in {0..b}
+    _, masks = _first_level(4)
+    monkeypatch.setattr(rado, "_levels", lambda n, start: iter([]))
+    with pytest.raises(InputError, match="no vertex above"):
+        minimal_exact_vertex(4, masks[-1])
 
 
 def test_minimal_exact_vertex_rejects_cycle_free_prefix():
@@ -273,9 +291,34 @@ def test_obstruction_report_clean_to_8():
 
 @pytest.mark.parametrize("max_n", [8, 12])
 def test_obstruction_matches_reference_scan(max_n):
+    # the pair lemma on emitted triples: no c's whole lower neighbourhood
+    # holds a shorter induced cycle, and every pair is obstructed
     triples = build_triples(max_n)
     report = check_obstruction(triples)
-    assert (report.checks, report.violations) == rado_obstruction_checks(triples)
+    assert report.violations == rado_obstruction_checks(triples) == []
+    assert all(p["obstructed"] for p in report.pair_certificates)
+
+
+def forged_triple(extra):
+    """build_triples(5)'s n = 5 triple with `extra` added to c."""
+    t = build_triples(5)[1]
+    return Triple(t.n, t.b, t.c + extra, t.cycle)
+
+
+@pytest.mark.parametrize(
+    "bit, violation",
+    # 4097 = 2^12 + 1 sees the cycle's 0 and 12, which share the neighbour
+    # 3: the 4-cycle (0, 4097, 12, 3). 41 = b + 1 sees 0 and 3 (41 = 101001
+    # in binary), which see each other. Validation refuses both
+    [(4097, {"n": 5, "i": 4, "witness": (0, 3, 12, 4097)}),
+     (41, {"n": 5, "i": 3, "witness": (0, 3, 41)})],
+    ids=["bit-4097", "bit-b-plus-1"],
+)
+def test_reference_scan_finds_what_a_forged_c_sees(bit, violation):
+    forged = forged_triple(1 << bit)
+    assert rado_obstruction_checks([forged]) == [violation]
+    with pytest.raises(FalsificationError, match="between the prefix and c"):
+        check_obstruction(build_triples(4) + [forged])
 
 
 def test_neighborhood_in_prefix_needs_c_above_the_prefix():
