@@ -10,15 +10,18 @@ the vertices of [B, v] are pairwise non-adjacent, and the induced
 n-cycles with maximum v are exactly the sets T | X where T within the
 core induces k = n - |T| >= 1 disjoint paths and X holds k vertices of
 [B, v], v among them, each seeing (x & T) exactly two path ends, so that
-together they link the paths into one ring.
+together they link the paths into one ring. Heredity: without its top
+vertex x, an induced path forest is one, so the core's forests grow a
+vertex at a time (`_path_forests`); x joins T when it sees (x & T) at
+most two path ends, no two of one path.
 
 Neighbourhood lemma: c's neighbours below c are exactly its bits, and for
 c > top those up to top are its neighbours in {0..top}
 (`neighborhood_in_prefix`). A valid triple has its cycle within {0..b}
 and c in (b, 2^(b+1)), so c's whole lower neighbourhood is its cycle.
 Induced cycles are decided on positional neighbour masks (bit j for the
-j-th vertex, `_neighbour_masks`): a set is one chordless cycle iff the walk
-from its least vertex covers it, each vertex seeing two others (`_ring`).
+j-th vertex): a set is one chordless cycle iff the walk from its least
+vertex covers it, each vertex seeing two others (`_ring`).
 
 Pair lemma (the paper's condition with a_i = c_small and a_j = c_large):
 for valid triples of different n, no automorphism alpha has
@@ -41,8 +44,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from .errors import CapacityError, FalsificationError, InputError
 
 # The largest max_n that build_triples accepts; it bounds the core search.
-# A cold build_triples(11) takes about 55 ms and build_triples(12) about
-# 75 ms (Python 3.11, one core of a shared 2-core x86-64 host), while one
+# A cold build_triples(11) takes about 47 ms and build_triples(12) about
+# 55 ms (Python 3.11, one core of a shared 2-core x86-64 host), while one
 # n = 13 step, first_cycle_bound(13, c_12 + 1), was killed before it ended.
 MAX_TRIPLES_N = 12
 
@@ -71,13 +74,8 @@ def is_induced_cycle(vertices: Sequence[int]) -> Optional[Tuple[int, ...]]:
     vs = list(dict.fromkeys(vertices))
     if not vs:
         return None
-    return _ring(vs, _neighbour_masks(vs), (1 << len(vs)) - 1, 1 << vs.index(min(vs)))
-
-
-def _neighbour_masks(vs: Sequence[int]) -> List[int]:
-    """Per vertex of vs, its positional neighbour mask: bit j for each
-    vs[j] adjacent to it (never its own bit, as v >> v is 0)."""
-    return [sum(1 << j for j, w in enumerate(vs) if (v >> w | w >> v) & 1) for v in vs]
+    nbrs = [sum(1 << j for j, w in enumerate(vs) if (v >> w | w >> v) & 1) for v in vs]  # v >> v is 0
+    return _ring(vs, nbrs, (1 << len(vs)) - 1, 1 << vs.index(min(vs)))
 
 
 def _ring(vs: Sequence[int], nbrs: Sequence[int], within: int, step: int) -> Optional[Tuple[int, ...]]:
@@ -115,10 +113,10 @@ def _levels(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
     of the induced n-cycles whose maximum vertex is v, ascending.
 
     By the lemma, the levels of one bit length B share the path forests
-    T of the core [0, B) (`_core_forests`). Level v is the top connector
-    of each ring of T with a pair v & T; the ring's other pairs take one
-    large vertex each from `fits`, which holds, per pair, the bits 1 << x
-    of the x in [B, v) that see exactly that pair of T.
+    T of the core [0, B) and their rings (`_core_forests`). Level v is
+    the top connector of each ring of T with a pair v & T; the ring's
+    other pairs take one large vertex each from `fits`, which holds, per
+    pair, the bits 1 << x of the x in [B, v) that see exactly that pair.
     """
     for core in count(start.bit_length()):
         forests = _core_forests(n, core)
@@ -141,38 +139,53 @@ def _levels(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
 
 @lru_cache(maxsize=None)
 def _core_forests(n: int, core: int) -> List[Tuple[int, Dict[int, set]]]:
-    """(T, rings) for each T within the core [0, core) that induces k =
-    n - |T| disjoint paths. A ring is k pairs, the masks of the two path
-    ends that each of k connectors sees, linking the paths into one
-    cycle; a one-vertex path offers its vertex as both ends. rings maps
-    each pair to the rest of each ring that holds it."""
-    nbrs = _neighbour_masks(range(core))
-    forests = []
-    for t in range(1 << core):
-        if not n <= 2 * t.bit_count() < 2 * n or any(
-            (nbrs[u] & t).bit_count() > 2 for u in _bits(t)
-        ):  # not 1 <= k <= |T|, or a vertex of degree 3
-            continue
-        ends, seen = [], 0
-        for u in _bits(t):
-            if (nbrs[u] & t).bit_count() < 2 and not seen >> u & 1:  # walk a path from u
-                step = 1 << u
-                while step:
-                    seen |= step
-                    end = step.bit_length() - 1
-                    step = nbrs[end] & t & ~seen
-                ends.append((u, end))
-        if seen != t or len(ends) + t.bit_count() != n:  # a cycle, or not k paths
-            continue
-        rings: Dict[int, set] = {}
-        for order in permutations(ends[1:]):
-            for turned in product(*[{e, e[::-1]} for e in order]):
-                flat = sum(turned, ends[0])  # the ends in ring order
-                ring = sorted(1 << a | 1 << b for a, b in zip(flat[1::2], flat[2::2] + flat[:1]))
-                for i, pair in enumerate(ring):
-                    rings.setdefault(pair, set()).add(tuple(ring[:i] + ring[i + 1 :]))
-        forests.append((t, rings))
-    return forests
+    """(T, rings) for each forest T of `_path_forests(core)` with k = n - |T| paths."""
+    return [(t, _rings(ends)) for t, ends in _path_forests(core) if t.bit_count() + len(ends) == n]
+
+
+@lru_cache(maxsize=None)
+def _path_forests(core: int) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    """(T, ends) for each T within the core [0, core) that induces k
+    disjoint paths, ends listing each path's (lower end, upper end) by
+    lower end, (u, u) for a one-vertex path; by the heredity lemma."""
+    if core == 0:
+        return [(0, ())]
+    x = core - 1
+    forests = _path_forests(x)
+    grown = []
+    for t, ends in forests:
+        seen = x & t
+        if not seen:  # x alone, a one-vertex path
+            grown.append((t | 1 << x, ends + ((x, x),)))
+        elif seen.bit_count() <= 2:
+            rest, outer = [], []
+            for a, b in ends:  # x takes the place of each end it sees
+                if seen >> a & 1:
+                    outer.append(b)
+                elif seen >> b & 1:
+                    outer.append(a)
+                else:
+                    rest.append((a, b))
+            if len(outer) == seen.bit_count():  # each seen vertex an end, of its own path
+                rest.append((min(outer), max(outer)) if outer[1:] else (outer[0], x))
+                grown.append((t | 1 << x, tuple(sorted(rest))))
+    return forests + grown
+
+
+@lru_cache(maxsize=None)
+def _rings(ends: Tuple[Tuple[int, int], ...]) -> Dict[int, set]:
+    """The rings of the paths with these ends. A ring is k pairs, the
+    masks of the two path ends that each of k connectors sees, linking
+    the k paths into one cycle; a one-vertex path offers its vertex as
+    both ends. Maps each pair to the rest of each ring that holds it."""
+    rings: Dict[int, set] = {}
+    for order in permutations(ends[1:]):
+        for turned in product(*[{e, e[::-1]} for e in order]):
+            flat = sum(turned, ends[0])  # the ends in ring order
+            ring = sorted(1 << a | 1 << b for a, b in zip(flat[1::2], flat[2::2] + flat[:1]))
+            for i, pair in enumerate(ring):
+                rings.setdefault(pair, set()).add(tuple(ring[:i] + ring[i + 1 :]))
+    return rings
 
 
 @lru_cache(maxsize=None)

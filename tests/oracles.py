@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, count, product
+from itertools import combinations, count, permutations, product
 
 from azenum.automorphisms import Perm
 from azenum.errors import InputError
@@ -490,6 +490,41 @@ def _dfs_level_masks(n, v, nbrs):
         head = low | 1 << v
         masks += [m | head for m in extend(nbrs[w], 1, low, v & ~((low << 1) - 1))]
     return sorted(masks)
+
+
+def rado_core_forests_scan(n, core):
+    """`rado._core_forests` as first written, its reference: a scan of all
+    2^core subsets T of the core [0, core) for those inducing k = n - |T|
+    disjoint paths, 1 <= k <= |T|, each with its rings built afresh.
+    Returns {T: rings}, rings mapping each pair of path ends to the set of
+    the other pairs of every ring that holds it."""
+    nbrs = [sum(1 << w for w in range(core) if w != v and adjacent(v, w)) for v in range(core)]
+    forests = {}
+    for t in range(1 << core):
+        if not n <= 2 * t.bit_count() < 2 * n or any(
+            (nbrs[u] & t).bit_count() > 2 for u in _low_bits(t)
+        ):  # not 1 <= k <= |T|, or a vertex of degree 3
+            continue
+        ends, seen = [], 0
+        for u in _low_bits(t):
+            if (nbrs[u] & t).bit_count() < 2 and not seen >> u & 1:  # walk a path from u
+                step = 1 << u
+                while step:
+                    seen |= step
+                    end = step.bit_length() - 1
+                    step = nbrs[end] & t & ~seen
+                ends.append((u, end))
+        if seen != t or len(ends) + t.bit_count() != n:  # a cycle, or not k paths
+            continue
+        rings = {}
+        for order in permutations(ends[1:]):
+            for turned in product(*[{e, e[::-1]} for e in order]):
+                flat = sum(turned, ends[0])  # the ends in ring order
+                ring = sorted(1 << a | 1 << b for a, b in zip(flat[1::2], flat[2::2] + flat[:1]))
+                for i, pair in enumerate(ring):
+                    rings.setdefault(pair, set()).add(tuple(ring[:i] + ring[i + 1 :]))
+        forests[t] = rings
+    return forests
 
 
 def rado_induced_cycle(vertices):

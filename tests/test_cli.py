@@ -3,6 +3,7 @@ import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -901,6 +902,107 @@ def test_rado_check_refuses_any_bit_outside_the_cycle(tmp_path_factory, data):
         code = run_command(["rado", "check", "--file", str(path)])
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue().startswith("falsified: c")
+
+
+# Values a hand-written document may hold where an integer is expected:
+# small, negative, bool and oversized (2^64, 4,000 digits) ones, and among
+# the others "HUGE", which `_exit_code_on` writes as 5,000 digits, past
+# int()'s digit limit.
+ODD_INTS = st.one_of(
+    st.integers(0, 45), st.integers(-3, -1), st.booleans(), st.sampled_from([1 << 64, 10**4000])
+)
+ODD_VALUES = st.one_of(
+    ODD_INTS, st.lists(ODD_INTS, max_size=12), st.text(max_size=2), st.none(), st.just("HUGE")
+)
+
+
+def _exit_code_on(tmp_path_factory, argv, doc):
+    """run_command(argv + [path]) on doc written to a file, its output kept."""
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "9" * 5000))
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        return run_command([*argv, str(path)])
+
+
+def _now_and_then(draw, rng, value, odd=ODD_VALUES):
+    """value, or one time in ten an odd value in its place; rng decides, as
+    hypothesis draws small integers far more often than one time in ten."""
+    return draw(odd) if rng.random() < 0.1 else value
+
+
+@st.composite
+def triples_docs(draw):
+    """A `rado check --file` document: up to 10 triples of `build_triples(7)`,
+    distinct or not, with up to two keys dropped or set to a small int, a
+    list of them or an odd value; now and then a triple, the list or the
+    document is an odd value."""
+    rng = draw(st.randoms(use_true_random=True))
+    pool = [t.to_json() for t in TRIPLES_7]
+    entries = rng.sample(pool, rng.randint(0, 4)) if rng.random() < 0.7 else rng.choices(pool, k=rng.randint(0, 10))
+    for _ in range(rng.choice([0, 0, 1, 2]) if entries else 0):
+        entry, key = rng.choice(entries), rng.choice(["n", "b", "c", "cycle", "a"])
+        if rng.random() < 0.2:
+            entry.pop(key, None)
+        else:
+            small = st.lists(st.integers(0, 60), max_size=9) if key == "cycle" else st.integers(0, 60)
+            entry[key] = _now_and_then(draw, rng, draw(small))
+    doc = {"triples": _now_and_then(draw, rng, [_now_and_then(draw, rng, e) for e in entries])}
+    if rng.random() < 0.2:
+        doc[draw(st.sampled_from(["obstruction", "x"]))] = draw(ODD_VALUES)
+    return _now_and_then(draw, rng, doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(triples_docs())
+def test_rado_check_file_never_raises(tmp_path_factory, doc):
+    assert _exit_code_on(tmp_path_factory, ["rado", "check", "--file"], doc) in (0, 1, 2)
+
+
+def _group_tables():
+    """Multiplication tables of every group of order at most 6, as lists:
+    the cyclic groups, the Klein group and S3 (`p[q[i]]` composes)."""
+    tables = [[[(a + b) % n for b in range(n)] for a in range(n)] for n in range(1, 7)]
+    tables.append([[a ^ b for b in range(4)] for a in range(4)])
+    s3 = list(permutations(range(3)))
+    tables.append([[s3.index(tuple(p[q[i]] for i in range(3))) for q in s3] for p in s3])
+    return tables
+
+
+GROUP_TABLES = _group_tables()
+
+
+@st.composite
+def group_docs(draw):
+    """A `group check --group FILE` document of order at most 6: a group's
+    table relabelled, or one time in four a table of odd values, with
+    "elements", "K", "name" and "order" odd or fitting the order; now and
+    then an entry, the table or the document is an odd value."""
+    rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 0.75:
+        table = rng.choice(GROUP_TABLES)
+        relabel = draw(st.permutations(range(len(table))))
+        mul = [[None] * len(table) for _ in table]
+        for a, row in enumerate(table):
+            for b, ab in enumerate(row):
+                mul[relabel[a]][relabel[b]] = relabel[ab]
+        if rng.random() < 0.2:
+            rng.choice(mul)[rng.randrange(len(mul))] = draw(ODD_INTS)
+    else:
+        order = rng.randint(0, 6)
+        mul = draw(st.lists(st.lists(ODD_INTS, min_size=order, max_size=order), min_size=order, max_size=order))
+    order = len(mul)
+    doc = {"mul": _now_and_then(draw, rng, mul)}
+    fitting = {"elements": [f"g{i}" for i in range(order)], "name": "G", "order": order,
+               "K": rng.sample(range(order), rng.randint(0, order))}
+    for key in rng.sample(sorted(fitting), rng.randint(0, 4)):
+        doc[key] = _now_and_then(draw, rng, fitting[key])
+    return _now_and_then(draw, rng, doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(group_docs())
+def test_group_check_file_never_raises(tmp_path_factory, doc):
+    assert _exit_code_on(tmp_path_factory, ["group", "check", "--group"], doc) in (0, 1, 2)
 
 
 def ladder_cycle_triple(h):

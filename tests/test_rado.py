@@ -10,8 +10,10 @@ from azenum.errors import CapacityError, FalsificationError, InputError
 from azenum.rado import (
     MAX_TRIPLES_N,
     Triple,
+    _core_forests,
     _first_level,
     _levels,
+    _path_forests,
     adjacent,
     build_triples,
     check_obstruction,
@@ -22,6 +24,7 @@ from azenum.rado import (
     triple_from_json,
 )
 from oracles import (
+    rado_core_forests_scan,
     rado_dfs_levels,
     rado_induced_cycle,
     rado_level_masks,
@@ -146,6 +149,28 @@ def test_levels_match_path_search(n):
     levels, reference = _levels(n, n - 1), rado_dfs_levels(n, n - 1)
     for _ in range(n - 1, first + 1):
         assert next(levels) == next(reference)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_core_forests_match_subset_scan(n):
+    # the grown forests against a scan of all 2^core subsets of the core:
+    # the same T, each once, with the same rings
+    for core in range(11):
+        forests = _core_forests(n, core)
+        assert len({t for t, _ in forests}) == len(forests)
+        assert dict(forests) == rado_core_forests_scan(n, core)
+
+
+@pytest.mark.parametrize("core", range(1, 12))
+def test_path_forests_are_hereditary(core):
+    # each forest holding the top vertex is, without it, a forest of the
+    # smaller core, and no two share one; the others are exactly its forests
+    x = core - 1
+    smaller = dict(_path_forests(x))
+    grown = [(t, ends) for t, ends in _path_forests(core) if t >> x & 1]
+    assert [(t, ends) for t, ends in _path_forests(core) if not t >> x & 1] == _path_forests(x)
+    assert all(t & ~(1 << x) in smaller for t, _ in grown)
+    assert len({t for t, _ in grown}) == len(grown)
 
 
 @settings(derandomize=True, database=None, deadline=None)
