@@ -358,6 +358,6 @@ def group_from_json(doc: dict):
     if type(name) is not str:
         raise InputError("group document 'name' must be a str")
     table, analysis = validate_and_analyze(mul, names, name=name)
-    if "order" in doc and doc["order"] != table.order:
-        raise InputError("declared order does not match table size")
+    if "order" in doc and (type(doc["order"]) is not int or doc["order"] != table.order):
+        raise InputError("declared order must be an int matching the table size")
     return table, analysis, k

@@ -44,10 +44,12 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from .errors import CapacityError, FalsificationError, InputError
 
 # The largest max_n that build_triples accepts; it bounds the core search.
-# A cold build_triples(11) takes about 47 ms and build_triples(12) about
-# 55 ms (Python 3.11, one core of a shared 2-core x86-64 host), while one
-# n = 13 step, first_cycle_bound(13, c_12 + 1), was killed before it ended.
+# A cold build_triples(11) takes about 6 ms and build_triples(12) about
+# 6 ms (Python 3.11, one core of a shared 2-core x86-64 host); past the
+# cap, the n = 13 step takes about 0.03 s and the n = 14 step about 0.5 s.
 MAX_TRIPLES_N = 12
+
+Level = List[Tuple[int, Tuple[int, ...]]]  # (top, fits) per ring, as `_levels` yields it
 
 
 def adjacent(u: int, v: int) -> bool:
@@ -108,33 +110,41 @@ def _cycle_of(mask: int) -> Tuple[int, ...]:
     return cycle
 
 
-def _levels(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
-    """(v, masks) for v = start, start + 1, ...: the characteristic masks
-    of the induced n-cycles whose maximum vertex is v, ascending.
-
-    By the lemma, the levels of one bit length B share the path forests
-    T of the core [0, B) and their rings (`_core_forests`). Level v is
-    the top connector of each ring of T with a pair v & T; the ring's
-    other pairs take one large vertex each from `fits`, which holds, per
-    pair, the bits 1 << x of the x in [B, v) that see exactly that pair.
-    """
+def _levels(n: int, start: int) -> Iterator[Tuple[int, Level]]:
+    """(v, level) for v = start, start + 1, ...: the induced n-cycles with
+    maximum v in product form. By the lemma, the levels of one bit length
+    B share the path forests T of the core [0, B) and their rings
+    (`_core_forests`). Level v holds (top, fits) for each ring of T with a
+    pair v & T: top = T | 1 << v, and fits holds, per other pair of the
+    ring, the int of bits 1 << x for the x in [B, v) that see that pair,
+    fixed once yielded. The ring's masks are top plus one bit of each fit
+    (`_masks`); rings with an empty fit are left out."""
     for core in count(start.bit_length()):
         forests = _core_forests(n, core)
-        fits = [{pair: [] for pair in rings} for _, rings in forests]
+        fits = [dict.fromkeys(rings, 0) for _, rings in forests]
         low = max(start, 1 << core >> 1)
         for v in range(core, 1 << core):  # below low, only fill fits
-            masks: List[int] = []
+            level = []
             for (t, rings), fit in zip(forests, fits):
                 pair = v & t
                 if pair in rings:
                     if v >= low:
-                        top = t | 1 << v
-                        for rest in rings[pair]:
-                            masks += [top | sum(xs) for xs in product(*map(fit.get, rest))]
-                    fit[pair].append(1 << v)
+                        ring_fits = (tuple(map(fit.get, rest)) for rest in rings[pair])
+                        level += [(t | 1 << v, fs) for fs in ring_fits if all(fs)]
+                    fit[pair] |= 1 << v
             if v >= low:
-                masks.sort()
-                yield v, masks
+                yield v, level
+
+
+def _least(level: Level) -> int:
+    """The least mask: fits of distinct pairs are disjoint, so each gives its lowest bit."""
+    return min(top | sum(f & -f for f in fits) for top, fits in level)
+
+
+def _masks(level: Level) -> List[int]:
+    """Every mask of a level, ascending."""
+    return sorted(top | sum(1 << x for x in xs) for top, fits in level
+                  for xs in product(*map(_bits, fits)))
 
 
 @lru_cache(maxsize=None)
@@ -189,19 +199,16 @@ def _rings(ends: Tuple[Tuple[int, int], ...]) -> Dict[int, set]:
 
 
 @lru_cache(maxsize=None)
-def _first_level(n: int) -> Tuple[int, Tuple[int, ...]]:
-    """(L_n, masks at L_n): the least level holding an induced n-cycle,
-    with the masks of its cycles in ascending order."""
+def _first_level(n: int) -> Tuple[int, Level]:
+    """(L_n, level at L_n): the least level holding an induced n-cycle."""
     if n < 4:
         raise InputError("the search covers cycles of at least 4 vertices")
-    return next((v, tuple(masks)) for v, masks in _levels(n, n - 1) if masks)
+    return next((v, level) for v, level in _levels(n, n - 1) if level)
 
 
-def first_cycle_bound(n: int, start: int) -> Tuple[int, Tuple[int, ...]]:
-    """The first b >= start whose prefix {0..b} contains an induced
-    n-cycle, with the witnessing cycle of least mask at the least level."""
-    level, masks = _first_level(n)
-    return max(start, level), _cycle_of(masks[0])
+def first_cycle_bound(n: int, start: int) -> int:
+    """The first b >= start whose prefix {0..b} contains an induced n-cycle."""
+    return max(start, _first_level(n)[0])
 
 
 def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
@@ -211,18 +218,21 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
     By the neighbourhood lemma these c are the cycle characteristic masks
     in (b, 2^(b+1)). Masks at level v lie in [2^v, 2^(v+1)), so after the
     memoised first level L the scan walks v upward from the first level
-    whose masks can exceed b, up to b. Moving a cycle's maximum L to
-    L + 2^y (y >= L) keeps it an induced n-cycle, so such a mask exists
-    unless 2^L <= b < 2^L + L, where a level in (L, 2^L] would give one.
-    InputError when {0..b} holds no induced n-cycle, or no mask is found.
+    whose masks can exceed b, up to b; it reads each level's least mask,
+    and expands (`_masks`) only the level straddling b, 2^v <= b < 2^(v+1).
+    Moving a cycle's maximum L to L + 2^y (y >= L) keeps it an induced
+    n-cycle, so such a mask exists unless 2^L <= b < 2^L + L, where a
+    level in (L, 2^L] would give one. InputError when {0..b} holds no
+    induced n-cycle, or no mask is found.
     """
-    first, first_masks = _first_level(n)
+    first, first_level = _first_level(n)
     if first > b:
         raise InputError(f"the prefix {{0..{b}}} holds no induced {n}-cycle")
     start = max(first + 1, (b + 1).bit_length() - 1)
-    for v, masks in chain([(first, first_masks)], _levels(n, start)):
+    for v, level in chain([(first, first_level)], _levels(n, start)):
         if v > b:
             break
+        masks = _masks(level) if b >> v == 1 else [_least(level)] if level else []
         at = bisect_right(masks, b)
         if at < len(masks):
             return masks[at], _cycle_of(masks[at])
@@ -265,7 +275,7 @@ def build_triples(max_n: int) -> List[Triple]:
     triples = []
     c_prev = 0  # induction base: scanning starts at n = 4
     for n in range(4, max_n + 1):
-        b, _ = first_cycle_bound(n, c_prev + 1)
+        b = first_cycle_bound(n, c_prev + 1)
         c, cycle = minimal_exact_vertex(n, b)
         triple = Triple(n, b, c, cycle)
         _validate_triple(triple)

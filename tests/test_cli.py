@@ -1231,7 +1231,9 @@ def malformed_grid(tmp_path):
 
 PINNED_GROUP_DOCS = {"mul-empty": {"mul": []}, "mul-ragged": {"mul": [[0, 1], [1]]},
                      "no-inverse": {"mul": [[0, 1], [1, 1]]},
-                     "order-257": {"mul": [[0] * 257] * 257}}
+                     "order-257": {"mul": [[0] * 257] * 257},
+                     "order-true": {"mul": [[0]], "order": True},
+                     "order-float": {"mul": C2_MUL, "order": 2.0}}
 PINNED_QS_DOCS = {
     "bit-2": {"dimU": 1, "dimV": 1, "Q": ["2"], "gamma": [["0"]]},
     "gamma-asymmetric": {"dimU": 2, "dimV": 1, "Q": ["1", "1"], "gamma": [["0", "1"], ["0", "0"]]},

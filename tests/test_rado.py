@@ -12,7 +12,9 @@ from azenum.rado import (
     Triple,
     _core_forests,
     _first_level,
+    _least,
     _levels,
+    _masks,
     _path_forests,
     adjacent,
     build_triples,
@@ -97,7 +99,8 @@ def _shuffled_cycles(rng):
     # induced n-cycles from the first levels, n = 4..8, each shuffled and
     # every third one with a vertex repeated somewhere in the list
     for n in range(4, 9):
-        for _, masks in islice(_levels(n, n - 1), 100):
+        for _, level in islice(_levels(n, n - 1), 100):
+            masks = _masks(level)
             for mask in masks[:: max(1, len(masks) // 30)]:
                 vs = [v for v in range(mask.bit_length()) if (mask >> v) & 1]
                 rng.shuffle(vs)
@@ -134,11 +137,26 @@ def test_level_masks_match_oracle(n):
     # every level up to the first one holding an n-cycle and on to 130, so
     # that vertices with three or more bits (neighbours below) are covered,
     # and with them step candidates that share a key and ones that do not
-    first, first_masks = _first_level(n)
-    assert list(first_masks) == rado_level_masks(n, first)
+    first, first_level = _first_level(n)
+    assert _masks(first_level) == rado_level_masks(n, first)
     levels = _levels(n, n - 1)
     for v in range(n - 1, max(first, 130) + 1):
-        assert next(levels) == (v, rado_level_masks(n, v))
+        got, level = next(levels)
+        oracle = rado_level_masks(n, v)
+        assert (got, _masks(level)) == (v, oracle)
+        if oracle:  # the least-mask lemma: each fit's lowest bit
+            assert _least(level) == min(oracle)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_levels_held_then_expanded_match_oracle(n):
+    # levels n - 1 to L_n + 20 gathered first and expanded only afterwards:
+    # a level the caller holds must not pick up the vertices that later
+    # levels add to fits
+    first, _ = _first_level(n)
+    held = list(islice(_levels(n, n - 1), first + 22 - n))
+    for v, level in held:
+        assert _masks(level) == rado_level_masks(n, v)
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -148,7 +166,8 @@ def test_levels_match_path_search(n):
     first, _ = _first_level(n)
     levels, reference = _levels(n, n - 1), rado_dfs_levels(n, n - 1)
     for _ in range(n - 1, first + 1):
-        assert next(levels) == next(reference)
+        v, level = next(levels)
+        assert (v, _masks(level)) == next(reference)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -195,19 +214,18 @@ def test_large_vertices_see_only_their_bits(data):
 )
 def test_first_level_pinned(n, first, size, least):
     # L_n, its mask count and its least cycle, as the path search found them
-    level, masks = _first_level(n)
+    level, product_form = _first_level(n)
+    masks = _masks(product_form)
     assert (level, len(masks)) == (first, size)
     assert [u for u in range(level + 1) if (masks[0] >> u) & 1] == least
 
 
 def test_first_level_n8_matches_oracle():
     # the levels themselves are compared in test_level_masks_match_oracle
-    first, _ = _first_level(8)
-    oracle = rado_level_masks(8, first)
-    b, cycle = first_cycle_bound(8, 0)
-    assert b == first
-    assert sum(1 << u for u in cycle) == oracle[0]
-    assert first_cycle_bound(8, first + 7)[0] == first + 7
+    first, level = _first_level(8)
+    assert _least(level) == rado_level_masks(8, first)[0]
+    assert first_cycle_bound(8, 0) == first
+    assert first_cycle_bound(8, first + 7) == first + 7
 
 
 def test_cycle_search_needs_four_vertices():
@@ -276,13 +294,26 @@ def test_minimal_exact_vertex_matches_level_masks(n, bs):
         assert sorted(cycle) == [v for v in range(b + 1) if (c >> v) & 1]
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_minimal_exact_vertex_where_the_first_level_straddles_b(data):
+    # b in [2^L, 2^(L+1)) for L = L_n: level L straddles b and is expanded,
+    # and when none of its masks exceeds b a later level's least mask answers
+    n = data.draw(st.integers(4, 6))
+    first, _ = _first_level(n)
+    b = data.draw(st.integers(1 << first, (2 << first) - 1))
+    c, cycle = minimal_exact_vertex(n, b)
+    assert c == next(m for v in count(first) for m in rado_level_masks(n, v) if m > b)
+    assert c == sum(1 << u for u in cycle)
+
+
 @pytest.mark.parametrize("n", range(4, MAX_TRIPLES_N + 1))
 def test_second_cycle_level_is_at_most_2_to_the_first(n):
     # the window 2^L <= b < 2^L + L of minimal_exact_vertex's docstring: a
     # level v in (L, 2^L] lies within [b.bit_length(), b] for every such b,
     # so its masks lie in (b, 2^(b+1)) and c exists up to MAX_TRIPLES_N
     first, _ = _first_level(n)
-    v = next(v for v, masks in _levels(n, first + 1) if masks)
+    v = next(v for v, level in _levels(n, first + 1) if level)
     assert v <= 1 << first
     for b in (1 << first, (1 << first) + first - 1):
         c, cycle = minimal_exact_vertex(n, b)
@@ -292,10 +323,10 @@ def test_second_cycle_level_is_at_most_2_to_the_first(n):
 def test_minimal_exact_vertex_without_a_mask_is_bad_input(monkeypatch):
     # no level after the first holds a cycle, and b is past every mask of
     # the first: no c above b has its lower neighbourhood in {0..b}
-    _, masks = _first_level(4)
+    _, level = _first_level(4)
     monkeypatch.setattr(rado, "_levels", lambda n, start: iter([]))
     with pytest.raises(InputError, match="no vertex above"):
-        minimal_exact_vertex(4, masks[-1])
+        minimal_exact_vertex(4, _masks(level)[-1])
 
 
 def test_minimal_exact_vertex_rejects_cycle_free_prefix():
