@@ -30,12 +30,14 @@ from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .central_product import CPContext
-from .errors import InputError
+from .errors import InputError, Record
 
 
-@dataclass(frozen=True)
-class Perm:
-    moves: Tuple[Tuple[int, int], ...]  # sorted (source, target) pairs
+class Perm(Record):
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: Tuple[Tuple[int, int], ...]):
+        object.__setattr__(self, "moves", moves)  # sorted (source, target) pairs
 
     @staticmethod
     def from_mapping(mapping: Dict[int, int]) -> "Perm":
@@ -74,17 +76,17 @@ class Perm:
         return max((max(s, t) for s, t in self.moves), default=-1)
 
 
-@dataclass(frozen=True)
-class BetaStar:
-    coords: Tuple[int, ...]
+class BetaStar(Record):
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if not self.coords:
+    def __init__(self, coords: Tuple[int, ...]):
+        if not coords:
             raise InputError("a ladder needs at least one coordinate")
-        if len(set(self.coords)) != len(self.coords):
+        if len(set(coords)) != len(coords):
             raise InputError("ladder coordinates must be distinct")
-        if any(c < 0 for c in self.coords):
+        if any(c < 0 for c in coords):
             raise InputError("negative ladder coordinate")
+        object.__setattr__(self, "coords", coords)
 
     def max_coord(self) -> int:
         return max(self.coords)
@@ -93,9 +95,11 @@ class BetaStar:
 AutGenerator = Union[Perm, BetaStar]
 
 
-@dataclass(frozen=True)
-class AutWord:
-    gens: Tuple[AutGenerator, ...]
+class AutWord(Record):
+    __slots__ = ("gens",)
+
+    def __init__(self, gens: Tuple[AutGenerator, ...]):
+        object.__setattr__(self, "gens", gens)
 
     def max_coord(self) -> int:
         return max((g.max_coord() for g in self.gens), default=-1)
@@ -282,6 +286,7 @@ def alpha_word(ctx: CPContext, I: Iterable[int], i0: int, j0: int) -> AutWord:
 
 @dataclass
 class VerifyReport:
+    """`verify_automorphism`'s outcome at one level: ok, or its first failure and witness."""
     ok: bool
     level: int
     size: int

@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Tuple
 from .automorphisms import AutWord, Perm, _draws, alpha_word, index_images, word_to_json
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
 from .central_product import CPContext
-from .errors import InputError, InsufficientFamilyError
+from .errors import InputError, InsufficientFamilyError, Record
 from .wqo import Embedding, Word, capped_words, find_increasing_pair, last_appearance_order
 
 MemberTuple = Tuple[int, ...]
@@ -47,6 +47,7 @@ MemberTuple = Tuple[int, ...]
 
 @dataclass
 class TupleFamily:
+    """Members of Γ^arity, each a tuple of `arity` element indices of ctx."""
     ctx: CPContext
     arity: int
     members: List[MemberTuple]
@@ -70,14 +71,24 @@ def letter_word(ctx: CPContext, member: MemberTuple) -> Word:
     return Word(tuple(zip(*columns)))
 
 
-@dataclass
-class NormalizedFamily:
-    ctx: CPContext
-    arity: int
-    kept: Tuple[int, ...]  # original member indices, ascending
-    words: Tuple[Word, ...]  # aligned with kept
-    members: Tuple[MemberTuple, ...]
-    alphabet: Tuple[tuple, ...]  # letters by last appearance (shared)
+class NormalizedFamily(Record):
+    __slots__ = ("ctx", "arity", "kept", "words", "members", "alphabet")
+
+    def __init__(
+        self,
+        ctx: CPContext,
+        arity: int,
+        kept: Tuple[int, ...],  # original member indices, ascending
+        words: Tuple[Word, ...],  # aligned with kept
+        members: Tuple[MemberTuple, ...],
+        alphabet: Tuple[tuple, ...],  # letters by last appearance (shared)
+    ):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "alphabet", alphabet)
 
 
 def normalize_family(fam: TupleFamily) -> NormalizedFamily:
@@ -113,6 +124,7 @@ def normalize_family(fam: TupleFamily) -> NormalizedFamily:
 
 @dataclass
 class BetaMap:
+    """β's copy data for the strongly embedded pair (i, j) of a normalized family."""
     ctx: CPContext
     i: int  # original family indices
     j: int
@@ -274,6 +286,7 @@ def beta_as_word(bm: BetaMap, l: int, l_prime: int) -> AutWord:
 
 @dataclass
 class Certificate:
+    """`run_az`'s outcome: the pair, β's data, the emitted word and one report per claim."""
     ok: bool
     i: int
     j: int

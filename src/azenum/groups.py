@@ -5,13 +5,12 @@ Elements are indices 0..order-1 into the table; names are cosmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import CapacityError, InputError, StructuralError
+from .errors import CapacityError, InputError, Record, StructuralError
 
 MAX_ORDER = 256
 
@@ -24,14 +23,24 @@ MAX_ORDER = 256
 MAX_RANK_SUBSETS = 50_000
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    name: str
-    order: int
-    element_names: Tuple[str, ...]
-    mul: Tuple[Tuple[int, ...], ...]
-    identity_index: int
-    inverse: Tuple[int, ...]
+class GroupTable(Record):
+    __slots__ = ("name", "order", "element_names", "mul", "identity_index", "inverse")
+
+    def __init__(
+        self,
+        name: str,
+        order: int,
+        element_names: Tuple[str, ...],
+        mul: Tuple[Tuple[int, ...], ...],
+        identity_index: int,
+        inverse: Tuple[int, ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "element_names", element_names)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "identity_index", identity_index)
+        object.__setattr__(self, "inverse", inverse)
 
     def element_order(self, a: int) -> int:
         x = a
@@ -52,19 +61,29 @@ class GroupTable:
             raise InputError(f"unknown element name {name!r} in group {self.name}")
 
 
-@dataclass(frozen=True)
-class GroupAnalysis:
-    exponent: int
-    center: Tuple[int, ...]
-    commutator_subgroup: Tuple[int, ...]
-    involutions: Tuple[int, ...]
+class GroupAnalysis(Record):
+    __slots__ = ("exponent", "center", "commutator_subgroup", "involutions")
+
+    def __init__(
+        self,
+        exponent: int,
+        center: Tuple[int, ...],
+        commutator_subgroup: Tuple[int, ...],
+        involutions: Tuple[int, ...],
+    ):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "commutator_subgroup", commutator_subgroup)
+        object.__setattr__(self, "involutions", involutions)
 
 
-@dataclass(frozen=True)
-class KGroupSpec:
-    group: GroupTable
-    k_subgroup: Tuple[int, ...]
-    transversal: Tuple[int, ...]
+class KGroupSpec(Record):
+    __slots__ = ("group", "k_subgroup", "transversal", "__dict__")
+
+    def __init__(self, group: GroupTable, k_subgroup: Tuple[int, ...], transversal: Tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "k_subgroup", k_subgroup)
+        object.__setattr__(self, "transversal", transversal)
 
     @cached_property
     def element_order(self) -> Tuple[int, ...]:

@@ -11,10 +11,9 @@ no free amalgam is lost up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Record
 from .groups import (
     MAX_ORDER,
     GroupAnalysis,
@@ -64,31 +63,31 @@ def format_bitstring(v: int, width: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(width))
 
 
-@dataclass(frozen=True)
-class QuadraticStructure:
-    dim_u: int
-    dim_v: int
-    q_basis: Tuple[int, ...]
-    gamma_basis: Tuple[Tuple[int, ...], ...]
+class QuadraticStructure(Record):
+    __slots__ = ("dim_u", "dim_v", "q_basis", "gamma_basis")
 
-    def __post_init__(self):
-        if len(self.q_basis) != self.dim_u:
+    def __init__(
+        self, dim_u: int, dim_v: int, q_basis: Tuple[int, ...], gamma_basis: Tuple[Tuple[int, ...], ...]
+    ):
+        if len(q_basis) != dim_u:
             raise InputError("q_basis must have one value per U basis vector")
-        if len(self.gamma_basis) != self.dim_u or any(
-            len(row) != self.dim_u for row in self.gamma_basis
-        ):
+        if len(gamma_basis) != dim_u or any(len(row) != dim_u for row in gamma_basis):
             raise InputError("gamma_basis must be a dim_u x dim_u table")
-        vmask = (1 << self.dim_v) - 1
-        for i in range(self.dim_u):
-            if self.q_basis[i] & ~vmask:
+        vmask = (1 << dim_v) - 1
+        for i in range(dim_u):
+            if q_basis[i] & ~vmask:
                 raise InputError(f"q_basis[{i}] exceeds dim_v")
-            if self.gamma_basis[i][i] != 0:
+            if gamma_basis[i][i] != 0:
                 raise InputError("gamma must have zero diagonal (alternating)")
-            for j in range(self.dim_u):
-                if self.gamma_basis[i][j] != self.gamma_basis[j][i]:
+            for j in range(dim_u):
+                if gamma_basis[i][j] != gamma_basis[j][i]:
                     raise InputError("gamma must be symmetric")
-                if self.gamma_basis[i][j] & ~vmask:
+                if gamma_basis[i][j] & ~vmask:
                     raise InputError("gamma value exceeds dim_v")
+        object.__setattr__(self, "dim_u", dim_u)
+        object.__setattr__(self, "dim_v", dim_v)
+        object.__setattr__(self, "q_basis", q_basis)
+        object.__setattr__(self, "gamma_basis", gamma_basis)
 
     def eval_q(self, u: int) -> int:
         """Extend Q from the basis by polarization."""
@@ -111,12 +110,14 @@ class QuadraticStructure:
             raise InputError(f"vector {u:#x} not in F2^{self.dim_u}")
 
 
-@dataclass(frozen=True)
-class QSMorphism:
+class QSMorphism(Record):
     """Linear maps (f, g) with g . Q1 = Q2 . f, stored as basis images."""
 
-    f: Tuple[int, ...]
-    g: Tuple[int, ...]
+    __slots__ = ("f", "g")
+
+    def __init__(self, f: Tuple[int, ...], g: Tuple[int, ...]):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
 
 def is_nondegenerate(qs: QuadraticStructure) -> bool:
@@ -239,11 +240,13 @@ def group_from_qs(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmalgamResult:
-    qs: QuadraticStructure
-    emb1: QSMorphism
-    emb2: QSMorphism
+class AmalgamResult(Record):
+    __slots__ = ("qs", "emb1", "emb2")
+
+    def __init__(self, qs: QuadraticStructure, emb1: QSMorphism, emb2: QSMorphism):
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "emb1", emb1)
+        object.__setattr__(self, "emb2", emb2)
 
 
 def _has_leading(qs: QuadraticStructure, qs0: QuadraticStructure) -> bool:

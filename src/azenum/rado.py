@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import chain, combinations, count, permutations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import CapacityError, FalsificationError, InputError
+from .errors import CapacityError, FalsificationError, InputError, Record
 
 # The largest max_n that build_triples accepts; it bounds the core search.
 # A cold build_triples(11) takes about 6 ms and build_triples(12) about
@@ -241,6 +241,7 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Triple:
+    """An induced n-cycle within {0..b}, and the least c > b whose lower neighbourhood it is."""
     n: int
     b: int
     c: int
@@ -302,10 +303,12 @@ def _validate_triple(t: Triple) -> None:
         raise FalsificationError("c's prefix neighborhood is not the cycle", t)
 
 
-@dataclass
-class ObstructionReport:
-    pair_certificates: List[dict]
-    violations: List[dict]
+class ObstructionReport(Record):
+    __slots__ = ("pair_certificates", "violations")
+
+    def __init__(self, pair_certificates: List[dict], violations: List[dict]):
+        object.__setattr__(self, "pair_certificates", pair_certificates)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

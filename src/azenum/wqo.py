@@ -20,32 +20,33 @@ Positions are 0-based throughout.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Record
 
 Letter = Hashable
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: Tuple[Letter, ...]
+class Word(Record):
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: Tuple[Letter, ...]):
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Strictly increasing target positions, one per source position."""
 
-    image: Tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.image, self.image[1:])):
+    def __init__(self, image: Tuple[int, ...]):
+        if any(b <= a for a, b in zip(image, image[1:])):
             raise InputError("embedding positions must strictly increase")
+        object.__setattr__(self, "image", image)
 
     def is_subword_witness(self, w1: Word, w2: Word) -> bool:
         return (
@@ -207,11 +208,13 @@ def capped_words(words: Iterable[Word]) -> List[Word]:
     return out
 
 
-@dataclass(frozen=True)
-class PairResult:
-    i: int
-    j: int
-    embedding: Embedding
+class PairResult(Record):
+    __slots__ = ("i", "j", "embedding")
+
+    def __init__(self, i: int, j: int, embedding: Embedding):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "embedding", embedding)
 
 
 class _Group:

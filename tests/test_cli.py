@@ -14,9 +14,9 @@ from azenum import cli, rado
 from azenum.central_product import MAX_COSETS, MAX_LITERAL_COORD
 from azenum.cli import run_command
 from azenum.groups import catalog_group, catalog_names, group_to_json
-from azenum.quadratic import MAX_DIM_V, group_from_qs
+from azenum.quadratic import MAX_DIM_V, group_from_qs, qs_to_json
 from azenum.wqo import MAX_PAIR_LETTERS, MAX_PAIR_WORDS
-from oracles import random_nondegenerate_qs
+from oracles import random_nondegenerate_qs, random_qs
 
 
 def run(capsys, *argv):
@@ -1003,6 +1003,95 @@ def group_docs(draw):
 @given(group_docs())
 def test_group_check_file_never_raises(tmp_path_factory, doc):
     assert _exit_code_on(tmp_path_factory, ["group", "check", "--group"], doc) in (0, 1, 2)
+
+
+# An element name of each group the `aut` property reads, and the span of
+# its words' coordinates, which is also their largest level: C4 (r = 2)
+# to 6, where a ladder's 6 coordinates fit, and Q8 (r = 4) to 3, so that
+# `aut verify` checks the law exhaustively, on at most 128 elements.
+AUT_GROUPS = {"C4": ("g", 6), "Q8": ("i", 3)}
+
+
+def _spoil(draw, rng, places, odd=ODD_VALUES):
+    """Set up to two of `places`, each a (container, key) pair, to an odd
+    value: none in three documents of five, one in one and two in one."""
+    for container, key in rng.sample(places, min(len(places), rng.choice([0, 0, 0, 1, 2]))):
+        container[key] = draw(odd)
+
+
+@st.composite
+def word_docs(draw):
+    """(group, level, element, word) for `aut apply` and `aut verify`: up
+    to four generators, each the cycles of a permutation of coordinates
+    within the group's span or a ladder of distinct ones (6, the length the
+    exponent 4 asks for, or another), mostly at the span's level; now and
+    then a coordinate is odd or past the literal cap, a cycle, an entry or
+    the word is an odd value, and the level or the element is out of range
+    or malformed."""
+    rng = draw(st.randoms(use_true_random=True))
+    group = rng.choice(sorted(AUT_GROUPS))
+    name, span = AUT_GROUPS[group]
+    word, places = [], []
+    for _ in range(rng.choice([0, 1, 2, 3, 4, 4])):
+        if rng.random() < (0.5 if span >= 6 else 0.1):
+            gen = {"beta": rng.sample(range(span), min(span, rng.choice([6, 6, rng.randint(0, 6)])))}
+            places += [(gen["beta"], c) for c in range(len(gen["beta"]))]
+        else:
+            moved = rng.sample(range(span), rng.randint(1, span))
+            cut = rng.randint(0, len(moved))
+            gen = {"perm": [cyc for cyc in (moved[:cut], moved[cut:]) if cyc]}
+            places += [(cyc, c) for cyc in gen["perm"] for c in range(len(cyc))]
+            places += [(gen, "perm")] + [(gen["perm"], c) for c in range(len(gen["perm"]))]
+        places.append((word, len(word)))
+        word.append(gen)
+    holder = {"word": word}
+    _spoil(draw, rng, places + [(holder, "word")], st.one_of(ODD_VALUES, st.just(MAX_LITERAL_COORD + 1)))
+    level = rng.choice([str(span)] * 6 + [str(rng.randint(0, span)), "-1", "40", str(MAX_COSETS)])
+    element = ",".join(f"{c}:{name}" for c in rng.sample(range(9), rng.randint(1, 3)))
+    element = rng.choice([element] * 10 + ["", "0:x", "0:", "-1:" + name, f"{10**6}:{name}"])
+    return group, level, element, holder["word"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(word_docs())
+def test_aut_word_file_never_raises(tmp_path_factory, case):
+    group, level, element, word = case
+    for argv in (["aut", "apply", "--group", group, f"--element={element}", "--word"],
+                 ["aut", "verify", "--group", group, f"--level={level}", "--word"]):
+        assert _exit_code_on(tmp_path_factory, argv, word) in (0, 1, 2, 3)
+
+
+ODD_BITSTRINGS = st.one_of(
+    ODD_VALUES, st.sampled_from(["", "2", "01 ", "1" * 50]), st.text("01", max_size=4)
+)
+
+
+@st.composite
+def qs_docs(draw):
+    """A quadratic-structure document of dimU and dimV at most 2, so that
+    its group has order at most 16, from random bases, degenerate or not;
+    now and then a key is dropped, or a dimension, a bitstring, a gamma
+    row or the document is odd."""
+    rng = draw(st.randoms(use_true_random=True))
+    doc = qs_to_json(random_qs(rng, rng.randint(0, 2), rng.randint(0, 2)))
+    places = [(doc["Q"], i) for i in range(len(doc["Q"]))]
+    places += [(doc["gamma"], i) for i in range(len(doc["gamma"]))]
+    places += [(row, i) for row in doc["gamma"] for i in range(len(row))]
+    places += [(doc, key) for key in sorted(doc)]
+    if rng.random() < 0.1:
+        del doc[rng.choice(sorted(doc))]
+    holder = {"doc": doc}
+    _spoil(draw, rng, places + [(holder, "doc")], st.one_of(ODD_BITSTRINGS, st.just(MAX_DIM_V + 1)))
+    return holder["doc"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(qs_docs())
+def test_qs_file_never_raises(tmp_path_factory, doc):
+    # `qs to-group` and each `qs amalgam` slot read the document
+    for argv in qs_document_argvs(tmp_path_factory.mktemp("qs"), "odd", doc):
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            assert run_command(argv) in (0, 1, 2, 3)
 
 
 def ladder_cycle_triple(h):
