@@ -30,7 +30,7 @@ from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .central_product import CPContext
-from .errors import InputError, Record
+from .errors import InputError, Record, shown
 
 
 class Perm(Record):
@@ -381,7 +381,7 @@ def word_from_json(doc: list) -> AutWord:
     """The word of a `word_to_json` list; InputError unless each entry is
     {"perm": non-empty integer cycles} or {"beta": integer coordinates}."""
     if not isinstance(doc, list):
-        raise InputError(f"word JSON must be a list of generators: {doc!r}")
+        raise InputError(f"word JSON must be a list of generators: {shown(repr(doc))}")
     gens: List[AutGenerator] = []
     for item in doc:
         perm = beta = None
@@ -392,5 +392,5 @@ def word_from_json(doc: list) -> AutWord:
         elif _int_list(beta):
             gens.append(BetaStar(tuple(beta)))
         else:
-            raise InputError(f"bad generator entry {item!r}")
+            raise InputError(f"bad generator entry {shown(repr(item))}")
     return AutWord(tuple(gens))

@@ -34,6 +34,7 @@ from .errors import (
     InputError,
     InsufficientFamilyError,
     parse_json,
+    shown,
 )
 from .groups import (
     catalog_group,
@@ -82,12 +83,6 @@ def _read_json(path: str):
         return parse_json(fh.read(), path)
 
 
-def _shown(arg: str) -> str:
-    """An argument as an error line names it: its first 40 characters, and
-    "..." when it is longer."""
-    return arg if len(arg) <= 40 else arg[:40] + "..."
-
-
 def _group(args):
     """(table, analysis, k) of `--group`, a catalog name or a group JSON
     file; `--k`, one or more element names or indices, overrides its K."""
@@ -97,7 +92,7 @@ def _group(args):
         table, analysis, k = group_from_json(_read_json(args.group))
     else:
         raise InputError(
-            f"{_shown(args.group)!r} is neither a catalog group ({', '.join(catalog_names())}) "
+            f"{shown(args.group)!r} is neither a catalog group ({', '.join(catalog_names())}) "
             "nor an existing file"
         )
     if getattr(args, "k", None) is not None:
@@ -125,8 +120,8 @@ def _one_based(embedding) -> list:
 
 def _load_word_arg(arg):
     """Word JSON given inline or as a file path; an error names at most the
-    first 40 characters of an inline word (`_shown`)."""
-    doc = _read_json(arg) if os.path.exists(arg) else parse_json(arg, f"word {_shown(arg)!r}")
+    first 40 characters of an inline word (`shown`)."""
+    doc = _read_json(arg) if os.path.exists(arg) else parse_json(arg, f"word {shown(arg)!r}")
     return word_from_json(doc)
 
 
@@ -258,7 +253,7 @@ def cmd_aut_alpha(args):
     try:
         coords = [int(c) for c in args.coords.split(",") if c.strip() != ""]
     except ValueError:
-        raise InputError(f"--coords must be comma-separated integers: {_shown(args.coords)!r}")
+        raise InputError(f"--coords must be comma-separated integers: {shown(args.coords)!r}")
     word = alpha_word(ctx, coords, args.i0, args.j0)
     if args.verify:
         level = max(word.max_coord(), args.i0, args.j0) + 1

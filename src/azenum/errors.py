@@ -1,5 +1,6 @@
 """Exception types shared across the package, the one JSON parse that
-turns malformed input into an `InputError`, and `Record`, the base of the
+turns malformed input into an `InputError`, the cap on how much of an
+input an error line shows (`shown`), and `Record`, the base of the
 package's immutable value records (words, generators, group tables)."""
 
 import json
@@ -34,6 +35,12 @@ class FalsificationError(AzenumError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def shown(text: str) -> str:
+    """Text as an error line names it: its first 40 characters, and "..."
+    when it is longer, so a huge argument or entry gives a short line."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def parse_json(text: str, source: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .errors import CapacityError, InputError, Record
+from .errors import CapacityError, InputError, Record, shown
 from .groups import (
     MAX_ORDER,
     GroupAnalysis,
@@ -325,22 +325,34 @@ def qs_to_json(qs: QuadraticStructure) -> dict:
 
 
 def qs_from_json(doc: dict) -> QuadraticStructure:
+    """The structure of a `qs_to_json` object. InputError names what is at
+    fault: a document that is not an object, a missing key, Q, gamma or a
+    gamma row that is not a list of bitstrings, or a dimension that is not
+    a non-negative integer; CapacityError for dimV above MAX_DIM_V."""
+    if not isinstance(doc, dict):
+        raise InputError("a quadratic-structure document must be a JSON object")
+    for key in ("dimU", "dimV", "Q", "gamma"):
+        if key not in doc:
+            raise InputError(f"the quadratic-structure document has no {key!r}")
+    q = _bitstrings(doc["Q"], "Q")
+    if not isinstance(doc["gamma"], list):
+        raise InputError("gamma must be a list of rows")
+    gamma = tuple(_bitstrings(row, f"gamma row {i}") for i, row in enumerate(doc["gamma"]))
+    for key in ("dimU", "dimV"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise InputError(f"{key} must be a non-negative integer, not {shown(repr(doc[key]))}")
+    if doc["dimV"] > MAX_DIM_V:
+        raise CapacityError(f"dimV {doc['dimV']} exceeds cap {MAX_DIM_V}")
+    return QuadraticStructure(doc["dimU"], doc["dimV"], q, gamma)
+
+
+def _bitstrings(items, where: str) -> Tuple[int, ...]:
+    if not isinstance(items, list):
+        raise InputError(f"{where} must be a list of bitstrings")
+    for i, s in enumerate(items):
+        if not isinstance(s, str):
+            raise InputError(f"{where}, entry {i}, is not a bitstring")
     try:
-        dim_u = doc["dimU"]
-        dim_v = doc["dimV"]
-        q = _bitstrings(doc["Q"])
-        gamma = tuple(_bitstrings(row) for row in doc["gamma"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad quadratic-structure document: {exc}")
-    for key, dim in (("dimU", dim_u), ("dimV", dim_v)):
-        if type(dim) is not int or dim < 0:
-            raise InputError(f"{key} must be a non-negative integer, not {dim!r}")
-    if dim_v > MAX_DIM_V:
-        raise CapacityError(f"dimV {dim_v} exceeds cap {MAX_DIM_V}")
-    return QuadraticStructure(dim_u, dim_v, q, gamma)
-
-
-def _bitstrings(items) -> Tuple[int, ...]:
-    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-        raise TypeError("Q and each gamma row must be lists of bitstrings")
-    return tuple(parse_bitstring(s) for s in items)
+        return tuple(parse_bitstring(s) for s in items)
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None

@@ -19,9 +19,9 @@ Neighbourhood lemma: c's neighbours below c are exactly its bits, and for
 c > top those up to top are its neighbours in {0..top}
 (`neighborhood_in_prefix`). A valid triple has its cycle within {0..b}
 and c in (b, 2^(b+1)), so c's whole lower neighbourhood is its cycle.
-Induced cycles are decided on positional neighbour masks (bit j for the
-j-th vertex): a set is one chordless cycle iff the walk from its least
-vertex covers it, each vertex seeing two others (`_ring`).
+A set is one chordless cycle iff the walk from its least vertex covers
+it, each vertex seeing exactly two others (`is_induced_cycle`, on masks
+by position, so a huge vertex v never becomes a mask 1 << v).
 
 Pair lemma (the paper's condition with a_i = c_small and a_j = c_large):
 for valid triples of different n, no automorphism alpha has
@@ -37,16 +37,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, count, permutations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import CapacityError, FalsificationError, InputError, Record
+from .errors import CapacityError, FalsificationError, InputError, Record, shown
 
 # The largest max_n that build_triples accepts; it bounds the core search.
-# A cold build_triples(11) takes about 6 ms and build_triples(12) about
-# 6 ms (Python 3.11, one core of a shared 2-core x86-64 host); past the
-# cap, the n = 13 step takes about 0.03 s and the n = 14 step about 0.5 s.
+# A cold build_triples(11) takes about 2.5 ms and build_triples(12) about
+# 4.6 ms (Python 3.11, one core of a shared 2-core x86-64 host); past the
+# cap, the n = 13 step takes about 0.013 s and the n = 14 step about 0.28 s.
 MAX_TRIPLES_N = 12
 
 Level = List[Tuple[int, Tuple[int, ...]]]  # (top, fits) per ring, as `_levels` yields it
@@ -76,25 +76,22 @@ def is_induced_cycle(vertices: Sequence[int]) -> Optional[Tuple[int, ...]]:
     vs = list(dict.fromkeys(vertices))
     if not vs:
         return None
-    nbrs = [sum(1 << j for j, w in enumerate(vs) if (v >> w | w >> v) & 1) for v in vs]  # v >> v is 0
-    return _ring(vs, nbrs, (1 << len(vs)) - 1, 1 << vs.index(min(vs)))
-
-
-def _ring(vs: Sequence[int], nbrs: Sequence[int], within: int, step: int) -> Optional[Tuple[int, ...]]:
-    """The mask test: the vs[j] for the bits j of `within`, in traversal
-    order from the bit `step` and first to its lower-positioned neighbour,
-    when under the masks nbrs each sees exactly two others (checked as the
-    walk reaches it) and the walk covers them all; otherwise None."""
-    order, seen = [], 0
+    nbrs = [0] * len(vs)
+    for j, w in enumerate(vs):  # each pair once
+        for i, v in enumerate(vs[:j]):
+            if (v >> w | w >> v) & 1:
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+    order, seen, step = [], 0, 1 << vs.index(min(vs))
     while step:
         j = step.bit_length() - 1
-        if (nbrs[j] & within).bit_count() != 2:
+        if nbrs[j].bit_count() != 2:
             return None
         seen |= step
         order.append(vs[j])
-        step = nbrs[j] & within & ~seen
-        step &= -step  # at the start, the lower of its two neighbours
-    return tuple(order) if seen == within else None
+        step = nbrs[j] & ~seen
+        step &= -step  # at the start, the lower-positioned of its two neighbours
+    return tuple(order) if seen == (1 << len(vs)) - 1 else None
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -104,35 +101,35 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _cycle_of(mask: int) -> Tuple[int, ...]:
-    cycle = is_induced_cycle(list(_bits(mask)))
-    assert cycle is not None
-    return cycle
-
-
 def _levels(n: int, start: int) -> Iterator[Tuple[int, Level]]:
-    """(v, level) for v = start, start + 1, ...: the induced n-cycles with
-    maximum v in product form. By the lemma, the levels of one bit length
-    B share the path forests T of the core [0, B) and their rings
-    (`_core_forests`). Level v holds (top, fits) for each ring of T with a
-    pair v & T: top = T | 1 << v, and fits holds, per other pair of the
-    ring, the int of bits 1 << x for the x in [B, v) that see that pair,
-    fixed once yielded. The ring's masks are top plus one bit of each fit
-    (`_masks`); rings with an empty fit are left out."""
-    for core in count(start.bit_length()):
+    """(v, level) for each v >= start whose level holds a ring: the induced
+    n-cycles with maximum v, in product form. A level without a ring is
+    not yielded, and a core without a forest is skipped. By the lemma, the
+    levels of one bit length B share the path forests T of the core [0, B)
+    and their rings (`_core_forests`). Level v holds (top, fits) for each
+    ring of T with a pair v & T: top = T | 1 << v, and fits holds, per
+    other pair of the ring, the int of bits 1 << x for the x in [B, v)
+    that see that pair, fixed once yielded. The ring's masks are top plus
+    one bit of each fit (`_masks`); rings with an empty fit are left out."""
+    for core in filter(partial(_core_forests, n), count(start.bit_length())):
         forests = _core_forests(n, core)
-        fits = [dict.fromkeys(rings, 0) for _, rings in forests]
         low = max(start, 1 << core >> 1)
-        for v in range(core, 1 << core):  # below low, only fill fits
+        fits = []
+        for t, rings in forests:  # the fits below low, one forest at a time
+            fit = dict.fromkeys(rings, 0)
+            for x in range(core, low):
+                if (x & t) in fit:
+                    fit[x & t] |= 1 << x
+            fits.append(fit)
+        for v in range(low, 1 << core):
             level = []
             for (t, rings), fit in zip(forests, fits):
                 pair = v & t
                 if pair in rings:
-                    if v >= low:
-                        ring_fits = (tuple(map(fit.get, rest)) for rest in rings[pair])
-                        level += [(t | 1 << v, fs) for fs in ring_fits if all(fs)]
+                    ring_fits = (tuple(map(fit.get, rest)) for rest in rings[pair])
+                    level += [(t | 1 << v, fs) for fs in ring_fits if all(fs)]
                     fit[pair] |= 1 << v
-            if v >= low:
+            if level:
                 yield v, level
 
 
@@ -150,36 +147,39 @@ def _masks(level: Level) -> List[int]:
 @lru_cache(maxsize=None)
 def _core_forests(n: int, core: int) -> List[Tuple[int, Dict[int, set]]]:
     """(T, rings) for each forest T of `_path_forests(core)` with k = n - |T| paths."""
-    return [(t, _rings(ends)) for t, ends in _path_forests(core) if t.bit_count() + len(ends) == n]
+    return [(t, _rings(ends)) for t, ends in _path_forests(core).get(n, ())]
 
 
 @lru_cache(maxsize=None)
-def _path_forests(core: int) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+def _path_forests(core: int) -> Dict[int, List[Tuple[int, Tuple[Tuple[int, int], ...]]]]:
     """(T, ends) for each T within the core [0, core) that induces k
-    disjoint paths, ends listing each path's (lower end, upper end) by
-    lower end, (u, u) for a one-vertex path; by the heredity lemma."""
+    disjoint paths, bucketed by |T| + k; ends lists each path's (lower
+    end, upper end) by lower end, (u, u) for a one-vertex path. By the
+    heredity lemma x = core - 1 joins a forest of the smaller core alone
+    (adding 2 to |T| + k), at one end (1) or linking two paths (0)."""
     if core == 0:
-        return [(0, ())]
+        return {0: [(0, ())]}
     x = core - 1
-    forests = _path_forests(x)
-    grown = []
-    for t, ends in forests:
-        seen = x & t
-        if not seen:  # x alone, a one-vertex path
-            grown.append((t | 1 << x, ends + ((x, x),)))
-        elif seen.bit_count() <= 2:
-            rest, outer = [], []
-            for a, b in ends:  # x takes the place of each end it sees
-                if seen >> a & 1:
-                    outer.append(b)
-                elif seen >> b & 1:
-                    outer.append(a)
-                else:
-                    rest.append((a, b))
-            if len(outer) == seen.bit_count():  # each seen vertex an end, of its own path
-                rest.append((min(outer), max(outer)) if outer[1:] else (outer[0], x))
-                grown.append((t | 1 << x, tuple(sorted(rest))))
-    return forests + grown
+    smaller = _path_forests(x)
+    forests = {size: smaller.get(size, [])[:] for size in range(max(smaller) + 3)}
+    for size, bucket in smaller.items():
+        for t, ends in bucket:
+            seen = x & t
+            if not seen:  # x alone, a one-vertex path
+                forests[size + 2].append((t | 1 << x, ends + ((x, x),)))
+            elif seen.bit_count() <= 2:
+                rest, outer = [], []
+                for a, b in ends:  # x takes the place of each end it sees
+                    if seen >> a & 1:
+                        outer.append(b)
+                    elif seen >> b & 1:
+                        outer.append(a)
+                    else:
+                        rest.append((a, b))
+                if len(outer) == seen.bit_count():  # each seen vertex an end, of its own path
+                    rest.append((min(outer), max(outer)) if outer[1:] else (outer[0], x))
+                    forests[size + 2 - len(outer)].append((t | 1 << x, tuple(sorted(rest))))
+    return forests
 
 
 @lru_cache(maxsize=None)
@@ -189,10 +189,15 @@ def _rings(ends: Tuple[Tuple[int, int], ...]) -> Dict[int, set]:
     the k paths into one cycle; a one-vertex path offers its vertex as
     both ends. Maps each pair to the rest of each ring that holds it."""
     rings: Dict[int, set] = {}
-    for order in permutations(ends[1:]):
+    (low, up), paths = ends[0], ends[1:]
+    for order in permutations(paths):
         for turned in product(*[{e, e[::-1]} for e in order]):
-            flat = sum(turned, ends[0])  # the ends in ring order
-            ring = sorted(1 << a | 1 << b for a, b in zip(flat[1::2], flat[2::2] + flat[:1]))
+            ring, last = [], up  # walk the ring from the first path's upper end
+            for a, b in turned:
+                ring.append(1 << last | 1 << a)
+                last = b
+            ring.append(1 << last | 1 << low)
+            ring.sort()
             for i, pair in enumerate(ring):
                 rings.setdefault(pair, set()).add(tuple(ring[:i] + ring[i + 1 :]))
     return rings
@@ -200,10 +205,10 @@ def _rings(ends: Tuple[Tuple[int, int], ...]) -> Dict[int, set]:
 
 @lru_cache(maxsize=None)
 def _first_level(n: int) -> Tuple[int, Level]:
-    """(L_n, level at L_n): the least level holding an induced n-cycle."""
+    """(L_n, its level): the first level `_levels` yields, the least holding an induced n-cycle."""
     if n < 4:
         raise InputError("the search covers cycles of at least 4 vertices")
-    return next((v, level) for v, level in _levels(n, n - 1) if level)
+    return next(_levels(n, n - 1))
 
 
 def first_cycle_bound(n: int, start: int) -> int:
@@ -217,14 +222,14 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
 
     By the neighbourhood lemma these c are the cycle characteristic masks
     in (b, 2^(b+1)). Masks at level v lie in [2^v, 2^(v+1)), so after the
-    memoised first level L the scan walks v upward from the first level
-    whose masks can exceed b, up to b; it reads each level's least mask,
-    and expands (`_masks`) only the level straddling b, 2^v <= b < 2^(v+1).
-    Moving a cycle's maximum L to L + 2^y (y >= L) keeps it an induced
-    n-cycle, so such a mask exists unless 2^L <= b < 2^L + L, where a
-    level in (L, 2^L] would give one. InputError when {0..b} holds no
-    induced n-cycle, or no mask is found.
-    """
+    memoised first level L the scan walks the levels that hold a ring (a
+    level without one is not yielded) upward from the first whose masks
+    can exceed b, up to b; it reads each one's least mask, and expands
+    (`_masks`) only the level straddling b, 2^v <= b < 2^(v+1). Moving a
+    cycle's maximum L to L + 2^y (y >= L) keeps it an induced n-cycle, so
+    such a mask exists unless 2^L <= b < 2^L + L, where a level in
+    (L, 2^L] would give one. InputError when {0..b} holds no induced
+    n-cycle, or no mask is found."""
     first, first_level = _first_level(n)
     if first > b:
         raise InputError(f"the prefix {{0..{b}}} holds no induced {n}-cycle")
@@ -232,10 +237,12 @@ def minimal_exact_vertex(n: int, b: int) -> Tuple[int, Tuple[int, ...]]:
     for v, level in chain([(first, first_level)], _levels(n, start)):
         if v > b:
             break
-        masks = _masks(level) if b >> v == 1 else [_least(level)] if level else []
+        masks = _masks(level) if b >> v == 1 else [_least(level)]
         at = bisect_right(masks, b)
         if at < len(masks):
-            return masks[at], _cycle_of(masks[at])
+            cycle = is_induced_cycle(list(_bits(masks[at])))
+            assert cycle is not None
+            return masks[at], cycle
     raise InputError(f"no vertex above {b} sees exactly an induced {n}-cycle below itself")
 
 
@@ -255,14 +262,11 @@ def triple_from_json(doc: dict) -> Triple:
     """The triple of a `Triple.to_json` object; InputError unless n, b and
     c are non-negative integers and cycle is a list of them. Other keys
     are ignored."""
-    keys = ("n", "b", "c", "cycle")
-    if isinstance(doc, dict) and all(k in doc for k in keys):
-        n, b, c, cycle = (doc[k] for k in keys)
-        if isinstance(cycle, list) and all(
-            type(x) is int and x >= 0 for x in (n, b, c, *cycle)
-        ):
+    if isinstance(doc, dict) and {"n", "b", "c", "cycle"} <= doc.keys():
+        n, b, c, cycle = doc["n"], doc["b"], doc["c"], doc["cycle"]
+        if isinstance(cycle, list) and all(type(x) is int and x >= 0 for x in (n, b, c, *cycle)):
             return Triple(n, b, c, tuple(cycle))
-    raise InputError(f"not a triple (integers n, b, c >= 0 and a cycle list): {doc!r}")
+    raise InputError(f"not a triple (integers n, b, c >= 0 and a cycle list): {shown(repr(doc))}")
 
 
 def build_triples(max_n: int) -> List[Triple]:
@@ -320,13 +324,11 @@ class ObstructionReport(Record):
 
 def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
     """Validate every triple, then certify each pair of them obstructed
-    by the pair lemma: `violations` stays empty, as triples that the
-    lemma does not cover (an invalid one, or two of one n) are falsified
-    (FalsificationError) first.
-
-    CapacityError first, for more than MAX_TRIPLES_N - 3 triples or an n
-    above MAX_TRIPLES_N: build_triples never emits more, and the caps
-    bound what a triples file may ask for."""
+    by the pair lemma: `violations` stays empty, as triples the lemma does
+    not cover (an invalid one, or two of one n) are falsified first
+    (FalsificationError). CapacityError before that, for more than
+    MAX_TRIPLES_N - 3 triples or an n above MAX_TRIPLES_N: build_triples
+    never emits more, and the caps bound what a triples file may ask for."""
     if len(triples) > MAX_TRIPLES_N - 3:
         raise CapacityError(f"{len(triples)} triples exceed the cap of {MAX_TRIPLES_N - 3}")
     for t in triples:
@@ -336,8 +338,6 @@ def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
         _validate_triple(t)
     if len({t.n for t in triples}) < len(triples):
         raise FalsificationError("two triples share an n, so the pair lemma does not apply")
-    pairs = [
-        {"from_n": small.n, "to_n": large.n, "obstructed": True}
-        for small, large in combinations(triples, 2)
-    ]
+    pairs = [{"from_n": small.n, "to_n": large.n, "obstructed": True}
+             for small, large in combinations(triples, 2)]
     return ObstructionReport(pairs, [])

@@ -1323,12 +1323,52 @@ PINNED_GROUP_DOCS = {"mul-empty": {"mul": []}, "mul-ragged": {"mul": [[0, 1], [1
                      "order-257": {"mul": [[0] * 257] * 257},
                      "order-true": {"mul": [[0]], "order": True},
                      "order-float": {"mul": C2_MUL, "order": 2.0}}
+C4_QS = {"dimU": 1, "dimV": 1, "Q": ["1"], "gamma": [["0"]]}
+# Malformed quadratic-structure documents and what each error line must
+# name: the key or shape at fault, never Python's own TypeError text
+QS_FAULTS = {
+    "not-an-object": (5, "must be a JSON object"),
+    "string": ("Q", "must be a JSON object"),
+    "no-Q": ({"dimU": 1, "dimV": 1, "gamma": [["0"]]}, "has no 'Q'"),
+    "Q-not-a-list": ({**C4_QS, "Q": "1"}, "Q must be a list of bitstrings"),
+    "Q-entry-int": ({**C4_QS, "Q": [1]}, "Q, entry 0, is not a bitstring"),
+    "gamma-not-a-list": ({**C4_QS, "gamma": 5}, "gamma must be a list of rows"),
+    "gamma-row-not-a-list": ({**C4_QS, "gamma": ["0"]}, "gamma row 0 must be a list of bitstrings"),
+    "gamma-entry-null": ({**C4_QS, "gamma": [[None]]}, "gamma row 0, entry 0, is not a bitstring"),
+    "dimU-5000-digits": ({**C4_QS, "dimU": "9" * 5000}, "dimU must be a non-negative integer"),
+}
 PINNED_QS_DOCS = {
     "bit-2": {"dimU": 1, "dimV": 1, "Q": ["2"], "gamma": [["0"]]},
     "gamma-asymmetric": {"dimU": 2, "dimV": 1, "Q": ["1", "1"], "gamma": [["0", "1"], ["0", "0"]]},
     "gamma-diagonal": {"dimU": 1, "dimV": 1, "Q": ["1"], "gamma": [["1"]]},
     "Q-degenerate": {"dimU": 1, "dimV": 1, "Q": ["0"], "gamma": [["0"]]},
+    **{name: doc for name, (doc, _) in QS_FAULTS.items()},
 }
+# Entries far longer than an error line shows, in each reader whose error
+# line quotes the entry: a 4,000-digit integer (json reads up to 4,300
+# digits) and a 5,000-digit string. The line keeps 40 characters of it.
+LONG_INT, LONG_DIGITS = int("9" * 4000), "9" * 5000
+LONG_ENTRY_DOCS = {
+    "word-entry-int": ("word", [[1, LONG_INT]]),
+    "word-entry-digits": ("word", [{"beta": LONG_DIGITS}]),
+    "word-not-a-list": ("word", {"perm": LONG_DIGITS}),
+    "triple-int": ("triples", {"triples": [{**TRIPLE, "c": LONG_INT, "cycle": "x"}]}),
+    "triple-digits": ("triples", {"triples": [{**TRIPLE, "c": LONG_DIGITS}]}),
+    "qs-dimV-digits": ("qs", {**C4_QS, "dimV": LONG_DIGITS}),
+}
+LONG_ENTRY_READERS = {"word": ["aut", "verify", "--group=C4", "--word={path}", "--level=2"],
+                      "triples": ["rado", "check", "--file={path}"],
+                      "qs": ["qs", "to-group", "--file={path}"]}
+
+
+def long_entry_rows(tmp_path):
+    """(argv, 2) for each of LONG_ENTRY_DOCS, read from a file."""
+    rows = []
+    for name, (reader, doc) in LONG_ENTRY_DOCS.items():
+        path = tmp_path / f"long-{name}.json"
+        path.write_text(json.dumps(doc))
+        rows.append(([a.format(path=path) for a in LONG_ENTRY_READERS[reader]], 2))
+    return rows
 
 
 def pinned_rows(tmp_path):
@@ -1355,7 +1395,7 @@ def pinned_rows(tmp_path):
     blank.write_text("\n  \n\n")
     for group in catalog_names():
         rows.append((["az", "run", "--group", group, f"--tuples={blank}"], 2))
-    return rows
+    return rows + long_entry_rows(tmp_path)
 
 
 def test_malformed_grid_never_raises(tmp_path, capsys):
@@ -1371,6 +1411,24 @@ def test_malformed_grid_never_raises(tmp_path, capsys):
                 failures.append((argv, code))
     capsys.readouterr()
     assert not failures
+
+
+def test_long_entries_give_short_error_lines(tmp_path, capsys):
+    for argv, code in long_entry_rows(tmp_path):
+        assert run_command(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 160, (argv, err[:200])
+        assert "9" * 41 not in err, argv
+
+
+@pytest.mark.parametrize("name", sorted(QS_FAULTS))
+def test_bad_qs_document_names_its_fault(tmp_path, capsys, name):
+    doc, fault = QS_FAULTS[name]
+    path = tmp_path / "qs.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["qs", "to-group", f"--file={path}"]) == 2
+    err = capsys.readouterr().err
+    assert fault in err and len(err) < 160, err[:200]
 
 
 def test_usage_error_exit_code():

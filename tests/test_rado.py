@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, count, islice
+from itertools import combinations, count, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -96,10 +96,10 @@ def test_induced_cycle_matches_definition_random():
 
 
 def _shuffled_cycles(rng):
-    # induced n-cycles from the first levels, n = 4..8, each shuffled and
-    # every third one with a vertex repeated somewhere in the list
+    # induced n-cycles from the levels n - 1 to n + 98, n = 4..8, each
+    # shuffled and every third one with a vertex repeated somewhere in the list
     for n in range(4, 9):
-        for _, level in islice(_levels(n, n - 1), 100):
+        for _, level in _levels_up_to(n, n + 98):
             masks = _masks(level)
             for mask in masks[:: max(1, len(masks) // 30)]:
                 vs = [v for v in range(mask.bit_length()) if (mask >> v) & 1]
@@ -124,6 +124,34 @@ def test_induced_cycle_matches_reference_copy():
         assert is_induced_cycle(vs) == rado_induced_cycle(vs), vs
 
 
+# huge vertices: 2^4097 sees only 4097, and 2^4097 + 5 sees 0, 2 and 4097
+HUGE = [1 << 4097, (1 << 4097) + 5, 4097]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_induced_cycle_matches_reference_on_huge_vertices(data):
+    # a cycle from a first level, its maximum m maybe moved to m + 2^y for
+    # a huge y (still an induced cycle, by the lemma), then maybe with
+    # repeats, a chord or other small vertices, or huge ones mixed in, and
+    # shuffled: the mask test returns the reference's tuple throughout
+    n = data.draw(st.integers(4, 8), label="n")
+    first, level = _first_level(n)
+    masks = _masks(level)
+    mask = masks[data.draw(st.integers(0, len(masks) - 1), label="mask")]
+    vs = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    if data.draw(st.booleans(), label="move the maximum"):
+        vs[-1] += 1 << data.draw(st.integers(first + 1, 4200), label="y")
+    cycle = vs
+    extra = data.draw(st.lists(st.integers(0, 90) | st.sampled_from(HUGE + cycle), max_size=3),
+                      label="extra")
+    vs = data.draw(st.permutations(cycle + extra), label="order")
+    got = is_induced_cycle(vs)
+    assert got == rado_induced_cycle(vs)
+    if set(extra) <= set(cycle):  # only repeats: still the cycle
+        assert got is not None and set(got) == set(cycle)
+
+
 def _cycle_orders(vs):
     from itertools import permutations
 
@@ -132,20 +160,29 @@ def _cycle_orders(vs):
         yield (first,) + rest
 
 
+def _levels_up_to(n, top):
+    """The levels that `_levels(n, n - 1)` yields, up to v = top."""
+    return takewhile(lambda item: item[0] <= top, _levels(n, n - 1))
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_level_masks_match_oracle(n):
     # every level up to the first one holding an n-cycle and on to 130, so
     # that vertices with three or more bits (neighbours below) are covered,
-    # and with them step candidates that share a key and ones that do not
+    # and with them step candidates that share a key and ones that do not:
+    # the levels yielded are exactly the oracle's non-empty ones, with its
+    # masks, and every level skipped is empty in the oracle
     first, first_level = _first_level(n)
     assert _masks(first_level) == rado_level_masks(n, first)
-    levels = _levels(n, n - 1)
-    for v in range(n - 1, max(first, 130) + 1):
-        got, level = next(levels)
-        oracle = rado_level_masks(n, v)
-        assert (got, _masks(level)) == (v, oracle)
-        if oracle:  # the least-mask lemma: each fit's lowest bit
-            assert _least(level) == min(oracle)
+    top = max(first, 130)
+    oracle = {v: rado_level_masks(n, v) for v in range(n - 1, top + 1)}
+    got = {}
+    for v, level in _levels_up_to(n, top):
+        got[v] = _masks(level)
+        assert _least(level) == min(oracle[v])  # the least-mask lemma: each fit's lowest bit
+    assert got == {v: masks for v, masks in oracle.items() if masks}
+    assert all(not oracle[v] for v in oracle.keys() - got.keys())
+    assert min(got) == first
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -154,20 +191,22 @@ def test_levels_held_then_expanded_match_oracle(n):
     # a level the caller holds must not pick up the vertices that later
     # levels add to fits
     first, _ = _first_level(n)
-    held = list(islice(_levels(n, n - 1), first + 22 - n))
-    for v, level in held:
-        assert _masks(level) == rado_level_masks(n, v)
+    held = list(_levels_up_to(n, first + 20))
+    expanded = {v: _masks(level) for v, level in held}
+    oracle = {v: rado_level_masks(n, v) for v in range(n - 1, first + 21)}
+    assert expanded == {v: masks for v, masks in oracle.items() if masks}
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_levels_match_path_search(n):
     # every level from n - 1 to the first one holding an n-cycle, against
-    # the memoised path search over the whole prefix
+    # the memoised path search over the whole prefix: only the first is
+    # yielded, and the search finds every level before it empty
     first, _ = _first_level(n)
-    levels, reference = _levels(n, n - 1), rado_dfs_levels(n, n - 1)
-    for _ in range(n - 1, first + 1):
-        v, level = next(levels)
-        assert (v, _masks(level)) == next(reference)
+    reference = dict(zip(range(n - 1, first + 1), rado_dfs_levels(n, n - 1)))
+    assert all(v == ref_v for v, (ref_v, _) in reference.items())
+    got = {v: _masks(level) for v, level in _levels_up_to(n, first)}
+    assert got == {v: masks for v, (_, masks) in reference.items() if masks}
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -182,14 +221,20 @@ def test_core_forests_match_subset_scan(n):
 
 @pytest.mark.parametrize("core", range(1, 12))
 def test_path_forests_are_hereditary(core):
-    # each forest holding the top vertex is, without it, a forest of the
-    # smaller core, and no two share one; the others are exactly its forests
+    # each forest sits in the bucket of its |T| + k; each forest holding the
+    # top vertex is, without it, a forest of the smaller core, and no two
+    # share one; the others are exactly its forests, bucket by bucket
     x = core - 1
-    smaller = dict(_path_forests(x))
-    grown = [(t, ends) for t, ends in _path_forests(core) if t >> x & 1]
-    assert [(t, ends) for t, ends in _path_forests(core) if not t >> x & 1] == _path_forests(x)
-    assert all(t & ~(1 << x) in smaller for t, _ in grown)
-    assert len({t for t, _ in grown}) == len(grown)
+    forests, smaller = _path_forests(core), _path_forests(x)
+    assert all(t.bit_count() + len(ends) == size
+               for size, bucket in forests.items() for t, ends in bucket)
+    for size, bucket in forests.items():
+        assert [(t, ends) for t, ends in bucket if not t >> x & 1] == smaller.get(size, [])
+    assert smaller.keys() <= forests.keys()
+    below = {t for bucket in smaller.values() for t, _ in bucket}
+    grown = [t for bucket in forests.values() for t, _ in bucket if t >> x & 1]
+    assert all(t & ~(1 << x) in below for t in grown)
+    assert len(set(grown)) == len(grown)
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -313,7 +358,8 @@ def test_second_cycle_level_is_at_most_2_to_the_first(n):
     # level v in (L, 2^L] lies within [b.bit_length(), b] for every such b,
     # so its masks lie in (b, 2^(b+1)) and c exists up to MAX_TRIPLES_N
     first, _ = _first_level(n)
-    v = next(v for v, level in _levels(n, first + 1) if level)
+    v, level = next(_levels(n, first + 1))
+    assert level
     assert v <= 1 << first
     for b in (1 << first, (1 << first) + first - 1):
         c, cycle = minimal_exact_vertex(n, b)
