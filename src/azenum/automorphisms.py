@@ -34,10 +34,7 @@ from .errors import InputError, Record, shown
 
 
 class Perm(Record):
-    __slots__ = ("moves",)
-
-    def __init__(self, moves: Tuple[Tuple[int, int], ...]):
-        object.__setattr__(self, "moves", moves)  # sorted (source, target) pairs
+    __slots__ = ("moves",)  # sorted (source, target) pairs
 
     @staticmethod
     def from_mapping(mapping: Dict[int, int]) -> "Perm":
@@ -86,7 +83,7 @@ class BetaStar(Record):
             raise InputError("ladder coordinates must be distinct")
         if any(c < 0 for c in coords):
             raise InputError("negative ladder coordinate")
-        object.__setattr__(self, "coords", coords)
+        super().__init__(coords)
 
     def max_coord(self) -> int:
         return max(self.coords)
@@ -97,9 +94,6 @@ AutGenerator = Union[Perm, BetaStar]
 
 class AutWord(Record):
     __slots__ = ("gens",)
-
-    def __init__(self, gens: Tuple[AutGenerator, ...]):
-        object.__setattr__(self, "gens", gens)
 
     def max_coord(self) -> int:
         return max((g.max_coord() for g in self.gens), default=-1)

@@ -40,7 +40,7 @@ from .automorphisms import AutWord, Perm, _draws, alpha_word, index_images, word
 from .automorphisms import apply_word  # noqa: F401 (perfbench traces az.apply_word)
 from .central_product import CPContext
 from .errors import InputError, InsufficientFamilyError, Record
-from .wqo import Embedding, Word, capped_words, find_increasing_pair, last_appearance_order
+from .wqo import Word, capped_words, find_increasing_pair, last_appearance_order
 
 MemberTuple = Tuple[int, ...]
 
@@ -72,23 +72,14 @@ def letter_word(ctx: CPContext, member: MemberTuple) -> Word:
 
 
 class NormalizedFamily(Record):
-    __slots__ = ("ctx", "arity", "kept", "words", "members", "alphabet")
-
-    def __init__(
-        self,
-        ctx: CPContext,
-        arity: int,
-        kept: Tuple[int, ...],  # original member indices, ascending
-        words: Tuple[Word, ...],  # aligned with kept
-        members: Tuple[MemberTuple, ...],
-        alphabet: Tuple[tuple, ...],  # letters by last appearance (shared)
-    ):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "alphabet", alphabet)
+    __slots__ = (
+        "ctx",
+        "arity",
+        "kept",  # original member indices, ascending
+        "words",  # aligned with kept
+        "members",
+        "alphabet",  # letters by last appearance (shared)
+    )
 
 
 def normalize_family(fam: TupleFamily) -> NormalizedFamily:
@@ -122,22 +113,25 @@ def normalize_family(fam: TupleFamily) -> NormalizedFamily:
     )
 
 
-@dataclass
-class BetaMap:
+class BetaMap(Record):
     """β's copy data for the strongly embedded pair (i, j) of a normalized family."""
-    ctx: CPContext
-    i: int  # original family indices
-    j: int
-    word_i: Word
-    word_j: Word
-    f: Embedding
-    i_s: Dict[tuple, int]  # per letter: last occurrence in word_j
-    I_s: Dict[tuple, Tuple[int, ...]]  # per letter: target positions off the image
-    member_i: MemberTuple
-    member_j: MemberTuple
-    # per source position l <= l_i: the target positions, f(l) and then
-    # I_s[letter] when f(l) is the letter's last occurrence in word_j
-    plan: Tuple[Tuple[int, ...], ...]
+
+    __slots__ = (
+        "ctx",
+        "i",  # original family indices
+        "j",
+        "word_i",
+        "word_j",
+        "f",  # the embedding of word_i into word_j (wqo.Embedding)
+        "i_s",  # per letter: last occurrence in word_j
+        "I_s",  # per letter: target positions off the image
+        "member_i",
+        "member_j",
+        # per source position l <= l_i: the target positions, f(l) and then
+        # I_s[letter] when f(l) is the letter's last occurrence in word_j
+        "plan",
+        "__dict__",  # the cached properties below
+    )
 
     @cached_property
     def l_i(self) -> int:

@@ -366,6 +366,14 @@ def cmd_rado_check(args):
 # ---------------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value; a refusal quotes at most `shown(text)`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {shown(text)!r}") from None
+
+
 def _add_group_flags(p, k_flag=True):
     p.add_argument("--group", required=True, help="catalog name or group JSON file")
     if k_flag:
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="azenum", description="Finite workbench for tuple-enumeration structures"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument("--seed", type=_integer, default=0, help="seed for sampled checks")
     parser.add_argument("--json", action="store_true", help="force JSON output")
     parser.add_argument(
         "--verify", action="store_true", help="re-validate emitted artifacts"
@@ -408,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("cp").add_subparsers(dest="sub", required=True)
     p = cp.add_parser("enumerate")
     _add_group_flags(p)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_integer, required=True)
     p.add_argument("--emit")
     p.set_defaults(func=cmd_cp_enumerate)
     for verb, func in (("compare", cmd_cp_compare), ("mul", cmd_cp_mul)):
@@ -427,13 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = aut.add_parser("verify")
     _add_group_flags(p)
     p.add_argument("--word", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer, required=True)
     p.set_defaults(func=cmd_aut_verify)
     p = aut.add_parser("alpha")
     _add_group_flags(p)
     p.add_argument("--coords", required=True, help="comma-separated coordinates")
-    p.add_argument("--i0", type=int, required=True)
-    p.add_argument("--j0", type=int, required=True)
+    p.add_argument("--i0", type=_integer, required=True)
+    p.add_argument("--j0", type=_integer, required=True)
     p.set_defaults(func=cmd_aut_alpha)
 
     wqo = sub.add_parser("wqo").add_subparsers(dest="sub", required=True)
@@ -451,17 +459,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = az.add_parser("run")
     _add_group_flags(p)
     p.add_argument("--tuples", required=True, help="one tuple per line, ';'-separated")
-    p.add_argument("--depth", type=int, default=500)
+    p.add_argument("--depth", type=_integer, default=500)
     p.add_argument("--emit")
     p.set_defaults(func=cmd_az_run)
 
     rado = sub.add_parser("rado").add_subparsers(dest="sub", required=True)
     p = rado.add_parser("triples")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
     p.add_argument("--emit")
     p.set_defaults(func=cmd_rado_triples)
     p = rado.add_parser("check")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
     p.add_argument("--file", help="previously emitted triples JSON")
     p.set_defaults(func=cmd_rado_check)
 
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     """Run one command line: print its text line, or with `--json` or no
     text line its payload, written first to the `--emit` file if given,
-    and exit 0 on a true verdict and 1 on a false one."""
+    and exit 0 on a true verdict and 1 on a false one, stdout closed or not."""
     args = build_parser().parse_args(argv)
     try:
         doc, text, ok = args.func(args)
@@ -479,7 +487,11 @@ def run_command(argv) -> int:
         if getattr(args, "emit", None):
             with open(args.emit, "w") as fh:
                 fh.write(payload + "\n")
-        print(payload if args.json or text is None else text)
+        try:
+            print(payload if args.json or text is None else text, flush=True)
+        except BrokenPipeError:
+            # the reader left: the rest goes to devnull (Python's SIGPIPE recipe)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK if ok else EXIT_FALSIFIED
     except InsufficientFamilyError as exc:
         print(f"insufficient input: {exc}", file=sys.stderr)

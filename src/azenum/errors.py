@@ -1,7 +1,9 @@
 """Exception types shared across the package, the one JSON parse that
 turns malformed input into an `InputError`, the cap on how much of an
 input an error line shows (`shown`), and `Record`, the base of the
-package's immutable value records (words, generators, group tables)."""
+package's immutable value records (words, generators, group tables),
+built from field values by position or by keyword, every field exactly
+once; a subclass with checks validates, then calls `super().__init__`."""
 
 import json
 
@@ -56,13 +58,26 @@ class Record:
     """An immutable value whose fields are its class's `__slots__` (less a
     `__dict__` slot, kept for cached properties): equal to a record of the
     same type with equal fields, hashed as the tuple of its fields, shown
-    as `Name(field=value, ...)`, and closed to assignment. A subclass sets
-    each field in `__init__` through `object.__setattr__`."""
+    as `Name(field=value, ...)`, and closed to assignment. Its values come
+    by position, in `__slots__` order, or by keyword, every field exactly
+    once, else TypeError; a subclass with checks validates its arguments,
+    then calls `super().__init__`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)  # past __setattr__
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values += tuple([named.pop(f) for f in fields[len(values) :] if f in named])
+            if named or len(values) != len(fields):
+                name = f"{type(self).__qualname__}({', '.join(fields)})"
+                raise TypeError(f"{name} takes each field exactly once, by position or by keyword")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

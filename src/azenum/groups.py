@@ -26,22 +26,6 @@ MAX_RANK_SUBSETS = 50_000
 class GroupTable(Record):
     __slots__ = ("name", "order", "element_names", "mul", "identity_index", "inverse")
 
-    def __init__(
-        self,
-        name: str,
-        order: int,
-        element_names: Tuple[str, ...],
-        mul: Tuple[Tuple[int, ...], ...],
-        identity_index: int,
-        inverse: Tuple[int, ...],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "element_names", element_names)
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "identity_index", identity_index)
-        object.__setattr__(self, "inverse", inverse)
-
     def element_order(self, a: int) -> int:
         x = a
         n = 1
@@ -64,26 +48,9 @@ class GroupTable(Record):
 class GroupAnalysis(Record):
     __slots__ = ("exponent", "center", "commutator_subgroup", "involutions")
 
-    def __init__(
-        self,
-        exponent: int,
-        center: Tuple[int, ...],
-        commutator_subgroup: Tuple[int, ...],
-        involutions: Tuple[int, ...],
-    ):
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "commutator_subgroup", commutator_subgroup)
-        object.__setattr__(self, "involutions", involutions)
-
 
 class KGroupSpec(Record):
     __slots__ = ("group", "k_subgroup", "transversal", "__dict__")
-
-    def __init__(self, group: GroupTable, k_subgroup: Tuple[int, ...], transversal: Tuple[int, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "k_subgroup", k_subgroup)
-        object.__setattr__(self, "transversal", transversal)
 
     @cached_property
     def element_order(self) -> Tuple[int, ...]:

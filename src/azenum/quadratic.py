@@ -84,10 +84,7 @@ class QuadraticStructure(Record):
                     raise InputError("gamma must be symmetric")
                 if gamma_basis[i][j] & ~vmask:
                     raise InputError("gamma value exceeds dim_v")
-        object.__setattr__(self, "dim_u", dim_u)
-        object.__setattr__(self, "dim_v", dim_v)
-        object.__setattr__(self, "q_basis", q_basis)
-        object.__setattr__(self, "gamma_basis", gamma_basis)
+        super().__init__(dim_u, dim_v, q_basis, gamma_basis)
 
     def eval_q(self, u: int) -> int:
         """Extend Q from the basis by polarization."""
@@ -114,10 +111,6 @@ class QSMorphism(Record):
     """Linear maps (f, g) with g . Q1 = Q2 . f, stored as basis images."""
 
     __slots__ = ("f", "g")
-
-    def __init__(self, f: Tuple[int, ...], g: Tuple[int, ...]):
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
 
 
 def is_nondegenerate(qs: QuadraticStructure) -> bool:
@@ -242,11 +235,6 @@ def group_from_qs(
 
 class AmalgamResult(Record):
     __slots__ = ("qs", "emb1", "emb2")
-
-    def __init__(self, qs: QuadraticStructure, emb1: QSMorphism, emb2: QSMorphism):
-        object.__setattr__(self, "qs", qs)
-        object.__setattr__(self, "emb1", emb1)
-        object.__setattr__(self, "emb2", emb2)
 
 
 def _has_leading(qs: QuadraticStructure, qs0: QuadraticStructure) -> bool:

@@ -310,10 +310,6 @@ def _validate_triple(t: Triple) -> None:
 class ObstructionReport(Record):
     __slots__ = ("pair_certificates", "violations")
 
-    def __init__(self, pair_certificates: List[dict], violations: List[dict]):
-        object.__setattr__(self, "pair_certificates", pair_certificates)
-        object.__setattr__(self, "violations", violations)
-
     @property
     def ok(self) -> bool:
         return not self.violations

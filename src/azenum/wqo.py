@@ -31,9 +31,6 @@ Letter = Hashable
 class Word(Record):
     __slots__ = ("letters",)
 
-    def __init__(self, letters: Tuple[Letter, ...]):
-        object.__setattr__(self, "letters", letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -46,7 +43,7 @@ class Embedding(Record):
     def __init__(self, image: Tuple[int, ...]):
         if any(b <= a for a, b in zip(image, image[1:])):
             raise InputError("embedding positions must strictly increase")
-        object.__setattr__(self, "image", image)
+        super().__init__(image)
 
     def is_subword_witness(self, w1: Word, w2: Word) -> bool:
         return (
@@ -210,11 +207,6 @@ def capped_words(words: Iterable[Word]) -> List[Word]:
 
 class PairResult(Record):
     __slots__ = ("i", "j", "embedding")
-
-    def __init__(self, i: int, j: int, embedding: Embedding):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "embedding", embedding)
 
 
 class _Group:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -8,6 +7,7 @@ import pytest
 from azenum import az
 from azenum.automorphisms import apply_word
 from azenum.az import (
+    BetaMap,
     TupleFamily,
     apply_beta,
     beta_as_word,
@@ -324,7 +324,8 @@ def test_certificate_json_deterministic(c4k):
 
 def swap_top_plan_entries(bm):
     """bm with the targets of its two highest witness positions swapped."""
-    return dataclasses.replace(bm, plan=bm.plan[:-2] + (bm.plan[-1], bm.plan[-2]))
+    fields = {f: getattr(bm, f) for f in bm._fields}
+    return BetaMap(**{**fields, "plan": bm.plan[:-2] + (bm.plan[-1], bm.plan[-2])})
 
 
 @pytest.mark.parametrize(

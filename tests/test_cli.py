@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -1435,3 +1438,45 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run_command(["nope"])
     assert err.value.code == 2
+
+
+HUGE = "9" * 5000  # past int()'s 4,300-digit limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", HUGE, "rado", "triples"],
+        ["rado", "triples", "--max-n", HUGE],
+        ["rado", "check", "--max-n", HUGE],
+        ["cp", "enumerate", "--group", "C4", "--count", HUGE],
+        ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", HUGE],
+        ["aut", "alpha", "--group", "Q8", "--coords", "1", "--i0", HUGE, "--j0", "0"],
+        ["aut", "alpha", "--group", "Q8", "--coords", "1", "--i0", "0", "--j0", HUGE],
+        ["az", "run", "--group", "Q8", "--tuples", "family.txt", "--depth", HUGE],
+    ],
+    ids=["seed", "triples-max-n", "check-max-n", "count", "level", "i0", "j0", "depth"],
+)
+def test_huge_integer_flag_gives_short_usage_error(capsys, argv):
+    # argparse refuses the value; the error line quotes only its start
+    with pytest.raises(SystemExit) as err:
+        run_command(argv)
+    out, errors = capsys.readouterr()
+    assert err.value.code == 2 and out == ""
+    assert "invalid integer '" + "9" * 40 + "...'" in errors
+    assert max(map(len, errors.splitlines())) <= 160, errors[:200]
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code():
+    # the reader takes a few bytes of the 5 KB document and closes the pipe;
+    # whether the rest of the write then fails races with the reader, so
+    # the run is repeated
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "azenum.cli", "rado", "triples", "--max-n", "12"]
+    for _ in range(5):
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{\n  "obstr'
+        proc.stdout.close()
+        _, errors = proc.communicate(timeout=60)
+        assert (proc.returncode, errors) == (0, b"")

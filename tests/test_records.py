@@ -1,7 +1,8 @@
 """The package's value records (`errors.Record`): each compares, hashes and
 prints as the frozen dataclass with its fields did, refuses assignment,
-and keeps its constructor's checks; and the modules that build only
-records import no `dataclasses`."""
+is built alike from positional and keyword values and refuses any other
+binding, and keeps its constructor's checks; and the modules that build
+only records import no `dataclasses`."""
 
 import copy
 import dataclasses
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import azenum
 from azenum.automorphisms import AutWord, BetaStar, Perm
-from azenum.az import NormalizedFamily
+from azenum.az import BetaMap, NormalizedFamily, TupleFamily, build_beta, normalize_family
 from azenum.central_product import CPContext
 from azenum.errors import InputError, Record
 from azenum.groups import GroupAnalysis, GroupTable, KGroupSpec, catalog_group, make_kgroup
@@ -23,10 +25,12 @@ from azenum.wqo import Embedding, PairResult, Word
 
 
 def _records():
-    """One record of each of the 14 record types, built as the library
+    """One record of each of the 15 record types, built as the library
     builds it or from fields of the kind it holds."""
     table, analysis, k = catalog_group("C4")
     spec = make_kgroup(table, analysis, k)
+    ctx, g = CPContext(spec), table.index_of_name("g")
+    family = TupleFamily(ctx, 1, [(ctx.make({0: g}),), (ctx.make({c: g for c in range(5)}),)])
     word = Word(((0,), (1,)))
     emb = Embedding((0, 2))
     perm, ladder = Perm.from_cycles([[0, 2]]), BetaStar((0, 1, 2, 3, 4, 5))
@@ -42,7 +46,8 @@ def _records():
         perm,
         ladder,
         AutWord((perm, ladder)),
-        NormalizedFamily(CPContext(spec), 1, (0, 2), (word, word), ((1,), (1,)), (word.letters[0],)),
+        NormalizedFamily(ctx, 1, (0, 2), (word, word), ((1,), (1,)), (word.letters[0],)),
+        build_beta(normalize_family(family)),
         qs,
         morphism,
         AmalgamResult(qs, morphism, morphism),
@@ -65,8 +70,11 @@ def _frozen_twin(record):
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in RECORDS}) == 14
+    assert len({type(r) for r in RECORDS}) == 15
     assert all(isinstance(r, Record) for r in RECORDS)
+    # every record type of the package, so a new one must join RECORDS
+    package = {t for t in Record.__subclasses__() if t.__module__.startswith("azenum.")}
+    assert package == {type(r) for r in RECORDS}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
@@ -76,17 +84,15 @@ def test_record_is_a_value(record):
     assert copy.copy(record) == record
     twin = _frozen_twin(record)
     assert repr(record) == repr(twin)
-    if isinstance(record, ObstructionReport):
-        # its fields are lists, so like a tuple of lists it has no hash
+    if isinstance(record, (ObstructionReport, BetaMap)):
+        # some fields are lists or dicts, so like a tuple of them it has no hash
         with pytest.raises(TypeError):
             hash(record)
     else:
         assert hash(rebuilt) == hash(record) == hash(twin)
 
     # a record of another type holding the same field values differs
-    other = type("Other", (Record,), {"__slots__": record._fields})()
-    for name, value in zip(record._fields, _values(record)):
-        object.__setattr__(other, name, value)
+    other = type("Other", (Record,), {"__slots__": record._fields})(*_values(record))
     assert record != other and other != record
     assert record != twin
 
@@ -98,6 +104,39 @@ def test_record_is_a_value(record):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert rebuilt == record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_positional_and_keyword_values_build_equal_records(record):
+    values = _values(record)
+    by_keyword = type(record)(**dict(zip(record._fields, values)))
+    assert by_keyword == type(record)(*values) == record
+    # keywords may follow positional values, in any order
+    assert type(record)(values[0], **dict(reversed(list(zip(record._fields, values))[1:]))) == record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_each_field_is_bound_exactly_once(record):
+    cls, fields, values = type(record), record._fields, _values(record)
+    for bind in (
+        lambda: cls(*values, values[0]),  # too many values
+        lambda: cls(*values[:-1]),  # too few
+        lambda: cls(*values, no_such_field=1),  # an unknown keyword
+        lambda: cls(*values, **{fields[0]: values[0]}),  # by position and by keyword
+    ):
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b") as err:
+            bind()
+        if "__init__" not in vars(cls):
+            # the base constructor's message lists the fields
+            assert f"{cls.__name__}({', '.join(fields)})" in str(err.value)
+
+
+def test_only_records_with_checks_define_a_constructor():
+    own = {type(r).__name__ for r in RECORDS if "__init__" in vars(type(r))}
+    assert own == {"Embedding", "BetaStar", "QuadraticStructure"}
+    # fields are written by Record alone, through its slots' setters
+    modules = sorted(Path(azenum.__file__).parent.glob("*.py"))
+    assert not [p.name for p in modules if p.name != "errors.py" and "object.__setattr__" in p.read_text()]
 
 
 def test_cached_element_order_is_kept():
