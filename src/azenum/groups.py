@@ -1,26 +1,22 @@
 """Finite groups as multiplication tables, with derived structure.
 
-Elements are indices 0..order-1 into the table; names are cosmetic.
+Elements are indices 0..order-1 into the table; names are cosmetic. A table
+is associative if (xg)y = x(gy) for all x, y and each g of a sequence whose
+right products from the identity reach every element, as such g are closed
+under the product (Light's test; Clifford and Preston, *The Algebraic
+Theory of Semigroups* I, §1.2). `subgroup_closure` spans by such right
+products alone, so a generating sequence it finds assumes no associativity.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations
-from math import comb, lcm
+from math import gcd, lcm, log
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError, Record, StructuralError
 
 MAX_ORDER = 256
-
-# The most subsets `rank` may try, counting every subset of the non-identity
-# elements smaller than a greedy generating sequence. An order-64 group of
-# rank 3 needs at most 63 + 1 953 + 39 711 = 41 727 of them (if the greedy
-# sequence is one longer than the rank), about 1.5 s at the 37 us a closure
-# takes there (Python 3.11, one core of a shared 2-core x86-64 host); an
-# order-128 group of rank 4 needs at least 341 503, about 10 s.
-MAX_RANK_SUBSETS = 50_000
 
 
 class GroupTable(Record):
@@ -86,23 +82,11 @@ def validate_and_analyze(
     if identity is None:
         raise StructuralError("no two-sided identity")
 
-    inverse = [None] * order
-    for a in range(order):
-        for b in range(order):
-            if mul[a][b] == identity and mul[b][a] == identity:
-                inverse[a] = b
-                break
-        if inverse[a] is None:
+    # once Light's test below passes, a right inverse is two-sided: ab = 1 makes
+    # x -> bx injective, so bc = 1 for some c, and a = a(bc) = (ab)c = c
+    for a, row in enumerate(mul):
+        if identity not in row:
             raise StructuralError(f"element {a} has no two-sided inverse")
-
-    for a in range(order):
-        for b in range(order):
-            ab = mul[a][b]
-            for c in range(order):
-                if mul[ab][c] != mul[a][mul[b][c]]:
-                    raise StructuralError(
-                        f"associativity fails at triple ({a}, {b}, {c})"
-                    )
 
     if element_names is None:
         element_names = tuple(f"e{i}" for i in range(order))
@@ -117,8 +101,14 @@ def validate_and_analyze(
         element_names=element_names,
         mul=tuple(tuple(row) for row in mul),
         identity_index=identity,
-        inverse=tuple(inverse),
+        inverse=tuple(row.index(identity) for row in mul),
     )
+    mul = table.mul
+    for g in _generating_sequence(table):
+        for x, row in enumerate(mul):
+            if mul[row[g]] != tuple(row[v] for v in mul[g]):
+                y = next(y for y in range(order) if mul[row[g]][y] != row[mul[g][y]])
+                raise StructuralError(f"associativity fails at triple ({x}, {g}, {y})")
 
     exponent = 1
     for a in range(order):
@@ -176,18 +166,27 @@ def validate_k(table: GroupTable, analysis: GroupAnalysis, k) -> bool:
 
 
 def rank(table: GroupTable) -> int:
-    """Size of a smallest generating set: the length of a greedy generating
-    sequence, unless an exhaustive search of the smaller subsets finds one."""
-    candidates = [a for a in range(table.order) if a != table.identity_index]
-    upper = len(_generating_sequence(table))
-    tries = sum(comb(len(candidates), size) for size in range(1, upper))
-    if tries > MAX_RANK_SUBSETS:
-        raise CapacityError(f"rank needs {tries} subsets, above the cap of {MAX_RANK_SUBSETS}")
-    for size in range(1, upper):
-        for subset in combinations(candidates, size):
-            if len(subgroup_closure(table, subset)) == table.order:
-                return size
-    return upper
+    """Size of a smallest generating set of a nilpotent G, by the Burnside
+    basis theorem (Robinson, *A Course in the Theory of Groups*, ch. 5): the
+    largest log_p |P : Φ(P)|, P the Sylow p-subgroup and Φ(P) generated by
+    its p-th powers and commutators. InputError unless G is nilpotent, as
+    G' <= K <= Z(G) makes it: unless its p-elements number |G|'s p-part."""
+    n, mul = table.order, table.mul
+    orders = [table.element_order(a) for a in range(n)]
+    best = 0
+    # by Cauchy's theorem, the prime element orders are the primes dividing n
+    for p in {o for o in orders if o > 1 and all(o % q for q in range(2, o))}:
+        part = gcd(n, p**n)  # the p-part of n
+        sylow = [a for a in range(n) if part % orders[a] == 0]
+        if len(sylow) != part:
+            raise InputError(f"group {table.name} is not nilpotent, so its rank is not computed")
+        powers = sylow
+        for _ in range(p - 1):
+            powers = [mul[x][a] for x, a in zip(powers, sylow)]
+        commutators = {table.commutator(a, b) for a in sylow for b in sylow}
+        phi = subgroup_closure(table, commutators.union(powers))
+        best = max(best, round(log(part // len(phi), p)))
+    return best
 
 
 def make_kgroup(table: GroupTable, analysis: GroupAnalysis, k) -> KGroupSpec:

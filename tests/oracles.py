@@ -8,7 +8,12 @@ from itertools import combinations, count, permutations, product
 
 from azenum.automorphisms import Perm
 from azenum.errors import InputError
-from azenum.groups import _generating_sequence, catalog_group, validate_and_analyze
+from azenum.groups import (
+    _generating_sequence,
+    catalog_group,
+    subgroup_closure,
+    validate_and_analyze,
+)
 from azenum.quadratic import QuadraticStructure, QSMorphism, bits_of, is_nondegenerate
 from azenum.rado import adjacent
 from azenum.wqo import PairResult, is_star_embedded, is_subword, last_appearance_order
@@ -86,19 +91,20 @@ def oracle_group(name):
 
 def find_isomorphism(g1, g2):
     """Brute-force isomorphism search by generator images: a full element
-    map, or None. An independent oracle at desk scale (orders <= 64 or so)."""
+    map, or None. Each generator's candidate images, and every element the
+    partial map reaches, keep the invariants of `element_invariants`, which
+    any isomorphism preserves."""
     if g1.order != g2.order:
         return None
-    orders1 = [g1.element_order(a) for a in range(g1.order)]
-    orders2 = [g2.element_order(a) for a in range(g2.order)]
-    if sorted(orders1) != sorted(orders2):
+    inv1, inv2 = element_invariants(g1), element_invariants(g2)
+    if sorted(inv1) != sorted(inv2):
         return None
 
     gens = _generating_sequence(g1)
 
     def extend(assigned):
         mapping = hom_from_generators(g1, g2, assigned)
-        if mapping is None:
+        if mapping is None or any(inv1[x] != inv2[y] for x, y in mapping.items()):
             return None
         if len(assigned) == len(gens):
             if len(mapping) != g1.order:
@@ -107,7 +113,7 @@ def find_isomorphism(g1, g2):
         nxt = gens[len(assigned)]
         used = set(mapping.values())
         for img in range(g2.order):
-            if img in used or orders2[img] != orders1[nxt]:
+            if img in used or inv2[img] != inv1[nxt]:
                 continue
             result = extend(assigned + [(nxt, img)])
             if result is not None:
@@ -115,6 +121,17 @@ def find_isomorphism(g1, g2):
         return None
 
     return extend([])
+
+
+def element_invariants(table):
+    """Per element: its order, its number of square roots and the size of
+    its centralizer (so whether it is a square, and whether it is central)."""
+    n, mul = table.order, table.mul
+    roots = Counter(mul[x][x] for x in range(n))
+    return [
+        (table.element_order(a), roots[a], sum(mul[a][b] == mul[b][a] for b in range(n)))
+        for a in range(n)
+    ]
 
 
 def hom_from_generators(g1, g2, assigned):
@@ -146,6 +163,66 @@ def power(table, a, n):
     for _ in range(n):
         out = table.mul[out][a]
     return out
+
+
+def associativity_failure(mul, triples=None):
+    """The first (a, b, c) among `triples`, by default all n^3 of them in
+    order, with (ab)c != a(bc) in the raw table `mul`; None if there is none."""
+    if triples is None:
+        triples = product(range(len(mul)), repeat=3)
+    for a, b, c in triples:
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            return a, b, c
+    return None
+
+
+def table_of(elems, op):
+    """The raw multiplication table of `op` on `elems`, as lists of indices."""
+    index = {e: i for i, e in enumerate(elems)}
+    return [[index[op(a, b)] for b in elems] for a in elems]
+
+
+def cyclic(n):
+    """C_n as (elements, product), for `table_of` and `direct`."""
+    return list(range(n)), lambda a, b: (a + b) % n
+
+
+def semidirect(n, m, k):
+    """C_n ⋊ C_m, C_m's generator acting on C_n as x -> kx (k^m = 1 mod n):
+    (a, b)(c, d) = (a + k^b c, b + d)."""
+    return [(a, b) for a in range(n) for b in range(m)], lambda x, y: (
+        (x[0] + pow(k, x[1], n) * y[0]) % n, (x[1] + y[1]) % m)
+
+
+def heisenberg(p):
+    """The upper unitriangular 3 x 3 matrices mod p, as triples (a, b, c)."""
+    return list(product(range(p), repeat=3)), lambda x, y: (
+        (x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2] + x[0] * y[1]) % p)
+
+
+def alternating4():
+    """A4, the even permutations of 4 points; `p[q[i]]` composes."""
+    elems = [p for p in permutations(range(4))
+             if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
+    return elems, lambda p, q: tuple(p[q[i]] for i in range(4))
+
+
+def direct(*factors):
+    """The direct product of (elements, product) factors, on tuples."""
+    return list(product(*(f[0] for f in factors))), lambda x, y: tuple(
+        op(a, b) for (_, op), a, b in zip(factors, x, y))
+
+
+def as_factor(mul):
+    """A multiplication table as an (elements, product) factor."""
+    return list(range(len(mul))), lambda a, b: mul[a][b]
+
+
+def burnside_rank(table):
+    """The rank of a 2-group: log2 |G/Φ(G)|, with Φ(G) generated by the
+    squares (the Burnside basis theorem)."""
+    phi = subgroup_closure(table, [table.mul[a][a] for a in range(table.order)])
+    return (table.order // len(phi)).bit_length() - 1
 
 
 def as_tuple(ctx, x):

@@ -19,7 +19,14 @@ from azenum.cli import run_command
 from azenum.groups import catalog_group, catalog_names, group_to_json
 from azenum.quadratic import MAX_DIM_V, group_from_qs, qs_to_json
 from azenum.wqo import MAX_PAIR_LETTERS, MAX_PAIR_WORDS
-from oracles import random_nondegenerate_qs, random_qs
+from oracles import (
+    alternating4,
+    burnside_rank,
+    random_nondegenerate_qs,
+    random_qs,
+    semidirect,
+    table_of,
+)
 
 
 def run(capsys, *argv):
@@ -115,15 +122,28 @@ def test_group_rank_searches_once(capsys, monkeypatch):
     assert (code, out, len(calls)) == (0, "rank 2\n", 1)
 
 
-def test_group_rank_above_cap(tmp_path, capsys):
-    # order 128 and rank 4: 341 503 subsets of sizes 1-3, refused up front
+def test_group_rank_at_order_128(tmp_path, capsys):
+    # order 128 and rank 4, which a search of the subsets of sizes 1-3
+    # (341 503 of them) could not reach in seconds
     table, _ = group_from_qs(random_nondegenerate_qs(random.Random(1), 4, 3))
     path = tmp_path / "g128.json"
     path.write_text(json.dumps(group_to_json(table)))
     start = time.perf_counter()
-    assert run_command(["group", "rank", "--group", str(path)]) == 2
+    code, out = run(capsys, "--json", "group", "rank", "--group", str(path))
     assert time.perf_counter() - start < 1
-    assert "cap" in capsys.readouterr().err
+    assert code == 0
+    assert json.loads(out)["rank"] == burnside_rank(table) == 4
+
+
+@pytest.mark.parametrize("group", [semidirect(3, 2, 2), alternating4()], ids=["S3", "A4"])
+def test_group_rank_refuses_non_nilpotent(tmp_path, capsys, group):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"mul": table_of(*group)}))
+    assert run_command(["group", "rank", "--group", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not nilpotent" in captured.err
 
 
 # -- qs ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,19 @@ from azenum.groups import (
     validate_k,
 )
 from azenum.quadratic import group_from_qs
-from oracles import find_isomorphism, power, random_nondegenerate_qs
+from oracles import (
+    as_factor,
+    associativity_failure,
+    burnside_rank,
+    cyclic,
+    direct,
+    find_isomorphism,
+    heisenberg,
+    power,
+    random_nondegenerate_qs,
+    semidirect,
+    table_of,
+)
 
 
 def names(table, indices):
@@ -45,6 +58,64 @@ def test_broken_associativity_rejected():
     mul[1][1] = 1  # g*g = g breaks the axioms
     with pytest.raises(StructuralError):
         validate_and_analyze(mul)
+
+
+def light_agrees(mul):
+    """Whether `validate_and_analyze` and the n^3 oracle agree on whether
+    `mul` is associative. The tables here pass every other check, so a
+    rejection must be the associativity error, and it must name a triple
+    the oracle confirms fails."""
+    want = associativity_failure(mul)
+    try:
+        validate_and_analyze(mul)
+    except StructuralError as exc:
+        named = re.fullmatch(r"associativity fails at triple \((\d+), (\d+), (\d+)\)", str(exc))
+        assert named, exc
+        triple = tuple(map(int, named.groups()))
+        return want is not None and associativity_failure(mul, [triple]) == triple
+    return want is None
+
+
+C4_CUBED = table_of(*direct(cyclic(4), cyclic(4), cyclic(4)))
+
+# a loop of order 5 with two-sided inverses that is not associative
+# ((1·1)·2 = 2, 1·(1·2) = 4): only the associativity check rejects it
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+# its products with C4 and C2, whose first generators associate with every
+# pair, so that only a later generator of Light's test rejects them
+LOOP5_PRODUCTS = [table_of(*direct(cyclic(4), as_factor(LOOP5))),
+                  table_of(*direct(as_factor(LOOP5), cyclic(2)))]
+
+
+def test_light_test_matches_full_check_on_groups():
+    tables = [[list(row) for row in catalog_group(n)[0].mul] for n in catalog_names()]
+    tables += [table_of(*cyclic(6)), C4_CUBED, table_of(*direct(cyclic(2), cyclic(6))),
+               table_of(*direct(cyclic(3), cyclic(3))), table_of(*heisenberg(3))]
+    for mul in tables:
+        assert associativity_failure(mul) is None
+        assert light_agrees(mul)
+
+
+def test_light_test_matches_full_check_on_mutants():
+    # C4^3 with two entries of a non-identity row swapped, or one entry
+    # changed, away from the identity's row and column and from the entry
+    # a·a^-1, so that the identity and the inverses survive; and the loops
+    rng = random.Random(17)
+    n = len(C4_CUBED)
+    inverse = [row.index(0) for row in C4_CUBED]
+    mutants = [LOOP5, *LOOP5_PRODUCTS]
+    for draw in range(400):
+        mul = [list(row) for row in C4_CUBED]
+        a = rng.randrange(1, n)
+        cols = rng.sample([b for b in range(1, n) if b != inverse[a]], 2)
+        if draw % 2:
+            mul[a][cols[0]], mul[a][cols[1]] = mul[a][cols[1]], mul[a][cols[0]]
+        else:
+            mul[a][cols[0]] = rng.choice([v for v in range(n) if v != mul[a][cols[0]]])
+        mutants.append(mul)
+    for mul in mutants:
+        assert associativity_failure(mul) is not None
+        assert light_agrees(mul)
 
 
 def test_missing_identity_rejected():
@@ -112,16 +183,41 @@ def test_rank_matches_brute_force_on_catalog():
         assert rank(table) == brute_rank(table), name
 
 
+def abelian_moduli(limit, least=2):
+    """Every nondecreasing tuple of moduli of at least `least` whose product
+    is at most `limit`."""
+    yield ()
+    for m in range(least, limit + 1):
+        for rest in abelian_moduli(limit // m, m):
+            yield (m, *rest)
+
+
+def test_rank_matches_brute_force_on_nilpotent_groups():
+    # every product of cyclic groups up to order 27, and nonabelian
+    # nilpotent groups of class 2 and, in D8, of class 3
+    q8 = as_factor(catalog_group("Q8")[0].mul)
+    d4 = semidirect(4, 2, 3)
+    groups = {m: direct(*map(cyclic, m)) for m in abelian_moduli(27)}
+    groups.update({
+        "D8": semidirect(8, 2, 7), "M16": semidirect(8, 2, 5), "C4:C4": semidirect(4, 4, 3),
+        "C9:C3": semidirect(9, 3, 4), "Heis3": heisenberg(3), "D4xC2": direct(d4, cyclic(2)),
+        "Q8xC2": direct(q8, cyclic(2)), "D4xC3": direct(d4, cyclic(3)),
+        "Q8xC3": direct(q8, cyclic(3)),
+    })
+    for name, group in groups.items():
+        table, _ = validate_and_analyze(table_of(*group))
+        assert rank(table) == brute_rank(table), name
+
+
+@pytest.mark.parametrize("moduli,expected", [((4,) * 4, 4), ((2,) * 8, 8), ((2, 4, 8, 4), 4)])
+def test_rank_at_order_256(moduli, expected):
+    table, _ = validate_and_analyze(table_of(*direct(*map(cyclic, moduli))))
+    assert rank(table) == expected
+
+
 def qs_group(seed, dim_u, dim_v):
     """A 2-group of order 2^(dim_u + dim_v), built from a random structure."""
     return group_from_qs(random_nondegenerate_qs(random.Random(seed), dim_u, dim_v))[0]
-
-
-def burnside_rank(table):
-    """The rank of a 2-group: log2 |G/Φ(G)|, with Φ(G) generated by the
-    squares (the Burnside basis theorem)."""
-    phi = subgroup_closure(table, [table.mul[a][a] for a in range(table.order)])
-    return (table.order // len(phi)).bit_length() - 1
 
 
 def naive_closure(table, gens):

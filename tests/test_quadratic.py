@@ -134,11 +134,10 @@ def test_round_trip_random_structures():
     # extracted bases are not the packed coordinates, comes back from its
     # own structure. One structure per shape with dimU <= 2 dimV (past it,
     # by Chevalley-Warning, every structure is degenerate) and dimU + dimV
-    # <= 6, then two of order 128 with dimU <= 2 (with dimU 3 or 4 there
-    # the isomorphism search takes seconds)
+    # <= 6, then four of order 128, with dimU 1 to 4
     rng = random.Random(6)
     shapes = [(u, v) for v in range(1, 6) for u in range(1, min(2 * v, 6 - v) + 1)]
-    for dim_u, dim_v in shapes + [(2, 5), (1, 6)]:
+    for dim_u, dim_v in shapes + [(2, 5), (1, 6), (3, 4), (4, 3)]:
         table, _ = group_from_qs(random_nondegenerate_qs(rng, dim_u, dim_v))
         shuffled, analysis = _shuffled(table, rng)
         rebuilt, _ = group_from_qs(qs_from_group(shuffled, analysis))
