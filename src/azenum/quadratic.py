@@ -18,8 +18,8 @@ from .groups import (
     MAX_ORDER,
     GroupAnalysis,
     GroupTable,
+    _generating_sequence,
     is_class_csw,
-    subgroup_closure,
     validate_and_analyze,
 )
 
@@ -125,17 +125,6 @@ def is_nondegenerate(qs: QuadraticStructure) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_basis(g: GroupTable, base, candidates) -> List[int]:
-    """Each candidate outside the subgroup generated by base and the earlier picks."""
-    basis: List[int] = []
-    span = subgroup_closure(g, base)
-    for x in candidates:
-        if x not in span:
-            basis.append(x)
-            span = subgroup_closure(g, list(base) + basis)
-    return basis
-
-
 def _subset_products(g: GroupTable, basis: List[int]) -> List[int]:
     """products[mask]: the basis elements in mask multiplied in ascending bit order."""
     products = [g.identity_index]
@@ -151,8 +140,8 @@ def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> QuadraticStruct
     g = table
     e = g.identity_index
     v_elements = tuple(sorted({x for x in range(g.order) if g.mul[x][x] == e}))
-    v_basis = _greedy_basis(g, (), v_elements)
-    u_basis = _greedy_basis(g, v_elements, range(g.order))
+    v_basis = _generating_sequence(g, (), v_elements)
+    u_basis = _generating_sequence(g, v_elements)
     v_coords = {x: mask for mask, x in enumerate(_subset_products(g, v_basis))}
     q_basis = tuple(v_coords[g.mul[t][t]] for t in u_basis)
     gamma = tuple(
@@ -164,14 +153,6 @@ def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> QuadraticStruct
 # ---------------------------------------------------------------------------
 # Quadratic structure -> group
 # ---------------------------------------------------------------------------
-
-
-def pack_uv(u: int, v: int, dim_v: int) -> int:
-    return (u << dim_v) | v
-
-
-def unpack_uv(x: int, dim_v: int) -> Tuple[int, int]:
-    return x >> dim_v, x & ((1 << dim_v) - 1)
 
 
 def cocycle_basis(qs: QuadraticStructure) -> List[List[int]]:
@@ -202,28 +183,32 @@ def group_from_qs(
 ) -> Tuple[GroupTable, GroupAnalysis]:
     """Central extension of U by V along the basis-ordered cocycle.
 
-    Elements are packed as (u << dim_v) | v.
+    Elements are packed as (u << dim_v) | v, and (u1, v1)(u2, v2) is
+    (u1 + u2, v1 + v2 + beta(u1, u2)). beta is bilinear, so its row
+    beta(u, .) for u = u' + e_i is beta(u', .) + beta(e_i, .), and
+    beta(e_i, u2) for u2 = u2' + e_j is beta(e_i, u2') + beta[i][j]: both
+    tables grow by doubling. The row of (u1, v1) is that of (u1, 0) + v1.
     """
     total = qs.dim_u + qs.dim_v
     if 1 << total > MAX_ORDER:
         raise CapacityError(f"2^{total} elements exceed the desk-scale cap")
     if not is_nondegenerate(qs):
         raise InputError("quadratic structure is degenerate")
-    beta = cocycle_basis(qs)
-    order = 1 << total
-    dv = qs.dim_v
-    mul = [[0] * order for _ in range(order)]
-    for x in range(order):
-        u1, v1 = unpack_uv(x, dv)
-        for y in range(order):
-            u2, v2 = unpack_uv(y, dv)
-            mul[x][y] = pack_uv(u1 ^ u2, v1 ^ v2 ^ eval_cocycle(beta, u1, u2), dv)
+    beta_rows = [[0] * (1 << qs.dim_u)]
+    for basis_row in cocycle_basis(qs):
+        linear = [0]
+        for b in basis_row:
+            linear += [x ^ b for x in linear]
+        beta_rows += [[x ^ y for x, y in zip(row, linear)] for row in beta_rows]
+    dv, vs = qs.dim_v, range(1 << qs.dim_v)
+    mul = []
+    for u1, betas in enumerate(beta_rows):
+        row = [((u1 ^ u2) << dv | b) ^ v2 for u2, b in enumerate(betas) for v2 in vs]
+        mul += [[x ^ v1 for x in row] for v1 in vs]
     names = [
-        "({}|{})".format(
-            format_bitstring(x >> dv, qs.dim_u),
-            format_bitstring(x & ((1 << dv) - 1), dv),
-        )
-        for x in range(order)
+        f"({format_bitstring(u, qs.dim_u)}|{format_bitstring(v, dv)})"
+        for u in range(1 << qs.dim_u)
+        for v in vs
     ]
     return validate_and_analyze(mul, names, name=name)
 

@@ -14,7 +14,14 @@ from azenum.groups import (
     subgroup_closure,
     validate_and_analyze,
 )
-from azenum.quadratic import QuadraticStructure, QSMorphism, bits_of, is_nondegenerate
+from azenum.quadratic import (
+    QuadraticStructure,
+    QSMorphism,
+    bits_of,
+    cocycle_basis,
+    eval_cocycle,
+    is_nondegenerate,
+)
 from azenum.rado import adjacent
 from azenum.wqo import PairResult, is_star_embedded, is_subword, last_appearance_order
 
@@ -690,6 +697,20 @@ def random_nondegenerate_qs(rng, dim_u, dim_v, tries=100000) -> QuadraticStructu
         if is_nondegenerate(qs):
             return qs
     raise AssertionError(f"no nondegenerate structure found ({dim_u},{dim_v})")
+
+
+def per_pair_extension_table(qs):
+    """The multiplication table of the central extension of `group_from_qs`,
+    one product at a time: with x = (u1 << dim_v) | v1 and y likewise,
+    x·y = ((u1 ^ u2) << dim_v) | (v1 ^ v2 ^ beta(u1, u2)), beta evaluated
+    for each pair by `eval_cocycle` on `cocycle_basis`."""
+    beta = cocycle_basis(qs)
+    dv = qs.dim_v
+    pairs = [divmod(x, 1 << dv) for x in range(1 << (qs.dim_u + dv))]
+    return [
+        [((u1 ^ u2) << dv) | (v1 ^ v2 ^ eval_cocycle(beta, u1, u2)) for u2, v2 in pairs]
+        for u1, v1 in pairs
+    ]
 
 
 def random_qs_extension(rng, qs0, extra_u, extra_v, tries=20000):

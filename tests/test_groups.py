@@ -5,6 +5,7 @@ import pytest
 
 from azenum.errors import InputError, StructuralError
 from azenum.groups import (
+    _generating_sequence,
     catalog_group,
     catalog_names,
     group_from_json,
@@ -19,6 +20,7 @@ from azenum.groups import (
 )
 from azenum.quadratic import group_from_qs
 from oracles import (
+    alternating4,
     as_factor,
     associativity_failure,
     burnside_rank,
@@ -245,6 +247,23 @@ def test_subgroup_closure_matches_naive_closure():
         for size in range(min(4, table.order + 1)):
             gens = rng.sample(range(table.order), size)
             assert subgroup_closure(table, gens) == naive_closure(table, gens)
+
+
+def test_generating_sequence_lemma():
+    # the picks generate G, each lies outside the span of the earlier ones,
+    # and by Lagrange there are at most log2 |G| of them
+    tables = [catalog_group(n)[0] for n in catalog_names()]
+    rules = [cyclic(6), direct(cyclic(4), cyclic(4), cyclic(4)), direct(*[cyclic(2)] * 8),
+             semidirect(3, 2, 2), semidirect(8, 2, 7), semidirect(8, 2, 5), semidirect(4, 4, 3),
+             semidirect(9, 3, 4), heisenberg(3), alternating4(), direct(cyclic(2), cyclic(6)),
+             direct(semidirect(4, 2, 3), cyclic(2)), direct(cyclic(3), cyclic(3))]
+    tables += [validate_and_analyze(table_of(*rule))[0] for rule in rules]
+    for table in tables:
+        picks = _generating_sequence(table)
+        for i, g in enumerate(picks):
+            assert g not in naive_closure(table, picks[:i]), (table.order, picks)
+        assert len(naive_closure(table, picks)) == table.order, (table.order, picks)
+        assert 1 << len(picks) <= table.order, (table.order, picks)
 
 
 def test_make_kgroup_c4():

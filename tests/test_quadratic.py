@@ -12,19 +12,20 @@ from azenum.quadratic import (
     QuadraticStructure,
     cocycle_basis,
     eval_cocycle,
+    format_bitstring,
     free_amalgam,
     group_from_qs,
     is_nondegenerate,
     qs_from_group,
     qs_from_json,
     qs_to_json,
-    unpack_uv,
 )
 from oracles import (
     apply_linear,
     coordinate_inclusion,
     find_isomorphism,
     is_morphism,
+    per_pair_extension_table,
     random_nondegenerate_qs,
     random_qs,
     random_qs_extension,
@@ -103,8 +104,33 @@ def test_group_from_qs_squaring_invariant():
         for u in range(1 << dim_u):
             assert eval_cocycle(beta, u, u) == qs.eval_q(u)
             x = u << dim_v
-            sq = table.mul[x][x]
-            assert unpack_uv(sq, dim_v) == (0, qs.eval_q(u))
+            assert divmod(table.mul[x][x], 1 << dim_v) == (0, qs.eval_q(u))
+
+
+def test_group_from_qs_element_layout():
+    # element (u << dimV) | v is named (u|v), each part a little-endian bitstring
+    qs = random_nondegenerate_qs(random.Random(7), 3, 2)
+    table, _ = group_from_qs(qs)
+    assert table.order == 1 << 5
+    for u in range(1 << 3):
+        for v in range(1 << 2):
+            x = (u << 2) | v
+            assert table.element_names[x] == f"({format_bitstring(u, 3)}|{format_bitstring(v, 2)})"
+            assert (x >> 2, x & 0b11) == (u, v)
+    assert table.element_names[0b10110] == "(101|01)"
+
+
+def test_group_from_qs_matches_per_pair_table():
+    # every shape with dimU + dimV <= 8 that has a nondegenerate structure:
+    # dimU <= 2 dimV (past it, by Chevalley-Warning, all are degenerate),
+    # so dimV = 0 only with dimU = 0
+    rng = random.Random(8)
+    shapes = [(u, v) for v in range(9) for u in range(min(2 * v, 8 - v) + 1)]
+    assert (0, 0) in shapes and (0, 8) in shapes and (5, 3) in shapes
+    for dim_u, dim_v in shapes:
+        qs = random_nondegenerate_qs(rng, dim_u, dim_v)
+        want = tuple(map(tuple, per_pair_extension_table(qs)))
+        assert group_from_qs(qs)[0].mul == want, (dim_u, dim_v)
 
 
 def test_group_from_qs_examples():
