@@ -7,7 +7,10 @@ under the product (Light's test; Clifford and Preston, *The Algebraic
 Theory of Semigroups* I, §1.2). `subgroup_closure` spans by such right
 products alone, so a generating sequence it finds assumes no associativity;
 for a group `_generating_sequence` has at most log2 n picks, so the test
-reads at most n^2 log2 n products.
+reads at most n^2 log2 n products. Z(G) is the elements that commute with
+each pick, and G' the span N of the [x, g], x in G and g a pick: N is normal
+as y^-1 [x, g] y = [xy, g][y, g]^-1, and G/N is abelian as each pick is
+central modulo N.
 """
 
 from __future__ import annotations
@@ -106,25 +109,17 @@ def validate_and_analyze(
         inverse=tuple(row.index(identity) for row in mul),
     )
     mul = table.mul
-    for g in _generating_sequence(table):
+    gens = _generating_sequence(table)
+    for g in gens:
         for x, row in enumerate(mul):
             if mul[row[g]] != tuple(row[v] for v in mul[g]):
                 y = next(y for y in range(order) if mul[row[g]][y] != row[mul[g][y]])
                 raise StructuralError(f"associativity fails at triple ({x}, {g}, {y})")
 
-    exponent = 1
-    for a in range(order):
-        exponent = lcm(exponent, table.element_order(a))
-    center = tuple(
-        a
-        for a in range(order)
-        if all(mul[a][b] == mul[b][a] for b in range(order))
-    )
-    commutators = {table.commutator(a, b) for a in range(order) for b in range(order)}
-    commutator_subgroup = tuple(sorted(subgroup_closure(table, commutators)))
-    involutions = tuple(
-        a for a in range(order) if a != identity and mul[a][a] == identity
-    )
+    exponent = lcm(*map(table.element_order, range(order)))
+    center = tuple(a for a in range(order) if all(mul[a][g] == mul[g][a] for g in gens))
+    commutator_subgroup = tuple(sorted(_derived(table, range(order), gens)))
+    involutions = tuple(a for a in range(order) if a != identity and mul[a][a] == identity)
     return table, GroupAnalysis(exponent, center, commutator_subgroup, involutions)
 
 
@@ -185,8 +180,8 @@ def rank(table: GroupTable) -> int:
         powers = sylow
         for _ in range(p - 1):
             powers = [mul[x][a] for x, a in zip(powers, sylow)]
-        commutators = {table.commutator(a, b) for a in sylow for b in sylow}
-        phi = subgroup_closure(table, commutators.union(powers))
+        derived = _derived(table, sylow, _generating_sequence(table, candidates=sylow))
+        phi = subgroup_closure(table, derived.union(powers))
         best = max(best, round(log(part // len(phi), p)))
     return best
 
@@ -225,6 +220,11 @@ def _generating_sequence(table: GroupTable, base=(), candidates=None) -> List[in
             picks.append(x)
             span = subgroup_closure(table, [*base, *picks])
     return picks
+
+
+def _derived(table: GroupTable, elements, gens) -> FrozenSet[int]:
+    """The derived subgroup of the group `elements` that `gens` generate."""
+    return subgroup_closure(table, {table.commutator(x, g) for x in elements for g in gens})
 
 
 # ---------------------------------------------------------------------------

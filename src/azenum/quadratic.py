@@ -138,8 +138,7 @@ def qs_from_group(table: GroupTable, analysis: GroupAnalysis) -> QuadraticStruct
     if not is_class_csw(analysis):
         raise InputError(f"group {table.name} is not exponent-4 with central involutions")
     g = table
-    e = g.identity_index
-    v_elements = tuple(sorted({x for x in range(g.order) if g.mul[x][x] == e}))
+    v_elements = tuple(sorted((g.identity_index, *analysis.involutions)))
     v_basis = _generating_sequence(g, (), v_elements)
     u_basis = _generating_sequence(g, v_elements)
     v_coords = {x: mask for mask, x in enumerate(_subset_products(g, v_basis))}

@@ -207,11 +207,37 @@ def heisenberg(p):
         (x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2] + x[0] * y[1]) % p)
 
 
+def symmetric(n):
+    """S_n, the permutations of n points; `p[q[i]]` composes."""
+    return list(permutations(range(n))), lambda p, q: tuple(p[q[i]] for i in range(n))
+
+
 def alternating4():
-    """A4, the even permutations of 4 points; `p[q[i]]` composes."""
-    elems = [p for p in permutations(range(4))
-             if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
-    return elems, lambda p, q: tuple(p[q[i]] for i in range(4))
+    """A4, the even permutations of 4 points, with the product of S4."""
+    elems, op = symmetric(4)
+    return [p for p in elems
+            if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0], op
+
+
+def dicyclic(m):
+    """Dic_m of order 4m, x^a y^b as (a, b): x^(2m) = 1, y^2 = x^m and
+    y x y^-1 = x^-1, so y x^c = x^-c y."""
+    return [(a, b) for b in range(2) for a in range(2 * m)], lambda s, t: (
+        (s[0] + (-t[0] if s[1] else t[0]) + (m if s[1] and t[1] else 0)) % (2 * m),
+        (s[1] + t[1]) % 2)
+
+
+def brute_center(table):
+    """Z(G) by all n^2 pairs: the elements that commute with every element."""
+    n, mul = table.order, table.mul
+    return tuple(a for a in range(n) if all(mul[a][b] == mul[b][a] for b in range(n)))
+
+
+def brute_commutator_subgroup(table):
+    """G' by all n^2 pairs: the span of every commutator [a, b]."""
+    n = table.order
+    commutators = {table.commutator(a, b) for a in range(n) for b in range(n)}
+    return tuple(sorted(subgroup_closure(table, commutators)))
 
 
 def direct(*factors):

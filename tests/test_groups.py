@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -23,14 +24,18 @@ from oracles import (
     alternating4,
     as_factor,
     associativity_failure,
+    brute_center,
+    brute_commutator_subgroup,
     burnside_rank,
     cyclic,
+    dicyclic,
     direct,
     find_isomorphism,
     heisenberg,
     power,
     random_nondegenerate_qs,
     semidirect,
+    symmetric,
     table_of,
 )
 
@@ -148,6 +153,32 @@ def test_validate_k():
     assert validate_k(c4, ac4, [0])
     with pytest.raises(InputError):
         validate_k(c4, ac4, [99])
+
+
+def test_center_and_derived_match_all_pairs_reference():
+    # Z(G) and G' read off the generating sequence, against all n^2 pairs
+    groups = [catalog_group(n)[:2] for n in catalog_names()]
+    rules = [cyclic(6), direct(cyclic(4), cyclic(4), cyclic(4)), direct(cyclic(3), cyclic(3)),
+             heisenberg(3), semidirect(9, 3, 4), alternating4(), symmetric(3), symmetric(4),
+             dicyclic(4), dicyclic(3)]
+    groups += [validate_and_analyze(table_of(*rule)) for rule in rules]
+    for table, analysis in groups:
+        assert analysis.center == brute_center(table), table.order
+        assert analysis.commutator_subgroup == brute_commutator_subgroup(table), table.order
+
+
+@pytest.mark.parametrize("m,center,derived", [(4, 2, 4), (3, 2, 3)])
+def test_dicyclic_derived_subgroup_outside_center(m, center, derived):
+    # Q16 = Dic4 and Dic3: G' is not inside Z(G), so no K between them
+    table, analysis = validate_and_analyze(table_of(*dicyclic(m)))
+    assert table.order == 4 * m
+    assert (len(analysis.center), len(analysis.commutator_subgroup)) == (center, derived)
+    assert not set(analysis.commutator_subgroup) <= set(analysis.center)
+    z = analysis.center
+    subgroups = [k for size in range(1, len(z) + 1) for k in combinations(z, size)
+                 if is_subgroup(table, k)]
+    assert len(subgroups) == 2
+    assert not any(validate_k(table, analysis, k) for k in subgroups)
 
 
 @pytest.mark.parametrize("name", catalog_names())
