@@ -264,6 +264,7 @@ def alpha_word(ctx: CPContext, I: Iterable[int], i0: int, j0: int) -> AutWord:
         raise InputError("i0 and j0 must differ")
     if len(block_coords) % m != 0:
         raise InputError(f"exponent {m} must divide |I| = {len(block_coords)}")
+    ctx.place(max(i0, j0, *block_coords))  # CapacityError past the cap a word acts within
     gens: List[AutGenerator] = []
     swap = Perm.from_mapping({i0: j0, j0: i0})
     for start in range(0, len(block_coords), m):

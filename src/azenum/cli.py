@@ -5,9 +5,9 @@ joined string, `text` its text-mode line or None, and `ok` the verdict;
 `run_command` alone prints them and picks the exit code.
 
 Exit codes: 0 success; 1 either a printed document whose verdict is false
-(a property falsified, nothing found) or a `--verify` re-check that failed,
-with nothing printed; 2 bad input; 3 insufficient input (normal for short
-tuple families).
+(a property falsified, nothing found) or a `check` or `--verify` re-check
+that failed, with nothing printed; 2 bad input; 3 insufficient input (normal
+for short tuple families).
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ from .quadratic import (
     qs_from_json,
     qs_to_json,
 )
-from .rado import build_triples, check_obstruction, triple_from_json
+from .rado import build_triples, check_obstruction, check_triples_document
 from .wqo import (
     MAX_PAIR_WORDS,
     capped_words,
+    check_pair_document,
     find_increasing_pair,
     format_word,
     is_star_embedded,
@@ -112,10 +113,6 @@ def _context(args) -> CPContext:
 
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _one_based(embedding) -> list:
-    return [i + 1 for i in embedding.image]
 
 
 def _load_word_arg(arg):
@@ -274,7 +271,7 @@ def cmd_wqo_embed(args):
     embedding = args.decide(parse_word(args.w1), parse_word(args.w2))
     if embedding is None:
         return {"embedded": False}, "no embedding", False
-    positions = _one_based(embedding)
+    positions = [p + 1 for p in embedding.image]
     text = "embedding ({})".format(",".join(str(p) for p in positions))
     return {"embedded": True, "positions": positions}, text, True
 
@@ -286,12 +283,13 @@ def cmd_wqo_pair(args):
     if result is None:
         return {"found": False}, "no increasing pair", False
     doc = {
+        "kind": "wqo_pair", "mode": args.mode,
         "found": True,
         "i": result.i,
         "j": result.j,
         "w1": format_word(words[result.i]),
         "w2": format_word(words[result.j]),
-        "positions": _one_based(result.embedding),
+        "positions": [p + 1 for p in result.embedding.image],
     }
     return doc, f"pair ({result.i},{result.j}) positions {doc['positions']}", True
 
@@ -339,26 +337,22 @@ def cmd_rado_triples(args):
     triples = build_triples(args.max_n)
     report = check_obstruction(triples)
     doc = {"triples": [t.to_json() for t in triples], "obstruction": report.to_json()}
-    if args.verify:
-        again = _check_triples(doc, "the emitted triples").to_json()
-        if again != doc["obstruction"]:
-            raise FalsificationError("the emitted triples re-check to another report")
-    return doc, None, report.ok
+    return {"kind": "rado_triples", **doc}, None, report.ok
 
 
-def _check_triples(doc, source: str):
-    """The obstruction report of the triples in `doc`, each re-validated."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("triples"), list):
-        raise InputError(f"{source} has no 'triples' list")
-    return check_obstruction([triple_from_json(d) for d in doc["triples"]])
+# ---------------------------------------------------------------------------
+# check
+# ---------------------------------------------------------------------------
+
+CHECKERS = {"rado_triples": check_triples_document, "wqo_pair": check_pair_document}
 
 
-def cmd_rado_check(args):
-    if args.file:
-        report = _check_triples(_read_json(args.file), args.file)
-    else:
-        report = check_obstruction(build_triples(args.max_n))
-    return report.to_json(), None, report.ok
+def cmd_check(args):
+    doc = _read_json(args.file)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in CHECKERS:
+        raise InputError(f"{args.file} has no 'kind' of {', '.join(CHECKERS)}")
+    return CHECKERS[kind](doc), None, True
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
     p.add_argument("--emit")
     p.set_defaults(func=cmd_rado_triples)
-    p = rado.add_parser("check")
-    p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
-    p.add_argument("--file", help="previously emitted triples JSON")
-    p.set_defaults(func=cmd_rado_check)
+    p = sub.add_parser("check")
+    p.add_argument("--file", required=True, help="a `rado triples` or `wqo pair` document")
+    p.set_defaults(func=cmd_check)
 
     return parser
 
@@ -479,11 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     """Run one command line: print its text line, or with `--json` or no
     text line its payload, written first to the `--emit` file if given,
-    and exit 0 on a true verdict and 1 on a false one, stdout closed or not."""
+    and exit 0 on a true verdict and 1 on a false one, stdout closed or not;
+    with `--verify`, a true document of a kind is re-checked from its payload first."""
     args = build_parser().parse_args(argv)
     try:
         doc, text, ok = args.func(args)
         payload = doc if isinstance(doc, str) else _dump(doc)
+        if args.verify and ok and isinstance(doc, dict) and "kind" in doc:
+            CHECKERS[doc["kind"]](json.loads(payload))
         if getattr(args, "emit", None):
             with open(args.emit, "w") as fh:
                 fh.write(payload + "\n")

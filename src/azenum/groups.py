@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from math import gcd, lcm, log
+from operator import itemgetter
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError, Record, StructuralError
@@ -111,8 +112,9 @@ def validate_and_analyze(
     mul = table.mul
     gens = _generating_sequence(table)
     for g in gens:
+        image = itemgetter(*mul[g])  # a pick makes the order at least 2, so a tuple
         for x, row in enumerate(mul):
-            if mul[row[g]] != tuple(row[v] for v in mul[g]):
+            if mul[row[g]] != image(row):
                 y = next(y for y in range(order) if mul[row[g]][y] != row[mul[g][y]])
                 raise StructuralError(f"associativity fails at triple ({x}, {g}, {y})")
 

@@ -70,9 +70,8 @@ def neighborhood_in_prefix(c: int, top: int) -> FrozenSet[int]:
 
 
 def is_induced_cycle(vertices: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """If the vertex set induces a single chordless cycle, return it in
-    traversal order, started at the minimum and stepping first to its
-    neighbour that comes first in `vertices`; otherwise None."""
+    """The single chordless cycle the vertex set induces, in traversal order from the minimum,
+    stepping first to its neighbour that comes first in `vertices`; None if there is none."""
     vs = list(dict.fromkeys(vertices))
     if not vs:
         return None
@@ -259,9 +258,8 @@ class Triple:
 
 
 def triple_from_json(doc: dict) -> Triple:
-    """The triple of a `Triple.to_json` object; InputError unless n, b and
-    c are non-negative integers and cycle is a list of them. Other keys
-    are ignored."""
+    """The triple of a `Triple.to_json` object, other keys ignored; InputError
+    unless n, b and c are non-negative integers and cycle is a list of them."""
     if isinstance(doc, dict) and {"n", "b", "c", "cycle"} <= doc.keys():
         n, b, c, cycle = doc["n"], doc["b"], doc["c"], doc["cycle"]
         if isinstance(cycle, list) and all(type(x) is int and x >= 0 for x in (n, b, c, *cycle)):
@@ -293,8 +291,8 @@ def _validate_triple(t: Triple) -> None:
     """FalsificationError unless the cycle is an induced n-cycle within
     {0..b} and c's whole lower neighbourhood, its bits, is that cycle."""
     if len(t.cycle) != t.n or len(set(t.cycle)) != t.n:
-        found = f"{len(set(t.cycle))} distinct vertices in {len(t.cycle)} entries"
-        raise FalsificationError(f"stored cycle has {found}, not n = {t.n}", t)
+        raise FalsificationError(f"stored cycle has {len(set(t.cycle))} distinct vertices in "
+                                 f"{len(t.cycle)} entries, not n = {t.n}", t)
     if is_induced_cycle(t.cycle) is None:
         raise FalsificationError("stored cycle is not an induced cycle", t)
     if max(t.cycle) > t.b:
@@ -337,3 +335,13 @@ def check_obstruction(triples: Sequence[Triple]) -> ObstructionReport:
     pairs = [{"from_n": small.n, "to_n": large.n, "obstructed": True}
              for small, large in combinations(triples, 2)]
     return ObstructionReport(pairs, [])
+
+
+def check_triples_document(doc) -> dict:
+    """The report (`to_json`) of a document's triples; FalsificationError if `obstruction` differs."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("triples"), list):
+        raise InputError("the document has no 'triples' list")
+    report = check_obstruction([triple_from_json(d) for d in doc["triples"]]).to_json()
+    if doc.get("obstruction", report) != report:
+        raise FalsificationError("the obstruction field is not the report of the triples")
+    return report

@@ -23,7 +23,7 @@ from collections import defaultdict
 from itertools import islice
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import CapacityError, InputError, Record
+from .errors import CapacityError, FalsificationError, InputError, Record
 
 Letter = Hashable
 
@@ -53,11 +53,9 @@ class Embedding(Record):
         )
 
     def is_star_witness(self, w1: Word, w2: Word) -> bool:
-        if not self.is_subword_witness(w1, w2):
-            return False
         # covering: each letter's last occurrence in w2 is an image position
         last = {letter: p for p, letter in enumerate(w2.letters)}
-        return set(last.values()) <= set(self.image)
+        return self.is_subword_witness(w1, w2) and set(last.values()) <= set(self.image)
 
 
 def is_subword(w1: Word, w2: Word) -> Optional[Embedding]:
@@ -292,6 +290,21 @@ def find_increasing_pair(words: Iterable[Word], mode: str) -> Optional[PairResul
             return best
         groups[letters].pending.append((j, w))
     return None
+
+
+def check_pair_document(doc: dict) -> dict:
+    """Re-check a found `wqo pair` document: 0 <= i < j, and its increasing 1-based
+    positions a witness of w1 in w2 in its mode; not that j is least (that needs the stream)."""
+    found, mode, i, j, w1, w2, positions = map(doc.get, "found mode i j w1 w2 positions".split())
+    if not (found is True and mode in ("higman", "star") and {type(w1), type(w2)} == {str}
+            and isinstance(positions, list) and all(type(x) is int for x in (i, j, *positions))):
+        raise InputError("not a found pair: a mode, words w1 and w2, integers i, j and positions")
+    if not 0 <= i < j:
+        raise FalsificationError(f"the pair ({i}, {j}) does not have 0 <= i < j")
+    witness = Embedding.is_star_witness if mode == "star" else Embedding.is_subword_witness
+    if not witness(Embedding(tuple(p - 1 for p in positions)), parse_word(w1), parse_word(w2)):
+        raise FalsificationError(f"the positions are not a {mode} witness of w1 in w2")
+    return {"i": i, "j": j, "mode": mode, "ok": True}
 
 
 # ---------------------------------------------------------------------------

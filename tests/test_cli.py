@@ -520,6 +520,15 @@ def test_aut_huge_level_above_cap(capsys, argv):
     assert "cap" in capsys.readouterr().err
 
 
+def test_aut_alpha_refuses_a_coordinate_no_word_acts_on(capsys):
+    # `aut apply` refuses a word past MAX_LITERAL_COORD, so `aut alpha` does
+    # not emit one
+    argv = ["aut", "alpha", "--group", "C4", "--coords", "0,1,2,3", "--i0", "4", "--j0", "100000"]
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: coordinate 100000 is above the cap of {MAX_LITERAL_COORD}\n"
+
+
 def test_aut_alpha_verify_failure_is_falsified(monkeypatch, capsys):
     # a failing report makes `aut alpha --verify` exit 1 and print no word
     from azenum.automorphisms import VerifyReport
@@ -631,6 +640,77 @@ def test_wqo_pair_stream_cap(tmp_path, capsys, mode, extra, code):
         assert out.startswith("pair (0,1) ")
     else:
         assert err.startswith("error: a pair search takes at most")
+
+
+# The `wqo pair` documents of the stream a,b / b,a / a,b,a,b: (0, 2) in
+# either order, with the star witness (3, 4) and the deletion one (1, 2)
+PAIR_STREAM = "a,b\nb,a\na,b,a,b\n"
+PAIR_DOC = {"kind": "wqo_pair", "found": True, "i": 0, "j": 2, "w1": "a,b", "w2": "a,b,a,b"}
+STAR_DOC = {**PAIR_DOC, "mode": "star", "positions": [3, 4]}
+HIGMAN_DOC = {**PAIR_DOC, "mode": "higman", "positions": [1, 2]}
+
+
+@pytest.mark.parametrize("mode, doc", [("star", STAR_DOC), ("higman", HIGMAN_DOC)])
+def test_wqo_pair_document_checks(tmp_path, capsys, mode, doc):
+    # `wqo pair` emits the document, with its kind and mode, and `check`
+    # re-checks it with the pair finder's witness
+    stream, path = tmp_path / "words.txt", tmp_path / "pair.json"
+    stream.write_text(PAIR_STREAM)
+    code, out = run(capsys, "--json", "--verify", "wqo", "pair", "--file", str(stream), "--mode", mode)
+    assert (code, json.loads(out)) == (0, doc)
+    path.write_text(out)
+    code, out = run(capsys, "check", "--file", str(path))
+    assert (code, json.loads(out)) == (0, {"i": 0, "j": 2, "mode": mode, "ok": True})
+
+
+@pytest.mark.parametrize(
+    "doc, claim",
+    [
+        ({**STAR_DOC, "i": 2}, "the pair (2, 2) does not have 0 <= i < j"),
+        ({**STAR_DOC, "i": 3}, "the pair (3, 2) does not have 0 <= i < j"),
+        ({**STAR_DOC, "i": -1}, "the pair (-1, 2) does not have 0 <= i < j"),
+        # position 3 moved onto position 2, a b
+        ({**STAR_DOC, "positions": [2, 4]}, "the positions are not a star witness"),
+        ({**HIGMAN_DOC, "positions": [2, 4]}, "the positions are not a higman witness"),
+        ({**STAR_DOC, "positions": [3, 5]}, "the positions are not a star witness"),
+        # a subword witness that misses the last a, at position 3
+        ({**STAR_DOC, "positions": [1, 4]}, "the positions are not a star witness"),
+        ({**HIGMAN_DOC, "mode": "star"}, "the positions are not a star witness"),
+    ],
+    ids=["i-equals-j", "i-above-j", "i-negative", "moved-letter", "moved-letter-higman",
+         "past-the-word", "misses-a-last-occurrence", "higman-as-star"],
+)
+def test_wqo_pair_document_falsified(tmp_path, capsys, doc, claim):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["--json", "check", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"falsified: {claim}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [{"triples": []}, {"kind": "az_run"}, ["wqo_pair"]],
+                         ids=["no-kind", "unknown-kind", "not-an-object"])
+def test_check_refuses_a_document_of_no_known_kind(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["check", "--file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path} has no 'kind' of rado_triples, wqo_pair\n"
+
+
+def test_wqo_pair_verify_rechecks_the_emitted_witness(tmp_path, capsys, monkeypatch):
+    # `--verify` re-checks the document as emitted, so a pair finder that
+    # hands back the deletion witness in star mode is falsified before
+    # anything is printed
+    from azenum.wqo import Embedding, PairResult
+
+    monkeypatch.setattr(cli, "find_increasing_pair", lambda words, mode: PairResult(0, 2, Embedding((0, 1))))
+    stream = tmp_path / "words.txt"
+    stream.write_text(PAIR_STREAM)
+    assert run_command(["--verify", "wqo", "pair", "--file", str(stream)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "falsified: the positions are not a star witness of w1 in w2\n"
+    assert run_command(["wqo", "pair", "--file", str(stream)]) == 0
 
 
 # -- az ----------------------------------------------------------------------
@@ -792,6 +872,14 @@ def test_az_run_default_depth_on_finite_gamma(tmp_path, capsys):
 # -- rado --------------------------------------------------------------------
 
 
+# The `test_rado_check_*` tests run `check --file` on `rado_triples` documents.
+
+
+def triples_doc(triples):
+    """The `rado_triples` document that `check` reads, holding `triples`."""
+    return {"kind": "rado_triples", "triples": triples}
+
+
 def test_rado_triples_and_check(tmp_path, capsys):
     emit = tmp_path / "triples.json"
     code, out = run(
@@ -812,32 +900,35 @@ def test_rado_triples_and_check(tmp_path, capsys):
     assert doc["triples"][0]["c"] == 39
     assert doc["obstruction"]["ok"] is True
 
-    code, out = run(capsys, "--json", "rado", "check", "--file", str(emit))
+    assert doc["kind"] == "rado_triples"
+
+    code, out = run(capsys, "--json", "check", "--file", str(emit))
     assert code == 0
-    assert json.loads(out)["ok"] is True
+    assert json.loads(out) == doc["obstruction"]
 
 
 @pytest.mark.parametrize(
     "content",
     [
         "{not json",
-        '{"triples": [{"n": 4, "b": 5, "cycle": [0, 1, 2, 5]}]}',
-        '{"triples": [{"n": 4, "b": "5", "c": 39, "cycle": [0, 1, 2, 5]}]}',
-        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": 5}]}',
-        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": [0, 1.5]}]}',
-        '{"triples": [7]}',
-        '{"triples": 7}',
-        "[]",
-        '{"triples": [{"n": 4, "b": 5, "c": 39, "cycle": [-1, 1, 2, 5]}]}',
-        '{"triples": [{"n": 4, "b": -5, "c": 39, "cycle": [0, 1, 2, 5]}]}',
+        '{"kind": "rado_triples", "triples": [{"n": 4, "b": 5, "cycle": [0, 1, 2, 5]}]}',
+        '{"kind": "rado_triples", "triples": [{"n": 4, "b": "5", "c": 39, "cycle": [0, 1, 2, 5]}]}',
+        '{"kind": "rado_triples", "triples": [{"n": 4, "b": 5, "c": 39, "cycle": 5}]}',
+        '{"kind": "rado_triples", "triples": [{"n": 4, "b": 5, "c": 39, "cycle": [0, 1.5]}]}',
+        '{"kind": "rado_triples", "triples": [7]}',
+        '{"kind": "rado_triples", "triples": 7}',
+        '{"kind": "rado_triples"}',
+        '{"kind": "rado_triples", "triples": [{"n": 4, "b": 5, "c": 39, "cycle": [-1, 1, 2, 5]}]}',
+        '{"kind": "rado_triples", "triples": [{"n": 4, "b": -5, "c": 39, "cycle": [0, 1, 2, 5]}]}',
     ],
     ids=["json", "missing-c", "str-b", "int-cycle", "float-vertex",
          "not-object", "not-list", "no-triples", "negative-vertex", "negative-b"],
 )
 def test_rado_check_bad_file(tmp_path, capsys, content):
+    # `check` on a malformed `rado_triples` document
     path = tmp_path / "triples.json"
     path.write_text(content)
-    assert run_command(["rado", "check", "--file", str(path)]) == 2
+    assert run_command(["check", "--file", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -857,8 +948,8 @@ def test_rado_check_bad_file(tmp_path, capsys, content):
 def test_rado_check_falsified_triple(tmp_path, capsys, triple, message):
     # each a well-formed triple of n = 4 that one check of the file rejects
     path = tmp_path / "triples.json"
-    path.write_text(json.dumps({"triples": [{"n": 4, **triple}]}))
-    assert run_command(["--json", "rado", "check", "--file", str(path)]) == 1
+    path.write_text(json.dumps(triples_doc([{"n": 4, **triple}])))
+    assert run_command(["--json", "check", "--file", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("falsified:") and message in err
@@ -870,8 +961,8 @@ def test_rado_check_cycle_not_n_vertices(tmp_path, capsys, cycle, entries):
     # lemma needs each c's lower neighbourhood to be a cycle of its own n
     path = tmp_path / "triples.json"
     triple = {"n": 5, "b": 5, "c": 39, "cycle": cycle}
-    path.write_text(json.dumps({"triples": [triple]}))
-    assert run_command(["--json", "rado", "check", "--file", str(path)]) == 1
+    path.write_text(json.dumps(triples_doc([triple])))
+    assert run_command(["--json", "check", "--file", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("falsified:") and f"4 distinct vertices in {entries} entries" in err
@@ -887,9 +978,10 @@ def test_rado_check_refuses_a_c_that_sees_past_the_prefix(tmp_path, capsys, bit)
     doc = json.loads(path.read_text())
     assert doc["triples"][1]["b"] == 40
     doc["triples"][1]["c"] += 1 << bit
+    del doc["obstruction"]  # else its comparison could speak first
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_command(["rado", "check", "--file", str(path)]) == 1
+    assert run_command(["check", "--file", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "falsified: c sees a vertex between the prefix and c\n"
@@ -898,10 +990,23 @@ def test_rado_check_refuses_a_c_that_sees_past_the_prefix(tmp_path, capsys, bit)
 def test_rado_check_refuses_two_triples_of_one_n(tmp_path, capsys):
     # the identity sends a c onto itself, so a pair of one n has no claim
     path = tmp_path / "triples.json"
-    path.write_text(json.dumps({"triples": [t.to_json() for t in rado.build_triples(4) * 2]}))
-    assert run_command(["rado", "check", "--file", str(path)]) == 1
+    path.write_text(json.dumps(triples_doc([t.to_json() for t in rado.build_triples(4) * 2])))
+    assert run_command(["check", "--file", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("falsified:") and "share an n" in err
+
+
+def test_rado_check_refuses_a_forged_obstruction_field(tmp_path, capsys):
+    # the report a document carries must be the one its triples re-check to
+    path = tmp_path / "triples.json"
+    assert run_command(["rado", "triples", "--max-n", "5", "--emit", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["obstruction"]["pairs"].append({"from_n": 5, "obstructed": True, "to_n": 6})
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_command(["check", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "falsified: the obstruction field is not the report of the triples\n"
 
 
 TRIPLES_7 = rado.build_triples(7)
@@ -913,7 +1018,7 @@ def test_rado_check_refuses_any_bit_outside_the_cycle(tmp_path_factory, data):
     # a valid triple whose c gains a bit outside its cycle, below b or above
     # it, up to bit 12,000 (json reads at most 4,300 digits), is falsified
     k = data.draw(st.integers(0, len(TRIPLES_7) - 1))
-    doc = {"triples": [t.to_json() for t in TRIPLES_7]}
+    doc = triples_doc([t.to_json() for t in TRIPLES_7])
     cycle = doc["triples"][k]["cycle"]
     bit = data.draw(st.one_of(st.integers(0, 64), st.integers(0, 12_000)).filter(
         lambda x: x not in cycle))
@@ -922,7 +1027,7 @@ def test_rado_check_refuses_any_bit_outside_the_cycle(tmp_path_factory, data):
     path.write_text(json.dumps(doc))
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run_command(["rado", "check", "--file", str(path)])
+        code = run_command(["check", "--file", str(path)])
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue().startswith("falsified: c")
 
@@ -955,10 +1060,10 @@ def _now_and_then(draw, rng, value, odd=ODD_VALUES):
 
 @st.composite
 def triples_docs(draw):
-    """A `rado check --file` document: up to 10 triples of `build_triples(7)`,
-    distinct or not, with up to two keys dropped or set to a small int, a
-    list of them or an odd value; now and then a triple, the list or the
-    document is an odd value."""
+    """A `rado_triples` document for `check --file`: up to 10 triples of
+    `build_triples(7)`, distinct or not, with up to two keys dropped or set
+    to a small int, a list of them or an odd value; now and then a triple,
+    the list, the kind or the document is an odd value."""
     rng = draw(st.randoms(use_true_random=True))
     pool = [t.to_json() for t in TRIPLES_7]
     entries = rng.sample(pool, rng.randint(0, 4)) if rng.random() < 0.7 else rng.choices(pool, k=rng.randint(0, 10))
@@ -969,7 +1074,8 @@ def triples_docs(draw):
         else:
             small = st.lists(st.integers(0, 60), max_size=9) if key == "cycle" else st.integers(0, 60)
             entry[key] = _now_and_then(draw, rng, draw(small))
-    doc = {"triples": _now_and_then(draw, rng, [_now_and_then(draw, rng, e) for e in entries])}
+    doc = {"kind": _now_and_then(draw, rng, "rado_triples"),
+           "triples": _now_and_then(draw, rng, [_now_and_then(draw, rng, e) for e in entries])}
     if rng.random() < 0.2:
         doc[draw(st.sampled_from(["obstruction", "x"]))] = draw(ODD_VALUES)
     return _now_and_then(draw, rng, doc)
@@ -978,7 +1084,7 @@ def triples_docs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(triples_docs())
 def test_rado_check_file_never_raises(tmp_path_factory, doc):
-    assert _exit_code_on(tmp_path_factory, ["rado", "check", "--file"], doc) in (0, 1, 2)
+    assert _exit_code_on(tmp_path_factory, ["check", "--file"], doc) in (0, 1, 2)
 
 
 def _group_tables():
@@ -1140,8 +1246,8 @@ def test_rado_check_file_above_cap(tmp_path, capsys, triples, cap):
     # a triple above MAX_TRIPLES_N, or more triples than build_triples emits,
     # is refused before validation and its per-pair report
     path = tmp_path / "triples.json"
-    path.write_text(json.dumps({"triples": [t.to_json() for t in triples]}))
-    assert run_command(["rado", "check", "--file", str(path)]) == 2
+    path.write_text(json.dumps(triples_doc([t.to_json() for t in triples])))
+    assert run_command(["check", "--file", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"cap of {cap}" in err
 
@@ -1159,8 +1265,8 @@ def test_rado_triples_verify_revalidates_emitted_triples(capsys, monkeypatch):
 
 def test_rado_triples_verify_compares_the_rechecked_report(capsys, monkeypatch):
     # `--verify` compares the re-checked obstruction report with the emitted
-    # one, so a first report short of one `pairs` row is falsified before
-    # anything is printed
+    # one, so a report short of one `pairs` row is falsified before anything
+    # is printed; the re-check reaches check_obstruction through `rado`
     real, calls = cli.check_obstruction, []
 
     def first_drops_a_row(triples):
@@ -1173,7 +1279,7 @@ def test_rado_triples_verify_compares_the_rechecked_report(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_obstruction", first_drops_a_row)
     assert run_command(["--verify", "rado", "triples", "--max-n", "5"]) == 1
     out, err = capsys.readouterr()
-    assert calls == [2, 2]
+    assert calls == [2]
     assert out == ""
     assert err.startswith("falsified:")
 
@@ -1199,7 +1305,7 @@ JSON_READERS = {
     "amalgam-right": ["qs", "amalgam", "--left", "{qs}", "--right", "{bad}"],
     "word-inline": ["aut", "verify", "--group", "C4", "--word", "{doc}", "--level", "2"],
     "word-file": ["aut", "verify", "--group", "C4", "--word", "{bad}", "--level", "2"],
-    "triples-file": ["rado", "check", "--file", "{bad}"],
+    "triples-file": ["check", "--file", "{bad}"],
 }
 # a syntax error; an integer of more digits than int() reads (4 300 by
 # default), which json raises as ValueError; and arrays nested past the
@@ -1231,7 +1337,7 @@ def test_malformed_json_is_bad_input(tmp_path, capsys, argv, doc):
         ["qs", "to-group", "--file", "{path}"],
         ["aut", "verify", "--group", "C4", "--word", "{path}", "--level", "2"],
         ["az", "run", "--group", "C4", "--tuples", "{path}"],
-        ["rado", "check", "--file", "{path}"],
+        ["check", "--file", "{path}"],
         ["wqo", "pair", "--file", "{path}"],
     ],
     ids=["group", "qs", "word", "tuples", "triples", "wqo-pair"],
@@ -1259,11 +1365,24 @@ BAD_GROUP_DOCS = [3, [], {}, {"mul": 3}, {"mul": [3]}, {"mul": [[True]]},
                   {"mul": C2_MUL, "elements": [[1], [2]]},
                   {"mul": C2_MUL, "elements": "ab"}, {"mul": C2_MUL, "elements": [1, 2]}]
 TRIPLE = {"n": 4, "b": 10, "c": 11, "cycle": [0, 1, 2, 3]}
-BAD_TRIPLES_DOCS = [3, {}, {"triples": 3}, {"triples": [3]}, {"triples": [{}]},
-                    {"triples": [{**TRIPLE, "cycle": "ab"}]},
-                    {"triples": [{**TRIPLE, "cycle": [0, 1, 2, True]}]},
-                    {"triples": [{**TRIPLE, "n": 4.0}]}, {"triples": [{**TRIPLE, "c": -1}]},
-                    {"triples": [{**TRIPLE, "n": 99, "b": 10**8, "c": 10**8 + 1}]}]
+BAD_TRIPLES_DOCS = [3, {}, {"kind": "rado_triples"}, *map(triples_doc, [
+    3, [3], [{}], [{**TRIPLE, "cycle": "ab"}], [{**TRIPLE, "cycle": [0, 1, 2, True]}],
+    [{**TRIPLE, "n": 4.0}], [{**TRIPLE, "c": -1}], [{**TRIPLE, "n": 99, "b": 10**8, "c": 10**8 + 1}]])]
+# Documents `check` refuses as malformed (exit 2): no kind or one it has no
+# checker for, and `wqo_pair` documents of no pair, a wrong type or
+# positions that do not increase
+BAD_CHECK_DOCS = {
+    "no-kind": {"triples": []}, "kind-null": {"kind": None, "triples": []},
+    "kind-list": {"kind": ["wqo_pair"]}, "kind-unknown": {"kind": "az_run"},
+    "not-found": {"kind": "wqo_pair", "found": False},
+    "found-1": {**STAR_DOC, "found": 1}, "mode-x": {**STAR_DOC, "mode": "x"},
+    "no-mode": {k: v for k, v in STAR_DOC.items() if k != "mode"},
+    "positions-x": {**STAR_DOC, "positions": "x"}, "position-float": {**STAR_DOC, "positions": [3.0, 4]},
+    "position-bool": {**STAR_DOC, "positions": [True, 4]}, "i-str": {**STAR_DOC, "i": "0"},
+    "j-null": {**STAR_DOC, "j": None}, "w1-list": {**STAR_DOC, "w1": ["a", "b"]},
+    "w2-int": {**STAR_DOC, "w2": 5}, "decreasing": {**STAR_DOC, "positions": [4, 3]},
+    "repeated": {**STAR_DOC, "positions": [3, 3]},
+}
 
 
 def malformed_grid(tmp_path):
@@ -1271,7 +1390,7 @@ def malformed_grid(tmp_path):
     an element literal, K, an automorphism word, coordinates, a count, a
     level, a depth, a wqo word or a bound, for every catalog group, and for
     every JSON document reader: group files, quadratic-structure documents
-    in `qs to-group` and each `qs amalgam` slot, and `rado check` triples.
+    in `qs to-group` and each `qs amalgam` slot, and `check` documents.
     Values go in as `--opt=value`, so argparse reads a leading '-' as part
     of the value. The `az run` rows read a family of two equal members.
     Each row is (argv, code): code pins the exit code of an error path no
@@ -1331,14 +1450,17 @@ def malformed_grid(tmp_path):
     for i, doc in enumerate(BAD_TRIPLES_DOCS):
         path = tmp_path / f"triples-{i}.json"
         path.write_text(json.dumps(doc))
-        grid.append(["rado", "check", f"--file={path}"])
+        grid.append(["check", f"--file={path}"])
+    for name, doc in BAD_CHECK_DOCS.items():
+        path = tmp_path / f"check-{name}.json"
+        path.write_text(json.dumps(doc))
+        grid.append((["check", f"--file={path}"], 2))
     for w1 in ["", ",", "a,,b", "a", " "]:
         for verb in ("subword", "star"):
             grid.append(["wqo", verb, f"--w1={w1}", "--w2=a,,b"])
     for n in small + ["4", "12"]:
         grid.append(["rado", "triples", f"--max-n={n}"])
-        grid.append(["rado", "check", f"--max-n={n}"])
-    return [(argv, None) for argv in grid] + pinned_rows(tmp_path)
+    return [row if isinstance(row, tuple) else (row, None) for row in grid] + pinned_rows(tmp_path)
 
 
 PINNED_GROUP_DOCS = {"mul-empty": {"mul": []}, "mul-ragged": {"mul": [[0, 1], [1]]},
@@ -1375,12 +1497,12 @@ LONG_ENTRY_DOCS = {
     "word-entry-int": ("word", [[1, LONG_INT]]),
     "word-entry-digits": ("word", [{"beta": LONG_DIGITS}]),
     "word-not-a-list": ("word", {"perm": LONG_DIGITS}),
-    "triple-int": ("triples", {"triples": [{**TRIPLE, "c": LONG_INT, "cycle": "x"}]}),
-    "triple-digits": ("triples", {"triples": [{**TRIPLE, "c": LONG_DIGITS}]}),
+    "triple-int": ("triples", triples_doc([{**TRIPLE, "c": LONG_INT, "cycle": "x"}])),
+    "triple-digits": ("triples", triples_doc([{**TRIPLE, "c": LONG_DIGITS}])),
     "qs-dimV-digits": ("qs", {**C4_QS, "dimV": LONG_DIGITS}),
 }
 LONG_ENTRY_READERS = {"word": ["aut", "verify", "--group=C4", "--word={path}", "--level=2"],
-                      "triples": ["rado", "check", "--file={path}"],
+                      "triples": ["check", "--file={path}"],
                       "qs": ["qs", "to-group", "--file={path}"]}
 
 
@@ -1468,14 +1590,13 @@ HUGE = "9" * 5000  # past int()'s 4,300-digit limit
     [
         ["--seed", HUGE, "rado", "triples"],
         ["rado", "triples", "--max-n", HUGE],
-        ["rado", "check", "--max-n", HUGE],
         ["cp", "enumerate", "--group", "C4", "--count", HUGE],
         ["aut", "verify", "--group", "Q8", "--word", "[]", "--level", HUGE],
         ["aut", "alpha", "--group", "Q8", "--coords", "1", "--i0", HUGE, "--j0", "0"],
         ["aut", "alpha", "--group", "Q8", "--coords", "1", "--i0", "0", "--j0", HUGE],
         ["az", "run", "--group", "Q8", "--tuples", "family.txt", "--depth", HUGE],
     ],
-    ids=["seed", "triples-max-n", "check-max-n", "count", "level", "i0", "j0", "depth"],
+    ids=["seed", "triples-max-n", "count", "level", "i0", "j0", "depth"],
 )
 def test_huge_integer_flag_gives_short_usage_error(capsys, argv):
     # argparse refuses the value; the error line quotes only its start
@@ -1496,7 +1617,7 @@ def test_closed_stdout_keeps_the_verdict_exit_code():
     argv = [sys.executable, "-m", "azenum.cli", "rado", "triples", "--max-n", "12"]
     for _ in range(5):
         proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.read(10) == b'{\n  "obstr'
+        assert proc.stdout.read(10) == b'{\n  "kind"'
         proc.stdout.close()
         _, errors = proc.communicate(timeout=60)
         assert (proc.returncode, errors) == (0, b"")

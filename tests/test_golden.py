@@ -3,10 +3,10 @@
 Each case is one `azenum` command line. Its exit code and stdout are
 stored gzip-compressed under `tests/golden/`; the `az run` cases read
 seeded tuple families, the `wqo pair` cases seeded word streams, the
-`qs` cases quadratic-structure documents and `rado check --file` a
-triples document from `tests/golden/inputs/`. The remaining cases pin
-the other subcommands, in text mode and with `--json` where the two
-differ.
+`qs` cases quadratic-structure documents and the `check --file` cases
+the documents `rado triples` and `wqo pair` emit, from
+`tests/golden/inputs/`. The remaining cases pin the other subcommands,
+in text mode and with `--json` where the two differ.
 The corpus pins the element order, the minimal representatives, every
 certificate, the pair finder's witnesses and the free amalgam's basis
 layout independently of the code that computes them.
@@ -99,7 +99,12 @@ def qs_path(name: str) -> Path:
     return INPUTS / f"qs_{name}.json"
 
 
-TRIPLES_PATH = INPUTS / "rado_triples_6.json"
+# the documents the `check_*` cases re-check: each command's `--json` output
+DOCUMENTS = {
+    "rado_triples": (INPUTS / "rado_triples_6.json", ["rado", "triples", "--max-n", "6"]),
+    "wqo_pair": (INPUTS / "wqo_pair_random3_star.json",
+                 ["wqo", "pair", "--file", str(stream_path("random3")), "--mode", "star"]),
+}
 
 
 def cases():
@@ -160,8 +165,8 @@ def cases():
         out[f"wqo_pair_random3_{mode}_text"] = [
             "wqo", "pair", "--file", str(stream_path("random3")), "--mode", mode,
         ]
-    out["rado_check_6"] = ["rado", "check", "--max-n", "6"]
-    out["rado_check_file"] = ["rado", "check", "--file", str(TRIPLES_PATH)]
+    for kind, (path, _) in DOCUMENTS.items():
+        out[f"check_{kind}"] = ["check", "--file", str(path)]
     return out
 
 
@@ -206,6 +211,35 @@ def test_every_golden_file_is_a_case():
     assert sorted(p.name for p in GOLDEN.glob("*.out.gz")) == sorted(
         golden_path(name).name for name in cases()
     )
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in cases() if name.startswith(("rado_triples_", "wqo_pair_")) and "--json" in cases()[name]
+))
+def test_every_golden_document_rechecks(tmp_path, name):
+    """Each document a golden case emits re-checks with exit 0."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(gzip.decompress(golden_path(name).read_bytes()).split(b"\n", 1)[1])
+    assert run_case(["check", "--file", str(path)]).startswith(b"exit 0\n")
+
+
+def test_check_runs_no_search(monkeypatch):
+    """`check` re-checks both documents from their own claims: with the
+    searches that produced them made to raise, it still prints the golden
+    bytes."""
+    from azenum import cli, rado, wqo
+
+    def search(*args, **kwargs):
+        raise AssertionError("check ran a search")
+
+    for module, name in [(rado, "build_triples"), (rado, "_levels"), (wqo, "find_increasing_pair"),
+                         (wqo, "is_subword"), (wqo, "is_star_embedded")]:
+        monkeypatch.setattr(module, name, search)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, search)
+    for kind in DOCUMENTS:
+        name = f"check_{kind}"
+        assert run_case(cases()[name]) == gzip.decompress(golden_path(name).read_bytes())
 
 
 def test_cp_enumerate_emit_is_stdout(tmp_path):
@@ -264,13 +298,13 @@ def write_streams() -> None:
         stream_path(name).write_text("\n".join(lines) + "\n")
 
 
-def write_triples() -> None:
-    """The triples of `build_triples(6)`, as `rado triples` lists them."""
-    from azenum.rado import build_triples
-
+def write_documents() -> None:
+    """The DOCUMENTS, as their commands print them with `--json`."""
     INPUTS.mkdir(parents=True, exist_ok=True)
-    doc = {"triples": [t.to_json() for t in build_triples(6)]}
-    TRIPLES_PATH.write_text(json.dumps(doc) + "\n")
+    for path, argv in DOCUMENTS.values():
+        status, doc = run_case(["--json", *argv]).split(b"\n", 1)
+        assert status == b"exit 0", argv
+        path.write_bytes(doc)
 
 
 def write_qs_inputs() -> None:
@@ -306,7 +340,7 @@ def regenerate(names) -> None:
         write_families()
         write_streams()
         write_qs_inputs()
-        write_triples()
+        write_documents()
         names = all_cases
     for name in names:
         golden_path(name).write_bytes(gzip.compress(run_case(all_cases[name]), mtime=0))
